@@ -86,10 +86,16 @@ def _header_int(header: dict, key: str, path) -> int:
         raise ParseError(f"{path}: header {key}={header[key]!r} is not an integer")
 
 
-def _header_float(header: dict, key: str, default: float | None = None) -> float | None:
+def _header_float(header: dict, key: str, path, default: float | None = None) -> float:
+    """A float header value; a missing key falls back to ``default`` if given."""
     if key not in header:
+        if default is None:
+            raise ParseError(f"{path}: missing required header '# {key}=...'")
         return default
-    return float(header[key])
+    try:
+        return float(header[key])
+    except ValueError:
+        raise ParseError(f"{path}: header {key}={header[key]!r} is not a number")
 
 
 def _int_field(value: str, name: str, line: int) -> int:
@@ -128,7 +134,7 @@ def read_trace_csv(path) -> TimeTrace:
     """Read a trace; rejects missing repetitions and non-integer counts."""
     header, rows, _ = _split_comments(_read_lines(path))
     reps = _header_int(header, "repetitions", path)
-    width = _header_float(header, "bin_width_ns", 2.0)
+    width = _header_float(header, "bin_width_ns", path, 2.0)
     label = header.get("label")
     seed = int(header["seed"]) if "seed" in header else None
     if not rows or rows[0][1] != "bin_index,counts":
@@ -169,7 +175,7 @@ def write_rabi_csv(path, dataset: RabiDataset) -> None:
 def read_rabi_csv(path) -> RabiDataset:
     header, rows, _ = _split_comments(_read_lines(path))
     reps = _header_int(header, "repetitions", path)
-    width = _header_float(header, "bin_width_ns", 2.0)
+    width = _header_float(header, "bin_width_ns", path, 2.0)
     if not rows or rows[0][1] != "duration_ns,bin_index,counts":
         raise ParseError(f"{path}: expected 'duration_ns,bin_index,counts' column row")
     groups: dict[float, list[int]] = {}
@@ -255,7 +261,7 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
 def read_sweep_csv(path) -> SweepResult:
     header, rows, footer = _split_comments(_read_lines(path))
     start_bin = _header_int(header, "start_bin", path)
-    width_ns = _header_float(header, "bin_width_ns", 2.0)
+    width_ns = _header_float(header, "bin_width_ns", path, 2.0)
     reps = _header_int(header, "repetitions", path)
     expected = "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag"
     if not rows or rows[0][1] != expected:
@@ -279,8 +285,12 @@ def read_sweep_csv(path) -> SweepResult:
     for no, text in footer:
         name, _, rest = text.partition(":")
         if name in optima and rest.strip() != "none":
-            fields = dict(f.split("=") for f in rest.split())
-            optima[name] = by_width[int(fields["width_bins"])]
+            fields = dict(f.partition("=")[::2] for f in rest.split())
+            width = fields.get("width_bins")
+            if width is None or not width.isdigit() or int(width) not in by_width:
+                raise ParseError(f"{path}: footer {name} names width_bins={width!r}, "
+                                 "which has no metrics row", no)
+            optima[name] = by_width[int(width)]
     return SweepResult(start_bin=start_bin, bin_width_ns=width_ns, repetitions=reps,
                        metrics=tuple(metrics), degenerate_widths=tuple(degenerate),
                        max_contrast=optima["max_contrast"],
@@ -458,10 +468,8 @@ def write_fit_csv(path, durations, raw, fit: SinusoidFit, normalized=True) -> No
 def read_fit_csv(path) -> tuple[SinusoidFit, np.ndarray, np.ndarray]:
     """Fit parameters plus (durations, raw values) from a fit report."""
     header, rows, _ = _split_comments(_read_lines(path))
-    fit = SinusoidFit(
-        offset=float(header["offset"]), amplitude=float(header["amplitude"]),
-        frequency=float(header["frequency_per_ns"]), phase=float(header["phase_rad"]),
-        residual_rms=float(header["residual_rms"]))
+    fit = SinusoidFit(*(_header_float(header, key, path) for key in (
+        "offset", "amplitude", "frequency_per_ns", "phase_rad", "residual_rms")))
     if not rows or rows[0][1] != "duration_ns,p_raw,p_fit,residual":
         raise ParseError(f"{path}: expected fit-report column row")
     durations, raw = [], []

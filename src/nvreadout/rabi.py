@@ -11,11 +11,16 @@ processing of the series, so even raw per-measurement count sums work),
 then rescale the fitted curve so its extrema map to 1 and 0.  Points
 nearest the fitted extrema get exactly 1 and 0.
 
-Sinusoid fitting is multimodal in frequency, so the fit runs a
-deterministic grid of frequency starts around the dominant periodogram
-frequency, solves the linear subproblem at each start and polishes with
-damped (Levenberg-Marquardt) least squares, keeping the best
-sum-of-squares solution; ties break toward the lowest frequency.
+Sinusoid fitting is multimodal in frequency, but frequency is its only
+nonlinear parameter: at a fixed frequency the offset and the cos/sin
+amplitudes follow from a linear least-squares solve.  The fit therefore
+profiles the sum of squares over one frequency grid around the dominant
+periodogram frequency (variable projection), refines the best grid
+point (the lowest frequency among ties) by golden-section search between
+its grid neighbours and reads offset, amplitude and phase from the linear
+solve there.  The grid stops at the Nyquist
+frequency of the median sampling step, above which aliases fit equally
+well.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitFailureError, ParameterError, ShapeError
 from .regression import TrainingExample
@@ -41,7 +45,11 @@ __all__ = [
 
 _MIN_POINTS = 8
 _FREQ_GRID_SPAN = (0.25, 4.0)   # scan range around the dominant frequency
-_FREQ_GRID_SIZE = 25
+_GRID_STEPS_PER_BASIN = 8       # grid spacing is 1 / (this * time span)
+_GRID_BLOCK = 2**18             # frequencies x points profiled per block
+_RANK_TOL = 1e-10               # squared column norm / points below which a
+                                # cos/sin column counts as rank-deficient
+_FREQ_RTOL = 1e-12              # golden-section stopping width, relative
 _AMPLITUDE_SNR = 3.0            # amplitude must exceed this multiple of rms
 
 
@@ -157,20 +165,70 @@ def _dominant_frequency(t: np.ndarray, y: np.ndarray) -> float:
     return float(freqs[1 + int(np.argmax(spectrum[1:]))])
 
 
+def _profile_sse(t: np.ndarray, y: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Least-squares sum of squares of offset + a*cos + b*sin at each frequency.
+
+    The offset is projected out by centering; the sine column is then
+    orthogonalized against the cosine column (Gram-Schmidt), so a column
+    that vanishes (f -> 0) or aliases onto the other (Nyquist) drops out
+    instead of dividing by zero.  The sum is taken over the residual
+    vector itself, not as a difference of sums, so it stays accurate down
+    to a noiseless fit.
+    """
+    yc = y - y.mean()
+    arg = 2.0 * np.pi * np.outer(freqs, t)
+    c = np.cos(arg)
+    c -= c.mean(axis=1, keepdims=True)
+    s = np.sin(arg)
+    s -= s.mean(axis=1, keepdims=True)
+    tol = _RANK_TOL * t.size
+
+    def along(dots, basis):
+        norm2 = np.einsum("ij,ij->i", basis, basis)
+        coef = np.divide(dots, norm2, out=np.zeros_like(norm2), where=norm2 > tol)
+        return coef[:, None] * basis
+
+    s -= along(np.einsum("ij,ij->i", c, s), c)
+    r = yc - along(c @ yc, c) - along(s @ yc, s)
+    return np.einsum("ij,ij->i", r, r)
+
+
+def _golden_minimum(t: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
+    """Frequency of the profile minimum inside [lo, hi], by golden section."""
+    def sse(f):
+        return float(_profile_sse(t, y, np.array([f]))[0])
+
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = sse(c), sse(d)
+    while b - a > _FREQ_RTOL * b:
+        if fc <= fd:                          # ties keep the lower frequency
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = sse(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = sse(d)
+    return c if fc <= fd else d
+
+
 def fit_rabi(durations, values) -> SinusoidFit:
     """Least-squares sinusoid fit of a per-duration series.
 
     Parameters
     ----------
     durations, values : sequences of float
-        At least 8 points; the durations must span at least one period of
-        the fitted oscillation.
+        At least 8 finite points with strictly increasing durations; the
+        durations must span at least one period of the fitted oscillation.
 
     Raises
     ------
     FitFailureError
-        On too few points, a span below one fitted period, or no credible
-        oscillation (fitted amplitude below 3x the residual rms).
+        On too few points, non-finite values, durations that are not
+        strictly increasing, a span below one fitted period, or no
+        credible oscillation (fitted amplitude below 3x the residual rms).
     """
     t = np.asarray(durations, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -178,39 +236,34 @@ def fit_rabi(durations, values) -> SinusoidFit:
         raise ShapeError("durations and values must be equal-length 1-d sequences")
     if t.size < _MIN_POINTS:
         raise FitFailureError(f"need at least {_MIN_POINTS} points, got {t.size}")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise FitFailureError("durations and values must be finite")
+    if np.any(np.diff(t) <= 0):
+        raise FitFailureError("durations must be strictly increasing "
+                              "and span nonzero time")
 
     f_dom = _dominant_frequency(t, y)
     if f_dom <= 0:
         raise FitFailureError("no dominant oscillation frequency found")
 
-    best_sse = np.inf
-    best = None
-    for f0 in np.geomspace(_FREQ_GRID_SPAN[0] * f_dom,
-                           _FREQ_GRID_SPAN[1] * f_dom, _FREQ_GRID_SIZE):
-        phase_arg = 2.0 * np.pi * f0 * t
-        design = np.column_stack([np.ones_like(t), np.cos(phase_arg), np.sin(phase_arg)])
-        (c0, c1, c2), *_ = np.linalg.lstsq(design, y, rcond=None)
+    span = t[-1] - t[0]
+    f_lo = _FREQ_GRID_SPAN[0] * f_dom
+    f_hi = min(_FREQ_GRID_SPAN[1] * f_dom, 0.5 / float(np.median(np.diff(t))))
+    n_grid = int(np.ceil((f_hi - f_lo) * _GRID_STEPS_PER_BASIN * span)) + 1
+    grid = np.linspace(f_lo, f_hi, n_grid)
+    blocks = np.array_split(grid, max(1, grid.size * t.size // _GRID_BLOCK))
+    k = int(np.argmin(np.concatenate([_profile_sse(t, y, b) for b in blocks])))
+    f = _golden_minimum(t, y, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
 
-        def model_residuals(theta):
-            offset, a, b, f = theta
-            arg = 2.0 * np.pi * f * t
-            return offset + a * np.cos(arg) + b * np.sin(arg) - y
-
-        sol = least_squares(model_residuals, [c0, c1, c2, f0],
-                            method="lm", max_nfev=400)
-        sse = float(sol.fun @ sol.fun)
-        if sse < best_sse * (1.0 - 1e-12):    # ties keep the lower-frequency start
-            best_sse = sse
-            best = sol.x
-
-    offset, a, b, f = best
-    if f < 0:                                  # cos is even: flip to positive frequency
-        f, b = -f, -b
+    arg = 2.0 * np.pi * f * t
+    design = np.column_stack([np.ones_like(t), np.cos(arg), np.sin(arg)])
+    (offset, a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
+    r = design @ (offset, a, b) - y
     amplitude = float(np.hypot(a, b))
     phase = float(np.arctan2(-b, a) % (2.0 * np.pi))
-    rms = float(np.sqrt(best_sse / t.size))
+    rms = float(np.sqrt(r @ r / t.size))
 
-    span_periods = (t[-1] - t[0]) * f
+    span_periods = span * f
     if span_periods < 1.0:
         raise FitFailureError(
             f"data span covers {span_periods:.3f} fitted periods; need >= 1")

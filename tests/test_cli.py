@@ -1,10 +1,13 @@
 """End-to-end CLI pipelines, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nvreadout
 from nvreadout.cli import main
 
 
@@ -183,3 +186,13 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "nvreadout" in proc.stdout
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # the runtime needs numpy alone; scipy is a test-only extra
+        env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, nvreadout.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

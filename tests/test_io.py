@@ -43,6 +43,13 @@ class TestTraceCsv:
         with pytest.raises(ParseError, match="repetitions"):
             nvio.read_trace_csv(p)
 
+    def test_non_numeric_bin_width_rejected(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("# trace-csv v1\n# repetitions=10\n# bin_width_ns=wide\n"
+                     "bin_index,counts\n0,1\n")
+        with pytest.raises(ParseError, match="bin_width_ns"):
+            nvio.read_trace_csv(p)
+
     def test_non_integer_counts_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("# trace-csv v1\n# repetitions=10\nbin_index,counts\n0,1.5\n")
@@ -96,6 +103,15 @@ class TestSweepCsv:
         assert again.min_variance.window == sweep.min_variance.window
         assert len(again.metrics) == len(sweep.metrics)
         assert again.degenerate_widths == sweep.degenerate_widths
+
+    def test_footer_naming_absent_width_rejected(self, world, tmp_path):
+        p = tmp_path / "sweep.csv"
+        nvio.write_sweep_csv(p, world[2])
+        text = p.read_text().replace("# min_variance: width_bins=",
+                                     "# min_variance: width_bins=9999", 1)
+        p.write_text(text)
+        with pytest.raises(ParseError, match=r"sweep\.csv.*width_bins='9999"):
+            nvio.read_sweep_csv(p)
 
 
 class TestModelFile:
@@ -155,3 +171,16 @@ class TestReportAndRepair:
         fit2, d, raw = nvio.read_fit_csv(a)
         assert fit2 == fit
         assert np.array_equal(d, dataset.durations)
+
+    def test_fit_report_missing_header_rejected(self, world, tmp_path):
+        dataset = world[3]
+        from nvreadout import fit_rabi
+        sums = [tr.counts.sum() / tr.repetitions for _, tr in dataset.points]
+        p = tmp_path / "fit.csv"
+        nvio.write_fit_csv(p, dataset.durations, sums,
+                           fit_rabi(dataset.durations, sums))
+        lines = [ln for ln in p.read_text().splitlines()
+                 if not ln.startswith("# offset=")]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"fit\.csv.*offset"):
+            nvio.read_fit_csv(p)

@@ -65,6 +65,44 @@ class TestFitRabi:
             fit = fit_rabi(t, noisy)
             assert fit.frequency == pytest.approx(truth, rel=0.01)
 
+    @pytest.mark.parametrize("t, y", [
+        (np.linspace(0, 600, 30), np.where(np.arange(30) == 7, np.nan, 0.5)),
+        (np.where(np.arange(30) == 3, np.inf, np.linspace(0, 600, 30)),
+         np.cos(np.linspace(0, 600, 30) / 30)),
+    ], ids=["nan-value", "inf-duration"])
+    def test_non_finite_input_fails(self, t, y):
+        with pytest.raises(FitFailureError, match="finite"):
+            fit_rabi(t, y)
+
+    @pytest.mark.parametrize("t", [
+        np.full(30, 100.0),
+        np.linspace(600, 0, 30),
+        np.r_[np.linspace(0, 300, 15), np.linspace(300, 600, 15)],
+    ], ids=["zero-span", "decreasing", "repeated"])
+    def test_non_increasing_durations_fail(self, t):
+        y = sample(0.5, 0.5, 1 / 200.0, 0.0, np.linspace(0, 600, 30))
+        with pytest.raises(FitFailureError, match="strictly increasing"):
+            fit_rabi(t, y)
+
+    def test_frequency_never_above_nyquist(self):
+        # aliases above the sampling Nyquist frequency fit exactly as well;
+        # the fit must return the one below it or fail
+        rng = np.random.default_rng(17)
+        t = np.linspace(0, 600, 48)
+        nyquist = 0.5 / np.median(np.diff(t))
+        fitted = 0
+        for _ in range(40):
+            frequency = rng.uniform(0.5, 2.0) * nyquist
+            y = sample(0.5, 0.5, frequency, rng.uniform(0, 2 * np.pi), t) + \
+                rng.normal(0, 0.01, t.size)
+            try:
+                fit = fit_rabi(t, y)
+            except FitFailureError:
+                continue
+            fitted += 1
+            assert fit.frequency <= nyquist
+        assert fitted >= 20
+
     def test_determinism(self):
         t = np.linspace(0, 600, 60)
         y = sample(0.5, 0.5, 1 / 200.0, 0.3, t) + \
@@ -72,6 +110,83 @@ class TestFitRabi:
         a, b = fit_rabi(t, y), fit_rabi(t, y)
         assert (a.offset, a.amplitude, a.frequency, a.phase) == \
             (b.offset, b.amplitude, b.frequency, b.phase)
+
+
+@pytest.mark.parametrize("frequency", [0.05, 1e-12], ids=["nyquist", "near-zero"])
+def test_profile_survives_rank_deficient_columns(frequency):
+    # at the Nyquist frequency of a grid not starting at 0 the sine column
+    # is a multiple of the cosine column; near f = 0 both fall onto the
+    # offset.  The profile must then match a rank-revealing solve.
+    from nvreadout.rabi import _profile_sse
+    t = 5.0 + 10.0 * np.arange(40)
+    y = np.random.default_rng(4).normal(size=t.size)
+    arg = 2 * np.pi * frequency * t
+    design = np.column_stack([np.ones_like(t), np.cos(arg), np.sin(arg)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=1e-8)
+    expected = float(np.sum((design @ coef - y) ** 2))
+    assert _profile_sse(t, y, np.array([frequency]))[0] == \
+        pytest.approx(expected, rel=1e-9)
+
+
+def _multistart_lm_fit(t, y):
+    """The former fit: 25 Levenberg-Marquardt starts (scipy), kept as oracle.
+
+    Returns (frequency, sse) or None where the former fit raised
+    FitFailureError.
+    """
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    dt = float(np.median(np.diff(t)))
+    spectrum = np.abs(np.fft.rfft(y - y.mean(), 4 * t.size))
+    f_dom = float(np.fft.rfftfreq(4 * t.size, dt)[1 + int(np.argmax(spectrum[1:]))])
+    best_sse, best = np.inf, None
+    for f0 in np.geomspace(0.25 * f_dom, 4.0 * f_dom, 25):
+        arg = 2.0 * np.pi * f0 * t
+        design = np.column_stack([np.ones_like(t), np.cos(arg), np.sin(arg)])
+        (c0, c1, c2), *_ = np.linalg.lstsq(design, y, rcond=None)
+
+        def model_residuals(theta):
+            offset, a, b, f = theta
+            arg = 2.0 * np.pi * f * t
+            return offset + a * np.cos(arg) + b * np.sin(arg) - y
+
+        sol = least_squares(model_residuals, [c0, c1, c2, f0],
+                            method="lm", max_nfev=400)
+        sse = float(sol.fun @ sol.fun)
+        if sse < best_sse * (1.0 - 1e-12):
+            best_sse, best = sse, sol.x
+    _, a, b, f = best
+    f = abs(f)
+    if (t[-1] - t[0]) * f < 1.0 or \
+            np.hypot(a, b) < 3.0 * np.sqrt(best_sse / t.size):
+        return None
+    return f, best_sse
+
+
+def test_matches_multistart_lm_oracle():
+    # seeded count-sum series of simulated scans, at two layouts and two
+    # repetition counts so that both fit outcomes occur
+    p0, p1 = make_profiles(paper_like_params())
+    outcomes = []
+    for seed in range(12):
+        for points, span in ((60, 600.0), (240, 2400.0)):
+            reps = 10**5 if seed % 3 else 3 * 10**4
+            dataset, _ = simulate_rabi_dataset(p0, p1, reps, 1000 * seed + 3,
+                                               points=points, span_ns=span)
+            t = dataset.durations
+            y = np.array([tr.counts.sum() / tr.repetitions for tr in dataset.traces])
+            expected = _multistart_lm_fit(t, y)
+            try:
+                fit = fit_rabi(t, y)
+            except FitFailureError:
+                fit = None
+            assert (fit is None) == (expected is None)
+            outcomes.append(fit is None)
+            if fit is not None:
+                f_ref, sse_ref = expected
+                sse = float(np.sum((fit.value(t) - y) ** 2))
+                assert sse == pytest.approx(sse_ref, rel=1e-8)
+                assert fit.frequency == pytest.approx(f_ref, rel=1e-6)
+    assert any(outcomes) and not all(outcomes)
 
 
 @pytest.fixture(scope="module")
