@@ -6,8 +6,8 @@ serves as their ground-truth oracle:
 * :mod:`nvreadout.gating` - traditional time-gated count summation with
   contrast / total-variance window optimization,
 * :mod:`nvreadout.regression` - a per-bin weighted linear estimator with
-  nonnegative weights, trained by variance-regularized projected gradient
-  descent,
+  nonnegative weights, the exact optimum of one stated variance-regularized
+  objective (dual semismooth Newton),
 * :mod:`nvreadout.traces` - Poisson trace simulator with a calibrated
   default preset,
 * :mod:`nvreadout.rabi` - oscillation fitting and training-target
@@ -17,8 +17,8 @@ serves as their ground-truth oracle:
   command-line pipeline.
 """
 
-from .errors import (DegenerateBoundaryError, DegenerateTrainingError,
-                     DivergenceError, DomainError, FitFailureError,
+from .errors import (ConvergenceError, DegenerateBoundaryError,
+                     DegenerateTrainingError, DomainError, FitFailureError,
                      ParameterError, ParseError, ReadoutError, ShapeError,
                      StateError)
 from .evaluation import (EvalReport, MethodEval, RepairPoint, RepairResult,

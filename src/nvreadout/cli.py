@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 
 import numpy as np
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
+from . import __version__
 from . import io as nvio
-from .errors import ReadoutError
+from .errors import ParameterError, ParseError, ReadoutError
 from .evaluation import evaluate, repair
 from .gating import sweep_gate
 from .rabi import assign_targets, fit_rabi, simulate_rabi_dataset
@@ -29,8 +31,6 @@ from .traces import (PhotodynamicsParams, make_profiles, paper_like_params,
                      simulate_trace)
 
 __all__ = ["main", "RunConfig", "load_config"]
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,41 +57,52 @@ class RunConfig:
     train: TrainConfig = TrainConfig()
 
 
+def _count(value, name: str) -> int:
+    """A repetition or step count given as a float, so that 1e7 is accepted."""
+    if not (math.isfinite(value) and value >= 1):
+        raise ParameterError(f"{name} must be a finite number >= 1, got {value!r}")
+    return int(value)
+
+
 def load_config(path) -> RunConfig:
     """Read a key=value config file with [profile]/[simulate]/[train]/[sweep] sections."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ReadoutError(f"config file not found: {path}")
 
-    profile_kwargs = {}
-    if parser.has_section("profile"):
-        for f in dataclass_fields(PhotodynamicsParams):
-            if parser.has_option("profile", f.name):
-                profile_kwargs[f.name] = parser.getfloat("profile", f.name)
+    def value(section, key, default, kind=float):
+        if not parser.has_option(section, key):
+            return default
+        raw = parser.get(section, key)
+        try:
+            return kind(raw)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ParseError(f"{path}: [{section}] {key}={raw!r} is not {noun}") from None
+
+    profile_kwargs = {f.name: value("profile", f.name, None)
+                      for f in dataclass_fields(PhotodynamicsParams)
+                      if parser.has_option("profile", f.name)}
     params = paper_like_params() if not profile_kwargs else PhotodynamicsParams(**profile_kwargs)
 
     cfg = RunConfig(params=params)
-    if parser.has_section("simulate"):
-        s = parser["simulate"]
-        cfg.repetitions = int(float(s.get("repetitions", cfg.repetitions)))
-        cfg.seed = int(s.get("seed", cfg.seed))
-        cfg.rabi_points = int(s.get("rabi_points", cfg.rabi_points))
-        cfg.rabi_period_ns = float(s.get("rabi_period_ns", cfg.rabi_period_ns))
-        cfg.rabi_span_ns = float(s.get("rabi_span_ns", cfg.rabi_span_ns))
-        if "rabi_repetitions" in s:
-            cfg.rabi_repetitions = int(float(s["rabi_repetitions"]))
-    if parser.has_section("sweep"):
-        cfg.start_bin = int(parser["sweep"].get("start_bin", cfg.start_bin))
-    if parser.has_section("train"):
-        t = parser["train"]
-        cfg.train = TrainConfig(
-            weight_factor=float(t.get("weight_factor", TrainConfig.weight_factor)),
-            learning_rate=float(t.get("learning_rate", TrainConfig.learning_rate)),
-            max_iterations=int(float(t.get("max_iterations", TrainConfig.max_iterations))),
-            relative_tolerance=float(t.get("relative_tolerance", TrainConfig.relative_tolerance)),
-            init=t.get("init", TrainConfig.init),
-        )
+    cfg.repetitions = _count(value("simulate", "repetitions", cfg.repetitions), "repetitions")
+    cfg.seed = value("simulate", "seed", cfg.seed, int)
+    cfg.rabi_points = value("simulate", "rabi_points", cfg.rabi_points, int)
+    cfg.rabi_period_ns = value("simulate", "rabi_period_ns", cfg.rabi_period_ns)
+    cfg.rabi_span_ns = value("simulate", "rabi_span_ns", cfg.rabi_span_ns)
+    if parser.has_option("simulate", "rabi_repetitions"):
+        cfg.rabi_repetitions = _count(value("simulate", "rabi_repetitions", None),
+                                      "rabi_repetitions")
+    cfg.start_bin = value("sweep", "start_bin", cfg.start_bin, int)
+    cfg.train = TrainConfig(
+        weight_factor=value("train", "weight_factor", TrainConfig.weight_factor),
+        max_iterations=_count(value("train", "max_iterations", TrainConfig.max_iterations),
+                              "max_iterations"))
     return cfg
 
 
@@ -109,10 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Time-resolved photon trace readout toolkit")
     schemas = " ".join(f"{k}=v{v}" for k, v in sorted(nvio.FORMAT_VERSIONS.items()))
     parser.add_argument("--version", action="version",
-                        version=f"nvreadout {VERSION} (file schemas: {schemas})")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="upper bound on worker threads (current pipeline "
-                             "is single-threaded; outputs never depend on this)")
+                        version=f"nvreadout {__version__} (file schemas: {schemas})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="emit boundary and/or oscillation trace files")
@@ -142,10 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rabi", help="oscillation dataset CSV (rabi mode)")
     p.add_argument("--config", help="config file with a [train] section")
     p.add_argument("--weight-factor", type=float)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--max-iterations", type=float)
-    p.add_argument("--tolerance", type=float, help="relative loss tolerance")
-    p.add_argument("--init", choices=["gated-equal-weights", "zeros"])
+    p.add_argument("--max-iterations", type=float, help="cap on Newton steps")
     p.add_argument("--out", required=True, help="model file to write")
 
     p = sub.add_parser("fit-rabi", help="sinusoid fit of an oscillation dataset")
@@ -183,18 +188,6 @@ def _check_distinct_output(out_path, *input_paths) -> None:
             raise ReadoutError(f"output path {out_path} would overwrite input {p}")
 
 
-def _train_config(args, base: TrainConfig) -> TrainConfig:
-    def pick(flag, current):
-        return current if flag is None else flag
-    return TrainConfig(
-        weight_factor=pick(args.weight_factor, base.weight_factor),
-        learning_rate=pick(args.learning_rate, base.learning_rate),
-        max_iterations=int(pick(args.max_iterations, base.max_iterations)),
-        relative_tolerance=pick(args.tolerance, base.relative_tolerance),
-        init=pick(args.init, base.init),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
@@ -202,7 +195,7 @@ def _train_config(args, base: TrainConfig) -> TrainConfig:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig(params=paper_like_params())
     if args.reps is not None:
-        cfg.repetitions = int(args.reps)
+        cfg.repetitions = _count(args.reps, "--reps")
     if args.seed is not None:
         cfg.seed = args.seed
     if args.rabi_points is not None:
@@ -213,7 +206,7 @@ def _cmd_simulate(args) -> int:
         cfg.rabi_span_ns = args.rabi_span_ns
     rabi_reps = cfg.rabi_repetitions or cfg.repetitions
     if args.rabi_reps is not None:
-        rabi_reps = int(args.rabi_reps)
+        rabi_reps = _count(args.rabi_reps, "--rabi-reps")
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,8 +249,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    base = load_config(args.config).train if args.config else TrainConfig()
-    config = _train_config(args, base)
+    config = load_config(args.config).train if args.config else TrainConfig()
+    if args.weight_factor is not None:
+        config = replace(config, weight_factor=args.weight_factor)
+    if args.max_iterations is not None:
+        config = replace(config, max_iterations=_count(args.max_iterations, "--max-iterations"))
     if args.mode == "boundary":
         if not args.trace0 or not args.trace1:
             raise ReadoutError("boundary mode needs --trace0 and --trace1")
@@ -370,9 +366,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:          # argparse --version/-h exit 0, errors exit 1
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("nvreadout: error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
     except ReadoutError as exc:

@@ -30,8 +30,8 @@ class DegenerateTrainingError(ReadoutError):
     """The training set cannot constrain a model (identical targets/traces)."""
 
 
-class DivergenceError(ReadoutError):
-    """Gradient descent increased the loss; the learning rate is too high."""
+class ConvergenceError(ReadoutError):
+    """The trainer's Newton solve did not converge within its step cap."""
 
 
 class FitFailureError(ReadoutError):

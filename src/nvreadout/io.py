@@ -79,23 +79,23 @@ def _split_comments(lines):
 
 def _header_int(header: dict, key: str, path) -> int:
     if key not in header:
-        raise ParseError(f"{path}: missing required header '# {key}=...'")
+        raise ParseError(f"{path}: missing required field '{key}'")
     try:
         return int(header[key])
     except ValueError:
-        raise ParseError(f"{path}: header {key}={header[key]!r} is not an integer")
+        raise ParseError(f"{path}: {key}={header[key]!r} is not an integer")
 
 
 def _header_float(header: dict, key: str, path, default: float | None = None) -> float:
-    """A float header value; a missing key falls back to ``default`` if given."""
+    """A float field value; a missing key falls back to ``default`` if given."""
     if key not in header:
         if default is None:
-            raise ParseError(f"{path}: missing required header '# {key}=...'")
+            raise ParseError(f"{path}: missing required field '{key}'")
         return default
     try:
         return float(header[key])
     except ValueError:
-        raise ParseError(f"{path}: header {key}={header[key]!r} is not a number")
+        raise ParseError(f"{path}: {key}={header[key]!r} is not a number")
 
 
 def _int_field(value: str, name: str, line: int) -> int:
@@ -338,22 +338,18 @@ def read_model(path) -> ReadoutModel:
             if not sep:
                 raise ParseError(f"expected key=value, got {line!r}", no)
             fields[key] = value
-    for required in ("dimension", "bin_width_ns", "intercept"):
-        if required not in fields:
-            raise ParseError(f"{path}: missing field '{required}'")
-    dimension = int(fields["dimension"])
+    dimension = _header_int(fields, "dimension", path)
     if len(weights) != dimension:
         raise ParseError(f"{path}: {len(weights)} weights, dimension says {dimension}")
+    loss_keys = ("loss_prediction", "loss_variance", "loss_weight_factor", "loss_total")
     training_loss = None
-    if "loss_total" in fields:
-        training_loss = LossBreakdown(
-            float(fields["loss_prediction"]), float(fields["loss_variance"]),
-            float(fields["loss_weight_factor"]), float(fields["loss_total"]))
+    if any(key in fields for key in loss_keys):
+        training_loss = LossBreakdown(*(_header_float(fields, key, path) for key in loss_keys))
     return ReadoutModel(
         weights=np.array(weights),
-        intercept=float(fields["intercept"]),
-        reference_bin_width_ns=float(fields["bin_width_ns"]),
-        rate_scale=float(fields.get("rate_scale", 1.0)),
+        intercept=_header_float(fields, "intercept", path),
+        reference_bin_width_ns=_header_float(fields, "bin_width_ns", path),
+        rate_scale=_header_float(fields, "rate_scale", path, 1.0),
         trained_on=fields.get("trained_on", ""),
         training_loss=training_loss)
 

@@ -10,19 +10,28 @@ any repetition count.  Under Poisson counts the estimate's variance is
 
     var(p) = sum_i (weights[i] / repetitions)^2 * counts[i].
 
-Training minimizes
+Training is the exact solve of one convex problem.  With rate_scale the
+largest per-measurement bin rate of the training set, normalized rates
+z = rates / rate_scale and weights v = weights * rate_scale, it minimizes
+over v >= 0 and a free intercept b
 
-    J = weight_factor * sum_j (p_j - target_j)^2  +  sum_j var_j
+    (1/m) sum_j (z_j . v + b - t_j)^2 + (1/(w m)) sum_i c_i v_i^2
+        + LAMBDA ||v - v_g||^2
 
-by projected gradient descent: plain fixed-step descent with negative
-weights clamped to zero after every step (the intercept is unconstrained;
-the gated estimator's exact-representation intercept is negative).
-Features are preconditioned by a single global factor, the largest
-per-measurement bin rate of the training set; descent steps are taken on
-the per-example, unit-prediction-weight objective J / (weight_factor * m)
-so the default learning rate is meaningful across training-set sizes.
-The factor is stored on the model for provenance; predictions never
-depend on it.
+for m traces with targets t_j and repetitions R_j, w = weight_factor and
+c_i = sum_j z_ji / (R_j rate_scale).  The first two terms are J / (w m)
+for J = w sum_j (p_j - t_j)^2 + sum_j var(p_j).  The third pulls v toward
+v_g, equal weights over the best min-variance window of the extremal-target
+traces (zeros when every window is degenerate): a ridge penalty in place
+of the early stopping that keeps a fit to noisy oscillation sets from
+memorizing shot noise (Ali, Kolter & Tibshirani, AISTATS 2019).
+
+The solver centres z and t to remove b and maximizes the concave
+m-dimensional dual by semismooth Newton steps, backtracking on the dual
+value.  With d = c + LAMBDA w m and u = LAMBDA w m v_g / d the primal
+weights at a dual point mu are v = max(0, u - Z_c^T mu / (2 d)); each
+step's Hessian is restricted to the bins where v > 0.  Predictions never
+depend on rate_scale; the model keeps it for provenance.
 """
 
 from __future__ import annotations
@@ -31,8 +40,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DegenerateBoundaryError, DegenerateTrainingError,
-                     DivergenceError, DomainError, ParameterError, ShapeError)
+from .errors import (ConvergenceError, DegenerateBoundaryError,
+                     DegenerateTrainingError, DomainError, ParameterError,
+                     ShapeError, StateError)
 from .gating import GateWindow, _metric_curves
 from .traces import TimeTrace
 
@@ -51,8 +61,9 @@ __all__ = [
     "gated_equivalent_model",
 ]
 
-_LOSS_SLACK = 1e-12          # relative tolerance for the monotone-descent check
-_STOP_WINDOW = 100           # iterations spanned by the convergence test
+LAMBDA = 1.0        # weight of the proximity term toward the gated anchor
+_DUAL_TOL = 1e-13   # dual-gradient tolerance, relative to 1 + |Z_c| v
+_ARMIJO = 1e-4      # sufficient-increase fraction of the line search
 
 
 @dataclass(frozen=True)
@@ -114,30 +125,17 @@ class TrainingExample:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Projected-gradient-descent settings.
-
-    ``learning_rate`` is expressed in normalized feature space for the
-    per-example, unit-prediction-weight objective; the same default works
-    for two-trace boundary sets and full oscillation sets.
-    """
+    """Trainer settings: the prediction-term weight and the Newton-step cap."""
 
     weight_factor: float = 1e4
-    learning_rate: float = 1e-3
-    max_iterations: int = 200_000
-    relative_tolerance: float = 1e-9
-    init: str = "gated-equal-weights"       # or "zeros"
+    max_iterations: int = 100
 
     def __post_init__(self):
-        if not (self.weight_factor >= 1):
-            raise ParameterError("weight_factor must be >= 1")
-        if not (self.learning_rate > 0):
-            raise ParameterError("learning_rate must be positive")
-        if self.max_iterations < 0:
-            raise ParameterError("max_iterations must be nonnegative")
-        if not (self.relative_tolerance > 0):
-            raise ParameterError("relative_tolerance must be positive")
-        if self.init not in ("gated-equal-weights", "zeros"):
-            raise ParameterError(f"unknown init '{self.init}'")
+        if not (np.isfinite(self.weight_factor) and self.weight_factor >= 1):
+            raise ParameterError("weight_factor must be finite and >= 1")
+        if not (isinstance(self.max_iterations, (int, np.integer))
+                and self.max_iterations >= 1):
+            raise ParameterError("max_iterations must be an integer >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +216,12 @@ def loss_gradient(model: ReadoutModel, examples,
 # Training
 # ---------------------------------------------------------------------------
 
-def _gated_init(examples, targets) -> tuple[np.ndarray, float] | None:
+def _gated_init(examples, targets) -> np.ndarray:
     """Equal weights over the best min-variance window of the extremal traces.
 
     Uses the brightest-target and darkest-target traces as boundary
-    proxies.  Returns None when every window is degenerate in the target
-    orientation (e.g. swapped labels), in which case the caller falls back
-    to the zeros initialization.
+    proxies.  Returns zeros when every window is degenerate in the target
+    orientation (e.g. swapped labels).
     """
     bright = examples[int(np.argmax(targets))].trace
     dark = examples[int(np.argmin(targets))].trace
@@ -233,67 +230,79 @@ def _gated_init(examples, targets) -> tuple[np.ndarray, float] | None:
     cum_b = np.cumsum(bright.counts) / bright.repetitions
     cum_d = np.cumsum(dark.counts) / dark.repetitions
     valid, _, v = _metric_curves(cum_b, cum_d)
-    if not valid.any():
-        return None
-    i = int(np.argmin(v))
-    span = cum_b[i] - cum_d[i]
     weights = np.zeros(cum_b.size)
-    weights[:i + 1] = 1.0 / span
-    return weights, float(-cum_d[i] / span)
+    if valid.any():
+        i = int(np.argmin(v))
+        weights[:i + 1] = 1.0 / (cum_b[i] - cum_d[i])
+    return weights
 
 
-def _descend(rates: np.ndarray, reps: np.ndarray, targets: np.ndarray,
-             weights0: np.ndarray, intercept0: float, config: TrainConfig,
-             ) -> tuple[np.ndarray, float, int, np.ndarray]:
-    """Projected gradient descent core.
+def _solve(rates: np.ndarray, reps: np.ndarray, targets: np.ndarray,
+           anchor: np.ndarray, weight_factor: float, max_steps: int,
+           lam: float = LAMBDA) -> tuple[np.ndarray, float, int, float]:
+    """Exact minimizer of the module's stated objective by dual Newton steps.
 
-    Works in normalized feature space (rates / max rate); returns physical
-    weights, intercept, iterations run and the recorded loss history.
+    ``anchor`` holds the gated-anchor weights in rate space.  Returns
+    rate-space weights, intercept, Newton steps taken and the KKT residual
+    (norm of the projected objective gradient over (v, b)) at the result.
     """
-    rate_scale = float(rates.max())
-    if rate_scale <= 0:
-        raise DegenerateTrainingError("all training traces are empty")
-    z = rates / rate_scale
+    scale = float(rates.max())
+    z = rates / scale
     m = z.shape[0]
-    w = config.weight_factor
-    step = config.learning_rate / (w * m)
-    # variance term is sum_i v_i^2 * var_coeff_i in normalized coordinates
-    var_coeff = (z / reps[:, None]).sum(axis=0) / rate_scale
+    w = float(weight_factor)
+    c = (z / reps[:, None]).sum(axis=0) / scale
+    v_g = anchor * scale
+    zc = z - z.mean(axis=0)
+    tc = targets - targets.mean()
+    d = c + lam * w * m
+    u = lam * w * m * v_g / d
 
-    v = weights0 * rate_scale
-    b = float(intercept0)
-    history = np.empty(config.max_iterations + 1)
-    t = 0
-    while True:
-        h = z @ v + b
-        residuals = h - targets
-        total = w * float(residuals @ residuals) + float(v * v @ var_coeff)
-        if not np.isfinite(total):
-            raise DivergenceError(
-                "loss is not finite; lower the learning rate")
-        if t > 0 and total > history[t - 1] * (1.0 + _LOSS_SLACK):
-            raise DivergenceError(
-                f"loss increased at iteration {t} "
-                f"({history[t - 1]:.6e} -> {total:.6e}); lower the learning rate")
-        history[t] = total
-        if t >= config.max_iterations:
-            break
-        if t >= _STOP_WINDOW:
-            ref = history[t - _STOP_WINDOW]
-            if ref - total < config.relative_tolerance * ref:
+    def at(mu):
+        """Primal weights, dual value and dual gradient at ``mu``."""
+        g = zc.T @ mu
+        v = np.maximum(0.0, u - g / (2.0 * d))
+        value = float(d @ (v - u) ** 2 + g @ v - mu @ mu / (4.0 * w) - mu @ tc)
+        return v, value, zc @ v - tc - mu / (2.0 * w)
+
+    mu = np.zeros(m)
+    v, value, grad = at(mu)
+    steps = 0
+    # the gradient is a residual in target units; rounding in Z_c v grows
+    # with the size of its terms
+    while np.any(np.abs(grad) > _DUAL_TOL * (1.0 + np.abs(zc) @ v)):
+        if steps == max_steps:
+            raise ConvergenceError(
+                f"training did not converge in {max_steps} Newton steps "
+                f"(dual gradient {np.abs(grad).max():.3e})")
+        active = v > 0
+        za = zc[:, active]
+        delta = np.linalg.solve(np.eye(m) / (2.0 * w) + (za / (2.0 * d[active])) @ za.T,
+                                grad)
+        alpha = 1.0
+        while True:
+            trial = at(mu + alpha * delta)
+            # an unchanged active set means the dual is quadratic along the
+            # whole step, so the step cannot decrease it; skipping the value
+            # test there keeps rounding from stalling the final steps
+            if (np.array_equal(trial[0] > 0, active) or alpha < 1e-10
+                    or trial[1] >= value + _ARMIJO * alpha * float(grad @ delta)):
                 break
-        grad_v = 2.0 * w * (z.T @ residuals) + 2.0 * var_coeff * v
-        grad_b = 2.0 * w * float(residuals.sum())
-        v = v - step * grad_v
-        b = b - step * grad_b
-        np.maximum(v, 0.0, out=v)
-        t += 1
-    return v / rate_scale, b, t, history[:t + 1]
+            alpha *= 0.5
+        mu = mu + alpha * delta
+        v, value, grad = trial
+        steps += 1
+
+    b = float(targets.mean() - z.mean(axis=0) @ v)
+    r = z @ v + b - targets
+    grad_v = (2.0 / m) * (z.T @ r) + (2.0 / (w * m)) * c * v + 2.0 * lam * (v - v_g)
+    grad_v = np.where(v > 0, grad_v, np.minimum(grad_v, 0.0))
+    kkt = float(np.hypot(np.linalg.norm(grad_v), 2.0 * r.mean()))
+    return v / scale, b, steps, kkt
 
 
 def train(examples, config: TrainConfig | None = None,
           provenance: str = "") -> ReadoutModel:
-    """Fit a readout model to labeled traces by projected gradient descent.
+    """Fit a readout model to labeled traces by the exact solve above.
 
     Parameters
     ----------
@@ -308,7 +317,10 @@ def train(examples, config: TrainConfig | None = None,
     -------
     ReadoutModel
         Weights satisfy min(weights) >= 0 exactly; ``training_loss`` holds
-        the final loss breakdown.
+        the final loss breakdown and ``trained_on`` names the solver,
+        LAMBDA, the Newton steps taken and the KKT residual.  A solve that
+        needs more than ``config.max_iterations`` steps raises
+        :class:`ConvergenceError`.
     """
     config = config or TrainConfig()
     if len(examples) < 2:
@@ -319,25 +331,17 @@ def train(examples, config: TrainConfig | None = None,
     if rates.max() <= 0:
         raise DegenerateTrainingError("all training traces are empty")
 
-    if config.init == "gated-equal-weights":
-        init = _gated_init(examples, targets)
-        if init is None:
-            init = (np.zeros(rates.shape[1]), 0.0)  # swapped/flat data fallback
-    else:
-        init = (np.zeros(rates.shape[1]), 0.0)
-
-    weights, intercept, iterations, _ = _descend(
-        rates, reps, targets, init[0], init[1], config)
-    if iterations == 0:
-        weights, intercept = init  # bitwise-unchanged initialization
+    weights, intercept, steps, kkt = _solve(
+        rates, reps, targets, _gated_init(examples, targets),
+        config.weight_factor, config.max_iterations)
     model = ReadoutModel(
         weights=weights,
         intercept=intercept,
         reference_bin_width_ns=width,
         rate_scale=float(rates.max()),
-        trained_on=(provenance or
-                    f"{len(examples)} examples, init={config.init}") +
-                   f", iterations={iterations}",
+        trained_on=f"{provenance or f'{len(examples)} examples'}, "
+                   f"solver=dual-newton, lambda={LAMBDA!r}, iterations={steps}, "
+                   f"kkt_residual={kkt:.3e}",
     )
     return replace(model, training_loss=loss(model, examples, config.weight_factor))
 
@@ -360,7 +364,6 @@ def train_rabi(dataset, config: TrainConfig | None = None) -> ReadoutModel:
     The dataset must carry a sinusoid fit and per-point targets (see
     :func:`nvreadout.rabi.fit_rabi` and :func:`nvreadout.rabi.assign_targets`).
     """
-    from .errors import StateError  # local import keeps module deps one-way
     if dataset.fit is None or dataset.targets is None:
         raise StateError("dataset has no fit/targets; run fit_rabi and "
                          "assign_targets first")

@@ -219,6 +219,13 @@ def mix_profile(population: float, profile0: EmissionProfile,
     return EmissionProfile(rates, profile0.bin_width_ns)
 
 
+def _check_repetitions(repetitions, profile: EmissionProfile) -> None:
+    # at most 2^53 expected photons per trace keeps counts and their sums exact
+    if not (1 <= repetitions and repetitions * float(profile.rates.sum()) <= 2.0**53):
+        raise ParameterError("repetitions must be >= 1 and draw at most 2^53 "
+                             f"expected photons per trace, got {repetitions!r}")
+
+
 def simulate_trace(profile: EmissionProfile, repetitions: int, seed: int,
                    label: str | None = None) -> TimeTrace:
     """Draw one Poisson trace from a profile.
@@ -228,8 +235,7 @@ def simulate_trace(profile: EmissionProfile, repetitions: int, seed: int,
     keyed by ``seed`` makes the draw a pure function of
     (profile, repetitions, seed).
     """
-    if repetitions < 1:
-        raise ParameterError("repetitions must be >= 1")
+    _check_repetitions(repetitions, profile)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
     counts = rng.poisson(repetitions * profile.rates)
     return TimeTrace(counts, repetitions=int(repetitions),
@@ -239,8 +245,7 @@ def simulate_trace(profile: EmissionProfile, repetitions: int, seed: int,
 def expected_trace(profile: EmissionProfile, repetitions: int,
                    label: str | None = None) -> TimeTrace:
     """Noiseless counterpart of :func:`simulate_trace`: counts = round(R * rate)."""
-    if repetitions < 1:
-        raise ParameterError("repetitions must be >= 1")
+    _check_repetitions(repetitions, profile)
     counts = np.rint(repetitions * profile.rates).astype(np.int64)
     return TimeTrace(counts, repetitions=int(repetitions),
                      bin_width_ns=profile.bin_width_ns, label=label)

@@ -183,12 +183,12 @@ def test_c06_training_size_robustness(test_set_1e5):
 def test_c07_rabi_training_repair():
     """Oscillation-trained repair: rms vs truth not worse, contrast kept.
 
-    Training runs on a bounded descent budget (300 iterations): at 1e5
-    repetitions the per-bin shot noise of the 60 training traces is strong
-    enough that an exhaustively converged fit memorizes it (the variance
-    term regularizes far below the noise curvature), which degrades repair.
-    The bounded budget is the standard early-stopping regularizer and
-    reproduces the early-converged behavior the method needs.
+    At 1e5 repetitions the per-bin shot noise of the 60 training traces is
+    strong enough that the variance term alone (which regularizes far below
+    the noise curvature) lets the fit memorize it, which degrades repair.
+    The trainer's proximity term toward the gated estimator is the ridge
+    regularizer that prevents this; the training objective is solved
+    exactly, so the result does not depend on a step budget.
     """
     params = paper_like_params()
     profile0, profile1 = make_profiles(params)

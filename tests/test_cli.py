@@ -166,6 +166,46 @@ class TestExitCodes:
         assert run("--version") == 0
         out = capsys.readouterr().out
         assert "nvreadout" in out and "trace-csv=v1" in out
+        assert out.split()[1] == nvreadout.__version__
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--reps", "nan"],
+        ["simulate", "--reps", "inf"],
+        ["simulate", "--reps", "1e30"],
+        ["simulate", "--what", "rabi", "--rabi-reps", "nan"],
+        ["simulate", "--what", "rabi", "--rabi-reps", "1e30"],
+        ["train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
+         "--max-iterations", "nan"],
+    ], ids=["reps-nan", "reps-inf", "reps-1e30", "rabi-reps-nan", "rabi-reps-1e30",
+            "max-iterations-nan"])
+    def test_bad_numeric_value_is_2(self, argv, tmp_path):
+        # a fresh process, so a traceback would reach stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nvreadout.cli", *argv,
+             "--out-dir" if argv[0] == "simulate" else "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("text, match", [
+        ("[simulate]\nrepetitions = abc\n", r"run\.cfg: \[simulate\] repetitions='abc'"),
+        ("[train]\nweight_factor = 10\n[simulate\nrepetitions = 5\n", r"run\.cfg.*line 3"),
+        ("[simulate\nrepetitions = 5\n", r"run\.cfg.*line: 1"),
+    ], ids=["non-numeric", "broken-section", "no-section"])
+    def test_malformed_config_is_parse_error(self, tmp_path, capsys, text, match):
+        from nvreadout import ParseError
+        from nvreadout.cli import load_config
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            load_config(cfg_file)
+        assert run("simulate", "--config", str(cfg_file),
+                   "--out-dir", str(tmp_path / "out")) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSwapWarning:

@@ -136,6 +136,20 @@ class TestModelFile:
         with pytest.raises(ParseError, match="dimension"):
             nvio.read_model(p)
 
+    @pytest.mark.parametrize("key, value", [
+        ("dimension", "5.5"), ("intercept", "abc"), ("bin_width_ns", "wide"),
+        ("rate_scale", "x"), ("loss_prediction", None), ("loss_total", None)])
+    def test_malformed_field_rejected(self, world, tmp_path, key, value):
+        # value None drops the line: a partial loss_* block
+        p = tmp_path / "m.model"
+        nvio.write_model(p, world[5])
+        lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+                 for line in p.read_text().splitlines()
+                 if value is not None or not line.startswith(f"{key}=")]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"m.model: .*{key}"):
+            nvio.read_model(p)
+
 
 class TestReportAndRepair:
     def test_report_round_trip(self, world, tmp_path):

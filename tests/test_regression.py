@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from nvreadout import (DegenerateTrainingError, DivergenceError, DomainError,
-                       GateWindow, ReadoutModel, ShapeError, TimeTrace,
+from nvreadout import (ConvergenceError, DegenerateTrainingError, DomainError,
+                       GateWindow, ReadoutError, ReadoutModel, ShapeError, TimeTrace,
                        TrainConfig, TrainingExample, expected_trace, gate_sum,
                        gated_equivalent_model, gated_population, loss,
                        loss_gradient, make_profiles, mix_profile,
                        paper_like_params, predict, prediction_variance,
                        simulate_trace, sweep_gate, train, train_boundary)
-from nvreadout.regression import _descend, _design
+from nvreadout.regression import LAMBDA, _design, _gated_init, _solve
 
 
 def random_examples(rng, m=4, n=30, reps_range=(10, 1000)):
@@ -172,45 +172,6 @@ class TestTrain:
         model = train_boundary(t0, t1)
         assert abs(predict(model, t0) - 1.0) + abs(predict(model, t1)) < 5e-3
 
-    def test_zero_iterations_returns_init(self, preset_traces):
-        from nvreadout.regression import _gated_init
-        _, _, t0, t1 = preset_traces
-        config = TrainConfig(max_iterations=0)
-        model = train_boundary(t0, t1, config)
-        examples = [TrainingExample(t0, 1.0), TrainingExample(t1, 0.0)]
-        w_init, b_init = _gated_init(examples, np.array([1.0, 0.0]))
-        assert np.array_equal(model.weights, w_init)
-        assert model.intercept == b_init
-        # the init is the gated estimator at (approximately) the raw-count
-        # sweep's min-variance window
-        sweep = sweep_gate(t0, t1)
-        window = sweep.min_variance.window
-        assert abs(int(np.count_nonzero(w_init)) - window.width_bins) <= 2
-        gated = gated_equivalent_model(t0, t1,
-                                       GateWindow(0, int(np.count_nonzero(w_init))))
-        assert np.array_equal(model.weights, gated.weights)
-        assert model.intercept == gated.intercept
-
-    def test_zeros_init_reaches_boundary_fidelity(self, preset_traces):
-        _, _, t0, t1 = preset_traces
-        model = train_boundary(t0, t1, TrainConfig(init="zeros"))
-        assert abs(predict(model, t0) - 1.0) < 1e-3
-        assert abs(predict(model, t1)) < 1e-3
-
-    def test_monotone_descent_recorded(self, preset_traces):
-        _, _, t0, t1 = preset_traces
-        examples = [TrainingExample(t0, 1.0), TrainingExample(t1, 0.0)]
-        rates, reps, targets, _ = _design(examples)
-        config = TrainConfig(init="zeros", max_iterations=3000)
-        _, _, _, history = _descend(rates, reps, targets,
-                                    np.zeros(rates.shape[1]), 0.0, config)
-        assert np.all(np.diff(history) <= history[:-1] * 1e-12 + 1e-30)
-
-    def test_divergence_error_on_large_rate(self, preset_traces):
-        _, _, t0, t1 = preset_traces
-        with pytest.raises(DivergenceError, match="learning rate"):
-            train_boundary(t0, t1, TrainConfig(learning_rate=50.0, init="zeros"))
-
     def test_identical_traces_rejected(self, preset_traces):
         _, _, t0, _ = preset_traces
         with pytest.raises(DegenerateTrainingError):
@@ -265,6 +226,121 @@ class TestTrain:
             means[reps] = np.mean(vs)
         assert means[10**5] / means[10**6] == pytest.approx(10.0, rel=0.1)
         assert means[10**6] / means[10**7] == pytest.approx(10.0, rel=0.1)
+
+
+def stated_objective_parts(examples):
+    """Normalized design of the trainer's stated objective, built from scratch."""
+    rates = np.stack([ex.trace.counts / ex.trace.repetitions for ex in examples])
+    reps = np.array([float(ex.trace.repetitions) for ex in examples])
+    targets = np.array([ex.target for ex in examples])
+    scale = rates.max()
+    z = rates / scale
+    c = (z / reps[:, None]).sum(axis=0) / scale
+    v_g = _gated_init(examples, targets) * scale
+    return z, targets, c, v_g, scale
+
+
+def nnls_oracle(examples, weight_factor):
+    """Minimize the stated objective as one stacked NNLS problem (b = b+ - b-)."""
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    z, t, c, v_g, scale = stated_objective_parts(examples)
+    m, n = z.shape
+    a = np.vstack([np.hstack([z, np.ones((m, 1)), -np.ones((m, 1))]),
+                   np.hstack([np.diag(np.sqrt(c / weight_factor)), np.zeros((n, 2))]),
+                   np.hstack([np.sqrt(LAMBDA * m) * np.eye(n), np.zeros((n, 2))])])
+    y = np.concatenate([t, np.zeros(n), np.sqrt(LAMBDA * m) * v_g])
+    x, _ = nnls(a, y, maxiter=50 * n)
+    return x[:n] / scale, x[n] - x[n + 1]
+
+
+def kkt_residual(model, examples, weight_factor):
+    """Projected-gradient norm of the stated objective over (v >= 0, b)."""
+    z, t, c, v_g, scale = stated_objective_parts(examples)
+    m = z.shape[0]
+    v = model.weights * scale
+    r = z @ v + model.intercept - t
+    grad_v = (2 / m) * z.T @ r + 2 / (weight_factor * m) * c * v + 2 * LAMBDA * (v - v_g)
+    grad_v = np.where(v > 0, grad_v, np.minimum(grad_v, 0.0))
+    return float(np.sqrt(grad_v @ grad_v + (2 / m * r.sum()) ** 2))
+
+
+@pytest.fixture(scope="module")
+def solver_cases():
+    """c05's boundary pair, c07's 60-point training set, small random sets."""
+    from conftest import SEED_BOUNDARY_CLEAN, SEED_RABI_TRAINING
+    from nvreadout import assign_targets, fit_rabi, simulate_rabi_dataset
+    p0, p1 = make_profiles(paper_like_params())
+    cases = {"c05-boundary": ([
+        TrainingExample(simulate_trace(p0, 10**7, SEED_BOUNDARY_CLEAN), 1.0),
+        TrainingExample(simulate_trace(p1, 10**7, SEED_BOUNDARY_CLEAN + 1), 0.0)], 1e4)}
+    train_set, _ = simulate_rabi_dataset(p0, p1, repetitions=10**5,
+                                         seed=SEED_RABI_TRAINING, points=60)
+    sums = [tr.counts.sum() / tr.repetitions for _, tr in train_set.points]
+    cases["c07-oscillation"] = (
+        assign_targets(train_set, fit_rabi(train_set.durations, sums)), 1e4)
+    # seed 1 holds a set (random-2) whose large-lambda solve stalls in
+    # rounding unless a step that keeps the active set is accepted
+    rng = np.random.default_rng(1)
+    for k in range(10):
+        cases[f"random-{k}"] = (random_examples(rng, m=int(rng.integers(2, 7))),
+                                float(rng.uniform(1, 1e5)))
+    # at weight_factor 1e6 one of these stalls just above an absolute dual
+    # tolerance of 1e-13: the stopping rule must scale with |Z_c| v
+    rng = np.random.default_rng(14)
+    for k in range(20):
+        cases[f"random-w1e6-{k}"] = (random_examples(rng, m=int(rng.integers(2, 10))), 1e6)
+    return cases
+
+
+class TestExactSolve:
+    def test_matches_nnls_oracle(self, solver_cases):
+        for name, (examples, w) in solver_cases.items():
+            model = train(examples, TrainConfig(weight_factor=w))
+            weights, intercept = nnls_oracle(examples, w)
+            err_w = (np.abs(model.weights - weights).max()
+                     / max(np.abs(weights).max(), np.finfo(float).tiny))
+            err_b = abs(model.intercept - intercept) / max(1.0, abs(intercept))
+            assert err_w <= 1e-9 and err_b <= 1e-9, (name, err_w, err_b)
+
+    def test_kkt_residual_at_returned_model(self, solver_cases):
+        for name, (examples, w) in solver_cases.items():
+            model = train(examples, TrainConfig(weight_factor=w))
+            assert kkt_residual(model, examples, w) <= 1e-9, name
+            recorded = dict(f.split("=") for f in model.trained_on.split(", ")[-4:])
+            assert recorded["solver"] == "dual-newton"
+            assert float(recorded["lambda"]) == LAMBDA
+            assert int(recorded["iterations"]) <= TrainConfig().max_iterations
+            assert float(recorded["kkt_residual"]) <= 1e-9, name
+
+    def test_infinite_lambda_returns_gated_anchor(self, solver_cases):
+        for name, (examples, w) in solver_cases.items():
+            rates, reps, targets, _ = _design(examples)
+            anchor = _gated_init(examples, targets)
+            weights, intercept, _, _ = _solve(rates, reps, targets, anchor, w,
+                                              max_steps=100, lam=1e12)
+            # relative to the anchor, or to 1 in normalized units for a zero anchor
+            tol = 1e-9 * max(anchor.max(), 1.0 / rates.max())
+            assert np.abs(weights - anchor).max() <= tol, name
+            if name == "c05-boundary":
+                # the anchor is the gated estimator over its own window
+                gated = gated_equivalent_model(
+                    examples[0].trace, examples[1].trace,
+                    GateWindow(0, int(np.count_nonzero(anchor))))
+                assert np.array_equal(anchor, gated.weights)
+                assert intercept == pytest.approx(gated.intercept, rel=1e-9, abs=1e-12)
+
+    def test_step_cap_raises(self, solver_cases):
+        examples, _ = solver_cases["c05-boundary"]
+        with pytest.raises(ConvergenceError, match="1 Newton steps"):
+            train(examples, TrainConfig(max_iterations=1))
+        assert issubclass(ConvergenceError, ReadoutError)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("max_iterations", 0), ("max_iterations", 2.5), ("max_iterations", float("nan")),
+        ("weight_factor", 0.5), ("weight_factor", float("inf"))])
+    def test_config_rejects_bad_values(self, field, bad):
+        with pytest.raises(ReadoutError, match=field):
+            TrainConfig(**{field: bad})
 
 
 class TestGatedEquivalentModel:
