@@ -7,12 +7,14 @@ serves as their ground-truth oracle:
   contrast / total-variance window optimization,
 * :mod:`nvreadout.regression` - a per-bin weighted linear estimator with
   nonnegative weights, the exact optimum of one stated variance-regularized
-  objective (dual semismooth Newton),
+  objective (dual semismooth Newton); every readout, a gate included
+  (``gated_equivalent_model``), is one such ``ReadoutModel``,
 * :mod:`nvreadout.traces` - Poisson trace simulator with a calibrated
   default preset,
-* :mod:`nvreadout.rabi` - oscillation fitting and training-target
-  assignment,
-* :mod:`nvreadout.evaluation` - method comparison and trace repair,
+* :mod:`nvreadout.rabi` - oscillation datasets (one points x bins counts
+  matrix), sinusoid fitting and training-target assignment,
+* :mod:`nvreadout.evaluation` - method comparison and trace repair, by
+  applying the gated and trained models to a dataset's counts matrix,
 * :mod:`nvreadout.io` / :mod:`nvreadout.cli` - file formats and the
   command-line pipeline.
 """
@@ -22,9 +24,9 @@ from .errors import (ConvergenceError, DegenerateBoundaryError,
                      ParameterError, ParseError, ReadoutError, ShapeError,
                      StateError)
 from .evaluation import (EvalReport, MethodEval, RepairPoint, RepairResult,
-                         evaluate, gated_series, model_series, repair)
+                         evaluate, repair)
 from .gating import (GateMetrics, GateWindow, SweepResult, contrast, gate_sum,
-                     gated_population, rescale_sum, sweep_gate, total_variance)
+                     gated_population, sweep_gate, total_variance)
 from .rabi import (RabiDataset, ResidualReport, SinusoidFit, assign_targets,
                    fit_rabi, residuals, simulate_rabi_dataset)
 from .regression import (LossBreakdown, ReadoutModel, TrainConfig,

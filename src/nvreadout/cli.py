@@ -26,7 +26,8 @@ from .errors import ParameterError, ParseError, ReadoutError
 from .evaluation import evaluate, repair
 from .gating import sweep_gate
 from .rabi import assign_targets, fit_rabi, simulate_rabi_dataset
-from .regression import TrainConfig, predict, train_boundary, train_rabi
+from .regression import (TrainConfig, predict, prediction_variance,
+                         train_boundary, train_rabi)
 from .traces import (PhotodynamicsParams, make_profiles, paper_like_params,
                      simulate_trace)
 
@@ -271,13 +272,11 @@ def _cmd_train(args) -> int:
             raise ReadoutError("rabi mode needs --rabi")
         _check_distinct_output(args.out, args.rabi)
         dataset = nvio.read_rabi_csv(args.rabi)
-        sums = [trace.counts.sum() / trace.repetitions for _, trace in dataset.points]
+        sums = dataset.counts.sum(axis=1) / dataset.repetitions
         fit = fit_rabi(dataset.durations, sums)
         examples = assign_targets(dataset, fit)
         dataset = dataset.with_fit(fit, [ex.target for ex in examples])
-        bright = dataset.points[int(np.argmax(dataset.targets))][1]
-        dark = dataset.points[int(np.argmin(dataset.targets))][1]
-        if bright.counts.sum() < dark.counts.sum():
+        if sums[int(np.argmax(dataset.targets))] < sums[int(np.argmin(dataset.targets))]:
             print("warning: peak-target trace has fewer photons than the "
                   "trough-target trace; oscillation data may be inverted",
                   file=sys.stderr)
@@ -290,7 +289,7 @@ def _cmd_train(args) -> int:
 def _cmd_fit_rabi(args) -> int:
     _check_distinct_output(args.out, args.rabi)
     dataset = nvio.read_rabi_csv(args.rabi)
-    sums = [trace.counts.sum() / trace.repetitions for _, trace in dataset.points]
+    sums = dataset.counts.sum(axis=1) / dataset.repetitions
     fit = fit_rabi(dataset.durations, sums)
     nvio.write_fit_csv(args.out, dataset.durations, sums, fit)
     print(f"fit: frequency={fit.frequency:.6g}/ns "
@@ -301,7 +300,6 @@ def _cmd_fit_rabi(args) -> int:
 def _cmd_predict(args) -> int:
     model = nvio.read_model(args.model)
     trace = nvio.read_trace_csv(args.trace)
-    from .regression import prediction_variance
     p = predict(model, trace)
     v = prediction_variance(model, trace)
     print(f"population={p!r} variance={v!r}")

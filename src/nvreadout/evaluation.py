@@ -6,14 +6,16 @@ Three processing methods are compared on the same test traces:
 * ``min-V gate``  - gated estimator at the minimum-total-variance window,
 * ``ML``          - a trained weighted readout model.
 
-Gated methods are calibrated by boundary-trace window sums rescaled to the
-test repetition count, which makes their variance formula agree exactly
-with the weighted model's variance propagation.  Two precision measures
-are reported per method: the average formula variance (Poisson
-propagation through the estimator) and the empirical mean squared error
-against ground truth when available, else against the method's own
-sinusoid fit.  Contrast is the peak-minus-trough of the method's own
-fitted oscillation in its own population units.
+Each gated method is used in its exact model form
+(:func:`nvreadout.regression.gated_equivalent_model`, calibrated by the
+boundary traces' per-measurement window sums), so all three are
+:class:`ReadoutModel` objects applied to the dataset's counts matrix in
+one product.  Two precision measures are reported per method: the
+average formula variance (Poisson propagation through the estimator) and
+the empirical mean squared error against ground truth when available,
+else against the method's own sinusoid fit.  Contrast is the
+peak-minus-trough of the method's own fitted oscillation in its own
+population units.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailureError, ShapeError
-from .gating import GateWindow, gate_sum, gated_population
+from .gating import GateWindow
 from .rabi import RabiDataset, SinusoidFit, fit_rabi
-from .regression import ReadoutModel, predict, prediction_variance
+from .regression import ReadoutModel, _apply, gated_equivalent_model
 from .traces import TimeTrace
 
 __all__ = [
@@ -33,8 +35,6 @@ __all__ = [
     "EvalReport",
     "RepairPoint",
     "RepairResult",
-    "gated_series",
-    "model_series",
     "evaluate",
     "repair",
 ]
@@ -87,34 +87,6 @@ class RepairResult:
     rms_repaired: float         # repaired vs its own fit
 
 
-def gated_series(dataset: RabiDataset, window: GateWindow, boundary0: TimeTrace,
-                 boundary1: TimeTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Gated populations and variances for every dataset point.
-
-    Boundary window sums are rescaled to the dataset's repetition count
-    before applying the estimator.
-    """
-    reps = dataset.repetitions
-    bright = gate_sum(boundary0, window) * reps / boundary0.repetitions
-    dark = gate_sum(boundary1, window) * reps / boundary1.repetitions
-    p = np.empty(len(dataset))
-    v = np.empty(len(dataset))
-    for k, (_, trace) in enumerate(dataset.points):
-        p[k], v[k] = gated_population(gate_sum(trace, window), bright, dark)
-    return p, v
-
-
-def model_series(dataset: RabiDataset, model: ReadoutModel,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Model populations and variances for every dataset point."""
-    p = np.empty(len(dataset))
-    v = np.empty(len(dataset))
-    for k, (_, trace) in enumerate(dataset.points):
-        p[k] = predict(model, trace)
-        v[k] = prediction_variance(model, trace)
-    return p, v
-
-
 def _method_eval(name: str, durations: np.ndarray, p: np.ndarray,
                  variances: np.ndarray, truth: np.ndarray | None) -> MethodEval:
     # a method whose series cannot be fitted (e.g. a degenerate one-bin
@@ -160,22 +132,19 @@ def evaluate(test: RabiDataset, model: ReadoutModel, max_c_window: GateWindow,
         if truth.shape != durations.shape:
             raise ShapeError("truth length differs from test set")
 
-    rows = []
-    variances = {}
-    for name, window in ((METHOD_MAX_C, max_c_window), (METHOD_MIN_V, min_v_window)):
-        p, v = gated_series(test, window, boundary0, boundary1)
-        rows.append(_method_eval(name, durations, p, v, truth))
-        variances[name] = rows[-1].avg_formula_variance
-    p, v = model_series(test, model)
-    rows.append(_method_eval(METHOD_ML, durations, p, v, truth))
-    variances[METHOD_ML] = rows[-1].avg_formula_variance
+    models = [gated_equivalent_model(boundary0, boundary1, window)
+              for window in (max_c_window, min_v_window)] + [model]
+    p, v = _apply(models, test.counts, test.repetitions, test.bin_width_ns)
+    rows = tuple(_method_eval(name, durations, p[:, k], v[:, k], truth)
+                 for k, name in enumerate((METHOD_MAX_C, METHOD_MIN_V, METHOD_ML)))
+    variances = {row.method: row.avg_formula_variance for row in rows}
 
     reductions = {}
     for a in variances:
         for b in variances:
             if a != b:
                 reductions[(a, b)] = 1.0 - variances[a] / variances[b]
-    return EvalReport(tuple(rows), reductions, truth is not None)
+    return EvalReport(rows, reductions, truth is not None)
 
 
 def repair(dataset: RabiDataset, model: ReadoutModel, window: GateWindow,
@@ -188,8 +157,10 @@ def repair(dataset: RabiDataset, model: ReadoutModel, window: GateWindow,
     tabulates the original's fitted curve.
     """
     durations = dataset.durations
-    p_orig, _ = gated_series(dataset, window, boundary0, boundary1)
-    p_rep = np.array([predict(model, trace) for _, trace in dataset.points])
+    gated = gated_equivalent_model(boundary0, boundary1, window)
+    p, _ = _apply([gated, model], dataset.counts, dataset.repetitions,
+                  dataset.bin_width_ns)
+    p_orig, p_rep = p[:, 0], p[:, 1]
     fit_o = fit_rabi(durations, p_orig)
     fit_r = fit_rabi(durations, p_rep)
     q_fit = fit_o.value(durations)

@@ -30,7 +30,6 @@ __all__ = [
     "contrast",
     "total_variance",
     "sweep_gate",
-    "rescale_sum",
 ]
 
 
@@ -100,17 +99,14 @@ def gate_sum(trace: TimeTrace, window: GateWindow) -> float:
     return float(trace.counts[window.start_bin:window.stop_bin].sum())
 
 
-def rescale_sum(value: float, from_repetitions: int, to_repetitions: int) -> float:
-    """Express a gated sum taken at one repetition count at another."""
-    return value * (to_repetitions / from_repetitions)
-
-
 def gated_population(gate_counts: float, bright_total: float,
                      dark_total: float) -> tuple[float, float]:
     """Population estimate and its variance from a gated sum.
 
     All three arguments must be expressed at the same repetition count
-    (rescale with :func:`rescale_sum` first if needed).
+    (scale a boundary sum by test repetitions / boundary repetitions).
+    This is the reference form of the estimator; the pipeline applies its
+    exact model form, :func:`nvreadout.regression.gated_equivalent_model`.
 
     Returns
     -------

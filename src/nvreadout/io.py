@@ -10,6 +10,8 @@ a 1-based line number on malformed content.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParseError
@@ -93,9 +95,12 @@ def _header_float(header: dict, key: str, path, default: float | None = None) ->
             raise ParseError(f"{path}: missing required field '{key}'")
         return default
     try:
-        return float(header[key])
+        value = float(header[key])
     except ValueError:
         raise ParseError(f"{path}: {key}={header[key]!r} is not a number")
+    if not math.isfinite(value):
+        raise ParseError(f"{path}: {key}={header[key]!r} is not finite")
+    return value
 
 
 def _int_field(value: str, name: str, line: int) -> int:
@@ -166,9 +171,9 @@ def write_rabi_csv(path, dataset: RabiDataset) -> None:
              f"# repetitions={dataset.repetitions}",
              f"# bin_width_ns={_fmt(dataset.bin_width_ns)}",
              "duration_ns,bin_index,counts"]
-    for duration, trace in dataset.points:
+    for duration, row in zip(dataset.durations, dataset.counts):
         d = _fmt(duration)
-        lines.extend(f"{d},{i},{c}" for i, c in enumerate(trace.counts))
+        lines.extend(f"{d},{i},{c}" for i, c in enumerate(row))
     _write(path, lines)
 
 
@@ -197,11 +202,11 @@ def read_rabi_csv(path) -> RabiDataset:
         groups[duration].append(value)
     if not order:
         raise ParseError(f"{path}: no data rows")
-    points = tuple(
-        (d, TimeTrace(np.array(groups[d], dtype=np.int64), repetitions=reps,
-                      bin_width_ns=width))
-        for d in order)
-    return RabiDataset(points)
+    bins = {len(groups[d]) for d in order}
+    if len(bins) != 1:
+        raise ParseError(f"{path}: durations have unequal bin counts "
+                         f"({min(bins)} to {max(bins)})")
+    return RabiDataset(order, [groups[d] for d in order], reps, width)
 
 
 def write_truth_csv(path, durations, populations) -> None:

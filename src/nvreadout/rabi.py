@@ -1,6 +1,6 @@
 """Oscillation datasets: sinusoid fitting, target assignment, residuals.
 
-A Rabi dataset is an ordered set of (pulse duration, trace) pairs.  The
+A Rabi dataset is one counts matrix with a row per pulse duration.  The
 population oscillates sinusoidally with pulse duration, which gives a
 free source of regression targets: fit
 
@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import FitFailureError, ParameterError, ShapeError
 from .regression import TrainingExample
-from .traces import EmissionProfile, TimeTrace, mix_profile, simulate_trace
+from .traces import (EmissionProfile, TimeTrace, _checked_counts, mix_profile,
+                     simulate_trace)
 
 __all__ = [
     "RabiDataset",
@@ -95,49 +96,45 @@ class SinusoidFit:
 
 @dataclass(frozen=True)
 class RabiDataset:
-    """Ordered (pulse duration, trace) pairs with optional fit and targets."""
+    """An oscillation scan as one counts matrix, with optional fit and targets.
 
-    points: tuple[tuple[float, TimeTrace], ...]
+    ``counts[k]`` is the trace taken at pulse duration ``durations[k]``;
+    every row shares one repetition count and bin width.
+    """
+
+    durations: np.ndarray       # ns, finite and strictly increasing
+    counts: np.ndarray          # points x bins, nonnegative int64, read-only
+    repetitions: int
+    bin_width_ns: float = 2.0
     fit: SinusoidFit | None = None
     targets: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        pts = tuple((float(d), tr) for d, tr in self.points)
-        if len(pts) < 1:
+        durations = np.array(self.durations, dtype=float)
+        if durations.ndim != 1 or durations.size < 1:
             raise ParameterError("dataset needs at least one point")
-        durations = np.array([d for d, _ in pts])
-        if np.any(np.diff(durations) <= 0):
-            raise ParameterError("durations must be strictly increasing")
-        first = pts[0][1]
-        for d, tr in pts:
-            if len(tr) != len(first) or tr.bin_width_ns != first.bin_width_ns:
-                raise ShapeError(f"trace at duration {d} has mismatched shape")
-            if tr.repetitions != first.repetitions:
-                raise ShapeError(f"trace at duration {d} has mismatched repetitions")
-        if self.targets is not None and len(self.targets) != len(pts):
+        if not np.all(np.isfinite(durations)) or np.any(np.diff(durations) <= 0):
+            raise ParameterError("durations must be finite and strictly increasing")
+        counts = _checked_counts(self.counts, 2, self.repetitions, self.bin_width_ns)
+        if len(counts) != durations.size:
+            raise ShapeError(f"{len(counts)} count rows for {durations.size} durations")
+        if self.targets is not None and len(self.targets) != durations.size:
             raise ShapeError("targets length differs from points")
-        object.__setattr__(self, "points", pts)
+        durations.setflags(write=False)
+        object.__setattr__(self, "durations", durations)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "repetitions", int(self.repetitions))
         if self.targets is not None:
             object.__setattr__(self, "targets", tuple(float(q) for q in self.targets))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return int(self.durations.size)
 
     @property
-    def durations(self) -> np.ndarray:
-        return np.array([d for d, _ in self.points])
-
-    @property
-    def traces(self) -> list[TimeTrace]:
-        return [tr for _, tr in self.points]
-
-    @property
-    def repetitions(self) -> int:
-        return self.points[0][1].repetitions
-
-    @property
-    def bin_width_ns(self) -> float:
-        return self.points[0][1].bin_width_ns
+    def points(self) -> tuple[tuple[float, TimeTrace], ...]:
+        """(duration, trace) pairs, one per row of the counts matrix."""
+        return tuple((float(d), TimeTrace(row, self.repetitions, self.bin_width_ns))
+                     for d, row in zip(self.durations, self.counts))
 
     def with_fit(self, fit: SinusoidFit, targets) -> "RabiDataset":
         return replace(self, fit=fit, targets=tuple(float(q) for q in targets))
@@ -310,6 +307,7 @@ def simulate_rabi_dataset(profile0: EmissionProfile, profile1: EmissionProfile,
 
     Point k sits at duration k * span/(points-1) with population
     0.5 + 0.5*cos(2*pi*duration/period) and is drawn with seed ``seed + k``.
+    ``period_ns`` and ``span_ns`` must be finite and positive.
 
     Returns
     -------
@@ -318,12 +316,13 @@ def simulate_rabi_dataset(profile0: EmissionProfile, profile1: EmissionProfile,
     """
     if points < 2:
         raise ParameterError("points must be >= 2")
+    for name, value in (("period_ns", period_ns), ("span_ns", span_ns)):
+        if not (np.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} must be finite and positive, got {value!r}")
     durations = np.linspace(0.0, span_ns, points)
     truth = 0.5 + 0.5 * np.cos(2.0 * np.pi * durations / period_ns)
-    pts = []
-    for k, (d, p) in enumerate(zip(durations, truth)):
-        trace = simulate_trace(mix_profile(float(p), profile0, profile1),
-                               repetitions, seed + k,
-                               label=f"rabi duration={d:.6g} ns")
-        pts.append((float(d), trace))
-    return RabiDataset(tuple(pts)), truth
+    counts = [simulate_trace(mix_profile(float(p), profile0, profile1),
+                             repetitions, seed + k).counts
+              for k, p in enumerate(truth)]
+    dataset = RabiDataset(durations, counts, int(repetitions), profile0.bin_width_ns)
+    return dataset, truth

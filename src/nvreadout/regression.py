@@ -99,10 +99,12 @@ class ReadoutModel:
             raise ParameterError("weights must be finite")
         if w.min() < 0:
             raise ParameterError("weights must be nonnegative")
-        if not (self.reference_bin_width_ns > 0):
-            raise ParameterError("reference_bin_width_ns must be positive")
-        if not (self.rate_scale > 0):
-            raise ParameterError("rate_scale must be positive")
+        if not np.isfinite(self.intercept):
+            raise ParameterError("intercept must be finite")
+        if not (0 < self.reference_bin_width_ns < np.inf):
+            raise ParameterError("reference_bin_width_ns must be finite and positive")
+        if not (0 < self.rate_scale < np.inf):
+            raise ParameterError("rate_scale must be finite and positive")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -142,27 +144,39 @@ class TrainConfig:
 # Model application
 # ---------------------------------------------------------------------------
 
-def _check_compatible(model: ReadoutModel, trace: TimeTrace) -> None:
-    if len(trace) != model.dimension:
-        raise ShapeError(
-            f"trace has {len(trace)} bins, model expects {model.dimension}")
-    if trace.bin_width_ns != model.reference_bin_width_ns:
-        raise ShapeError(
-            f"trace bin width {trace.bin_width_ns} ns differs from model's "
-            f"{model.reference_bin_width_ns} ns")
+def _apply(models, counts: np.ndarray, repetitions: int,
+           bin_width_ns: float) -> tuple[np.ndarray, np.ndarray]:
+    """Populations and Poisson variances of K models on a points x bins matrix.
+
+    Every row of ``counts`` is taken at ``repetitions`` measurements; with
+    the models' weights stacked as W (K x bins) and intercepts as b, returns
+    the points x K arrays P = (counts / R) W^T + b and
+    V = counts ((W / R)^2)^T = (counts / R) (W^2)^T / R.
+    """
+    for model in models:
+        if counts.shape[1] != model.dimension:
+            raise ShapeError(
+                f"data have {counts.shape[1]} bins, model expects {model.dimension}")
+        if bin_width_ns != model.reference_bin_width_ns:
+            raise ShapeError(
+                f"data bin width {bin_width_ns} ns differs from model's "
+                f"{model.reference_bin_width_ns} ns")
+    w = np.stack([model.weights for model in models])
+    rates = counts / repetitions
+    p = rates @ w.T + np.array([model.intercept for model in models])
+    return p, rates @ (w * w).T / repetitions
 
 
 def predict(model: ReadoutModel, trace: TimeTrace) -> float:
     """Population estimate for a trace (not clipped to [0, 1])."""
-    _check_compatible(model, trace)
-    return float(model.weights @ trace.rates + model.intercept)
+    p, _ = _apply([model], trace.counts[None], trace.repetitions, trace.bin_width_ns)
+    return float(p[0, 0])
 
 
 def prediction_variance(model: ReadoutModel, trace: TimeTrace) -> float:
     """Poisson variance of the estimate: sum (weight/R)^2 * counts."""
-    _check_compatible(model, trace)
-    a = model.weights / trace.repetitions
-    return float(a * a @ trace.counts)
+    _, v = _apply([model], trace.counts[None], trace.repetitions, trace.bin_width_ns)
+    return float(v[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +239,12 @@ def _gated_init(examples, targets) -> np.ndarray:
     """
     bright = examples[int(np.argmax(targets))].trace
     dark = examples[int(np.argmin(targets))].trace
-    # integer cumulative sums divided once keep this bitwise-consistent with
-    # gated_equivalent_model built from the same traces
-    cum_b = np.cumsum(bright.counts) / bright.repetitions
-    cum_d = np.cumsum(dark.counts) / dark.repetitions
-    valid, _, v = _metric_curves(cum_b, cum_d)
-    weights = np.zeros(cum_b.size)
-    if valid.any():
-        i = int(np.argmin(v))
-        weights[:i + 1] = 1.0 / (cum_b[i] - cum_d[i])
-    return weights
+    valid, _, v = _metric_curves(np.cumsum(bright.counts) / bright.repetitions,
+                                 np.cumsum(dark.counts) / dark.repetitions)
+    if not valid.any():
+        return np.zeros(len(bright))
+    window = GateWindow(0, int(np.argmin(v)) + 1)
+    return gated_equivalent_model(bright, dark, window).weights
 
 
 def _solve(rates: np.ndarray, reps: np.ndarray, targets: np.ndarray,

@@ -54,6 +54,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_counts(counts, ndim: int, repetitions, bin_width_ns) -> np.ndarray:
+    """Read-only int64 copy of non-empty, nonnegative integer counts.
+
+    Also checks the repetition count (integer >= 1) and the bin width (> 0)
+    the counts were taken with.  Integer input is copied once.
+    """
+    counts = np.array(counts)
+    if counts.ndim != ndim or counts.size < 1:
+        raise ParameterError(f"counts must be a non-empty {ndim}-d array")
+    if counts.dtype.kind not in "iu" and not (
+            counts.dtype.kind == "f" and np.all(counts == np.floor(counts))):
+        raise ParameterError("counts must be integers")
+    counts = counts.astype(np.int64, copy=False)
+    if np.any(counts < 0):
+        raise ParameterError("counts must be nonnegative")
+    if not (bin_width_ns > 0):
+        raise ParameterError("bin_width_ns must be positive")
+    if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 1):
+        raise ParameterError("repetitions must be an integer >= 1")
+    return _readonly(counts)
+
+
 @dataclass(frozen=True)
 class TimeTrace:
     """Binned photon counts for one experimental condition.
@@ -69,23 +91,9 @@ class TimeTrace:
     seed: int | None = None         # RNG seed when simulated, for provenance
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.ndim != 1 or counts.size < 1:
-            raise ParameterError("counts must be a non-empty 1-d sequence")
-        if not np.issubdtype(counts.dtype, np.integer):
-            if not np.all(counts == np.floor(counts)):
-                raise ParameterError("counts must be integers")
-            counts = counts.astype(np.int64)
-        else:
-            counts = counts.astype(np.int64)
-        if np.any(counts < 0):
-            raise ParameterError("counts must be nonnegative")
-        if not (self.bin_width_ns > 0):
-            raise ParameterError("bin_width_ns must be positive")
-        if not (isinstance(self.repetitions, (int, np.integer)) and self.repetitions >= 1):
-            raise ParameterError("repetitions must be an integer >= 1")
+        object.__setattr__(self, "counts", _checked_counts(
+            self.counts, 1, self.repetitions, self.bin_width_ns))
         object.__setattr__(self, "repetitions", int(self.repetitions))
-        object.__setattr__(self, "counts", _readonly(counts))
 
     def __len__(self) -> int:
         return int(self.counts.size)

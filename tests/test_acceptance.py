@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from conftest import SEED_BOUNDARY_NOISY, SEED_RABI_TRAINING
-from nvreadout import (GateWindow, ReadoutModel, TimeTrace, TrainConfig,
+from nvreadout import (GateWindow, ReadoutModel, TimeTrace,
                        TrainingExample, assign_targets, differential,
                        evaluate, fit_rabi, gated_equivalent_model,
                        gated_population, gate_sum, loss, loss_gradient,
@@ -203,7 +203,7 @@ def test_c07_rabi_training_repair():
         fit = fit_rabi(train_set.durations, sums)
         examples = assign_targets(train_set, fit)
         train_ds = train_set.with_fit(fit, [ex.target for ex in examples])
-        model = train_rabi(train_ds, TrainConfig(max_iterations=300))
+        model = train_rabi(train_ds)
 
         # the only boundary information in this scenario is the oscillation
         # set itself: its extremal-target traces calibrate the original

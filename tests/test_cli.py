@@ -176,8 +176,12 @@ class TestExitCodes:
         ["simulate", "--what", "rabi", "--rabi-reps", "1e30"],
         ["train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
          "--max-iterations", "nan"],
+        ["simulate", "--what", "rabi", "--rabi-period-ns", "-5"],
+        ["simulate", "--what", "rabi", "--rabi-period-ns", "inf"],
+        ["simulate", "--what", "rabi", "--rabi-span-ns", "0"],
     ], ids=["reps-nan", "reps-inf", "reps-1e30", "rabi-reps-nan", "rabi-reps-1e30",
-            "max-iterations-nan"])
+            "max-iterations-nan", "rabi-period-negative", "rabi-period-inf",
+            "rabi-span-zero"])
     def test_bad_numeric_value_is_2(self, argv, tmp_path):
         # a fresh process, so a traceback would reach stderr
         env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from nvreadout import (evaluate, expected_trace,
-                       gated_equivalent_model, make_profiles, mix_profile,
-                       paper_like_params, repair, simulate_rabi_dataset,
-                       simulate_trace, sweep_gate)
+from nvreadout import (evaluate, expected_trace, fit_rabi, gate_sum,
+                       gated_equivalent_model, gated_population, make_profiles,
+                       mix_profile, paper_like_params, repair,
+                       simulate_rabi_dataset, simulate_trace, sweep_gate)
 from nvreadout.evaluation import METHOD_MAX_C, METHOD_MIN_V, METHOD_ML
 from nvreadout.rabi import RabiDataset
 
@@ -34,6 +34,33 @@ class TestEvaluate:
             gate.avg_formula_variance, rel=1e-12)
         assert ml.empirical_mse == pytest.approx(gate.empirical_mse, rel=1e-12)
         assert abs(report.reductions[(METHOD_ML, METHOD_MIN_V)]) < 1e-12
+
+    def test_gate_rows_match_gate_sum_oracle(self, setup):
+        # the gated rows are the gate_sum/gated_population estimator with
+        # the 1e7-repetition boundary sums rescaled to the 1e5-repetition
+        # test set, applied trace by trace
+        _, _, t0, t1, sweep, test, truth = setup
+        w_c, w_v = sweep.max_contrast.window, sweep.min_variance.window
+        model = gated_equivalent_model(t0, t1, w_v)
+        report = evaluate(test, model, w_c, w_v, t0, t1, truth)
+        repaired = repair(test, model, w_v, t0, t1)
+        reps = test.repetitions
+        for name, window in ((METHOD_MAX_C, w_c), (METHOD_MIN_V, w_v)):
+            bright = gate_sum(t0, window) * reps / t0.repetitions
+            dark = gate_sum(t1, window) * reps / t1.repetitions
+            p, v = np.array([gated_population(gate_sum(trace, window), bright, dark)
+                             for _, trace in test.points]).T
+            row = report.method(name)
+            assert row.avg_formula_variance == pytest.approx(v.mean(), rel=1e-12)
+            assert row.empirical_mse == pytest.approx(np.mean((p - truth) ** 2),
+                                                      rel=1e-12)
+            # the sinusoid fit turns last-bit differences of its input into
+            # ~1e-9 relative ones, so the contrast is held to 1e-8
+            assert row.contrast_measured == pytest.approx(
+                2.0 * fit_rabi(test.durations, p).amplitude, rel=1e-8)
+        # the last window is min-V: repair's original series is its oracle
+        assert [pt.p_original for pt in repaired.points] == \
+            pytest.approx(p, rel=0, abs=1e-12)
 
     def test_reductions_recompute_from_averages(self, setup):
         _, _, t0, t1, sweep, test, truth = setup
@@ -80,11 +107,10 @@ class TestRepair:
         window = sweep.min_variance.window
         model = gated_equivalent_model(t0, t1, window)
         durations = np.linspace(0, 600, 30)
-        pts = []
-        for k, d in enumerate(durations):
-            pop = 0.5 + 0.5 * np.cos(2 * np.pi * d / 200.0)
-            pts.append((float(d), expected_trace(mix_profile(pop, p0, p1), 10**7)))
-        noiseless = RabiDataset(tuple(pts))
+        counts = [expected_trace(mix_profile(0.5 + 0.5 * np.cos(2 * np.pi * d / 200.0),
+                                             p0, p1), 10**7).counts
+                  for d in durations]
+        noiseless = RabiDataset(durations, np.stack(counts), 10**7)
         result = repair(noiseless, model, window, t0, t1)
         for pt in result.points:
             assert pt.p_repaired == pytest.approx(pt.p_original, abs=5e-3)

@@ -6,7 +6,7 @@ import pytest
 from nvreadout import (DegenerateBoundaryError, GateWindow, ShapeError,
                        TimeTrace, contrast, expected_trace, gate_sum,
                        gated_population, make_profiles, paper_like_params,
-                       rescale_sum, sweep_gate, total_variance)
+                       sweep_gate, total_variance)
 
 
 def trace_of(counts, reps=1):
@@ -60,9 +60,6 @@ class TestGatedPopulation:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateBoundaryError):
             gated_population(10.0, 5.0, 5.0)
-
-    def test_rescale_sum(self):
-        assert rescale_sum(100.0, 10**6, 10**5) == pytest.approx(10.0)
 
 
 class TestContrast:

@@ -5,7 +5,7 @@ import pytest
 
 from nvreadout import (ParseError, evaluate, make_profiles,
                        paper_like_params, repair, simulate_rabi_dataset,
-                       simulate_trace, sweep_gate, train_boundary, TrainConfig)
+                       simulate_trace, sweep_gate, train_boundary)
 from nvreadout import io as nvio
 
 
@@ -17,7 +17,7 @@ def world():
     sweep = sweep_gate(t0, t1)
     dataset, truth = simulate_rabi_dataset(p0, p1, repetitions=10**5, seed=40,
                                            points=24, span_ns=460.0)
-    model = train_boundary(t0, t1, TrainConfig(max_iterations=200))
+    model = train_boundary(t0, t1)
     return t0, t1, sweep, dataset, truth, model
 
 
@@ -78,8 +78,14 @@ class TestRabiCsv:
         nvio.write_rabi_csv(b, again)
         assert roundtrip_bytes(a, b)
         assert np.array_equal(again.durations, dataset.durations)
-        for (_, x), (_, y) in zip(again.points, dataset.points):
-            assert np.array_equal(x.counts, y.counts)
+        assert np.array_equal(again.counts, dataset.counts)
+
+    def test_ragged_durations_rejected(self, tmp_path):
+        p = tmp_path / "ragged.csv"
+        p.write_text("# rabi-csv v1\n# repetitions=10\nduration_ns,bin_index,counts\n"
+                     "0.0,0,1\n0.0,1,2\n5.0,0,3\n")
+        with pytest.raises(ParseError, match=r"ragged\.csv: .*unequal bin counts"):
+            nvio.read_rabi_csv(p)
 
     def test_truth_round_trip(self, world, tmp_path):
         dataset, truth = world[3], world[4]
@@ -138,7 +144,8 @@ class TestModelFile:
 
     @pytest.mark.parametrize("key, value", [
         ("dimension", "5.5"), ("intercept", "abc"), ("bin_width_ns", "wide"),
-        ("rate_scale", "x"), ("loss_prediction", None), ("loss_total", None)])
+        ("rate_scale", "x"), ("loss_prediction", None), ("loss_total", None),
+        ("intercept", "nan"), ("rate_scale", "inf"), ("bin_width_ns", "inf")])
     def test_malformed_field_rejected(self, world, tmp_path, key, value):
         # value None drops the line: a partial loss_* block
         p = tmp_path / "m.model"

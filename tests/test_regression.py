@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nvreadout import (ConvergenceError, DegenerateTrainingError, DomainError,
-                       GateWindow, ReadoutError, ReadoutModel, ShapeError, TimeTrace,
+                       GateWindow, ParameterError, ReadoutError, ReadoutModel,
+                       ShapeError, TimeTrace,
                        TrainConfig, TrainingExample, expected_trace, gate_sum,
                        gated_equivalent_model, gated_population, loss,
                        loss_gradient, make_profiles, mix_profile,
@@ -37,6 +38,14 @@ def preset_traces():
 
 
 class TestPredict:
+    @pytest.mark.parametrize("field, bad", [
+        ("intercept", np.nan), ("rate_scale", np.inf),
+        ("reference_bin_width_ns", np.inf)])
+    def test_non_finite_model_field_rejected(self, field, bad):
+        fields = dict(weights=np.zeros(4), intercept=0.0, reference_bin_width_ns=2.0)
+        with pytest.raises(ParameterError, match=field):
+            ReadoutModel(**{**fields, field: bad})
+
     def test_zero_weights_give_intercept(self):
         model = ReadoutModel(np.zeros(4), intercept=0.37,
                              reference_bin_width_ns=2.0)
@@ -187,14 +196,13 @@ class TestTrain:
         # dark trace labeled 1: no increasing nonnegative model exists, the
         # trainer falls back to a flat compromise instead of failing
         _, _, t0, t1 = preset_traces
-        model = train_boundary(t1, t0, TrainConfig(max_iterations=2000))
+        model = train_boundary(t1, t0)
         assert predict(model, t0) == pytest.approx(predict(model, t1), abs=0.2)
 
     def test_training_is_deterministic(self, preset_traces):
         _, _, t0, t1 = preset_traces
-        config = TrainConfig(max_iterations=500)
-        a = train_boundary(t0, t1, config)
-        b = train_boundary(t0, t1, config)
+        a = train_boundary(t0, t1)
+        b = train_boundary(t0, t1)
         assert np.array_equal(a.weights, b.weights)
         assert a.intercept == b.intercept
 
@@ -215,7 +223,7 @@ class TestTrain:
 
     def test_variance_law_monte_carlo(self, preset_traces):
         p0, p1, t0, t1 = preset_traces
-        model = train_boundary(t0, t1, TrainConfig(max_iterations=1000))
+        model = train_boundary(t0, t1)
         profile = mix_profile(0.5, p0, p1)
         rng = np.random.default_rng(23)
         means = {}
