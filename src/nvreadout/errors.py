@@ -45,11 +45,14 @@ class StateError(ReadoutError):
 class ParseError(ReadoutError):
     """A data file is malformed.
 
-    Carries the 1-based line number when it is known.
+    Carries the 1-based line number when it is known; the message starts
+    with the file and the line when they are given.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line

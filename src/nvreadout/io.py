@@ -3,14 +3,21 @@
 All formats are UTF-8 text with LF newlines.  Floats are written with
 ``repr`` (shortest round-trip decimal), so save -> load -> save is
 byte-identical and reruns of a deterministic pipeline produce identical
-files.  Every file starts with a ``# <schema> v<N>`` comment; readers
-accept the comment lines in any order and raise :class:`ParseError` with
-a 1-based line number on malformed content.
+files.  Every file starts with a ``# <schema> v<N>`` comment.
+
+Every format but the model file is one table: ``# key=value`` header
+comments in any order, a fixed column row, then comma-separated data rows.
+Blank lines and comment lines may sit between rows; comments after the
+column row are the table's footer.  All data cells of a table are parsed
+in one numpy call with a per-format typed column list.  Every malformed
+file, undecodable bytes included, raises :class:`ParseError` naming the
+file and, for a bad row, its 1-based line.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -55,28 +62,68 @@ def _write(path, lines) -> None:
 
 
 def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
-def _split_comments(lines):
-    """(header dict, data rows with line numbers, trailing comment rows)."""
+def _load(lines, dtype, converters):
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                      converters=converters)
+
+
+def _read_table(path, columns: str, types: str, converters=None):
+    """Header, typed rows, footer and a row -> line map of one table file.
+
+    ``columns`` is the exact column row and ``types`` one numpy type code per
+    column.  Returns ``(header, rows, footer, line_of)``: the ``key=value``
+    comments before the column row, one structured record per data line,
+    ``(line, text)`` for each comment after the column row, and a function
+    giving the 1-based file line of a row index.
+    """
+    lines = _read_lines(path)
     header: dict[str, str] = {}
-    rows: list[tuple[int, str]] = []
-    footer: list[tuple[int, str]] = []
-    for no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    start = len(lines)
+    for no, line in enumerate(lines):
         if line.startswith("#"):
-            text = line[1:].strip()
-            if "=" in text and not rows:
-                key, _, value = text.partition("=")
+            key, sep, value = line[1:].partition("=")
+            if sep:
                 header[key.strip()] = value.strip()
-            elif rows:
-                footer.append((no, text))
-            continue
-        rows.append((no, line))
-    return header, rows, footer
+        elif line.strip():
+            start = no
+            break
+    if lines[start:start + 1] != [columns]:
+        raise ParseError(f"{path}: expected '{columns}' column row")
+    body = lines[start + 1:]
+    data = [line for line in body if line.strip() and line[0] != "#"]
+    footer = [(no, line[1:].strip()) for no, line in enumerate(body, start + 2)
+              if line.startswith("#")] if len(data) < len(body) else []
+
+    def line_of(row: int) -> int:
+        return [no for no, line in enumerate(body, start + 2)
+                if line.strip() and line[0] != "#"][row]
+
+    dtype = np.dtype(list(zip(columns.split(","), types.split(","))))
+    if not data:
+        return header, np.empty(0, dtype), footer, line_of
+    try:
+        return header, _load(data, dtype, converters), footer, line_of
+    except ValueError as exc:
+        error = exc
+    # Error path only: numpy's row numbering differs between its messages,
+    # so bisect to the first row that does not parse; data[:lo] parses.
+    lo, hi = 0, len(data)
+    while hi > lo + 1:
+        mid = (lo + hi) // 2
+        try:
+            _load(data[lo:mid], dtype, converters)
+            lo = mid
+        except ValueError as exc:
+            hi, error = mid, exc
+    detail = re.sub(r" at row \d+", "", str(error).split(";")[0]).rstrip(".")
+    raise ParseError(detail, line_of(lo), path)
 
 
 def _header_int(header: dict, key: str, path) -> int:
@@ -103,18 +150,22 @@ def _header_float(header: dict, key: str, path, default: float | None = None) ->
     return value
 
 
-def _int_field(value: str, name: str, line: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"{name} {value!r} is not an integer", line)
-
-
-def _float_field(value: str, name: str, line: int) -> float:
+def _float_field(value: str, name: str, line: int, path) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ParseError(f"{name} {value!r} is not a number", line)
+        raise ParseError(f"{name} {value!r} is not a number", line, path)
+
+
+def _check_bins(path, rows, expected, line_of) -> None:
+    """Reject the first row whose bin_index is not ``expected`` or whose count is negative."""
+    bad = (rows["bin_index"] != expected) | (rows["counts"] < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        index, value = rows["bin_index"][k], rows["counts"][k]
+        message = (f"counts {value} is negative" if value < 0 else
+                   f"bin_index {index} out of order (expected {expected[k]})")
+        raise ParseError(message, line_of(k), path)
 
 
 # ---------------------------------------------------------------------------
@@ -137,29 +188,15 @@ def write_trace_csv(path, trace: TimeTrace) -> None:
 
 def read_trace_csv(path) -> TimeTrace:
     """Read a trace; rejects missing repetitions and non-integer counts."""
-    header, rows, _ = _split_comments(_read_lines(path))
+    header, rows, _, line_of = _read_table(path, "bin_index,counts", "i8,i8")
     reps = _header_int(header, "repetitions", path)
     width = _header_float(header, "bin_width_ns", path, 2.0)
-    label = header.get("label")
-    seed = int(header["seed"]) if "seed" in header else None
-    if not rows or rows[0][1] != "bin_index,counts":
-        raise ParseError(f"{path}: expected 'bin_index,counts' column row")
-    counts = []
-    for k, (no, row) in enumerate(rows[1:]):
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", no)
-        idx = _int_field(parts[0], "bin_index", no)
-        if idx != k:
-            raise ParseError(f"bin_index {idx} out of order (expected {k})", no)
-        value = _int_field(parts[1], "counts", no)
-        if value < 0:
-            raise ParseError(f"counts {value} is negative", no)
-        counts.append(value)
-    if not counts:
+    seed = _header_int(header, "seed", path) if "seed" in header else None
+    if not rows.size:
         raise ParseError(f"{path}: no count rows")
-    return TimeTrace(np.array(counts, dtype=np.int64), repetitions=reps,
-                     bin_width_ns=width, label=label, seed=seed)
+    _check_bins(path, rows, np.arange(rows.size), line_of)
+    return TimeTrace(rows["counts"], repetitions=reps, bin_width_ns=width,
+                     label=header.get("label"), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -171,42 +208,36 @@ def write_rabi_csv(path, dataset: RabiDataset) -> None:
              f"# repetitions={dataset.repetitions}",
              f"# bin_width_ns={_fmt(dataset.bin_width_ns)}",
              "duration_ns,bin_index,counts"]
-    for duration, row in zip(dataset.durations, dataset.counts):
+    # one text block per duration: fewer live objects than one per row
+    bins = [f",{i}," for i in range(dataset.counts.shape[1])]
+    for duration, row in zip(dataset.durations.tolist(), dataset.counts):
         d = _fmt(duration)
-        lines.extend(f"{d},{i},{c}" for i, c in enumerate(row))
+        lines.append("\n".join([f"{d}{b}{c}" for b, c in zip(bins, row.tolist())]))
     _write(path, lines)
 
 
 def read_rabi_csv(path) -> RabiDataset:
-    header, rows, _ = _split_comments(_read_lines(path))
+    """Read a scan; rows of one duration may interleave with other durations'."""
+    header, rows, _, line_of = _read_table(path, "duration_ns,bin_index,counts", "f8,i8,i8")
     reps = _header_int(header, "repetitions", path)
     width = _header_float(header, "bin_width_ns", path, 2.0)
-    if not rows or rows[0][1] != "duration_ns,bin_index,counts":
-        raise ParseError(f"{path}: expected 'duration_ns,bin_index,counts' column row")
-    groups: dict[float, list[int]] = {}
-    order: list[float] = []
-    for no, row in rows[1:]:
-        parts = row.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 fields, got {len(parts)}", no)
-        duration = _float_field(parts[0], "duration_ns", no)
-        idx = _int_field(parts[1], "bin_index", no)
-        value = _int_field(parts[2], "counts", no)
-        if value < 0:
-            raise ParseError(f"counts {value} is negative", no)
-        if duration not in groups:
-            groups[duration] = []
-            order.append(duration)
-        if idx != len(groups[duration]):
-            raise ParseError(f"bin_index {idx} out of order for duration {duration}", no)
-        groups[duration].append(value)
-    if not order:
+    if not rows.size:
         raise ParseError(f"{path}: no data rows")
-    bins = {len(groups[d]) for d in order}
-    if len(bins) != 1:
+    # Rows are grouped in increasing duration and kept in file order within
+    # a group.  RabiDataset rejects durations that do not first appear in
+    # increasing order, so for any accepted file that is also their file order.
+    _, first, group = np.unique(rows["duration_ns"], return_index=True,
+                                return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    _check_bins(path, rows, position, line_of)
+    if sizes.min() != sizes.max():
         raise ParseError(f"{path}: durations have unequal bin counts "
-                         f"({min(bins)} to {max(bins)})")
-    return RabiDataset(order, [groups[d] for d in order], reps, width)
+                         f"({sizes.min()} to {sizes.max()})")
+    return RabiDataset(rows["duration_ns"][np.sort(first)],
+                       rows["counts"][order].reshape(sizes.size, -1), reps, width)
 
 
 def write_truth_csv(path, durations, populations) -> None:
@@ -217,17 +248,8 @@ def write_truth_csv(path, durations, populations) -> None:
 
 
 def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    _, rows, _ = _split_comments(_read_lines(path))
-    if not rows or rows[0][1] != "duration_ns,population":
-        raise ParseError(f"{path}: expected 'duration_ns,population' column row")
-    durations, pops = [], []
-    for no, row in rows[1:]:
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", no)
-        durations.append(_float_field(parts[0], "duration_ns", no))
-        pops.append(_float_field(parts[1], "population", no))
-    return np.array(durations), np.array(pops)
+    _, rows, _, _ = _read_table(path, "duration_ns,population", "f8,f8")
+    return rows["duration_ns"].copy(), rows["population"].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -263,28 +285,27 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
     _write(path, lines)
 
 
+def _optional_float(cell: str) -> float:
+    return float(cell) if cell else math.nan
+
+
 def read_sweep_csv(path) -> SweepResult:
-    header, rows, footer = _split_comments(_read_lines(path))
+    """Read a sweep; degenerate widths (flag 1) leave their metric cells empty."""
+    header, rows, footer, line_of = _read_table(
+        path, "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
+        "i8,f8,f8,f8,f8,f8,i8", dict.fromkeys(range(2, 6), _optional_float))
     start_bin = _header_int(header, "start_bin", path)
     width_ns = _header_float(header, "bin_width_ns", path, 2.0)
     reps = _header_int(header, "repetitions", path)
-    expected = "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag"
-    if not rows or rows[0][1] != expected:
-        raise ParseError(f"{path}: expected '{expected}' column row")
     metrics, degenerate = [], []
-    for no, row in rows[1:]:
-        parts = row.split(",")
-        if len(parts) != 7:
-            raise ParseError(f"expected 7 fields, got {len(parts)}", no)
-        width = _int_field(parts[0], "width_bins", no)
-        if parts[6] == "1":
+    for k, (width, _, *values, flag) in enumerate(rows.tolist()):
+        if flag == 1:
             degenerate.append(width)
             continue
-        metrics.append(GateMetrics(
-            GateWindow(start_bin, width),
-            _float_field(parts[2], "L0", no), _float_field(parts[3], "L1", no),
-            _float_field(parts[4], "contrast", no),
-            _float_field(parts[5], "total_variance", no)))
+        if flag != 0 or any(math.isnan(v) for v in values):
+            raise ParseError("expected degenerate_flag 1, or 0 with four metrics",
+                             line_of(k), path)
+        metrics.append(GateMetrics(GateWindow(start_bin, width), *values))
     optima: dict[str, GateMetrics | None] = {"max_contrast": None, "min_variance": None}
     by_width = {m.window.width_bins: m for m in metrics}
     for no, text in footer:
@@ -292,9 +313,9 @@ def read_sweep_csv(path) -> SweepResult:
         if name in optima and rest.strip() != "none":
             fields = dict(f.partition("=")[::2] for f in rest.split())
             width = fields.get("width_bins")
-            if width is None or not width.isdigit() or int(width) not in by_width:
-                raise ParseError(f"{path}: footer {name} names width_bins={width!r}, "
-                                 "which has no metrics row", no)
+            if width is None or not width.isdecimal() or int(width) not in by_width:
+                raise ParseError(f"footer {name} names width_bins={width!r}, "
+                                 "which has no metrics row", no, path)
             optima[name] = by_width[int(width)]
     return SweepResult(start_bin=start_bin, bin_width_ns=width_ns, repetitions=reps,
                        metrics=tuple(metrics), degenerate_widths=tuple(degenerate),
@@ -337,11 +358,11 @@ def read_model(path) -> ReadoutModel:
             in_weights = True
             continue
         if in_weights:
-            weights.append(_float_field(line, "weight", no))
+            weights.append(_float_field(line, "weight", no, path))
         else:
             key, sep, value = line.partition("=")
             if not sep:
-                raise ParseError(f"expected key=value, got {line!r}", no)
+                raise ParseError(f"expected key=value, got {line!r}", no, path)
             fields[key] = value
     dimension = _header_int(fields, "dimension", path)
     if len(weights) != dimension:
@@ -376,27 +397,16 @@ def write_report_csv(path, report: EvalReport) -> None:
 
 
 def read_report_csv(path) -> EvalReport:
-    header, rows, footer = _split_comments(_read_lines(path))
-    truth_based = header.get("truth_based", "0") == "1"
-    expected = "method,avg_formula_variance,empirical_mse,contrast_measured"
-    if not rows or rows[0][1] != expected:
-        raise ParseError(f"{path}: expected '{expected}' column row")
-    methods = []
-    for no, row in rows[1:]:
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 fields, got {len(parts)}", no)
-        methods.append(MethodEval(parts[0], _float_field(parts[1], "variance", no),
-                                  _float_field(parts[2], "mse", no),
-                                  _float_field(parts[3], "contrast", no)))
+    header, rows, footer, _ = _read_table(
+        path, "method,avg_formula_variance,empirical_mse,contrast_measured", "O,f8,f8,f8")
     reductions = {}
     for no, text in footer:
         if text.startswith("reduction "):
-            body = text[len("reduction "):]
-            pair, _, value = body.partition("=")
+            pair, _, value = text[len("reduction "):].partition("=")
             a, _, b = pair.partition(" vs ")
-            reductions[(a, b)] = _float_field(value, "reduction", no)
-    return EvalReport(tuple(methods), reductions, truth_based)
+            reductions[(a, b)] = _float_field(value, "reduction", no, path)
+    return EvalReport(tuple(MethodEval(*row) for row in rows.tolist()), reductions,
+                      header.get("truth_based", "0") == "1")
 
 
 def write_report_summary(path, report: EvalReport) -> None:
@@ -426,17 +436,9 @@ def write_repair_csv(path, result: RepairResult) -> None:
 
 def read_repair_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Columns of a repair file: durations, original, repaired, fitted."""
-    _, rows, _ = _split_comments(_read_lines(path))
-    if not rows or rows[0][1] != "duration_ns,p_original,p_repaired,q_fit":
-        raise ParseError(f"{path}: expected repair column row")
-    cols = ([], [], [], [])
-    for no, row in rows[1:]:
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 fields, got {len(parts)}", no)
-        for col, part in zip(cols, parts):
-            col.append(_float_field(part, "value", no))
-    return tuple(np.array(c) for c in cols)
+    _, rows, _, _ = _read_table(path, "duration_ns,p_original,p_repaired,q_fit",
+                                "f8,f8,f8,f8")
+    return tuple(rows[name].copy() for name in rows.dtype.names)
 
 
 def write_fit_csv(path, durations, raw, fit: SinusoidFit, normalized=True) -> None:
@@ -468,16 +470,8 @@ def write_fit_csv(path, durations, raw, fit: SinusoidFit, normalized=True) -> No
 
 def read_fit_csv(path) -> tuple[SinusoidFit, np.ndarray, np.ndarray]:
     """Fit parameters plus (durations, raw values) from a fit report."""
-    header, rows, _ = _split_comments(_read_lines(path))
+    header, rows, _, _ = _read_table(path, "duration_ns,p_raw,p_fit,residual",
+                                     "f8,f8,f8,f8")
     fit = SinusoidFit(*(_header_float(header, key, path) for key in (
         "offset", "amplitude", "frequency_per_ns", "phase_rad", "residual_rms")))
-    if not rows or rows[0][1] != "duration_ns,p_raw,p_fit,residual":
-        raise ParseError(f"{path}: expected fit-report column row")
-    durations, raw = [], []
-    for no, row in rows[1:]:
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 fields, got {len(parts)}", no)
-        durations.append(_float_field(parts[0], "duration_ns", no))
-        raw.append(_float_field(parts[1], "p_raw", no))
-    return fit, np.array(durations), np.array(raw)
+    return fit, rows["duration_ns"].copy(), rows["p_raw"].copy()

@@ -1,0 +1,157 @@
+"""Property tests: any bytes given to a reader end in a value or a ReadoutError.
+
+The same holds for the CLI: whatever an input file holds, a command exits
+with status 0, 1 or 2 and never with an uncaught exception.  Inputs are
+random bytes or valid files with a few lines or cells replaced by junk.
+Examples are derandomized, so every run tries the same inputs.
+"""
+
+import contextlib
+import io
+import re
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from nvreadout import ReadoutError  # noqa: E402
+from nvreadout import io as nvio  # noqa: E402
+from nvreadout.cli import load_config, main  # noqa: E402
+
+SETTINGS = dict(deadline=None, derandomize=True, database=None)
+
+TEMPLATES = {
+    nvio.read_trace_csv: "# trace-csv v1\n# repetitions=10\n# bin_width_ns=2.0\n# seed=3\n"
+                         "bin_index,counts\n0,5\n1,3\n2,0\n",
+    nvio.read_rabi_csv: "# rabi-csv v1\n# repetitions=10\n# bin_width_ns=2.0\n"
+                        "duration_ns,bin_index,counts\n0.0,0,5\n0.0,1,3\n10.0,0,4\n10.0,1,2\n",
+    nvio.read_truth_csv: "# truth-csv v1\nduration_ns,population\n0.0,1.0\n10.0,0.5\n",
+    nvio.read_sweep_csv: "# sweep-csv v1\n# start_bin=0\n# bin_width_ns=2.0\n# repetitions=10\n"
+                         "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
+                         "1,2.0,5.0,1.0,0.5,0.375,0\n2,4.0,,,,,1\n"
+                         "# max_contrast: width_bins=1 width_ns=2.0 contrast=0.5\n"
+                         "# min_variance: none\n",
+    nvio.read_model: "# readout-model v1\ndimension=2\nbin_width_ns=2.0\nrate_scale=1.0\n"
+                     "intercept=0.0\ntrained_on=hand\nloss_prediction=0.1\nloss_variance=0.2\n"
+                     "loss_weight_factor=10.0\nloss_total=0.3\nweights:\n0.5\n0.25\n",
+    nvio.read_report_csv: "# eval-report v1\n# truth_based=1\n"
+                          "method,avg_formula_variance,empirical_mse,contrast_measured\n"
+                          "ML,0.01,0.02,0.9\nmin-V gate,0.02,0.03,0.8\n"
+                          "# reduction ML vs min-V gate=0.5\n",
+    nvio.read_repair_csv: "# repair-csv v1\n# rms_original=0.1\n# rms_repaired=0.05\n"
+                          "duration_ns,p_original,p_repaired,q_fit\n0.0,1.0,0.9,1.0\n"
+                          "10.0,0.5,0.5,0.5\n",
+    nvio.read_fit_csv: "# fit-report v1\n# offset=0.5\n# amplitude=0.5\n# frequency_per_ns=0.005\n"
+                       "# phase_rad=0.0\n# residual_rms=0.01\n# normalized=1\n"
+                       "duration_ns,p_raw,p_fit,residual\n0.0,1.0,1.0,0.0\n",
+    load_config: "[simulate]\nrepetitions = 1e5\nseed = 3\n[train]\nweight_factor = 100\n"
+                 "max_iterations = 50\n[sweep]\nstart_bin = 4\n",
+}
+
+JUNK = st.one_of(
+    st.sampled_from([b"", b"abc", b"-1", b"0", b"1.5", b"nan", b"inf", b"-inf", b"1e400",
+                     b"1_0", "٥".encode(), "²".encode(), b"\xff"]),
+    st.integers(-2**70, 2**70).map(lambda n: str(n).encode()),
+    st.text(alphabet="0123456789.,-+eE#=:_ \tnaifx", max_size=12).map(str.encode),
+    st.binary(max_size=12))
+
+
+@st.composite
+def mutated(draw, template: bytes):
+    """``template`` with one to three lines or lines inserted, or cells replaced.
+
+    A cell is a part of a line between commas, ``=`` or whitespace, so header values
+    are replaced as often as data cells.
+    """
+    lines = template.split(b"\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        junk = draw(JUNK)
+        how = draw(st.sampled_from(["cell", "cell", "line", "insert"]))
+        if how == "line":
+            lines[i] = junk
+        elif how == "insert":
+            lines.insert(i, junk)
+        else:
+            cells = re.split(rb"([,=\s])", lines[i])     # separators at odd indices
+            cells[2 * draw(st.integers(0, len(cells) // 2))] = junk
+            lines[i] = b"".join(cells)
+    return b"\n".join(lines)
+
+
+def file_bytes(template: bytes):
+    return st.one_of(st.binary(max_size=200), mutated(template))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("reader", TEMPLATES, ids=lambda r: r.__name__)
+def test_templates_are_valid(reader, workdir):
+    path = workdir / "template.txt"
+    path.write_text(TEMPLATES[reader])
+    reader(path)
+
+
+@pytest.mark.parametrize("reader", TEMPLATES, ids=lambda r: r.__name__)
+@settings(max_examples=100, **SETTINGS)
+@given(data=st.data())
+def test_reader_returns_value_or_readout_error(reader, workdir, data):
+    path = workdir / "input.txt"
+    path.write_bytes(data.draw(file_bytes(TEMPLATES[reader].encode())))
+    try:
+        reader(path)
+    except ReadoutError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    """Small valid pipeline inputs: boundary traces, a 12-point scan and a model."""
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    assert main(["simulate", "--reps", "1e5", "--seed", "5", "--out-dir", str(root),
+                 "--what", "both", "--rabi-points", "12", "--rabi-span-ns", "300"]) == 0
+    assert main(["train", "--mode", "boundary", "--trace0", str(root / "boundary0.csv"),
+                 "--trace1", str(root / "boundary1.csv"),
+                 "--out", str(root / "model.txt")]) == 0
+    (root / "run.cfg").write_text(TEMPLATES[load_config])
+    return root
+
+
+def cli_argv(role: str, root, fuzzed) -> list[str]:
+    """A command that reads ``fuzzed`` in the place of the ``role`` input."""
+    files = {"trace0": root / "boundary0.csv", "trace1": root / "boundary1.csv",
+             "rabi": root / "rabi.csv", "model": root / "model.txt",
+             "truth": root / "rabi_truth.csv", "config": root / "run.cfg"}
+    files[role] = fuzzed
+    f = {key: str(value) for key, value in files.items()}
+    out = str(root / "out.csv")
+    return {
+        "trace0": ["sweep", "--trace0", f["trace0"], "--trace1", f["trace1"], "--out", out],
+        "config": ["train", "--mode", "boundary", "--trace0", f["trace0"],
+                   "--trace1", f["trace1"], "--config", f["config"], "--out", out],
+        "model": ["predict", "--model", f["model"], "--trace", f["trace0"]],
+        "rabi": ["repair", "--rabi", f["rabi"], "--model", f["model"],
+                 "--trace0", f["trace0"], "--trace1", f["trace1"], "--out", out],
+        "truth": ["evaluate", "--rabi", f["rabi"], "--model", f["model"],
+                  "--trace0", f["trace0"], "--trace1", f["trace1"], "--truth", f["truth"],
+                  "--out", out],
+    }[role]
+
+
+@pytest.mark.parametrize("role", ["trace0", "config", "model", "rabi", "truth"])
+@settings(max_examples=30, **SETTINGS)
+@given(data=st.data())
+def test_cli_exits_0_1_or_2(role, good_files, data):
+    template = {"trace0": "boundary0.csv", "config": "run.cfg", "model": "model.txt",
+                "rabi": "rabi.csv", "truth": "rabi_truth.csv"}[role]
+    fuzzed = good_files / f"fuzzed-{role}"
+    fuzzed.write_bytes(data.draw(file_bytes((good_files / template).read_bytes())))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = main(cli_argv(role, good_files, fuzzed))
+    assert status in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from nvreadout import (ParseError, evaluate, make_profiles,
+from nvreadout import (ParseError, RabiDataset, ReadoutError, evaluate, make_profiles,
                        paper_like_params, repair, simulate_rabi_dataset,
                        simulate_trace, sweep_gate, train_boundary)
 from nvreadout import io as nvio
+
+READERS = [nvio.read_trace_csv, nvio.read_rabi_csv, nvio.read_truth_csv,
+           nvio.read_sweep_csv, nvio.read_model, nvio.read_report_csv,
+           nvio.read_repair_csv, nvio.read_fit_csv]
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +72,134 @@ class TestTraceCsv:
         with pytest.raises(ParseError, match="negative"):
             nvio.read_trace_csv(p)
 
+    @pytest.mark.parametrize("header, row, match", [
+        ("# seed=abc\n", "1,4", r"bad\.csv: seed='abc' is not an integer"),
+        ("", "1,9223372036854775808", r"bad\.csv: line 6: .*'9223372036854775808'"),
+    ], ids=["non-integer-seed", "count-above-int64"])
+    def test_malformed_value_is_parse_error(self, tmp_path, header, row, match):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"# trace-csv v1\n# repetitions=10\n{header}bin_index,counts\n"
+                     f"0,3\n\n{row}\n")
+        with pytest.raises(ParseError, match=match):
+            nvio.read_trace_csv(p)
+
+
+def old_read_rabi_csv(path):
+    """The per-line rabi reader the numpy table reader replaced, as the reference.
+
+    Returns (durations, counts rows, repetitions, bin width) as Python lists
+    and numbers; malformed rows raise ParseError with their line.
+    """
+    header, rows = {}, []
+    for no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            text = line[1:].strip()
+            if "=" in text and not rows:
+                key, _, value = text.partition("=")
+                header[key.strip()] = value.strip()
+            continue
+        rows.append((no, line))
+    assert rows[0][1] == "duration_ns,bin_index,counts"
+    groups: dict[float, list[int]] = {}
+    for no, row in rows[1:]:
+        parts = row.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"expected 3 fields, got {len(parts)}", no)
+        try:
+            duration, idx, value = float(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"bad field in {row!r}", no)
+        if value < 0:
+            raise ParseError(f"counts {value} is negative", no)
+        group = groups.setdefault(duration, [])
+        if idx != len(group):
+            raise ParseError(f"bin_index {idx} out of order", no)
+        group.append(value)
+    return (list(groups), list(groups.values()), int(header["repetitions"]),
+            float(header.get("bin_width_ns", 2.0)))
+
+
+RABI_HEAD = "# rabi-csv v1\n# repetitions=100\n# bin_width_ns=4.0\nduration_ns,bin_index,counts\n"
+
+
+class TestRabiReaderOracle:
+    @pytest.mark.parametrize("body", [
+        "0.0,0,5\n10.0,0,7\n0.0,1,6\n10.0,1,8\n0.0,2,0\n10.0,2,1\n",
+        "0.0,0,5\n\n   \n0.0,1,6\n# a comment\n\t\n10.0,0,7\n10.0,1,8\n",
+        "0.0,0,5\n0.0,1,6\n10.0,0,7\n10.0,1,8\n# max: 8\n\n# end\n",
+    ], ids=["interleaved", "blank-and-comment-lines", "footer-comments"])
+    def test_matches_per_line_reader(self, tmp_path, body):
+        p = tmp_path / "scan.csv"
+        p.write_text(RABI_HEAD + body)
+        self.assert_same(p)
+
+    def test_matches_per_line_reader_on_readme_scan(self, tmp_path):
+        p0, p1 = make_profiles(paper_like_params())
+        dataset, _ = simulate_rabi_dataset(p0, p1, repetitions=10**5, seed=7)
+        p = tmp_path / "rabi.csv"
+        nvio.write_rabi_csv(p, dataset)
+        self.assert_same(p)
+
+    @staticmethod
+    def assert_same(path):
+        durations, counts, reps, width = old_read_rabi_csv(path)
+        new = nvio.read_rabi_csv(path)
+        assert new.durations.tolist() == durations
+        assert new.counts.tolist() == counts
+        assert new.repetitions == reps and new.bin_width_ns == width
+
+    @pytest.mark.parametrize("row", [
+        "10.0,0", "10.0,0,7,1", "10.0,0,7.5", "10.0,0.0,7", "ten,0,7", "10.0,0,-7",
+        "10.0,1,7", "10.0,0,9223372036854775808",
+    ], ids=["2-fields", "4-fields", "non-integer-count", "float-bin-index",
+            "non-numeric-duration", "negative-count", "out-of-order-bin-index",
+            "count-above-int64"])
+    def test_malformed_row_names_its_line(self, tmp_path, row):
+        p = tmp_path / "scan.csv"
+        p.write_text(RABI_HEAD + f"0.0,0,5\n\n# note\n0.0,1,6\n{row}\n10.0,1,8\n")
+        with pytest.raises(ParseError, match=r"scan\.csv: line 9: ") as new:
+            nvio.read_rabi_csv(p)
+        assert new.value.line == 9
+        if row != "10.0,0,9223372036854775808":    # the old reader kept big ints
+            with pytest.raises(ParseError) as old:
+                old_read_rabi_csv(p)
+            assert old.value.line == 9
+
+    def test_durations_keep_their_file_order(self, tmp_path):
+        p = tmp_path / "scan.csv"
+        p.write_text(RABI_HEAD + "10.0,0,5\n0.0,0,6\n")
+        assert old_read_rabi_csv(p)[0] == [10.0, 0.0]
+        with pytest.raises(ReadoutError, match="strictly increasing"):
+            nvio.read_rabi_csv(p)
+
+    def test_first_bad_row_in_a_long_scan(self, tmp_path):
+        rows = [f"{d}.0,{i},{i}" for d in range(50) for i in range(40)]
+        rows[1234] = rows[1234] + ",1"
+        p = tmp_path / "scan.csv"
+        p.write_text(RABI_HEAD + "\n".join(rows[:1000]) + "\n\n" + "\n".join(rows[1000:]))
+        with pytest.raises(ParseError, match="line 1240: .*4 were found") as err:
+            nvio.read_rabi_csv(p)
+        assert err.value.line == 1240
+
+
+@pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
+def test_undecodable_bytes_are_parse_error(tmp_path, reader):
+    p = tmp_path / "binary.csv"
+    p.write_bytes(b"# trace-csv v1\n# repetitions=10\n\xff\xfe\n")
+    with pytest.raises(ParseError, match=r"binary\.csv: .*can't decode byte 0xff"):
+        reader(p)
+
 
 class TestRabiCsv:
+    def test_writer_text(self, tmp_path):
+        p = tmp_path / "scan.csv"
+        nvio.write_rabi_csv(p, RabiDataset([0.0, 12.5], [[1, 0, 3], [4, 5, 60]], 100, 2.0))
+        assert p.read_bytes() == (b"# rabi-csv v1\n# repetitions=100\n# bin_width_ns=2.0\n"
+                                  b"duration_ns,bin_index,counts\n0.0,0,1\n0.0,1,0\n"
+                                  b"0.0,2,3\n12.5,0,4\n12.5,1,5\n12.5,2,60\n")
+
     def test_round_trip(self, world, tmp_path):
         dataset = world[3]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -110,6 +240,18 @@ class TestSweepCsv:
         assert len(again.metrics) == len(sweep.metrics)
         assert again.degenerate_widths == sweep.degenerate_widths
 
+    @pytest.mark.parametrize("row", ["1,2.0,,,,,0", "1,2.0,5.0,1.0,0.5,0.375,2"],
+                             ids=["no-metrics", "flag-2"])
+    def test_malformed_row_names_its_line(self, world, tmp_path, row):
+        p = tmp_path / "sweep.csv"
+        nvio.write_sweep_csv(p, world[2])
+        lines = p.read_text().splitlines()
+        lines[5] = row
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"sweep\.csv: line 6: ") as err:
+            nvio.read_sweep_csv(p)
+        assert err.value.line == 6
+
     def test_footer_naming_absent_width_rejected(self, world, tmp_path):
         p = tmp_path / "sweep.csv"
         nvio.write_sweep_csv(p, world[2])
@@ -117,6 +259,15 @@ class TestSweepCsv:
                                      "# min_variance: width_bins=9999", 1)
         p.write_text(text)
         with pytest.raises(ParseError, match=r"sweep\.csv.*width_bins='9999"):
+            nvio.read_sweep_csv(p)
+
+    def test_footer_width_that_is_no_integer_rejected(self, world, tmp_path):
+        p = tmp_path / "sweep.csv"
+        nvio.write_sweep_csv(p, world[2])
+        text = p.read_text().replace("# min_variance: width_bins=",
+                                     "# min_variance: width_bins=²", 1)    # isdigit, no int
+        p.write_text(text)
+        with pytest.raises(ParseError, match=r"sweep\.csv.*width_bins='²"):
             nvio.read_sweep_csv(p)
 
 
