@@ -21,14 +21,12 @@ serves as their ground-truth oracle:
 
 from .errors import (ConvergenceError, DegenerateBoundaryError,
                      DegenerateTrainingError, DomainError, FitFailureError,
-                     ParameterError, ParseError, ReadoutError, ShapeError,
-                     StateError)
-from .evaluation import (EvalReport, MethodEval, RepairPoint, RepairResult,
-                         evaluate, repair)
+                     ParameterError, ParseError, ReadoutError, ShapeError)
+from .evaluation import EvalReport, MethodEval, RepairResult, evaluate, repair
 from .gating import (GateMetrics, GateWindow, SweepResult, contrast, gate_sum,
                      gated_population, sweep_gate, total_variance)
-from .rabi import (RabiDataset, ResidualReport, SinusoidFit, assign_targets,
-                   fit_rabi, residuals, simulate_rabi_dataset)
+from .rabi import (RabiDataset, SinusoidFit, assign_targets, fit_rabi,
+                   simulate_rabi_dataset)
 from .regression import (LossBreakdown, ReadoutModel, TrainConfig,
                          TrainingExample, gated_equivalent_model, loss,
                          loss_gradient, predict, prediction_variance, train,

@@ -25,7 +25,7 @@ from . import io as nvio
 from .errors import ParameterError, ParseError, ReadoutError
 from .evaluation import evaluate, repair
 from .gating import sweep_gate
-from .rabi import assign_targets, fit_rabi, simulate_rabi_dataset
+from .rabi import _targets, fit_rabi, simulate_rabi_dataset
 from .regression import (TrainConfig, predict, prediction_variance,
                          train_boundary, train_rabi)
 from .traces import (PhotodynamicsParams, make_profiles, paper_like_params,
@@ -54,19 +54,18 @@ class RunConfig:
     rabi_period_ns: float = 200.0
     rabi_span_ns: float = 600.0
     rabi_repetitions: int | None = None
-    start_bin: int = 0
     train: TrainConfig = TrainConfig()
 
 
 def _count(value, name: str) -> int:
     """A repetition or step count given as a float, so that 1e7 is accepted."""
-    if not (math.isfinite(value) and value >= 1):
-        raise ParameterError(f"{name} must be a finite number >= 1, got {value!r}")
+    if not (math.isfinite(value) and value >= 1 and value == int(value)):
+        raise ParameterError(f"{name} must be a whole number >= 1, got {value!r}")
     return int(value)
 
 
 def load_config(path) -> RunConfig:
-    """Read a key=value config file with [profile]/[simulate]/[train]/[sweep] sections."""
+    """Read a key=value config file with [profile]/[simulate]/[train] sections."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
@@ -99,7 +98,6 @@ def load_config(path) -> RunConfig:
     if parser.has_option("simulate", "rabi_repetitions"):
         cfg.rabi_repetitions = _count(value("simulate", "rabi_repetitions", None),
                                       "rabi_repetitions")
-    cfg.start_bin = value("sweep", "start_bin", cfg.start_bin, int)
     cfg.train = TrainConfig(
         weight_factor=value("train", "weight_factor", TrainConfig.weight_factor),
         max_iterations=_count(value("train", "max_iterations", TrainConfig.max_iterations),
@@ -273,14 +271,12 @@ def _cmd_train(args) -> int:
         _check_distinct_output(args.out, args.rabi)
         dataset = nvio.read_rabi_csv(args.rabi)
         sums = dataset.counts.sum(axis=1) / dataset.repetitions
-        fit = fit_rabi(dataset.durations, sums)
-        examples = assign_targets(dataset, fit)
-        dataset = dataset.with_fit(fit, [ex.target for ex in examples])
-        if sums[int(np.argmax(dataset.targets))] < sums[int(np.argmin(dataset.targets))]:
+        targets = _targets(dataset.durations, fit_rabi(dataset.durations, sums))
+        if sums[int(np.argmax(targets))] < sums[int(np.argmin(targets))]:
             print("warning: peak-target trace has fewer photons than the "
                   "trough-target trace; oscillation data may be inverted",
                   file=sys.stderr)
-        model = train_rabi(dataset, config)
+        model = train_rabi(dataset, targets, config)
     nvio.write_model(args.out, model)
     print(f"wrote {args.out} ({model.trained_on})")
     return EXIT_OK

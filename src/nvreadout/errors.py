@@ -38,10 +38,6 @@ class FitFailureError(ReadoutError):
     """Sinusoid fitting failed (too few points, no oscillation, short span)."""
 
 
-class StateError(ReadoutError):
-    """An operation was called before its prerequisite step."""
-
-
 class ParseError(ReadoutError):
     """A data file is malformed.
 

@@ -33,7 +33,6 @@ from .traces import TimeTrace
 __all__ = [
     "MethodEval",
     "EvalReport",
-    "RepairPoint",
     "RepairResult",
     "evaluate",
     "repair",
@@ -71,16 +70,13 @@ class EvalReport:
 
 
 @dataclass(frozen=True)
-class RepairPoint:
-    duration_ns: float
-    p_original: float
-    p_repaired: float
-    q_fit: float                # original series' fitted value at this duration
-
-
-@dataclass(frozen=True)
 class RepairResult:
-    points: tuple[RepairPoint, ...]
+    """Original and repaired series per point, each with its own fit."""
+
+    durations: np.ndarray       # ns
+    p_original: np.ndarray
+    p_repaired: np.ndarray
+    q_fit: np.ndarray           # original series' fitted value at each duration
     fit_original: SinusoidFit
     fit_repaired: SinusoidFit
     rms_original: float         # original vs its own fit
@@ -164,9 +160,6 @@ def repair(dataset: RabiDataset, model: ReadoutModel, window: GateWindow,
     fit_o = fit_rabi(durations, p_orig)
     fit_r = fit_rabi(durations, p_rep)
     q_fit = fit_o.value(durations)
-    points = tuple(
-        RepairPoint(float(d), float(po), float(pr), float(qf))
-        for d, po, pr, qf in zip(durations, p_orig, p_rep, q_fit))
     rms_o = float(np.sqrt(np.mean((p_orig - q_fit) ** 2)))
     rms_r = float(np.sqrt(np.mean((p_rep - fit_r.value(durations)) ** 2)))
-    return RepairResult(points, fit_o, fit_r, rms_o, rms_r)
+    return RepairResult(durations, p_orig, p_rep, q_fit, fit_o, fit_r, rms_o, rms_r)

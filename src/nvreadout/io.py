@@ -11,17 +11,20 @@ Blank lines and comment lines may sit between rows; comments after the
 column row are the table's footer.  All data cells of a table are parsed
 in one numpy call with a per-format typed column list.  Every malformed
 file, undecodable bytes included, raises :class:`ParseError` naming the
-file and, for a bad row, its 1-based line.
+file and, for a bad row, its 1-based line; so does a value the domain
+objects reject, such as durations out of order or zero repetitions.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import (DegenerateBoundaryError, DomainError, ParameterError,
+                     ParseError, ShapeError)
 from .evaluation import EvalReport, MethodEval, RepairResult
 from .gating import GateMetrics, GateWindow, SweepResult
 from .rabi import RabiDataset, SinusoidFit
@@ -150,6 +153,15 @@ def _header_float(header: dict, key: str, path, default: float | None = None) ->
     return value
 
 
+@contextmanager
+def _naming(path, line: int | None = None):
+    """Re-raise a domain error from the block as a ParseError naming the file."""
+    try:
+        yield
+    except (ParameterError, ShapeError, DomainError, DegenerateBoundaryError) as exc:
+        raise ParseError(str(exc), line, path) from None
+
+
 def _float_field(value: str, name: str, line: int, path) -> float:
     try:
         return float(value)
@@ -195,8 +207,9 @@ def read_trace_csv(path) -> TimeTrace:
     if not rows.size:
         raise ParseError(f"{path}: no count rows")
     _check_bins(path, rows, np.arange(rows.size), line_of)
-    return TimeTrace(rows["counts"], repetitions=reps, bin_width_ns=width,
-                     label=header.get("label"), seed=seed)
+    with _naming(path):
+        return TimeTrace(rows["counts"], repetitions=reps, bin_width_ns=width,
+                         label=header.get("label"), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +249,9 @@ def read_rabi_csv(path) -> RabiDataset:
     if sizes.min() != sizes.max():
         raise ParseError(f"{path}: durations have unequal bin counts "
                          f"({sizes.min()} to {sizes.max()})")
-    return RabiDataset(rows["duration_ns"][np.sort(first)],
-                       rows["counts"][order].reshape(sizes.size, -1), reps, width)
+    with _naming(path):
+        return RabiDataset(rows["duration_ns"][np.sort(first)],
+                           rows["counts"][order].reshape(sizes.size, -1), reps, width)
 
 
 def write_truth_csv(path, durations, populations) -> None:
@@ -286,6 +300,9 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
 
 
 def _optional_float(cell: str) -> float:
+    """nan for an empty cell; else a float, with no underscore or non-ASCII digit."""
+    if not cell.isascii() or "_" in cell:       # as numpy, unlike Python's float
+        raise ValueError(f"could not convert string {cell!r} to float64")
     return float(cell) if cell else math.nan
 
 
@@ -305,7 +322,8 @@ def read_sweep_csv(path) -> SweepResult:
         if flag != 0 or any(math.isnan(v) for v in values):
             raise ParseError("expected degenerate_flag 1, or 0 with four metrics",
                              line_of(k), path)
-        metrics.append(GateMetrics(GateWindow(start_bin, width), *values))
+        with _naming(path, line_of(k)):
+            metrics.append(GateMetrics(GateWindow(start_bin, width), *values))
     optima: dict[str, GateMetrics | None] = {"max_contrast": None, "min_variance": None}
     by_width = {m.window.width_bins: m for m in metrics}
     for no, text in footer:
@@ -368,16 +386,18 @@ def read_model(path) -> ReadoutModel:
     if len(weights) != dimension:
         raise ParseError(f"{path}: {len(weights)} weights, dimension says {dimension}")
     loss_keys = ("loss_prediction", "loss_variance", "loss_weight_factor", "loss_total")
-    training_loss = None
-    if any(key in fields for key in loss_keys):
-        training_loss = LossBreakdown(*(_header_float(fields, key, path) for key in loss_keys))
-    return ReadoutModel(
-        weights=np.array(weights),
-        intercept=_header_float(fields, "intercept", path),
-        reference_bin_width_ns=_header_float(fields, "bin_width_ns", path),
-        rate_scale=_header_float(fields, "rate_scale", path, 1.0),
-        trained_on=fields.get("trained_on", ""),
-        training_loss=training_loss)
+    with _naming(path):
+        training_loss = None
+        if any(key in fields for key in loss_keys):
+            training_loss = LossBreakdown(*(_header_float(fields, key, path)
+                                            for key in loss_keys))
+        return ReadoutModel(
+            weights=np.array(weights),
+            intercept=_header_float(fields, "intercept", path),
+            reference_bin_width_ns=_header_float(fields, "bin_width_ns", path),
+            rate_scale=_header_float(fields, "rate_scale", path, 1.0),
+            trained_on=fields.get("trained_on", ""),
+            training_loss=training_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +448,8 @@ def write_repair_csv(path, result: RepairResult) -> None:
              f"# rms_original={_fmt(result.rms_original)}",
              f"# rms_repaired={_fmt(result.rms_repaired)}",
              "duration_ns,p_original,p_repaired,q_fit"]
-    for pt in result.points:
-        lines.append(f"{_fmt(pt.duration_ns)},{_fmt(pt.p_original)},"
-                     f"{_fmt(pt.p_repaired)},{_fmt(pt.q_fit)}")
+    for row in zip(result.durations, result.p_original, result.p_repaired, result.q_fit):
+        lines.append(",".join(map(_fmt, row)))
     _write(path, lines)
 
 
@@ -441,27 +460,23 @@ def read_repair_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return tuple(rows[name].copy() for name in rows.dtype.names)
 
 
-def write_fit_csv(path, durations, raw, fit: SinusoidFit, normalized=True) -> None:
+def write_fit_csv(path, durations, raw, fit: SinusoidFit) -> None:
     """Fit report: per-point raw/fitted/residual values plus fit parameters.
 
-    With ``normalized`` the point series is rescaled by the fitted extrema
-    so the columns are population-like regardless of the input units.
+    The point series is rescaled by the fitted extrema, so the columns are
+    population-like regardless of the input units.
     """
     t = np.asarray(durations, dtype=float)
     y = np.asarray(raw, dtype=float)
-    if normalized:
-        lo = fit.offset - fit.amplitude
-        y_out = (y - lo) / (2.0 * fit.amplitude)
-        f_out = fit.normalized(t)
-    else:
-        y_out, f_out = y, fit.value(t)
+    y_out = (y - (fit.offset - fit.amplitude)) / (2.0 * fit.amplitude)
+    f_out = fit.normalized(t)
     lines = [f"# fit-report v{FORMAT_VERSIONS['fit-report']}",
              f"# offset={_fmt(fit.offset)}",
              f"# amplitude={_fmt(fit.amplitude)}",
              f"# frequency_per_ns={_fmt(fit.frequency)}",
              f"# phase_rad={_fmt(fit.phase)}",
              f"# residual_rms={_fmt(fit.residual_rms)}",
-             f"# normalized={int(normalized)}",
+             "# normalized=1",
              "duration_ns,p_raw,p_fit,residual"]
     for d, a, b in zip(t, y_out, f_out):
         lines.append(f"{_fmt(d)},{_fmt(a)},{_fmt(b)},{_fmt(a - b)}")
@@ -472,6 +487,7 @@ def read_fit_csv(path) -> tuple[SinusoidFit, np.ndarray, np.ndarray]:
     """Fit parameters plus (durations, raw values) from a fit report."""
     header, rows, _, _ = _read_table(path, "duration_ns,p_raw,p_fit,residual",
                                      "f8,f8,f8,f8")
-    fit = SinusoidFit(*(_header_float(header, key, path) for key in (
-        "offset", "amplitude", "frequency_per_ns", "phase_rad", "residual_rms")))
+    with _naming(path):
+        fit = SinusoidFit(*(_header_float(header, key, path) for key in (
+            "offset", "amplitude", "frequency_per_ns", "phase_rad", "residual_rms")))
     return fit, rows["duration_ns"].copy(), rows["p_raw"].copy()

@@ -1,4 +1,4 @@
-"""Oscillation datasets: sinusoid fitting, target assignment, residuals.
+"""Oscillation datasets: sinusoid fitting and target assignment.
 
 A Rabi dataset is one counts matrix with a row per pulse duration.  The
 population oscillates sinusoidally with pulse duration, which gives a
@@ -25,7 +25,7 @@ well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +37,8 @@ from .traces import (EmissionProfile, TimeTrace, _checked_counts, mix_profile,
 __all__ = [
     "RabiDataset",
     "SinusoidFit",
-    "ResidualReport",
     "fit_rabi",
     "assign_targets",
-    "residuals",
     "simulate_rabi_dataset",
 ]
 
@@ -96,7 +94,7 @@ class SinusoidFit:
 
 @dataclass(frozen=True)
 class RabiDataset:
-    """An oscillation scan as one counts matrix, with optional fit and targets.
+    """An oscillation scan as one counts matrix.
 
     ``counts[k]`` is the trace taken at pulse duration ``durations[k]``;
     every row shares one repetition count and bin width.
@@ -106,8 +104,6 @@ class RabiDataset:
     counts: np.ndarray          # points x bins, nonnegative int64, read-only
     repetitions: int
     bin_width_ns: float = 2.0
-    fit: SinusoidFit | None = None
-    targets: tuple[float, ...] | None = None
 
     def __post_init__(self):
         durations = np.array(self.durations, dtype=float)
@@ -118,14 +114,10 @@ class RabiDataset:
         counts = _checked_counts(self.counts, 2, self.repetitions, self.bin_width_ns)
         if len(counts) != durations.size:
             raise ShapeError(f"{len(counts)} count rows for {durations.size} durations")
-        if self.targets is not None and len(self.targets) != durations.size:
-            raise ShapeError("targets length differs from points")
         durations.setflags(write=False)
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "repetitions", int(self.repetitions))
-        if self.targets is not None:
-            object.__setattr__(self, "targets", tuple(float(q) for q in self.targets))
 
     def __len__(self) -> int:
         return int(self.durations.size)
@@ -135,18 +127,6 @@ class RabiDataset:
         """(duration, trace) pairs, one per row of the counts matrix."""
         return tuple((float(d), TimeTrace(row, self.repetitions, self.bin_width_ns))
                      for d, row in zip(self.durations, self.counts))
-
-    def with_fit(self, fit: SinusoidFit, targets) -> "RabiDataset":
-        return replace(self, fit=fit, targets=tuple(float(q) for q in targets))
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Residuals of a series against a fitted sinusoid."""
-
-    values: np.ndarray          # point value minus fitted value
-    mean_abs: float
-    rms: float
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +251,15 @@ def fit_rabi(durations, values) -> SinusoidFit:
     return SinusoidFit(float(offset), amplitude, float(f), phase, rms)
 
 
+def _targets(t: np.ndarray, fit: SinusoidFit) -> np.ndarray:
+    """Targets at durations ``t``, as :func:`assign_targets` describes."""
+    q = np.clip(fit.normalized(t), 0.0, 1.0)
+    for kind, value in (("peak", 1.0), ("trough", 0.0)):
+        for te in fit.extremum_times(float(t[0]), float(t[-1]), kind):
+            q[int(np.argmin(np.abs(t - te)))] = value
+    return q
+
+
 def assign_targets(dataset: RabiDataset, fit: SinusoidFit) -> list[TrainingExample]:
     """Per-point regression targets from a fitted oscillation.
 
@@ -278,21 +267,8 @@ def assign_targets(dataset: RabiDataset, fit: SinusoidFit) -> list[TrainingExamp
     1 and 0) and clipped; the dataset point nearest each fitted peak gets
     exactly 1 and nearest each fitted trough exactly 0.
     """
-    t = dataset.durations
-    q = np.clip(fit.normalized(t), 0.0, 1.0)
-    for kind, value in (("peak", 1.0), ("trough", 0.0)):
-        for te in fit.extremum_times(float(t[0]), float(t[-1]), kind):
-            q[int(np.argmin(np.abs(t - te)))] = value
     return [TrainingExample(trace, float(qk))
-            for (_, trace), qk in zip(dataset.points, q)]
-
-
-def residuals(durations, values, fit: SinusoidFit) -> ResidualReport:
-    """Point-minus-fit residuals with their mean absolute value and rms."""
-    t = np.asarray(durations, dtype=float)
-    y = np.asarray(values, dtype=float)
-    r = y - fit.value(t)
-    return ResidualReport(r, float(np.mean(np.abs(r))), float(np.sqrt(np.mean(r * r))))
+            for (_, trace), qk in zip(dataset.points, _targets(dataset.durations, fit))]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,14 @@ any repetition count.  Under Poisson counts the estimate's variance is
 
     var(p) = sum_i (weights[i] / repetitions)^2 * counts[i].
 
-Training is the exact solve of one convex problem.  With rate_scale the
-largest per-measurement bin rate of the training set, normalized rates
-z = rates / rate_scale and weights v = weights * rate_scale, it minimizes
-over v >= 0 and a free intercept b
+Training takes a traces x bins counts matrix, the repetitions of every
+row and one target population per row (:func:`train`);
+:func:`train_boundary` stacks the two boundary traces and
+:func:`train_rabi` passes a scan's counts matrix.  It is the exact solve
+of one convex problem.  With rate_scale the largest per-measurement bin
+rate of the training set, normalized rates z = rates / rate_scale and
+weights v = weights * rate_scale, it minimizes over v >= 0 and a free
+intercept b
 
     (1/m) sum_j (z_j . v + b - t_j)^2 + (1/(w m)) sum_i c_i v_i^2
         + LAMBDA ||v - v_g||^2
@@ -42,9 +46,9 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateBoundaryError,
                      DegenerateTrainingError, DomainError, ParameterError,
-                     ShapeError, StateError)
+                     ShapeError)
 from .gating import GateWindow, _metric_curves
-from .traces import TimeTrace
+from .traces import TimeTrace, _checked_counts
 
 __all__ = [
     "ReadoutModel",
@@ -183,8 +187,8 @@ def prediction_variance(model: ReadoutModel, trace: TimeTrace) -> float:
 # Loss and gradient
 # ---------------------------------------------------------------------------
 
-def _design(examples) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Stack per-measurement rates, repetition counts and targets."""
+def _design(examples, model: ReadoutModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack per-measurement rates, repetition counts and targets for ``model``."""
     if len(examples) == 0:
         raise DomainError("need at least one training example")
     n = len(examples[0].trace)
@@ -198,14 +202,14 @@ def _design(examples) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         rows.append(ex.trace.rates)
         reps.append(float(ex.trace.repetitions))
         targets.append(float(ex.target))
-    return np.stack(rows), np.asarray(reps), np.asarray(targets), width
-
-
-def loss(model: ReadoutModel, examples, weight_factor: float) -> LossBreakdown:
-    """Evaluate both loss terms for a model on a training set."""
-    rates, reps, targets, width = _design(examples)
-    if width != model.reference_bin_width_ns or rates.shape[1] != model.dimension:
+    if width != model.reference_bin_width_ns or n != model.dimension:
         raise ShapeError("examples incompatible with model")
+    return np.stack(rows), np.asarray(reps), np.asarray(targets)
+
+
+def _loss(rates: np.ndarray, reps: np.ndarray, targets: np.ndarray,
+          model: ReadoutModel, weight_factor: float) -> LossBreakdown:
+    """Both loss terms of ``model`` on a rates matrix with its repetitions."""
     residuals = rates @ model.weights + model.intercept - targets
     pred = float(residuals @ residuals)
     var_coeff = (rates / reps[:, None]).sum(axis=0)
@@ -213,12 +217,15 @@ def loss(model: ReadoutModel, examples, weight_factor: float) -> LossBreakdown:
     return LossBreakdown(pred, var, weight_factor, weight_factor * pred + var)
 
 
+def loss(model: ReadoutModel, examples, weight_factor: float) -> LossBreakdown:
+    """Evaluate both loss terms for a model on a training set."""
+    return _loss(*_design(examples, model), model, weight_factor)
+
+
 def loss_gradient(model: ReadoutModel, examples,
                   weight_factor: float) -> tuple[np.ndarray, float]:
     """Gradient of the total loss with respect to (weights, intercept)."""
-    rates, reps, targets, width = _design(examples)
-    if width != model.reference_bin_width_ns or rates.shape[1] != model.dimension:
-        raise ShapeError("examples incompatible with model")
+    rates, reps, targets = _design(examples, model)
     residuals = rates @ model.weights + model.intercept - targets
     var_coeff = (rates / reps[:, None]).sum(axis=0)
     grad_w = 2.0 * weight_factor * (rates.T @ residuals) + 2.0 * var_coeff * model.weights
@@ -230,15 +237,16 @@ def loss_gradient(model: ReadoutModel, examples,
 # Training
 # ---------------------------------------------------------------------------
 
-def _gated_init(examples, targets) -> np.ndarray:
-    """Equal weights over the best min-variance window of the extremal traces.
+def _gated_init(counts: np.ndarray, reps: np.ndarray, targets: np.ndarray,
+                bin_width_ns: float) -> np.ndarray:
+    """Equal weights over the best min-variance window of the extremal rows.
 
-    Uses the brightest-target and darkest-target traces as boundary
+    Uses the brightest-target and darkest-target rows as boundary
     proxies.  Returns zeros when every window is degenerate in the target
     orientation (e.g. swapped labels).
     """
-    bright = examples[int(np.argmax(targets))].trace
-    dark = examples[int(np.argmin(targets))].trace
+    bright, dark = (TimeTrace(counts[k], reps[k], bin_width_ns)
+                    for k in (int(np.argmax(targets)), int(np.argmin(targets))))
     valid, _, v = _metric_curves(np.cumsum(bright.counts) / bright.repetitions,
                                  np.cumsum(dark.counts) / dark.repetitions)
     if not valid.any():
@@ -310,14 +318,20 @@ def _solve(rates: np.ndarray, reps: np.ndarray, targets: np.ndarray,
     return v / scale, b, steps, kkt
 
 
-def train(examples, config: TrainConfig | None = None,
-          provenance: str = "") -> ReadoutModel:
+def train(counts, repetitions, targets, bin_width_ns: float,
+          config: TrainConfig | None = None, provenance: str = "") -> ReadoutModel:
     """Fit a readout model to labeled traces by the exact solve above.
 
     Parameters
     ----------
-    examples : sequence of TrainingExample
-        At least two examples with at least two distinct targets.
+    counts : array of int, traces x bins
+        Photon counts of at least two traces, one per row.
+    repetitions : int or sequence of int
+        Measurements summed in every row, or one value per row.
+    targets : sequence of float
+        One target population in [0, 1] per row, not all equal.
+    bin_width_ns : float
+        Bin width shared by every row.
     config : TrainConfig, optional
         Defaults are suitable for the shipped simulator presets.
     provenance : str
@@ -333,55 +347,63 @@ def train(examples, config: TrainConfig | None = None,
         :class:`ConvergenceError`.
     """
     config = config or TrainConfig()
-    if len(examples) < 2:
-        raise DegenerateTrainingError("need at least two training examples")
-    rates, reps, targets, width = _design(examples)
-    if np.all(targets == targets[0]):
-        raise DegenerateTrainingError("all targets are identical")
-    if rates.max() <= 0:
+    counts = _checked_counts(counts, 2, 1, bin_width_ns)    # repetitions: below
+    m = len(counts)
+    reps, targets = np.array(repetitions), np.array(targets, dtype=float)
+    if reps.ndim == 0:
+        reps = np.full(m, reps)
+    if reps.shape != (m,) or targets.shape != (m,):
+        raise ShapeError(f"need one repetition count and one target for each of {m} traces")
+    if reps.dtype.kind not in "iu" or reps.min() < 1:
+        raise ParameterError("repetitions must be integers >= 1")
+    if not np.all((targets >= 0.0) & (targets <= 1.0)):
+        raise DomainError("targets must be in [0, 1]")
+    if np.all(targets == targets[0]):       # one trace included
+        raise DegenerateTrainingError("targets need at least two distinct values")
+    if counts.max() == 0:
         raise DegenerateTrainingError("all training traces are empty")
 
+    rates = counts / reps[:, None]
     weights, intercept, steps, kkt = _solve(
-        rates, reps, targets, _gated_init(examples, targets),
+        rates, reps, targets, _gated_init(counts, reps, targets, bin_width_ns),
         config.weight_factor, config.max_iterations)
     model = ReadoutModel(
         weights=weights,
         intercept=intercept,
-        reference_bin_width_ns=width,
+        reference_bin_width_ns=bin_width_ns,
         rate_scale=float(rates.max()),
-        trained_on=f"{provenance or f'{len(examples)} examples'}, "
+        trained_on=f"{provenance or f'{m} traces'}, "
                    f"solver=dual-newton, lambda={LAMBDA!r}, iterations={steps}, "
                    f"kkt_residual={kkt:.3e}",
     )
-    return replace(model, training_loss=loss(model, examples, config.weight_factor))
+    return replace(model, training_loss=_loss(rates, reps, targets, model,
+                                               config.weight_factor))
 
 
 def train_boundary(trace0: TimeTrace, trace1: TimeTrace,
                    config: TrainConfig | None = None) -> ReadoutModel:
     """Train on the two boundary traces with targets 1 (bright) and 0 (dark)."""
+    if len(trace0) != len(trace1) or trace0.bin_width_ns != trace1.bin_width_ns:
+        raise ShapeError("boundary traces have mismatched shape")
     if np.array_equal(trace0.counts, trace1.counts) and \
             trace0.repetitions == trace1.repetitions:
         raise DegenerateTrainingError("boundary traces are identical")
-    examples = [TrainingExample(trace0, 1.0), TrainingExample(trace1, 0.0)]
-    return train(examples, config,
+    return train(np.stack([trace0.counts, trace1.counts]),
+                 [trace0.repetitions, trace1.repetitions], [1.0, 0.0],
+                 trace0.bin_width_ns, config,
                  provenance=f"boundary traces, repetitions="
                             f"{trace0.repetitions}/{trace1.repetitions}")
 
 
-def train_rabi(dataset, config: TrainConfig | None = None) -> ReadoutModel:
-    """Train on a whole oscillation dataset using its fitted targets.
+def train_rabi(dataset, targets, config: TrainConfig | None = None) -> ReadoutModel:
+    """Train on a whole oscillation dataset, one target per point.
 
-    The dataset must carry a sinusoid fit and per-point targets (see
+    Targets normally come from the dataset's own sinusoid fit (see
     :func:`nvreadout.rabi.fit_rabi` and :func:`nvreadout.rabi.assign_targets`).
     """
-    if dataset.fit is None or dataset.targets is None:
-        raise StateError("dataset has no fit/targets; run fit_rabi and "
-                         "assign_targets first")
-    examples = [TrainingExample(trace, float(q))
-                for (_, trace), q in zip(dataset.points, dataset.targets)]
-    return train(examples, config,
-                 provenance=f"oscillation set, {len(examples)} points, "
-                            f"repetitions={dataset.repetitions}")
+    return train(dataset.counts, dataset.repetitions, targets, dataset.bin_width_ns,
+                 config, provenance=f"oscillation set, {len(dataset)} points, "
+                                    f"repetitions={dataset.repetitions}")
 
 
 def gated_equivalent_model(trace0: TimeTrace, trace1: TimeTrace,

@@ -201,21 +201,18 @@ def test_c07_rabi_training_repair():
             seed=SEED_RABI_TRAINING + 10_000, points=60)
         sums = [tr.counts.sum() / tr.repetitions for _, tr in train_set.points]
         fit = fit_rabi(train_set.durations, sums)
-        examples = assign_targets(train_set, fit)
-        train_ds = train_set.with_fit(fit, [ex.target for ex in examples])
-        model = train_rabi(train_ds)
+        targets = [ex.target for ex in assign_targets(train_set, fit)]
+        model = train_rabi(train_set, targets)
 
         # the only boundary information in this scenario is the oscillation
         # set itself: its extremal-target traces calibrate the original
-        boundary0 = train_ds.points[int(np.argmax(train_ds.targets))][1]
-        boundary1 = train_ds.points[int(np.argmin(train_ds.targets))][1]
+        boundary0 = train_set.points[int(np.argmax(targets))][1]
+        boundary1 = train_set.points[int(np.argmin(targets))][1]
         window = sweep_gate(boundary0, boundary1).min_variance.window
         result = repair(test_set, model, window, boundary0, boundary1)
 
-        p_orig = np.array([pt.p_original for pt in result.points])
-        p_rep = np.array([pt.p_repaired for pt in result.points])
-        rms_orig = float(np.sqrt(np.mean((p_orig - truth) ** 2)))
-        rms_rep = float(np.sqrt(np.mean((p_rep - truth) ** 2)))
+        rms_orig = float(np.sqrt(np.mean((result.p_original - truth) ** 2)))
+        rms_rep = float(np.sqrt(np.mean((result.p_repaired - truth) ** 2)))
         c_orig = 2.0 * result.fit_original.amplitude
         c_rep = 2.0 * result.fit_repaired.amplitude
     ok = rms_rep <= rms_orig and c_rep >= c_orig - 1e-3 and t.elapsed < 180

@@ -108,11 +108,10 @@ class TestPipeline:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
             "[simulate]\nrepetitions = 1e5\nseed = 3\nrabi_points = 12\n"
-            "[train]\nweight_factor = 100\nmax_iterations = 50\n"
-            "[sweep]\nstart_bin = 4\n")
+            "[train]\nweight_factor = 100\nmax_iterations = 50\n")
         cfg = load_config(cfg_file)
         assert cfg.repetitions == 100_000 and cfg.seed == 3
-        assert cfg.rabi_points == 12 and cfg.start_bin == 4
+        assert cfg.rabi_points == 12
         assert cfg.train.weight_factor == 100 and cfg.train.max_iterations == 50
         out = tmp_path / "sim"
         assert run("simulate", "--config", str(cfg_file),
@@ -172,15 +171,19 @@ class TestExitCodes:
         ["simulate", "--reps", "nan"],
         ["simulate", "--reps", "inf"],
         ["simulate", "--reps", "1e30"],
+        ["simulate", "--reps", "2.7"],
         ["simulate", "--what", "rabi", "--rabi-reps", "nan"],
         ["simulate", "--what", "rabi", "--rabi-reps", "1e30"],
         ["train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
          "--max-iterations", "nan"],
+        ["train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
+         "--max-iterations", "2.5"],
         ["simulate", "--what", "rabi", "--rabi-period-ns", "-5"],
         ["simulate", "--what", "rabi", "--rabi-period-ns", "inf"],
         ["simulate", "--what", "rabi", "--rabi-span-ns", "0"],
-    ], ids=["reps-nan", "reps-inf", "reps-1e30", "rabi-reps-nan", "rabi-reps-1e30",
-            "max-iterations-nan", "rabi-period-negative", "rabi-period-inf",
+    ], ids=["reps-nan", "reps-inf", "reps-1e30", "reps-2.7", "rabi-reps-nan",
+            "rabi-reps-1e30", "max-iterations-nan", "max-iterations-2.5",
+            "rabi-period-negative", "rabi-period-inf",
             "rabi-span-zero"])
     def test_bad_numeric_value_is_2(self, argv, tmp_path):
         # a fresh process, so a traceback would reach stderr

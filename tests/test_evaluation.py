@@ -59,8 +59,7 @@ class TestEvaluate:
             assert row.contrast_measured == pytest.approx(
                 2.0 * fit_rabi(test.durations, p).amplitude, rel=1e-8)
         # the last window is min-V: repair's original series is its oracle
-        assert [pt.p_original for pt in repaired.points] == \
-            pytest.approx(p, rel=0, abs=1e-12)
+        assert repaired.p_original == pytest.approx(p, rel=0, abs=1e-12)
 
     def test_reductions_recompute_from_averages(self, setup):
         _, _, t0, t1, sweep, test, truth = setup
@@ -112,8 +111,7 @@ class TestRepair:
                   for d in durations]
         noiseless = RabiDataset(durations, np.stack(counts), 10**7)
         result = repair(noiseless, model, window, t0, t1)
-        for pt in result.points:
-            assert pt.p_repaired == pytest.approx(pt.p_original, abs=5e-3)
+        assert result.p_repaired == pytest.approx(result.p_original, abs=5e-3)
 
     def test_variance_ranking_proxy(self, setup):
         # with ground truth available the formula variance ranks methods the

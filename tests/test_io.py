@@ -184,6 +184,28 @@ class TestRabiReaderOracle:
         assert err.value.line == 1240
 
 
+@pytest.mark.parametrize("reader, text, match", [
+    (nvio.read_rabi_csv, "# rabi-csv v1\n# repetitions=10\nduration_ns,bin_index,counts\n"
+     "10.0,0,5\n0.0,0,6\n", "durations must be finite and strictly increasing"),
+    (nvio.read_trace_csv, "# trace-csv v1\n# repetitions=0\nbin_index,counts\n0,5\n",
+     "repetitions must be an integer >= 1"),
+    (nvio.read_sweep_csv, "# sweep-csv v1\n# start_bin=-1\n# bin_width_ns=2.0\n"
+     "# repetitions=10\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
+     "1,2.0,5.0,1.0,0.6666666666666666,0.375,0\n", "line 6: start_bin must be nonnegative"),
+    (nvio.read_model, "# readout-model v1\ndimension=2\nbin_width_ns=2.0\nintercept=0.0\n"
+     "weights:\n1.0\n-1.0\n", "weights must be nonnegative"),
+    (nvio.read_fit_csv, "# fit-report v1\n# offset=0.5\n# amplitude=-0.1\n"
+     "# frequency_per_ns=0.005\n# phase_rad=0.0\n# residual_rms=0.01\n"
+     "duration_ns,p_raw,p_fit,residual\n0.0,0.5,0.5,0.0\n", "amplitude must be >= 0"),
+], ids=["durations-swapped", "zero-repetitions", "negative-start-bin", "negative-weight",
+        "negative-amplitude"])
+def test_domain_error_names_the_file(tmp_path, reader, text, match):
+    p = tmp_path / "input.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=rf"input\.csv: {match}"):
+        reader(p)
+
+
 @pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
 def test_undecodable_bytes_are_parse_error(tmp_path, reader):
     p = tmp_path / "binary.csv"
@@ -240,8 +262,10 @@ class TestSweepCsv:
         assert len(again.metrics) == len(sweep.metrics)
         assert again.degenerate_widths == sweep.degenerate_widths
 
-    @pytest.mark.parametrize("row", ["1,2.0,,,,,0", "1,2.0,5.0,1.0,0.5,0.375,2"],
-                             ids=["no-metrics", "flag-2"])
+    @pytest.mark.parametrize("row", ["1,2.0,,,,,0", "1,2.0,5.0,1.0,0.5,0.375,2",
+                                     "1,2.0,6_10.0,1.0,0.5,0.375,0",
+                                     "1,2.0,٥10.0,1.0,0.5,0.375,0"],
+                             ids=["no-metrics", "flag-2", "underscore", "non-ascii-digit"])
     def test_malformed_row_names_its_line(self, world, tmp_path, row):
         p = tmp_path / "sweep.csv"
         nvio.write_sweep_csv(p, world[2])
@@ -330,8 +354,8 @@ class TestReportAndRepair:
         nvio.write_repair_csv(a, result)
         d, po, pr, qf = nvio.read_repair_csv(a)
         assert np.array_equal(d, dataset.durations)
-        assert po == pytest.approx([pt.p_original for pt in result.points])
-        assert pr == pytest.approx([pt.p_repaired for pt in result.points])
+        assert po == pytest.approx(result.p_original)
+        assert pr == pytest.approx(result.p_repaired)
 
     def test_fit_report_round_trip(self, world, tmp_path):
         dataset = world[3]

@@ -1,12 +1,12 @@
-"""Sinusoid fitting, target assignment, residuals."""
+"""Sinusoid fitting, target assignment, oscillation-set training."""
 
 import numpy as np
 import pytest
 
 from nvreadout import (FitFailureError, ParameterError, RabiDataset,
-                       ShapeError, SinusoidFit, StateError, assign_targets,
-                       fit_rabi, make_profiles, paper_like_params, residuals,
-                       simulate_rabi_dataset, train_rabi)
+                       ShapeError, SinusoidFit, assign_targets, fit_rabi,
+                       make_profiles, paper_like_params, simulate_rabi_dataset,
+                       train_rabi)
 
 
 def sample(offset, amplitude, frequency, phase, t):
@@ -238,8 +238,7 @@ class TestResiduals:
         t = np.linspace(0, 600, 40)
         y = sample(0.2, 0.7, 1 / 150.0, 1.1, t)
         fit = fit_rabi(t, y)
-        report = residuals(t, y, fit)
-        assert np.all(np.abs(report.values) < 1e-9)
+        assert np.all(np.abs(y - fit.value(t)) < 1e-9)
 
     def test_residuals_sum_near_zero_for_own_fit(self):
         # least-squares with a free offset: residuals orthogonal to constants
@@ -247,17 +246,12 @@ class TestResiduals:
         y = sample(0.5, 0.5, 1 / 200.0, 0.4, t) + \
             np.random.default_rng(9).normal(0, 0.05, t.size)
         fit = fit_rabi(t, y)
-        report = residuals(t, y, fit)
-        assert abs(report.values.sum()) < t.size * 1e-9
-        assert report.rms == pytest.approx(fit.residual_rms, rel=1e-9)
+        r = y - fit.value(t)
+        assert abs(r.sum()) < t.size * 1e-9
+        assert np.sqrt(np.mean(r * r)) == pytest.approx(fit.residual_rms, rel=1e-9)
 
 
 class TestTrainRabi:
-    def test_requires_fit_and_targets(self, simulated_dataset):
-        dataset, _ = simulated_dataset
-        with pytest.raises(StateError, match="fit_rabi"):
-            train_rabi(dataset)
-
     def test_two_point_set_reduces_to_boundary_training(self):
         # a peak/trough-only dataset behaves like boundary training
         from nvreadout import train_boundary
@@ -265,11 +259,8 @@ class TestTrainRabi:
         p0, p1 = make_profiles(paper_like_params())
         peak = nvreadout.simulate_trace(p0, 10**6, seed=81)
         trough = nvreadout.simulate_trace(p1, 10**6, seed=82)
-        fit = SinusoidFit(offset=0.5, amplitude=0.5, frequency=1 / 200.0,
-                          phase=0.0, residual_rms=0.001)
-        dataset = RabiDataset([0.0, 100.0], np.stack([peak.counts, trough.counts]),
-                              10**6, fit=fit, targets=(1.0, 0.0))
-        a = train_rabi(dataset)
+        dataset = RabiDataset([0.0, 100.0], np.stack([peak.counts, trough.counts]), 10**6)
+        a = train_rabi(dataset, [1.0, 0.0])
         b = train_boundary(peak, trough)
         assert np.allclose(a.weights, b.weights, rtol=0, atol=0)
         assert a.intercept == b.intercept
@@ -290,7 +281,7 @@ class TestTrainRabi:
         sums = train_set.counts.sum(axis=1) / train_set.repetitions
         fit = fit_rabi(train_set.durations, sums)
         targets = [ex.target for ex in assign_targets(train_set, fit)]
-        model = train_rabi(train_set.with_fit(fit, targets))
+        model = train_rabi(train_set, targets)
         bright = train_set.points[int(np.argmax(targets))][1]
         dark = train_set.points[int(np.argmin(targets))][1]
         sweep = sweep_gate(bright, dark)

@@ -11,7 +11,14 @@ from nvreadout import (ConvergenceError, DegenerateTrainingError, DomainError,
                        loss_gradient, make_profiles, mix_profile,
                        paper_like_params, predict, prediction_variance,
                        simulate_trace, sweep_gate, train, train_boundary)
-from nvreadout.regression import LAMBDA, _design, _gated_init, _solve
+from nvreadout.regression import LAMBDA, _gated_init, _solve
+
+
+def as_arrays(examples):
+    """Counts matrix, per-row repetitions and targets of a list of examples."""
+    return (np.stack([ex.trace.counts for ex in examples]),
+            np.array([ex.trace.repetitions for ex in examples]),
+            np.array([ex.target for ex in examples]))
 
 
 def random_examples(rng, m=4, n=30, reps_range=(10, 1000)):
@@ -188,9 +195,40 @@ class TestTrain:
 
     def test_identical_targets_rejected(self, preset_traces):
         _, _, t0, t1 = preset_traces
-        examples = [TrainingExample(t0, 0.5), TrainingExample(t1, 0.5)]
         with pytest.raises(DegenerateTrainingError):
-            train(examples)
+            train(np.stack([t0.counts, t1.counts]), [t0.repetitions, t1.repetitions],
+                  [0.5, 0.5], t0.bin_width_ns)
+
+    @pytest.mark.parametrize("counts, reps, targets, error", [
+        ([[1, 2], [3, 4]], 10, [1.0, -0.1], DomainError),
+        ([[1, 2], [3, 4]], 10, [1.5, 0.0], DomainError),
+        ([[1, 2], [3, 4]], 10, [1.0, float("nan")], DomainError),
+        ([[1, 2], [3, 4]], 10, [1.0, 0.5, 0.0], ShapeError),
+        ([[1, 2], [3, 4]], [10, 10, 10], [1.0, 0.0], ShapeError),
+        ([[1, 2], [3, 4]], 0, [1.0, 0.0], ParameterError),
+        ([[1, 2], [3, 4]], 2.5, [1.0, 0.0], ParameterError),
+        ([[1, 2]], 10, [1.0], DegenerateTrainingError),
+        ([[1, 2], [3, 4]], 10, [0.5, 0.5], DegenerateTrainingError),
+        ([[1, -2], [3, 4]], 10, [1.0, 0.0], ParameterError),
+        ([[1, 2.5], [3, 4]], 10, [1.0, 0.0], ParameterError),
+    ], ids=["target-below-0", "target-above-1", "target-nan", "target-count",
+            "repetition-count", "zero-repetitions", "non-integer-repetitions",
+            "single-row", "identical-targets", "negative-count", "non-integer-count"])
+    def test_bad_training_arrays_rejected(self, counts, reps, targets, error):
+        with pytest.raises(error):
+            train(np.array(counts), reps, targets, 2.0)
+
+    def test_scalar_and_per_row_repetitions_agree(self):
+        counts, _, targets = as_arrays(random_examples(np.random.default_rng(5)))
+        a = train(counts, 100, targets, 2.0)
+        b = train(counts, np.full(len(counts), 100), targets, 2.0)
+        assert np.array_equal(a.weights, b.weights) and a.intercept == b.intercept
+        assert a.training_loss == b.training_loss
+
+    def test_boundary_traces_of_unequal_bin_width_rejected(self, preset_traces):
+        _, _, t0, t1 = preset_traces
+        with pytest.raises(ShapeError):
+            train_boundary(t0, TimeTrace(t1.counts, t1.repetitions, bin_width_ns=4.0))
 
     def test_swapped_labels_still_train(self, preset_traces):
         # dark trace labeled 1: no increasing nonnegative model exists, the
@@ -236,22 +274,21 @@ class TestTrain:
         assert means[10**6] / means[10**7] == pytest.approx(10.0, rel=0.1)
 
 
-def stated_objective_parts(examples):
+def stated_objective_parts(data):
     """Normalized design of the trainer's stated objective, built from scratch."""
-    rates = np.stack([ex.trace.counts / ex.trace.repetitions for ex in examples])
-    reps = np.array([float(ex.trace.repetitions) for ex in examples])
-    targets = np.array([ex.target for ex in examples])
+    counts, reps, targets = data
+    rates = np.stack([row / r for row, r in zip(counts, reps)])
     scale = rates.max()
     z = rates / scale
     c = (z / reps[:, None]).sum(axis=0) / scale
-    v_g = _gated_init(examples, targets) * scale
+    v_g = _gated_init(counts, reps, targets, 2.0) * scale
     return z, targets, c, v_g, scale
 
 
-def nnls_oracle(examples, weight_factor):
+def nnls_oracle(data, weight_factor):
     """Minimize the stated objective as one stacked NNLS problem (b = b+ - b-)."""
     nnls = pytest.importorskip("scipy.optimize").nnls
-    z, t, c, v_g, scale = stated_objective_parts(examples)
+    z, t, c, v_g, scale = stated_objective_parts(data)
     m, n = z.shape
     a = np.vstack([np.hstack([z, np.ones((m, 1)), -np.ones((m, 1))]),
                    np.hstack([np.diag(np.sqrt(c / weight_factor)), np.zeros((n, 2))]),
@@ -261,9 +298,9 @@ def nnls_oracle(examples, weight_factor):
     return x[:n] / scale, x[n] - x[n + 1]
 
 
-def kkt_residual(model, examples, weight_factor):
+def kkt_residual(model, data, weight_factor):
     """Projected-gradient norm of the stated objective over (v >= 0, b)."""
-    z, t, c, v_g, scale = stated_objective_parts(examples)
+    z, t, c, v_g, scale = stated_objective_parts(data)
     m = z.shape[0]
     v = model.weights * scale
     r = z @ v + model.intercept - t
@@ -274,7 +311,10 @@ def kkt_residual(model, examples, weight_factor):
 
 @pytest.fixture(scope="module")
 def solver_cases():
-    """c05's boundary pair, c07's 60-point training set, small random sets."""
+    """c05's boundary pair, c07's 60-point training set, small random sets.
+
+    Each case is the examples and the prediction-term weight.
+    """
     from conftest import SEED_BOUNDARY_CLEAN, SEED_RABI_TRAINING
     from nvreadout import assign_targets, fit_rabi, simulate_rabi_dataset
     p0, p1 = make_profiles(paper_like_params())
@@ -303,8 +343,9 @@ def solver_cases():
 class TestExactSolve:
     def test_matches_nnls_oracle(self, solver_cases):
         for name, (examples, w) in solver_cases.items():
-            model = train(examples, TrainConfig(weight_factor=w))
-            weights, intercept = nnls_oracle(examples, w)
+            data = as_arrays(examples)
+            model = train(*data, 2.0, TrainConfig(weight_factor=w))
+            weights, intercept = nnls_oracle(data, w)
             err_w = (np.abs(model.weights - weights).max()
                      / max(np.abs(weights).max(), np.finfo(float).tiny))
             err_b = abs(model.intercept - intercept) / max(1.0, abs(intercept))
@@ -312,8 +353,11 @@ class TestExactSolve:
 
     def test_kkt_residual_at_returned_model(self, solver_cases):
         for name, (examples, w) in solver_cases.items():
-            model = train(examples, TrainConfig(weight_factor=w))
-            assert kkt_residual(model, examples, w) <= 1e-9, name
+            data = as_arrays(examples)
+            model = train(*data, 2.0, TrainConfig(weight_factor=w))
+            assert kkt_residual(model, data, w) <= 1e-9, name
+            # the array loss recorded on the model is the loss of the examples
+            assert model.training_loss == loss(model, examples, w), name
             recorded = dict(f.split("=") for f in model.trained_on.split(", ")[-4:])
             assert recorded["solver"] == "dual-newton"
             assert float(recorded["lambda"]) == LAMBDA
@@ -322,8 +366,9 @@ class TestExactSolve:
 
     def test_infinite_lambda_returns_gated_anchor(self, solver_cases):
         for name, (examples, w) in solver_cases.items():
-            rates, reps, targets, _ = _design(examples)
-            anchor = _gated_init(examples, targets)
+            counts, reps, targets = as_arrays(examples)
+            rates = counts / reps[:, None]
+            anchor = _gated_init(counts, reps, targets, 2.0)
             weights, intercept, _, _ = _solve(rates, reps, targets, anchor, w,
                                               max_steps=100, lam=1e12)
             # relative to the anchor, or to 1 in normalized units for a zero anchor
@@ -340,7 +385,7 @@ class TestExactSolve:
     def test_step_cap_raises(self, solver_cases):
         examples, _ = solver_cases["c05-boundary"]
         with pytest.raises(ConvergenceError, match="1 Newton steps"):
-            train(examples, TrainConfig(max_iterations=1))
+            train(*as_arrays(examples), 2.0, TrainConfig(max_iterations=1))
         assert issubclass(ConvergenceError, ReadoutError)
 
     @pytest.mark.parametrize("field, bad", [
