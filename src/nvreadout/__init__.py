@@ -3,8 +3,9 @@
 Two readout strategies over binned photon traces, plus the simulator that
 serves as their ground-truth oracle:
 
-* :mod:`nvreadout.gating` - traditional time-gated count summation with
-  contrast / total-variance window optimization,
+* :mod:`nvreadout.gating` - traditional time-gated count summation; the
+  gate-width sweep returns contrast and total-variance curves over widths
+  plus both optima,
 * :mod:`nvreadout.regression` - a per-bin weighted linear estimator with
   nonnegative weights, the exact optimum of one stated variance-regularized
   objective (dual semismooth Newton); every readout, a gate included
@@ -13,8 +14,9 @@ serves as their ground-truth oracle:
   default preset,
 * :mod:`nvreadout.rabi` - oscillation datasets (one points x bins counts
   matrix), sinusoid fitting and training-target assignment,
-* :mod:`nvreadout.evaluation` - method comparison and trace repair, by
-  applying the gated and trained models to a dataset's counts matrix,
+* :mod:`nvreadout.evaluation` - method comparison and trace repair on
+  models only: the two gates in model form and the trained model, applied
+  to a dataset's counts matrix,
 * :mod:`nvreadout.io` / :mod:`nvreadout.cli` - file formats and the
   command-line pipeline.
 """

@@ -26,8 +26,8 @@ from .errors import ParameterError, ParseError, ReadoutError
 from .evaluation import evaluate, repair
 from .gating import sweep_gate
 from .rabi import _targets, fit_rabi, simulate_rabi_dataset
-from .regression import (TrainConfig, predict, prediction_variance,
-                         train_boundary, train_rabi)
+from .regression import (TrainConfig, gated_equivalent_model, predict,
+                         prediction_variance, train_boundary, train_rabi)
 from .traces import (PhotodynamicsParams, make_profiles, paper_like_params,
                      simulate_trace)
 
@@ -302,26 +302,29 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _optimal_windows(args):
+def _scan_inputs(args):
+    """The scan, the model and the max-C and min-V gates of one boundary sweep."""
+    test = nvio.read_rabi_csv(args.rabi)
+    model = nvio.read_model(args.model)
     trace0 = nvio.read_trace_csv(args.trace0)
     trace1 = nvio.read_trace_csv(args.trace1)
     sweep = sweep_gate(trace0, trace1, args.start_bin)
     if sweep.max_contrast is None:
         raise ReadoutError("boundary sweep is fully degenerate; cannot pick windows")
-    return trace0, trace1, sweep.max_contrast.window, sweep.min_variance.window
+    max_c, min_v = (gated_equivalent_model(trace0, trace1, m.window)
+                    for m in (sweep.max_contrast, sweep.min_variance))
+    return test, model, max_c, min_v
 
 
 def _cmd_evaluate(args) -> int:
     _check_distinct_output(args.out, args.rabi, args.trace0, args.trace1, args.truth)
-    test = nvio.read_rabi_csv(args.rabi)
-    model = nvio.read_model(args.model)
-    trace0, trace1, w_maxc, w_minv = _optimal_windows(args)
+    test, model, max_c, min_v = _scan_inputs(args)
     truth = None
     if args.truth:
         durations, truth = nvio.read_truth_csv(args.truth)
-        if len(durations) != len(test):
-            raise ReadoutError("truth file length differs from test dataset")
-    report = evaluate(test, model, w_maxc, w_minv, trace0, trace1, truth)
+        if not np.array_equal(durations, test.durations):
+            raise ParseError("durations differ from the test dataset's", path=args.truth)
+    report = evaluate(test, max_c, min_v, model, truth)
     nvio.write_report_csv(args.out, report)
     if args.summary:
         nvio.write_report_summary(args.summary, report)
@@ -333,10 +336,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_repair(args) -> int:
     _check_distinct_output(args.out, args.rabi, args.trace0, args.trace1)
-    test = nvio.read_rabi_csv(args.rabi)
-    model = nvio.read_model(args.model)
-    trace0, trace1, _, w_minv = _optimal_windows(args)
-    result = repair(test, model, w_minv, trace0, trace1)
+    test, model, _, min_v = _scan_inputs(args)
+    result = repair(test, min_v, model)
     nvio.write_repair_csv(args.out, result)
     print(f"rms vs own fit: original={result.rms_original:.6g} "
           f"repaired={result.rms_repaired:.6g}")

@@ -6,11 +6,11 @@ Three processing methods are compared on the same test traces:
 * ``min-V gate``  - gated estimator at the minimum-total-variance window,
 * ``ML``          - a trained weighted readout model.
 
-Each gated method is used in its exact model form
-(:func:`nvreadout.regression.gated_equivalent_model`, calibrated by the
-boundary traces' per-measurement window sums), so all three are
-:class:`ReadoutModel` objects applied to the dataset's counts matrix in
-one product.  Two precision measures are reported per method: the
+All three arrive as :class:`ReadoutModel` objects, each gate in its exact
+model form (:func:`nvreadout.regression.gated_equivalent_model` of the
+sweep optimum's window, calibrated by the boundary traces' per-measurement
+window sums), and are applied to the dataset's counts matrix in one
+product.  Two precision measures are reported per method: the
 average formula variance (Poisson propagation through the estimator) and
 the empirical mean squared error against ground truth when available,
 else against the method's own sinusoid fit.  Contrast is the
@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailureError, ShapeError
-from .gating import GateWindow
 from .rabi import RabiDataset, SinusoidFit, fit_rabi
-from .regression import ReadoutModel, _apply, gated_equivalent_model
-from .traces import TimeTrace
+from .regression import ReadoutModel, _apply
 
 __all__ = [
     "MethodEval",
@@ -103,21 +101,18 @@ def _method_eval(name: str, durations: np.ndarray, p: np.ndarray,
     return MethodEval(name, float(np.mean(variances)), mse, contrast_measured)
 
 
-def evaluate(test: RabiDataset, model: ReadoutModel, max_c_window: GateWindow,
-             min_v_window: GateWindow, boundary0: TimeTrace, boundary1: TimeTrace,
-             truth=None) -> EvalReport:
-    """Compare gated baselines and the trained model on a test dataset.
+def evaluate(test: RabiDataset, max_c_gate: ReadoutModel, min_v_gate: ReadoutModel,
+             model: ReadoutModel, truth=None) -> EvalReport:
+    """Compare two gated baselines and a trained model on a test dataset.
 
     Parameters
     ----------
     test : RabiDataset
         Test traces, all at one repetition count.
+    max_c_gate, min_v_gate : ReadoutModel
+        The gated baselines in model form, at the sweep's two optima.
     model : ReadoutModel
         Trained weighted estimator.
-    max_c_window, min_v_window : GateWindow
-        Sweep optima used for the two gated baselines.
-    boundary0, boundary1 : TimeTrace
-        Boundary traces calibrating the gated baselines.
     truth : sequence of float, optional
         Ground-truth populations; when given, empirical errors are
         computed against it instead of each method's own fit.
@@ -128,9 +123,8 @@ def evaluate(test: RabiDataset, model: ReadoutModel, max_c_window: GateWindow,
         if truth.shape != durations.shape:
             raise ShapeError("truth length differs from test set")
 
-    models = [gated_equivalent_model(boundary0, boundary1, window)
-              for window in (max_c_window, min_v_window)] + [model]
-    p, v = _apply(models, test.counts, test.repetitions, test.bin_width_ns)
+    p, v = _apply([max_c_gate, min_v_gate, model], test.counts, test.repetitions,
+                  test.bin_width_ns)
     rows = tuple(_method_eval(name, durations, p[:, k], v[:, k], truth)
                  for k, name in enumerate((METHOD_MAX_C, METHOD_MIN_V, METHOD_ML)))
     variances = {row.method: row.avg_formula_variance for row in rows}
@@ -143,18 +137,16 @@ def evaluate(test: RabiDataset, model: ReadoutModel, max_c_window: GateWindow,
     return EvalReport(rows, reductions, truth is not None)
 
 
-def repair(dataset: RabiDataset, model: ReadoutModel, window: GateWindow,
-           boundary0: TimeTrace, boundary1: TimeTrace) -> RepairResult:
-    """Original (gated) and repaired (model) populations for every point.
+def repair(dataset: RabiDataset, original: ReadoutModel,
+           repaired: ReadoutModel) -> RepairResult:
+    """Original and repaired populations for every point, from two models.
 
-    The original series uses the given window (normally the min-variance
-    optimum) calibrated by the boundary traces; the repaired series is the
-    model's output.  Both series get their own sinusoid fit; ``q_fit``
-    tabulates the original's fitted curve.
+    ``original`` is normally the min-variance gate in model form and
+    ``repaired`` the trained model.  Both series get their own sinusoid
+    fit; ``q_fit`` tabulates the original's fitted curve.
     """
     durations = dataset.durations
-    gated = gated_equivalent_model(boundary0, boundary1, window)
-    p, _ = _apply([gated, model], dataset.counts, dataset.repetitions,
+    p, _ = _apply([original, repaired], dataset.counts, dataset.repetitions,
                   dataset.bin_width_ns)
     p_orig, p_rep = p[:, 0], p[:, 1]
     fit_o = fit_rabi(durations, p_orig)

@@ -14,12 +14,12 @@ V is the population-estimate variance integrated over all populations in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateBoundaryError, ShapeError
-from .traces import TimeTrace
+from .traces import TimeTrace, _check_pair
 
 __all__ = [
     "GateWindow",
@@ -76,21 +76,31 @@ class GateMetrics:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All per-width metrics of a gate sweep plus both optima.
+    """Figures of merit over gate widths 1..N - start_bin, plus both optima.
 
-    Widths whose boundary sums were degenerate (bright <= dark or dark <= 0,
-    possible on noisy traces) carry no metrics and are listed in
-    ``degenerate_widths``.  ``max_contrast``/``min_variance`` are None only
-    when every width was degenerate.
+    Entry k of each array belongs to width k + 1.  Widths whose boundary
+    sums are degenerate (bright <= dark or dark <= 0, possible on noisy
+    traces) hold nan in all four arrays.  ``max_contrast``/``min_variance``
+    are None only when every width is degenerate.
     """
 
     start_bin: int
     bin_width_ns: float
     repetitions: int
-    metrics: tuple[GateMetrics, ...]
-    degenerate_widths: tuple[int, ...]
-    max_contrast: GateMetrics | None
-    min_variance: GateMetrics | None
+    bright_total: np.ndarray
+    dark_total: np.ndarray
+    contrast: np.ndarray
+    total_variance: np.ndarray
+    max_contrast: GateMetrics | None = None
+    min_variance: GateMetrics | None = None
+
+    def at(self, width: int) -> GateMetrics:
+        """Metrics of one width; DegenerateBoundaryError if it is degenerate."""
+        window = GateWindow(self.start_bin, width)
+        window.check_fits(self.start_bin + self.contrast.size)
+        k = width - 1
+        return GateMetrics(window, float(self.bright_total[k]), float(self.dark_total[k]),
+                           float(self.contrast[k]), float(self.total_variance[k]))
 
 
 def gate_sum(trace: TimeTrace, window: GateWindow) -> float:
@@ -144,18 +154,16 @@ def total_variance(bright_total: float, dark_total: float) -> float:
 
 
 def _metric_curves(cum_bright: np.ndarray, cum_dark: np.ndarray):
-    """Contrast/variance curves over widths given cumulative window sums.
+    """Gated sums, contrast and total variance over widths, from cumulative sums.
 
-    Returns (valid, contrast, variance) arrays; invalid entries hold -inf/+inf
-    so arg-extrema never select them.
+    Returns four arrays holding nan at every degenerate width, so that
+    nanargmax/nanargmin never select one.
     """
     valid = (cum_bright > cum_dark) & (cum_dark > 0)
-    span = np.where(valid, cum_bright - cum_dark, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(valid, (cum_bright - cum_dark) / np.where(cum_bright > 0, cum_bright, 1.0),
-                     -np.inf)
-        v = np.where(valid, (cum_bright + cum_dark) / (2.0 * span * span), np.inf)
-    return valid, c, v
+    bright = np.where(valid, cum_bright, np.nan)
+    dark = np.where(valid, cum_dark, np.nan)
+    span = bright - dark
+    return bright, dark, span / bright, (bright + dark) / (2.0 * span * span)
 
 
 def sweep_gate(trace0: TimeTrace, trace1: TimeTrace, start_bin: int = 0) -> SweepResult:
@@ -164,10 +172,7 @@ def sweep_gate(trace0: TimeTrace, trace1: TimeTrace, start_bin: int = 0) -> Swee
     ``trace0`` must be the bright boundary.  Widths run from 1 to
     N - start_bin; ties on the optima break toward the smaller width.
     """
-    if len(trace0) != len(trace1):
-        raise ShapeError(f"trace lengths differ: {len(trace0)} != {len(trace1)}")
-    if trace0.bin_width_ns != trace1.bin_width_ns:
-        raise ShapeError("trace bin widths differ")
+    _check_pair(trace0, trace1)
     if trace0.repetitions != trace1.repetitions:
         raise ShapeError("boundary traces must share a repetition count; "
                          "rescale one of them first")
@@ -177,29 +182,9 @@ def sweep_gate(trace0: TimeTrace, trace1: TimeTrace, start_bin: int = 0) -> Swee
 
     cum0 = np.cumsum(trace0.counts[start_bin:]).astype(float)
     cum1 = np.cumsum(trace1.counts[start_bin:]).astype(float)
-    valid, c, v = _metric_curves(cum0, cum1)
-
-    metrics: list[GateMetrics] = []
-    degenerate: list[int] = []
-    by_width: dict[int, GateMetrics] = {}
-    for i in range(cum0.size):
-        width = i + 1
-        if not valid[i]:
-            degenerate.append(width)
-            continue
-        m = GateMetrics(GateWindow(start_bin, width), cum0[i], cum1[i],
-                        float(c[i]), float(v[i]))
-        metrics.append(m)
-        by_width[width] = m
-
-    best_c = by_width[int(np.argmax(c)) + 1] if metrics else None
-    best_v = by_width[int(np.argmin(v)) + 1] if metrics else None
-    return SweepResult(
-        start_bin=start_bin,
-        bin_width_ns=trace0.bin_width_ns,
-        repetitions=trace0.repetitions,
-        metrics=tuple(metrics),
-        degenerate_widths=tuple(degenerate),
-        max_contrast=best_c,
-        min_variance=best_v,
-    )
+    sweep = SweepResult(start_bin, trace0.bin_width_ns, trace0.repetitions,
+                        *_metric_curves(cum0, cum1))
+    if np.isnan(sweep.contrast).all():
+        return sweep
+    return replace(sweep, max_contrast=sweep.at(int(np.nanargmax(sweep.contrast)) + 1),
+                   min_variance=sweep.at(int(np.nanargmin(sweep.total_variance)) + 1))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -277,16 +278,13 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
              f"# bin_width_ns={_fmt(sweep.bin_width_ns)}",
              f"# repetitions={sweep.repetitions}",
              "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag"]
-    by_width = {m.window.width_bins: m for m in sweep.metrics}
-    n_widths = len(sweep.metrics) + len(sweep.degenerate_widths)
-    for width in range(1, n_widths + 1):
+    curves = (sweep.bright_total, sweep.dark_total, sweep.contrast, sweep.total_variance)
+    for width, values in enumerate(zip(*(curve.tolist() for curve in curves)), start=1):
         ns = _fmt(width * sweep.bin_width_ns)
-        m = by_width.get(width)
-        if m is None:
+        if math.isnan(values[2]):
             lines.append(f"{width},{ns},,,,,1")
         else:
-            lines.append(f"{width},{ns},{_fmt(m.bright_total)},{_fmt(m.dark_total)},"
-                         f"{_fmt(m.contrast)},{_fmt(m.total_variance)},0")
+            lines.append(f"{width},{ns},{','.join(map(_fmt, values))},0")
     for name, m in (("max_contrast", sweep.max_contrast),
                     ("min_variance", sweep.min_variance)):
         if m is None:
@@ -307,38 +305,41 @@ def _optional_float(cell: str) -> float:
 
 
 def read_sweep_csv(path) -> SweepResult:
-    """Read a sweep; degenerate widths (flag 1) leave their metric cells empty."""
+    """Read a sweep; widths run 1..N in order, degenerate ones (flag 1) with empty metrics."""
     header, rows, footer, line_of = _read_table(
         path, "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
         "i8,f8,f8,f8,f8,f8,i8", dict.fromkeys(range(2, 6), _optional_float))
     start_bin = _header_int(header, "start_bin", path)
     width_ns = _header_float(header, "bin_width_ns", path, 2.0)
     reps = _header_int(header, "repetitions", path)
-    metrics, degenerate = [], []
-    for k, (width, _, *values, flag) in enumerate(rows.tolist()):
-        if flag == 1:
-            degenerate.append(width)
-            continue
-        if flag != 0 or any(math.isnan(v) for v in values):
-            raise ParseError("expected degenerate_flag 1, or 0 with four metrics",
-                             line_of(k), path)
-        with _naming(path, line_of(k)):
-            metrics.append(GateMetrics(GateWindow(start_bin, width), *values))
-    optima: dict[str, GateMetrics | None] = {"max_contrast": None, "min_variance": None}
-    by_width = {m.window.width_bins: m for m in metrics}
+    widths, flag = rows["width_bins"], rows["degenerate_flag"]
+    b, d, c, v = cells = np.array([rows[name] for name in rows.dtype.names[2:6]])
+    in_order = widths == np.arange(1, widths.size + 1)
+    empty = np.isnan(cells)
+    fine = ((flag == 1) & empty.all(axis=0)) | ((flag == 0) & (start_bin >= 0) & (b > d)
+                                                & (d > 0) & (0 < c) & (c < 1) & (v > 0))
+    if not (in_order & fine).all():
+        k = int(np.argmin(in_order & fine))
+        if in_order[k] and flag[k] == 0 and not empty[:, k].any():
+            with _naming(path, line_of(k)):     # the domain check's own message
+                GateMetrics(GateWindow(start_bin, k + 1), *cells[:, k].tolist())
+        raise ParseError(f"width_bins {widths[k]} out of order (expected {k + 1})"
+                         if not in_order[k] else
+                         "expected degenerate_flag 1 with no metrics, or 0 with four",
+                         line_of(k), path)
+    sweep = SweepResult(start_bin, width_ns, reps, *cells)
+    optima = {}
     for no, text in footer:
         name, _, rest = text.partition(":")
-        if name in optima and rest.strip() != "none":
+        if name in ("max_contrast", "min_variance") and rest.strip() != "none":
             fields = dict(f.partition("=")[::2] for f in rest.split())
             width = fields.get("width_bins")
-            if width is None or not width.isdecimal() or int(width) not in by_width:
+            if width is None or not width.isdecimal() or not (
+                    0 < int(width) <= widths.size and flag[int(width) - 1] == 0):
                 raise ParseError(f"footer {name} names width_bins={width!r}, "
                                  "which has no metrics row", no, path)
-            optima[name] = by_width[int(width)]
-    return SweepResult(start_bin=start_bin, bin_width_ns=width_ns, repetitions=reps,
-                       metrics=tuple(metrics), degenerate_widths=tuple(degenerate),
-                       max_contrast=optima["max_contrast"],
-                       min_variance=optima["min_variance"])
+            optima[name] = sweep.at(int(width))
+    return replace(sweep, **optima)
 
 
 # ---------------------------------------------------------------------------

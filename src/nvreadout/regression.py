@@ -48,7 +48,7 @@ from .errors import (ConvergenceError, DegenerateBoundaryError,
                      DegenerateTrainingError, DomainError, ParameterError,
                      ShapeError)
 from .gating import GateWindow, _metric_curves
-from .traces import TimeTrace, _checked_counts
+from .traces import TimeTrace, _check_pair, _checked_counts
 
 __all__ = [
     "ReadoutModel",
@@ -247,11 +247,11 @@ def _gated_init(counts: np.ndarray, reps: np.ndarray, targets: np.ndarray,
     """
     bright, dark = (TimeTrace(counts[k], reps[k], bin_width_ns)
                     for k in (int(np.argmax(targets)), int(np.argmin(targets))))
-    valid, _, v = _metric_curves(np.cumsum(bright.counts) / bright.repetitions,
-                                 np.cumsum(dark.counts) / dark.repetitions)
-    if not valid.any():
+    *_, v = _metric_curves(np.cumsum(bright.counts) / bright.repetitions,
+                           np.cumsum(dark.counts) / dark.repetitions)
+    if np.isnan(v).all():
         return np.zeros(len(bright))
-    window = GateWindow(0, int(np.argmin(v)) + 1)
+    window = GateWindow(0, int(np.nanargmin(v)) + 1)
     return gated_equivalent_model(bright, dark, window).weights
 
 
@@ -383,8 +383,7 @@ def train(counts, repetitions, targets, bin_width_ns: float,
 def train_boundary(trace0: TimeTrace, trace1: TimeTrace,
                    config: TrainConfig | None = None) -> ReadoutModel:
     """Train on the two boundary traces with targets 1 (bright) and 0 (dark)."""
-    if len(trace0) != len(trace1) or trace0.bin_width_ns != trace1.bin_width_ns:
-        raise ShapeError("boundary traces have mismatched shape")
+    _check_pair(trace0, trace1)
     if np.array_equal(trace0.counts, trace1.counts) and \
             trace0.repetitions == trace1.repetitions:
         raise DegenerateTrainingError("boundary traces are identical")
@@ -398,8 +397,12 @@ def train_boundary(trace0: TimeTrace, trace1: TimeTrace,
 def train_rabi(dataset, targets, config: TrainConfig | None = None) -> ReadoutModel:
     """Train on a whole oscillation dataset, one target per point.
 
-    Targets normally come from the dataset's own sinusoid fit (see
-    :func:`nvreadout.rabi.fit_rabi` and :func:`nvreadout.rabi.assign_targets`).
+    Targets normally come from the dataset's own sinusoid fit, as
+    ``train --mode rabi`` takes them::
+
+        sums = dataset.counts.sum(axis=1) / dataset.repetitions
+        fit = fit_rabi(dataset.durations, sums)
+        targets = [ex.target for ex in assign_targets(dataset, fit)]
     """
     return train(dataset.counts, dataset.repetitions, targets, dataset.bin_width_ns,
                  config, provenance=f"oscillation set, {len(dataset)} points, "
@@ -415,8 +418,7 @@ def gated_equivalent_model(trace0: TimeTrace, trace1: TimeTrace,
     to any trace this reproduces the gated population estimate and its
     variance identically.
     """
-    if len(trace0) != len(trace1) or trace0.bin_width_ns != trace1.bin_width_ns:
-        raise ShapeError("boundary traces have mismatched shape")
+    _check_pair(trace0, trace1)
     window.check_fits(len(trace0))
     sel = slice(window.start_bin, window.stop_bin)
     bright = float(trace0.counts[sel].sum() / trace0.repetitions)

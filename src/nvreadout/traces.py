@@ -76,6 +76,13 @@ def _checked_counts(counts, ndim: int, repetitions, bin_width_ns) -> np.ndarray:
     return _readonly(counts)
 
 
+def _check_pair(a, b) -> None:
+    """Reject two traces or profiles that differ in length or bin width."""
+    if len(a) != len(b) or a.bin_width_ns != b.bin_width_ns:
+        raise ShapeError(f"pair differs in length ({len(a)} vs {len(b)} bins) or "
+                         f"bin width ({a.bin_width_ns} vs {b.bin_width_ns} ns)")
+
+
 @dataclass(frozen=True)
 class TimeTrace:
     """Binned photon counts for one experimental condition.
@@ -219,10 +226,7 @@ def mix_profile(population: float, profile0: EmissionProfile,
     """Profile of a superposition: population * bright + (1 - population) * dark."""
     if not (0.0 <= population <= 1.0):
         raise DomainError(f"population must be in [0, 1], got {population}")
-    if len(profile0) != len(profile1):
-        raise ShapeError(f"profile lengths differ: {len(profile0)} != {len(profile1)}")
-    if profile0.bin_width_ns != profile1.bin_width_ns:
-        raise ShapeError("profile bin widths differ")
+    _check_pair(profile0, profile1)
     rates = population * profile0.rates + (1.0 - population) * profile1.rates
     return EmissionProfile(rates, profile0.bin_width_ns)
 
@@ -265,8 +269,5 @@ def differential(trace0: TimeTrace, trace1: TimeTrace) -> np.ndarray:
     Both traces must share length and bin width.  Traces taken with
     different repetition counts are compared per measurement.
     """
-    if len(trace0) != len(trace1):
-        raise ShapeError(f"trace lengths differ: {len(trace0)} != {len(trace1)}")
-    if trace0.bin_width_ns != trace1.bin_width_ns:
-        raise ShapeError("trace bin widths differ")
+    _check_pair(trace0, trace1)
     return trace0.counts / trace0.repetitions - trace1.counts / trace1.repetitions

@@ -9,14 +9,22 @@ from dataclasses import dataclass
 
 import pytest
 
-from nvreadout import (make_profiles, paper_like_params, simulate_rabi_dataset,
-                       simulate_trace, sweep_gate, train_boundary)
+from nvreadout import (gated_equivalent_model, make_profiles, paper_like_params,
+                       simulate_rabi_dataset, simulate_trace, sweep_gate,
+                       train_boundary)
 
 # committed seeds for the deterministic acceptance scenarios
 SEED_BOUNDARY_CLEAN = 501       # criterion 5/9: 1e7-repetition boundaries
 SEED_BOUNDARY_NOISY = 601       # criterion 6: 1e5-repetition boundaries
 SEED_TEST_SET = 900             # shared 60-point test set at 1e5 repetitions
 SEED_RABI_TRAINING = 10         # criterion 7 pipeline (test set at +10000)
+
+
+def gates(trace0, trace1):
+    """The max-C and min-V gates of a boundary pair's sweep, in model form."""
+    sweep = sweep_gate(trace0, trace1)
+    return tuple(gated_equivalent_model(trace0, trace1, m.window)
+                 for m in (sweep.max_contrast, sweep.min_variance))
 
 
 @dataclass

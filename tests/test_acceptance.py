@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import SEED_BOUNDARY_NOISY, SEED_RABI_TRAINING
+from conftest import SEED_BOUNDARY_NOISY, SEED_RABI_TRAINING, gates
 from nvreadout import (GateWindow, ReadoutModel, TimeTrace,
                        TrainingExample, assign_targets, differential,
                        evaluate, fit_rabi, gated_equivalent_model,
@@ -127,8 +127,7 @@ def test_c04_sweep_shape():
     with Timer() as t:
         sweep = sweep_gate(expected_trace(profile0, 10**9),
                            expected_trace(profile1, 10**9))
-        c = np.array([m.contrast for m in sweep.metrics])
-        v = np.array([m.total_variance for m in sweep.metrics])
+        c, v = sweep.contrast, sweep.total_variance
         i_c, i_v = int(np.argmax(c)), int(np.argmin(v))
         interior = 0 < i_c < len(c) - 1 and 0 < i_v < len(v) - 1
         unimodal = (np.all(np.diff(c[:i_c + 1]) > 0) and np.all(np.diff(c[i_c:]) < 0)
@@ -148,8 +147,7 @@ def test_c05_boundary_training_reduction(clean_boundary_setup, test_set_1e5):
     s = clean_boundary_setup
     test, truth = test_set_1e5
     with Timer() as t:
-        rep = evaluate(test, s.model, s.sweep.max_contrast.window,
-                       s.sweep.min_variance.window, s.trace0, s.trace1, truth)
+        rep = evaluate(test, *gates(s.trace0, s.trace1), s.model, truth)
         fid = abs(predict(s.model, s.trace0) - 1.0) + abs(predict(s.model, s.trace1))
     v = {m.method: m.avg_formula_variance for m in rep.methods}
     reduction = rep.reductions[(METHOD_ML, METHOD_MAX_C)]
@@ -168,10 +166,8 @@ def test_c06_training_size_robustness(test_set_1e5):
     with Timer() as t:
         trace0 = simulate_trace(profile0, 10**5, SEED_BOUNDARY_NOISY)
         trace1 = simulate_trace(profile1, 10**5, SEED_BOUNDARY_NOISY + 1)
-        sweep = sweep_gate(trace0, trace1)
         model = train_boundary(trace0, trace1)
-        rep = evaluate(test, model, sweep.max_contrast.window,
-                       sweep.min_variance.window, trace0, trace1, truth)
+        rep = evaluate(test, *gates(trace0, trace1), model, truth)
     v = {m.method: m.avg_formula_variance for m in rep.methods}
     ratio = v[METHOD_ML] / v[METHOD_MIN_V]
     ok = ratio <= 1.05 and t.elapsed < 120
@@ -208,8 +204,7 @@ def test_c07_rabi_training_repair():
         # set itself: its extremal-target traces calibrate the original
         boundary0 = train_set.points[int(np.argmax(targets))][1]
         boundary1 = train_set.points[int(np.argmin(targets))][1]
-        window = sweep_gate(boundary0, boundary1).min_variance.window
-        result = repair(test_set, model, window, boundary0, boundary1)
+        result = repair(test_set, gates(boundary0, boundary1)[1], model)
 
         rms_orig = float(np.sqrt(np.mean((result.p_original - truth) ** 2)))
         rms_rep = float(np.sqrt(np.mean((result.p_repaired - truth) ** 2)))

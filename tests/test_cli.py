@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nvreadout
@@ -119,6 +120,20 @@ class TestPipeline:
         from nvreadout import io as nvio
         assert nvio.read_trace_csv(out / "boundary0.csv").repetitions == 100_000
 
+    def test_library_recipe_matches_train_rabi_command(self, pipeline, tmp_path):
+        # the recipe that the README and train_rabi's docstring give
+        from nvreadout import assign_targets, fit_rabi, train_rabi
+        from nvreadout import io as nvio
+        rabi = pipeline / "data" / "rabi.csv"
+        assert run("train", "--mode", "rabi", "--rabi", str(rabi),
+                   "--out", str(tmp_path / "rabi_model.txt")) == 0
+        dataset = nvio.read_rabi_csv(rabi)
+        fit = fit_rabi(dataset.durations, dataset.counts.sum(axis=1) / dataset.repetitions)
+        model = train_rabi(dataset, [ex.target for ex in assign_targets(dataset, fit)])
+        written = nvio.read_model(tmp_path / "rabi_model.txt")
+        assert np.array_equal(model.weights, written.weights)
+        assert model.intercept == written.intercept
+
     def test_predict_prints_population(self, pipeline, capsys):
         assert run("predict", "--model", str(pipeline / "model.txt"),
                    "--trace", str(pipeline / "data" / "boundary0.csv")) == 0
@@ -160,6 +175,21 @@ class TestExitCodes:
         assert run("sweep", "--trace0", str(trace), "--trace1", str(trace),
                    "--out", str(trace)) == 2
         assert "overwrite" in capsys.readouterr().err
+
+    def test_truth_of_another_scan_is_2(self, pipeline, tmp_path, capsys):
+        # as many rows as the scan, but every duration shifted by 1000 ns
+        from nvreadout import io as nvio
+        data = pipeline / "data"
+        durations, truth = nvio.read_truth_csv(data / "rabi_truth.csv")
+        shifted = tmp_path / "shifted.csv"
+        nvio.write_truth_csv(shifted, durations + 1000.0, truth)
+        assert run("evaluate", "--rabi", str(data / "rabi.csv"),
+                   "--model", str(pipeline / "model.txt"),
+                   "--trace0", str(data / "boundary0.csv"),
+                   "--trace1", str(data / "boundary1.csv"),
+                   "--truth", str(shifted), "--out", str(tmp_path / "r.csv")) == 2
+        assert "shifted.csv: durations differ" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_version_runs(self, capsys):
         assert run("--version") == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import gates
 from nvreadout import (evaluate, expected_trace, fit_rabi, gate_sum,
                        gated_equivalent_model, gated_population, make_profiles,
                        mix_profile, paper_like_params, repair,
@@ -21,13 +22,16 @@ def setup():
     return p0, p1, t0, t1, sweep, test, truth
 
 
+@pytest.fixture(scope="module")
+def gate_models(setup):
+    return gates(setup[2], setup[3])
+
+
 class TestEvaluate:
-    def test_gated_equivalent_model_row_matches_gate_row(self, setup):
+    def test_gated_equivalent_model_row_matches_gate_row(self, setup, gate_models):
         _, _, t0, t1, sweep, test, truth = setup
-        window = sweep.min_variance.window
-        model = gated_equivalent_model(t0, t1, window)
-        report = evaluate(test, model, sweep.max_contrast.window, window,
-                          t0, t1, truth)
+        model = gated_equivalent_model(t0, t1, sweep.min_variance.window)
+        report = evaluate(test, *gate_models, model, truth)
         ml = report.method(METHOD_ML)
         gate = report.method(METHOD_MIN_V)
         assert ml.avg_formula_variance == pytest.approx(
@@ -35,15 +39,15 @@ class TestEvaluate:
         assert ml.empirical_mse == pytest.approx(gate.empirical_mse, rel=1e-12)
         assert abs(report.reductions[(METHOD_ML, METHOD_MIN_V)]) < 1e-12
 
-    def test_gate_rows_match_gate_sum_oracle(self, setup):
+    def test_gate_rows_match_gate_sum_oracle(self, setup, gate_models):
         # the gated rows are the gate_sum/gated_population estimator with
         # the 1e7-repetition boundary sums rescaled to the 1e5-repetition
         # test set, applied trace by trace
         _, _, t0, t1, sweep, test, truth = setup
         w_c, w_v = sweep.max_contrast.window, sweep.min_variance.window
         model = gated_equivalent_model(t0, t1, w_v)
-        report = evaluate(test, model, w_c, w_v, t0, t1, truth)
-        repaired = repair(test, model, w_v, t0, t1)
+        report = evaluate(test, *gate_models, model, truth)
+        repaired = repair(test, gate_models[1], model)
         reps = test.repetitions
         for name, window in ((METHOD_MAX_C, w_c), (METHOD_MIN_V, w_v)):
             bright = gate_sum(t0, window) * reps / t0.repetitions
@@ -61,47 +65,41 @@ class TestEvaluate:
         # the last window is min-V: repair's original series is its oracle
         assert repaired.p_original == pytest.approx(p, rel=0, abs=1e-12)
 
-    def test_reductions_recompute_from_averages(self, setup):
+    def test_reductions_recompute_from_averages(self, setup, gate_models):
         _, _, t0, t1, sweep, test, truth = setup
         model = gated_equivalent_model(t0, t1, sweep.min_variance.window)
-        report = evaluate(test, model, sweep.max_contrast.window,
-                          sweep.min_variance.window, t0, t1, truth)
+        report = evaluate(test, *gate_models, model, truth)
         v = {m.method: m.avg_formula_variance for m in report.methods}
         for (a, b), r in report.reductions.items():
             assert r == pytest.approx(1.0 - v[a] / v[b], abs=1e-12)
 
-    def test_truth_vs_fit_reference(self, setup):
+    def test_truth_vs_fit_reference(self, setup, gate_models):
         _, _, t0, t1, sweep, test, truth = setup
         model = gated_equivalent_model(t0, t1, sweep.min_variance.window)
-        with_truth = evaluate(test, model, sweep.max_contrast.window,
-                              sweep.min_variance.window, t0, t1, truth)
-        without = evaluate(test, model, sweep.max_contrast.window,
-                           sweep.min_variance.window, t0, t1)
+        with_truth = evaluate(test, *gate_models, model, truth)
+        without = evaluate(test, *gate_models, model)
         assert with_truth.truth_based and not without.truth_based
         # same variances either way; only the error reference changes
         for m_t, m_f in zip(with_truth.methods, without.methods):
             assert m_t.avg_formula_variance == m_f.avg_formula_variance
 
-    def test_min_v_beats_max_c_on_truth_mse(self, setup):
+    def test_min_v_beats_max_c_on_truth_mse(self, setup, gate_models):
         _, _, t0, t1, sweep, test, truth = setup
         model = gated_equivalent_model(t0, t1, sweep.min_variance.window)
-        report = evaluate(test, model, sweep.max_contrast.window,
-                          sweep.min_variance.window, t0, t1, truth)
+        report = evaluate(test, *gate_models, model, truth)
         assert report.method(METHOD_ML).empirical_mse <= \
             report.method(METHOD_MAX_C).empirical_mse
 
-    def test_deterministic(self, setup):
+    def test_deterministic(self, setup, gate_models):
         _, _, t0, t1, sweep, test, truth = setup
         model = gated_equivalent_model(t0, t1, sweep.min_variance.window)
-        a = evaluate(test, model, sweep.max_contrast.window,
-                     sweep.min_variance.window, t0, t1, truth)
-        b = evaluate(test, model, sweep.max_contrast.window,
-                     sweep.min_variance.window, t0, t1, truth)
+        a = evaluate(test, *gate_models, model, truth)
+        b = evaluate(test, *gate_models, model, truth)
         assert a == b
 
 
 class TestRepair:
-    def test_noiseless_repaired_matches_original(self, setup):
+    def test_noiseless_repaired_matches_original(self, setup, gate_models):
         p0, p1, t0, t1, sweep, *_ = setup
         window = sweep.min_variance.window
         model = gated_equivalent_model(t0, t1, window)
@@ -110,21 +108,20 @@ class TestRepair:
                                              p0, p1), 10**7).counts
                   for d in durations]
         noiseless = RabiDataset(durations, np.stack(counts), 10**7)
-        result = repair(noiseless, model, window, t0, t1)
+        result = repair(noiseless, gate_models[1], model)
         assert result.p_repaired == pytest.approx(result.p_original, abs=5e-3)
 
-    def test_variance_ranking_proxy(self, setup):
+    def test_variance_ranking_proxy(self, setup, gate_models):
         # with ground truth available the formula variance ranks methods the
         # same way as the empirical error in the vast majority of replications
         p0, p1, t0, t1, sweep, _, _ = setup
-        w_c, w_v = sweep.max_contrast.window, sweep.min_variance.window
-        model = gated_equivalent_model(t0, t1, w_v)
+        model = gated_equivalent_model(t0, t1, sweep.min_variance.window)
         agree = 0
         runs = 20
         for k in range(runs):
             test, truth = simulate_rabi_dataset(p0, p1, repetitions=10**5,
                                                 seed=1000 + 100 * k)
-            report = evaluate(test, model, w_c, w_v, t0, t1, truth)
+            report = evaluate(test, *gate_models, model, truth)
             by_var = min(report.methods, key=lambda m: m.avg_formula_variance)
             by_mse = min(report.methods, key=lambda m: m.empirical_mse)
             # the ML row here is the min-V gate in model form: identical

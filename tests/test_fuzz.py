@@ -133,6 +133,8 @@ def cli_argv(role: str, root, fuzzed) -> list[str]:
         "trace0": ["sweep", "--trace0", f["trace0"], "--trace1", f["trace1"], "--out", out],
         "config": ["train", "--mode", "boundary", "--trace0", f["trace0"],
                    "--trace1", f["trace1"], "--config", f["config"], "--out", out],
+        "simulate-config": ["simulate", "--config", str(fuzzed), "--what", "both",
+                            "--out-dir", str(root / "simulated")],
         "model": ["predict", "--model", f["model"], "--trace", f["trace0"]],
         "rabi": ["repair", "--rabi", f["rabi"], "--model", f["model"],
                  "--trace0", f["trace0"], "--trace1", f["trace1"], "--out", out],
@@ -142,12 +144,13 @@ def cli_argv(role: str, root, fuzzed) -> list[str]:
     }[role]
 
 
-@pytest.mark.parametrize("role", ["trace0", "config", "model", "rabi", "truth"])
+@pytest.mark.parametrize("role", ["trace0", "config", "simulate-config", "model", "rabi",
+                                  "truth"])
 @settings(max_examples=30, **SETTINGS)
 @given(data=st.data())
 def test_cli_exits_0_1_or_2(role, good_files, data):
-    template = {"trace0": "boundary0.csv", "config": "run.cfg", "model": "model.txt",
-                "rabi": "rabi.csv", "truth": "rabi_truth.csv"}[role]
+    template = {"trace0": "boundary0.csv", "config": "run.cfg", "simulate-config": "run.cfg",
+                "model": "model.txt", "rabi": "rabi.csv", "truth": "rabi_truth.csv"}[role]
     fuzzed = good_files / f"fuzzed-{role}"
     fuzzed.write_bytes(data.draw(file_bytes((good_files / template).read_bytes())))
     stdout, stderr = io.StringIO(), io.StringIO()

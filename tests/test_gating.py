@@ -110,12 +110,13 @@ def noiseless_sweep():
 
 class TestSweep:
     def test_covers_every_width(self, noiseless_sweep):
-        n = len(noiseless_sweep.metrics) + len(noiseless_sweep.degenerate_widths)
-        assert n == 500
+        curves = (noiseless_sweep.bright_total, noiseless_sweep.dark_total,
+                  noiseless_sweep.contrast, noiseless_sweep.total_variance)
+        assert all(curve.shape == (500,) for curve in curves)
+        assert np.isfinite(curves).all()
 
     def test_interior_unique_optima_and_order(self, noiseless_sweep):
-        c = np.array([m.contrast for m in noiseless_sweep.metrics])
-        v = np.array([m.total_variance for m in noiseless_sweep.metrics])
+        c, v = noiseless_sweep.contrast, noiseless_sweep.total_variance
         i_c, i_v = int(np.argmax(c)), int(np.argmin(v))
         assert 0 < i_c < len(c) - 1 and 0 < i_v < len(v) - 1
         assert np.all(np.diff(c[:i_c + 1]) > 0) and np.all(np.diff(c[i_c:]) < 0)
@@ -124,7 +125,10 @@ class TestSweep:
             noiseless_sweep.min_variance.window.width_bins
 
     def test_matches_direct_formulas(self, noiseless_sweep):
-        m = noiseless_sweep.metrics[41]
+        m = noiseless_sweep.at(42)
+        assert m.bright_total == noiseless_sweep.bright_total[41]
+        with pytest.raises(ShapeError, match="overruns"):
+            noiseless_sweep.at(501)
         assert m.contrast == pytest.approx(
             contrast(m.bright_total, m.dark_total), rel=1e-14)
         assert m.total_variance == pytest.approx(
@@ -134,8 +138,9 @@ class TestSweep:
         tr = expected_trace(
             make_profiles(paper_like_params())[0], 10**6)
         sweep = sweep_gate(tr, tr)
-        assert len(sweep.metrics) == 0
-        assert len(sweep.degenerate_widths) == 500
+        assert sweep.contrast.shape == (500,)
+        assert np.isnan([sweep.bright_total, sweep.dark_total, sweep.contrast,
+                         sweep.total_variance]).all()
         assert sweep.max_contrast is None and sweep.min_variance is None
 
     def test_noisy_degenerate_widths_flagged(self):
@@ -143,16 +148,19 @@ class TestSweep:
         t0 = trace_of([1, 50, 50, 50], reps=10)
         t1 = trace_of([5, 10, 10, 10], reps=10)
         sweep = sweep_gate(t0, t1)
-        assert 1 in sweep.degenerate_widths
+        assert np.isnan(sweep.contrast).tolist() == [True, False, False, False]
+        assert np.isnan(sweep.bright_total[0]) and np.isnan(sweep.total_variance[0])
         assert sweep.max_contrast is not None
+        with pytest.raises(DegenerateBoundaryError):
+            sweep.at(1)
 
     def test_start_bin_shifts_windows(self, noiseless_sweep):
         p0, p1 = make_profiles(paper_like_params())
         t0 = expected_trace(p0, 10**9)
         t1 = expected_trace(p1, 10**9)
         sweep = sweep_gate(t0, t1, start_bin=10)
-        assert sweep.metrics[0].window.start_bin == 10
-        assert len(sweep.metrics) + len(sweep.degenerate_widths) == 490
+        assert sweep.at(1).window == GateWindow(10, 1)
+        assert sweep.contrast.shape == (490,)
 
     def test_requires_equal_repetitions(self):
         a = trace_of([5, 5], reps=10)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from nvreadout import (ParseError, RabiDataset, ReadoutError, evaluate, make_profiles,
-                       paper_like_params, repair, simulate_rabi_dataset,
+from conftest import gates
+from nvreadout import (ParseError, RabiDataset, ReadoutError, evaluate, expected_trace,
+                       make_profiles, paper_like_params, repair, simulate_rabi_dataset,
                        simulate_trace, sweep_gate, train_boundary)
 from nvreadout import io as nvio
 
+CURVES = ("bright_total", "dark_total", "contrast", "total_variance")
 READERS = [nvio.read_trace_csv, nvio.read_rabi_csv, nvio.read_truth_csv,
            nvio.read_sweep_csv, nvio.read_model, nvio.read_report_csv,
            nvio.read_repair_csv, nvio.read_fit_csv]
@@ -259,22 +261,48 @@ class TestSweepCsv:
         assert roundtrip_bytes(a, b)
         assert again.max_contrast.window == sweep.max_contrast.window
         assert again.min_variance.window == sweep.min_variance.window
-        assert len(again.metrics) == len(sweep.metrics)
-        assert again.degenerate_widths == sweep.degenerate_widths
+        for name in CURVES:
+            assert np.array_equal(getattr(again, name), getattr(sweep, name), equal_nan=True)
 
-    @pytest.mark.parametrize("row", ["1,2.0,,,,,0", "1,2.0,5.0,1.0,0.5,0.375,2",
-                                     "1,2.0,6_10.0,1.0,0.5,0.375,0",
-                                     "1,2.0,٥10.0,1.0,0.5,0.375,0"],
-                             ids=["no-metrics", "flag-2", "underscore", "non-ascii-digit"])
+    @pytest.mark.parametrize("kind", ["noiseless", "noisy", "all-degenerate"])
+    def test_round_trip_keeps_degenerate_widths(self, tmp_path, kind):
+        p0, p1 = make_profiles(paper_like_params())
+        if kind == "noiseless":
+            t0, t1 = expected_trace(p0, 10**9), expected_trace(p1, 10**9)
+        else:
+            t0 = simulate_trace(p0, 2000, seed=7)
+            t1 = t0 if kind == "all-degenerate" else simulate_trace(p1, 2000, seed=8)
+        sweep = sweep_gate(t0, t1)
+        degenerate = np.isnan(sweep.contrast)
+        assert degenerate.sum() == {"noiseless": 0, "noisy": 286, "all-degenerate": 500}[kind]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        nvio.write_sweep_csv(a, sweep)
+        again = nvio.read_sweep_csv(a)
+        nvio.write_sweep_csv(b, again)
+        assert roundtrip_bytes(a, b)
+        for name in CURVES:
+            assert np.array_equal(np.isnan(getattr(again, name)), degenerate)
+            assert np.array_equal(getattr(again, name), getattr(sweep, name), equal_nan=True)
+        assert again.max_contrast == sweep.max_contrast
+        assert again.min_variance == sweep.min_variance
+
+    @pytest.mark.parametrize("row", ["2,4.0,,,,,0", "2,4.0,5.0,1.0,0.5,0.375,2",
+                                     "2,4.0,6_10.0,1.0,0.5,0.375,0",
+                                     "2,4.0,٥10.0,1.0,0.5,0.375,0",
+                                     "3,6.0,5.0,1.0,0.5,0.375,0",
+                                     "1,4.0,5.0,1.0,0.5,0.375,0",
+                                     "2,4.0,5.0,1.0,0.5,0.375,1"],
+                             ids=["no-metrics", "flag-2", "underscore", "non-ascii-digit",
+                                  "width-skipped", "width-repeated", "flag-1-with-metrics"])
     def test_malformed_row_names_its_line(self, world, tmp_path, row):
         p = tmp_path / "sweep.csv"
         nvio.write_sweep_csv(p, world[2])
         lines = p.read_text().splitlines()
-        lines[5] = row
+        lines[6] = row          # the width-2 row
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=r"sweep\.csv: line 6: ") as err:
+        with pytest.raises(ParseError, match=r"sweep\.csv: line 7: ") as err:
             nvio.read_sweep_csv(p)
-        assert err.value.line == 6
+        assert err.value.line == 7
 
     def test_footer_naming_absent_width_rejected(self, world, tmp_path):
         p = tmp_path / "sweep.csv"
@@ -335,9 +363,8 @@ class TestModelFile:
 
 class TestReportAndRepair:
     def test_report_round_trip(self, world, tmp_path):
-        t0, t1, sweep, dataset, truth, model = world
-        report = evaluate(dataset, model, sweep.max_contrast.window,
-                          sweep.min_variance.window, t0, t1, truth)
+        t0, t1, _, dataset, truth, model = world
+        report = evaluate(dataset, *gates(t0, t1), model, truth)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         nvio.write_report_csv(a, report)
         again = nvio.read_report_csv(a)
@@ -348,8 +375,8 @@ class TestReportAndRepair:
         assert (tmp_path / "s.txt").read_text().count("variance reduction") == 6
 
     def test_repair_round_trip(self, world, tmp_path):
-        t0, t1, sweep, dataset, truth, model = world
-        result = repair(dataset, model, sweep.min_variance.window, t0, t1)
+        t0, t1, _, dataset, truth, model = world
+        result = repair(dataset, gates(t0, t1)[1], model)
         a = tmp_path / "a.csv"
         nvio.write_repair_csv(a, result)
         d, po, pr, qf = nvio.read_repair_csv(a)

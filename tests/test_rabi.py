@@ -271,7 +271,8 @@ class TestTrainRabi:
         # (the shipped simulator's noise regime does not reproduce the small
         # improvement seen in the source experiment, but repair quality does
         # improve; see the acceptance suite)
-        from nvreadout import evaluate, sweep_gate
+        from conftest import gates
+        from nvreadout import evaluate
         from nvreadout.evaluation import METHOD_MIN_V, METHOD_ML
         p0, p1 = make_profiles(paper_like_params())
         train_set, _ = simulate_rabi_dataset(p0, p1, repetitions=10**5,
@@ -284,9 +285,7 @@ class TestTrainRabi:
         model = train_rabi(train_set, targets)
         bright = train_set.points[int(np.argmax(targets))][1]
         dark = train_set.points[int(np.argmin(targets))][1]
-        sweep = sweep_gate(bright, dark)
-        report = evaluate(test_set, model, sweep.max_contrast.window,
-                          sweep.min_variance.window, bright, dark)
+        report = evaluate(test_set, *gates(bright, dark), model)
         assert report.method(METHOD_ML).avg_formula_variance <= \
             1.05 * report.method(METHOD_MIN_V).avg_formula_variance
 
