@@ -51,14 +51,16 @@ class MethodEval:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-method precision records plus pairwise relative reductions.
-
-    ``reductions[(a, b)]`` is 1 - V_a / V_b for average formula variances.
-    """
+    """Per-method precision records; pairwise reductions derive from them."""
 
     methods: tuple[MethodEval, ...]
-    reductions: dict[tuple[str, str], float]
     truth_based: bool
+
+    @property
+    def reductions(self) -> dict[tuple[str, str], float]:
+        """``reductions[(a, b)]`` is 1 - V_a / V_b for average formula variances."""
+        return {(a.method, b.method): 1.0 - a.avg_formula_variance / b.avg_formula_variance
+                for a in self.methods for b in self.methods if a.method != b.method}
 
     def method(self, name: str) -> MethodEval:
         for m in self.methods:
@@ -127,14 +129,7 @@ def evaluate(test: RabiDataset, max_c_gate: ReadoutModel, min_v_gate: ReadoutMod
                   test.bin_width_ns)
     rows = tuple(_method_eval(name, durations, p[:, k], v[:, k], truth)
                  for k, name in enumerate((METHOD_MAX_C, METHOD_MIN_V, METHOD_ML)))
-    variances = {row.method: row.avg_formula_variance for row in rows}
-
-    reductions = {}
-    for a in variances:
-        for b in variances:
-            if a != b:
-                reductions[(a, b)] = 1.0 - variances[a] / variances[b]
-    return EvalReport(rows, reductions, truth is not None)
+    return EvalReport(rows, truth is not None)
 
 
 def repair(dataset: RabiDataset, original: ReadoutModel,

@@ -14,7 +14,7 @@ V is the population-estimate variance integrated over all populations in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,12 +76,13 @@ class GateMetrics:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Figures of merit over gate widths 1..N - start_bin, plus both optima.
+    """Figures of merit over gate widths 1..N - start_bin, and their optima.
 
     Entry k of each array belongs to width k + 1.  Widths whose boundary
     sums are degenerate (bright <= dark or dark <= 0, possible on noisy
-    traces) hold nan in all four arrays.  ``max_contrast``/``min_variance``
-    are None only when every width is degenerate.
+    traces) hold nan in all four arrays.  The optima ``max_contrast`` and
+    ``min_variance`` are computed from the arrays, ties going to the
+    smaller width; they are None only when every width is degenerate.
     """
 
     start_bin: int
@@ -91,8 +92,17 @@ class SweepResult:
     dark_total: np.ndarray
     contrast: np.ndarray
     total_variance: np.ndarray
-    max_contrast: GateMetrics | None = None
-    min_variance: GateMetrics | None = None
+
+    @property
+    def max_contrast(self) -> GateMetrics | None:
+        return self._optimum(np.nanargmax, self.contrast)
+
+    @property
+    def min_variance(self) -> GateMetrics | None:
+        return self._optimum(np.nanargmin, self.total_variance)
+
+    def _optimum(self, arg, curve: np.ndarray) -> GateMetrics | None:
+        return None if np.isnan(curve).all() else self.at(int(arg(curve)) + 1)
 
     def at(self, width: int) -> GateMetrics:
         """Metrics of one width; DegenerateBoundaryError if it is degenerate."""
@@ -170,7 +180,7 @@ def sweep_gate(trace0: TimeTrace, trace1: TimeTrace, start_bin: int = 0) -> Swee
     """Evaluate every gate width on a pair of boundary traces.
 
     ``trace0`` must be the bright boundary.  Widths run from 1 to
-    N - start_bin; ties on the optima break toward the smaller width.
+    N - start_bin.
     """
     _check_pair(trace0, trace1)
     if trace0.repetitions != trace1.repetitions:
@@ -182,9 +192,5 @@ def sweep_gate(trace0: TimeTrace, trace1: TimeTrace, start_bin: int = 0) -> Swee
 
     cum0 = np.cumsum(trace0.counts[start_bin:]).astype(float)
     cum1 = np.cumsum(trace1.counts[start_bin:]).astype(float)
-    sweep = SweepResult(start_bin, trace0.bin_width_ns, trace0.repetitions,
-                        *_metric_curves(cum0, cum1))
-    if np.isnan(sweep.contrast).all():
-        return sweep
-    return replace(sweep, max_contrast=sweep.at(int(np.nanargmax(sweep.contrast)) + 1),
-                   min_variance=sweep.at(int(np.nanargmin(sweep.total_variance)) + 1))
+    return SweepResult(start_bin, trace0.bin_width_ns, trace0.repetitions,
+                       *_metric_curves(cum0, cum1))

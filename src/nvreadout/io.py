@@ -8,11 +8,16 @@ files.  Every file starts with a ``# <schema> v<N>`` comment.
 Every format but the model file is one table: ``# key=value`` header
 comments in any order, a fixed column row, then comma-separated data rows.
 Blank lines and comment lines may sit between rows; comments after the
-column row are the table's footer.  All data cells of a table are parsed
-in one numpy call with a per-format typed column list.  Every malformed
-file, undecodable bytes included, raises :class:`ParseError` naming the
-file and, for a bad row, its 1-based line; so does a value the domain
-objects reject, such as durations out of order or zero repetitions.
+column row are skipped, so a footer that restates a value derived from
+the rows (sweep optima, report reductions) is never read back.  The model
+file holds ``key=value`` fields, then a ``weights:`` line and one weight
+per line, which parse as a one-column table.  All rows of a file are
+parsed in one numpy call with a per-format typed column list; numeric
+header and model fields parse like cells, and a key given twice is an
+error.  Every malformed file, undecodable bytes included, raises
+:class:`ParseError` naming the file and, for a bad row or a repeated
+key, its 1-based line; so does a value the domain objects reject, such as
+durations out of order or zero repetitions.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -78,42 +82,25 @@ def _load(lines, dtype, converters):
                       converters=converters)
 
 
-def _read_table(path, columns: str, types: str, converters=None):
-    """Header, typed rows, footer and a row -> line map of one table file.
+def _parse_rows(path, body: list[str], first: int, dtype, converters=None):
+    """Typed rows of the data lines in ``body``, whose first line is file line ``first``.
 
-    ``columns`` is the exact column row and ``types`` one numpy type code per
-    column.  Returns ``(header, rows, footer, line_of)``: the ``key=value``
-    comments before the column row, one structured record per data line,
-    ``(line, text)`` for each comment after the column row, and a function
-    giving the 1-based file line of a row index.
+    Blank and ``#`` lines are skipped; every other line is one row, and all
+    rows are parsed in one numpy call.  Returns ``(rows, line_of)``, where
+    ``line_of`` gives the 1-based file line of a row index; it is only built
+    when called, on an error path.  A row that does not parse raises
+    ParseError naming its line.
     """
-    lines = _read_lines(path)
-    header: dict[str, str] = {}
-    start = len(lines)
-    for no, line in enumerate(lines):
-        if line.startswith("#"):
-            key, sep, value = line[1:].partition("=")
-            if sep:
-                header[key.strip()] = value.strip()
-        elif line.strip():
-            start = no
-            break
-    if lines[start:start + 1] != [columns]:
-        raise ParseError(f"{path}: expected '{columns}' column row")
-    body = lines[start + 1:]
     data = [line for line in body if line.strip() and line[0] != "#"]
-    footer = [(no, line[1:].strip()) for no, line in enumerate(body, start + 2)
-              if line.startswith("#")] if len(data) < len(body) else []
 
     def line_of(row: int) -> int:
-        return [no for no, line in enumerate(body, start + 2)
+        return [no for no, line in enumerate(body, first)
                 if line.strip() and line[0] != "#"][row]
 
-    dtype = np.dtype(list(zip(columns.split(","), types.split(","))))
     if not data:
-        return header, np.empty(0, dtype), footer, line_of
+        return np.empty(0, dtype), line_of
     try:
-        return header, _load(data, dtype, converters), footer, line_of
+        return _load(data, dtype, converters), line_of
     except ValueError as exc:
         error = exc
     # Error path only: numpy's row numbering differs between its messages,
@@ -130,27 +117,58 @@ def _read_table(path, columns: str, types: str, converters=None):
     raise ParseError(detail, line_of(lo), path)
 
 
-def _header_int(header: dict, key: str, path) -> int:
-    if key not in header:
-        raise ParseError(f"{path}: missing required field '{key}'")
-    try:
-        return int(header[key])
-    except ValueError:
-        raise ParseError(f"{path}: {key}={header[key]!r} is not an integer")
+def _add_field(fields: dict, key: str, value: str, line: int, path) -> None:
+    if key in fields:
+        raise ParseError(f"repeated field '{key}'", line, path)
+    fields[key] = value
 
 
-def _header_float(header: dict, key: str, path, default: float | None = None) -> float:
-    """A float field value; a missing key falls back to ``default`` if given."""
-    if key not in header:
+def _read_table(path, columns: str, types: str, converters=None):
+    """Header, typed rows and a row -> line map of one table file.
+
+    ``columns`` is the exact column row and ``types`` one numpy type code per
+    column.  Returns ``(header, rows, line_of)``: the ``key=value`` comments
+    before the column row, one structured record per data line, and the
+    ``line_of`` of :func:`_parse_rows`.
+    """
+    lines = _read_lines(path)
+    header: dict[str, str] = {}
+    start = len(lines)
+    for no, line in enumerate(lines):
+        if line.startswith("#"):
+            key, sep, value = line[1:].partition("=")
+            if sep:
+                _add_field(header, key.strip(), value.strip(), no + 1, path)
+        elif line.strip():
+            start = no
+            break
+    if lines[start:start + 1] != [columns]:
+        raise ParseError(f"{path}: expected '{columns}' column row")
+    dtype = np.dtype(list(zip(columns.split(","), types.split(","))))
+    return header, *_parse_rows(path, lines[start + 1:], start + 2, dtype, converters)
+
+
+def _cell(text: str, kind=float):
+    """``kind(text)`` that, as numpy's cell parser, rejects ``_`` and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string {text!r} to {kind.__name__}")
+    return kind(text)
+
+
+def _field(fields: dict, key: str, path, kind=float, default=None):
+    """A header or model field parsed like a table cell; a missing key falls
+    back to ``default`` if given."""
+    if key not in fields:
         if default is None:
             raise ParseError(f"{path}: missing required field '{key}'")
         return default
     try:
-        value = float(header[key])
+        value = _cell(fields[key], kind)
     except ValueError:
-        raise ParseError(f"{path}: {key}={header[key]!r} is not a number")
+        noun = "an integer" if kind is int else "a number"
+        raise ParseError(f"{path}: {key}={fields[key]!r} is not {noun}") from None
     if not math.isfinite(value):
-        raise ParseError(f"{path}: {key}={header[key]!r} is not finite")
+        raise ParseError(f"{path}: {key}={fields[key]!r} is not finite")
     return value
 
 
@@ -161,13 +179,6 @@ def _naming(path, line: int | None = None):
         yield
     except (ParameterError, ShapeError, DomainError, DegenerateBoundaryError) as exc:
         raise ParseError(str(exc), line, path) from None
-
-
-def _float_field(value: str, name: str, line: int, path) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"{name} {value!r} is not a number", line, path)
 
 
 def _check_bins(path, rows, expected, line_of) -> None:
@@ -201,10 +212,10 @@ def write_trace_csv(path, trace: TimeTrace) -> None:
 
 def read_trace_csv(path) -> TimeTrace:
     """Read a trace; rejects missing repetitions and non-integer counts."""
-    header, rows, _, line_of = _read_table(path, "bin_index,counts", "i8,i8")
-    reps = _header_int(header, "repetitions", path)
-    width = _header_float(header, "bin_width_ns", path, 2.0)
-    seed = _header_int(header, "seed", path) if "seed" in header else None
+    header, rows, line_of = _read_table(path, "bin_index,counts", "i8,i8")
+    reps = _field(header, "repetitions", path, int)
+    width = _field(header, "bin_width_ns", path, default=2.0)
+    seed = _field(header, "seed", path, int) if "seed" in header else None
     if not rows.size:
         raise ParseError(f"{path}: no count rows")
     _check_bins(path, rows, np.arange(rows.size), line_of)
@@ -232,9 +243,9 @@ def write_rabi_csv(path, dataset: RabiDataset) -> None:
 
 def read_rabi_csv(path) -> RabiDataset:
     """Read a scan; rows of one duration may interleave with other durations'."""
-    header, rows, _, line_of = _read_table(path, "duration_ns,bin_index,counts", "f8,i8,i8")
-    reps = _header_int(header, "repetitions", path)
-    width = _header_float(header, "bin_width_ns", path, 2.0)
+    header, rows, line_of = _read_table(path, "duration_ns,bin_index,counts", "f8,i8,i8")
+    reps = _field(header, "repetitions", path, int)
+    width = _field(header, "bin_width_ns", path, default=2.0)
     if not rows.size:
         raise ParseError(f"{path}: no data rows")
     # Rows are grouped in increasing duration and kept in file order within
@@ -263,8 +274,17 @@ def write_truth_csv(path, durations, populations) -> None:
 
 
 def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    _, rows, _, _ = _read_table(path, "duration_ns,population", "f8,f8")
-    return rows["duration_ns"].copy(), rows["population"].copy()
+    """Durations and populations; rejects a non-finite duration or a population
+    outside [0, 1]."""
+    _, rows, line_of = _read_table(path, "duration_ns,population", "f8,f8")
+    durations, populations = rows["duration_ns"].copy(), rows["population"].copy()
+    finite = np.isfinite(durations)
+    bad = ~finite | ~((populations >= 0) & (populations <= 1))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParseError(f"population {populations[k]} is outside [0, 1]" if finite[k]
+                         else f"duration_ns {durations[k]} is not finite", line_of(k), path)
+    return durations, populations
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +292,7 @@ def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
-    """Plot-ready sweep table with optima footer comments."""
+    """Plot-ready sweep table; footer comments restate both optima."""
     lines = [f"# sweep-csv v{FORMAT_VERSIONS['sweep-csv']}",
              f"# start_bin={sweep.start_bin}",
              f"# bin_width_ns={_fmt(sweep.bin_width_ns)}",
@@ -297,21 +317,15 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
     _write(path, lines)
 
 
-def _optional_float(cell: str) -> float:
-    """nan for an empty cell; else a float, with no underscore or non-ASCII digit."""
-    if not cell.isascii() or "_" in cell:       # as numpy, unlike Python's float
-        raise ValueError(f"could not convert string {cell!r} to float64")
-    return float(cell) if cell else math.nan
-
-
 def read_sweep_csv(path) -> SweepResult:
     """Read a sweep; widths run 1..N in order, degenerate ones (flag 1) with empty metrics."""
-    header, rows, footer, line_of = _read_table(
+    header, rows, line_of = _read_table(
         path, "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
-        "i8,f8,f8,f8,f8,f8,i8", dict.fromkeys(range(2, 6), _optional_float))
-    start_bin = _header_int(header, "start_bin", path)
-    width_ns = _header_float(header, "bin_width_ns", path, 2.0)
-    reps = _header_int(header, "repetitions", path)
+        "i8,f8,f8,f8,f8,f8,i8",     # an empty metric cell is nan
+        dict.fromkeys(range(2, 6), lambda cell: _cell(cell) if cell else math.nan))
+    start_bin = _field(header, "start_bin", path, int)
+    width_ns = _field(header, "bin_width_ns", path, default=2.0)
+    reps = _field(header, "repetitions", path, int)
     widths, flag = rows["width_bins"], rows["degenerate_flag"]
     b, d, c, v = cells = np.array([rows[name] for name in rows.dtype.names[2:6]])
     in_order = widths == np.arange(1, widths.size + 1)
@@ -327,19 +341,7 @@ def read_sweep_csv(path) -> SweepResult:
                          if not in_order[k] else
                          "expected degenerate_flag 1 with no metrics, or 0 with four",
                          line_of(k), path)
-    sweep = SweepResult(start_bin, width_ns, reps, *cells)
-    optima = {}
-    for no, text in footer:
-        name, _, rest = text.partition(":")
-        if name in ("max_contrast", "min_variance") and rest.strip() != "none":
-            fields = dict(f.partition("=")[::2] for f in rest.split())
-            width = fields.get("width_bins")
-            if width is None or not width.isdecimal() or not (
-                    0 < int(width) <= widths.size and flag[int(width) - 1] == 0):
-                raise ParseError(f"footer {name} names width_bins={width!r}, "
-                                 "which has no metrics row", no, path)
-            optima[name] = sweep.at(int(width))
-    return replace(sweep, **optima)
+    return SweepResult(start_bin, width_ns, reps, *cells)
 
 
 # ---------------------------------------------------------------------------
@@ -366,37 +368,34 @@ def write_model(path, model: ReadoutModel) -> None:
 
 
 def read_model(path) -> ReadoutModel:
+    """Read a model: ``key=value`` fields, then ``weights:`` and one weight per
+    line, which parse as a one-column table."""
     lines = _read_lines(path)
     fields: dict[str, str] = {}
-    weights: list[float] = []
-    in_weights = False
-    for no, line in enumerate(lines, start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    start = len(lines)
+    for no, line in enumerate(lines):
         if line == "weights:":
-            in_weights = True
-            continue
-        if in_weights:
-            weights.append(_float_field(line, "weight", no, path))
-        else:
+            start = no
+            break
+        if line.strip() and not line.startswith("#"):
             key, sep, value = line.partition("=")
             if not sep:
-                raise ParseError(f"expected key=value, got {line!r}", no, path)
-            fields[key] = value
-    dimension = _header_int(fields, "dimension", path)
-    if len(weights) != dimension:
-        raise ParseError(f"{path}: {len(weights)} weights, dimension says {dimension}")
+                raise ParseError(f"expected key=value, got {line!r}", no + 1, path)
+            _add_field(fields, key, value, no + 1, path)
+    rows, _ = _parse_rows(path, lines[start + 1:], start + 2, np.dtype([("weight", "f8")]))
+    dimension = _field(fields, "dimension", path, int)
+    if rows.size != dimension:
+        raise ParseError(f"{path}: {rows.size} weights, dimension says {dimension}")
     loss_keys = ("loss_prediction", "loss_variance", "loss_weight_factor", "loss_total")
     with _naming(path):
         training_loss = None
         if any(key in fields for key in loss_keys):
-            training_loss = LossBreakdown(*(_header_float(fields, key, path)
-                                            for key in loss_keys))
+            training_loss = LossBreakdown(*(_field(fields, key, path) for key in loss_keys))
         return ReadoutModel(
-            weights=np.array(weights),
-            intercept=_header_float(fields, "intercept", path),
-            reference_bin_width_ns=_header_float(fields, "bin_width_ns", path),
-            rate_scale=_header_float(fields, "rate_scale", path, 1.0),
+            weights=rows["weight"],
+            intercept=_field(fields, "intercept", path),
+            reference_bin_width_ns=_field(fields, "bin_width_ns", path),
+            rate_scale=_field(fields, "rate_scale", path, default=1.0),
             trained_on=fields.get("trained_on", ""),
             training_loss=training_loss)
 
@@ -418,15 +417,9 @@ def write_report_csv(path, report: EvalReport) -> None:
 
 
 def read_report_csv(path) -> EvalReport:
-    header, rows, footer, _ = _read_table(
+    header, rows, _ = _read_table(
         path, "method,avg_formula_variance,empirical_mse,contrast_measured", "O,f8,f8,f8")
-    reductions = {}
-    for no, text in footer:
-        if text.startswith("reduction "):
-            pair, _, value = text[len("reduction "):].partition("=")
-            a, _, b = pair.partition(" vs ")
-            reductions[(a, b)] = _float_field(value, "reduction", no, path)
-    return EvalReport(tuple(MethodEval(*row) for row in rows.tolist()), reductions,
+    return EvalReport(tuple(MethodEval(*row) for row in rows.tolist()),
                       header.get("truth_based", "0") == "1")
 
 
@@ -456,8 +449,7 @@ def write_repair_csv(path, result: RepairResult) -> None:
 
 def read_repair_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Columns of a repair file: durations, original, repaired, fitted."""
-    _, rows, _, _ = _read_table(path, "duration_ns,p_original,p_repaired,q_fit",
-                                "f8,f8,f8,f8")
+    _, rows, _ = _read_table(path, "duration_ns,p_original,p_repaired,q_fit", "f8,f8,f8,f8")
     return tuple(rows[name].copy() for name in rows.dtype.names)
 
 
@@ -486,9 +478,8 @@ def write_fit_csv(path, durations, raw, fit: SinusoidFit) -> None:
 
 def read_fit_csv(path) -> tuple[SinusoidFit, np.ndarray, np.ndarray]:
     """Fit parameters plus (durations, raw values) from a fit report."""
-    header, rows, _, _ = _read_table(path, "duration_ns,p_raw,p_fit,residual",
-                                     "f8,f8,f8,f8")
+    header, rows, _ = _read_table(path, "duration_ns,p_raw,p_fit,residual", "f8,f8,f8,f8")
     with _naming(path):
-        fit = SinusoidFit(*(_header_float(header, key, path) for key in (
+        fit = SinusoidFit(*(_field(header, key, path) for key in (
             "offset", "amplitude", "frequency_per_ns", "phase_rad", "residual_rms")))
     return fit, rows["duration_ns"].copy(), rows["p_raw"].copy()

@@ -233,9 +233,10 @@ def mix_profile(population: float, profile0: EmissionProfile,
 
 def _check_repetitions(repetitions, profile: EmissionProfile) -> None:
     # at most 2^53 expected photons per trace keeps counts and their sums exact
-    if not (1 <= repetitions and repetitions * float(profile.rates.sum()) <= 2.0**53):
-        raise ParameterError("repetitions must be >= 1 and draw at most 2^53 "
-                             f"expected photons per trace, got {repetitions!r}")
+    if not (1 <= repetitions and repetitions * float(profile.rates.sum()) <= 2.0**53
+            and repetitions % 1 == 0):
+        raise ParameterError("repetitions must be a whole number >= 1 and draw at most "
+                             f"2^53 expected photons per trace, got {repetitions!r}")
 
 
 def simulate_trace(profile: EmissionProfile, repetitions: int, seed: int,

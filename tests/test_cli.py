@@ -191,6 +191,21 @@ class TestExitCodes:
         assert "shifted.csv: durations differ" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_truth_with_nan_population_is_2(self, pipeline, tmp_path, capsys):
+        from nvreadout import io as nvio
+        data = pipeline / "data"
+        durations, truth = nvio.read_truth_csv(data / "rabi_truth.csv")
+        truth[5] = np.nan
+        bad = tmp_path / "nan_truth.csv"
+        nvio.write_truth_csv(bad, durations, truth)
+        assert run("evaluate", "--rabi", str(data / "rabi.csv"),
+                   "--model", str(pipeline / "model.txt"),
+                   "--trace0", str(data / "boundary0.csv"),
+                   "--trace1", str(data / "boundary1.csv"),
+                   "--truth", str(bad), "--out", str(tmp_path / "r.csv")) == 2
+        assert "nan_truth.csv: line 8: population nan" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_version_runs(self, capsys):
         assert run("--version") == 0
         out = capsys.readouterr().out

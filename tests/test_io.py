@@ -1,5 +1,7 @@
 """File formats: round trips and strict parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,41 @@ def test_domain_error_names_the_file(tmp_path, reader, text, match):
         reader(p)
 
 
+TRACE_HEAD = "# trace-csv v1\n# repetitions=10000000\n"
+MODEL = "# readout-model v1\ndimension=2\nbin_width_ns=2.0\nintercept=0.0\nweights:\n1.0\n1.0\n"
+
+
+@pytest.mark.parametrize("reader, text, match", [
+    (nvio.read_trace_csv, TRACE_HEAD + "# repetitions=5\nbin_index,counts\n0,5\n",
+     "line 3: repeated field 'repetitions'"),
+    (nvio.read_trace_csv, "# trace-csv v1\n# repetitions=10_000_000\nbin_index,counts\n0,5\n",
+     "repetitions='10_000_000' is not an integer"),
+    (nvio.read_trace_csv, "# trace-csv v1\n# repetitions=\u0662\nbin_index,counts\n0,5\n",
+     "repetitions='\u0662' is not an integer"),
+    (nvio.read_trace_csv, TRACE_HEAD + "# bin_width_ns=2_0.0\nbin_index,counts\n0,5\n",
+     "bin_width_ns='2_0.0' is not a number"),
+    (nvio.read_model, MODEL.replace("intercept=0.0\n", "intercept=0.0\nintercept=0.5\n"),
+     "line 5: repeated field 'intercept'"),
+    (nvio.read_model, MODEL.replace("dimension=2", "dimension=\u0662"),
+     "dimension='\u0662' is not an integer"),
+    (nvio.read_model, MODEL.replace("intercept=0.0", "intercept=1_0.0"),
+     "intercept='1_0.0' is not a number"),
+    (nvio.read_model, MODEL.replace("weights:\n1.0\n", "weights:\n1_0.0\n"),
+     "line 6: could not convert string '1_0.0'"),
+    (nvio.read_model, MODEL.replace("weights:\n1.0\n", "weights:\n\n\u0665\n"),
+     "line 7: could not convert string '\u0665'"),
+    (nvio.read_model, MODEL.replace("weights:\n1.0\n", "weights:\n1.0,2.0\n"),
+     "line 6: "),
+], ids=["repeated-header-key", "header-underscore", "header-non-ascii-digit",
+        "header-float-underscore", "repeated-model-field", "model-non-ascii-digit",
+        "model-underscore", "weight-underscore", "weight-non-ascii-digit", "weight-two-cells"])
+def test_fields_and_weights_follow_the_cell_rules(tmp_path, reader, text, match):
+    p = tmp_path / "input.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"input\.csv: {match}"):
+        reader(p)
+
+
 @pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
 def test_undecodable_bytes_are_parse_error(tmp_path, reader):
     p = tmp_path / "binary.csv"
@@ -240,6 +277,18 @@ class TestRabiCsv:
                      "0.0,0,1\n0.0,1,2\n5.0,0,3\n")
         with pytest.raises(ParseError, match=r"ragged\.csv: .*unequal bin counts"):
             nvio.read_rabi_csv(p)
+
+    @pytest.mark.parametrize("row, match", [
+        ("10.0,nan", "population nan is outside"), ("10.0,7.5", "population 7.5 is outside"),
+        ("10.0,-0.5", "population -0.5 is outside"), ("inf,0.5", "duration_ns inf is not"),
+        ("nan,0.5", "duration_ns nan is not"),
+    ], ids=["nan-population", "population-above-1", "negative-population",
+            "infinite-duration", "nan-duration"])
+    def test_truth_out_of_range_rejected(self, tmp_path, row, match):
+        p = tmp_path / "truth.csv"
+        p.write_text(f"# truth-csv v1\nduration_ns,population\n0.0,1.0\n{row}\n5.0,0.0\n")
+        with pytest.raises(ParseError, match=rf"truth\.csv: line 4: {match}"):
+            nvio.read_truth_csv(p)
 
     def test_truth_round_trip(self, world, tmp_path):
         dataset, truth = world[3], world[4]
@@ -304,23 +353,21 @@ class TestSweepCsv:
             nvio.read_sweep_csv(p)
         assert err.value.line == 7
 
-    def test_footer_naming_absent_width_rejected(self, world, tmp_path):
-        p = tmp_path / "sweep.csv"
-        nvio.write_sweep_csv(p, world[2])
-        text = p.read_text().replace("# min_variance: width_bins=",
-                                     "# min_variance: width_bins=9999", 1)
-        p.write_text(text)
-        with pytest.raises(ParseError, match=r"sweep\.csv.*width_bins='9999"):
-            nvio.read_sweep_csv(p)
-
-    def test_footer_width_that_is_no_integer_rejected(self, world, tmp_path):
-        p = tmp_path / "sweep.csv"
-        nvio.write_sweep_csv(p, world[2])
-        text = p.read_text().replace("# min_variance: width_bins=",
-                                     "# min_variance: width_bins=²", 1)    # isdigit, no int
-        p.write_text(text)
-        with pytest.raises(ParseError, match=r"sweep\.csv.*width_bins='²"):
-            nvio.read_sweep_csv(p)
+    def test_footer_is_a_comment(self, world, tmp_path):
+        # the optima come from the rows, whatever the footer names
+        sweep = world[2]
+        assert 3 not in (sweep.max_contrast.window.width_bins,
+                         sweep.min_variance.window.width_bins)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        nvio.write_sweep_csv(a, sweep)
+        text = a.read_text()
+        a.write_text(re.sub(r"(# \w+: width_bins=)\d+", r"\g<1>3", text))
+        assert a.read_text().count("width_bins=3 ") == 2
+        again = nvio.read_sweep_csv(a)
+        assert again.max_contrast == sweep.max_contrast
+        assert again.min_variance == sweep.min_variance
+        nvio.write_sweep_csv(b, again)
+        assert b.read_text() == text
 
 
 class TestModelFile:
@@ -373,6 +420,20 @@ class TestReportAndRepair:
         assert again == report
         nvio.write_report_summary(tmp_path / "s.txt", report)
         assert (tmp_path / "s.txt").read_text().count("variance reduction") == 6
+
+    def test_reduction_footer_is_a_comment(self, world, tmp_path):
+        # the reductions come from the rows, whatever the footer says
+        t0, t1, _, dataset, truth, model = world
+        report = evaluate(dataset, *gates(t0, t1), model, truth)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        nvio.write_report_csv(a, report)
+        text = a.read_text()
+        a.write_text(re.sub(r"(# reduction .*=).*", r"\g<1>0.5", text)
+                     + "# reduction ML vs nothing=not a number\n")
+        again = nvio.read_report_csv(a)
+        assert again.reductions == report.reductions
+        nvio.write_report_csv(b, again)
+        assert b.read_text() == text
 
     def test_repair_round_trip(self, world, tmp_path):
         t0, t1, _, dataset, truth, model = world

@@ -6,7 +6,7 @@ import pytest
 from nvreadout import (EmissionProfile, ParameterError, PhotodynamicsParams,
                        ShapeError, TimeTrace, differential, expected_trace,
                        make_profiles, mix_profile, paper_like_params,
-                       simulate_trace)
+                       simulate_rabi_dataset, simulate_trace)
 
 
 def flat_params(**overrides):
@@ -153,6 +153,18 @@ class TestSimulateTrace:
         p0, _ = make_profiles(paper_like_params())
         tr = expected_trace(p0, 10**9)
         assert np.array_equal(tr.counts, np.rint(10**9 * p0.rates).astype(int))
+
+    @pytest.mark.parametrize("draw", [
+        lambda p, reps: simulate_trace(p, reps, seed=3),
+        lambda p, reps: expected_trace(p, reps),
+        lambda p, reps: simulate_rabi_dataset(p, p, reps, seed=3, points=2)[0],
+    ], ids=["simulate_trace", "expected_trace", "simulate_rabi_dataset"])
+    def test_repetitions_must_be_whole(self, draw):
+        profile = EmissionProfile(np.full(10, 1e-3))
+        assert draw(profile, 1e7).repetitions == 10**7     # an integral float is fine
+        for reps in (2.5, 1e7 + 0.5):
+            with pytest.raises(ParameterError, match="whole number"):
+                draw(profile, reps)
 
 
 class TestDifferential:
