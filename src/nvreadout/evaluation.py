@@ -69,7 +69,7 @@ class EvalReport:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepairResult:
     """Original and repaired series per point, each with its own fit."""
 

@@ -74,7 +74,7 @@ class GateMetrics:
             raise DegenerateBoundaryError("contrast/total_variance out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Figures of merit over gate widths 1..N - start_bin, and their optima.
 

@@ -92,7 +92,7 @@ class SinusoidFit:
         return times[(times >= t_min) & (times <= t_max)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RabiDataset:
     """An oscillation scan as one counts matrix.
 

@@ -84,7 +84,7 @@ class LossBreakdown:
             raise ParameterError("loss terms must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReadoutModel:
     """Nonnegative per-bin weights plus intercept, in per-measurement space."""
 

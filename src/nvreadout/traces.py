@@ -83,7 +83,7 @@ def _check_pair(a, b) -> None:
                          f"bin width ({a.bin_width_ns} vs {b.bin_width_ns} ns)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeTrace:
     """Binned photon counts for one experimental condition.
 
@@ -101,6 +101,12 @@ class TimeTrace:
         object.__setattr__(self, "counts", _checked_counts(
             self.counts, 1, self.repetitions, self.bin_width_ns))
         object.__setattr__(self, "repetitions", int(self.repetitions))
+        label = self.label
+        # the label is one header line of a trace file and must read back as written
+        if label is not None and not (isinstance(label, str) and label == label.strip()
+                                      and len(label.splitlines()) <= 1):
+            raise ParameterError("label must be one line of text without leading or "
+                                 "trailing whitespace")
 
     def __len__(self) -> int:
         return int(self.counts.size)
@@ -111,7 +117,7 @@ class TimeTrace:
         return self.counts / self.repetitions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmissionProfile:
     """Expected photons per bin for a single measurement of a pure state."""
 

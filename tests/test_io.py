@@ -1,6 +1,7 @@
 """File formats: round trips and strict parsing."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -468,3 +469,78 @@ class TestReportAndRepair:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=r"fit\.csv.*offset"):
             nvio.read_fit_csv(p)
+
+
+def test_read_objects_compare_by_identity_and_hash(world, tmp_path):
+    # array-holding objects: == is identity and hash works, neither raises
+    t0, _, sweep, dataset, _, model = world
+    for write, read, value in [(nvio.write_trace_csv, nvio.read_trace_csv, t0),
+                               (nvio.write_rabi_csv, nvio.read_rabi_csv, dataset),
+                               (nvio.write_sweep_csv, nvio.read_sweep_csv, sweep),
+                               (nvio.write_model, nvio.read_model, model)]:
+        p = tmp_path / "file.txt"
+        write(p, value)
+        a, b = read(p), read(p)
+        assert a == a and a != b and len({a, b}) == 2
+    result = repair(dataset, gates(t0, world[1])[1], model)
+    profile = make_profiles(paper_like_params())[0]
+    for value in (result, profile):
+        assert value == value and len({value, value}) == 1
+
+
+class TestStreamingReader:
+    """Scans are read and written as streams, at benchmark size."""
+
+    @pytest.fixture(scope="class")
+    def scan(self, tmp_path_factory):
+        """A 240-point, ~2.9 MB scan as ``write_rabi_csv`` writes it."""
+        p0, p1 = make_profiles(paper_like_params())
+        dataset, _ = simulate_rabi_dataset(p0, p1, repetitions=10**5, seed=41,
+                                           points=240, span_ns=2400.0)
+        path = tmp_path_factory.mktemp("stream") / "rabi.csv"
+        nvio.write_rabi_csv(path, dataset)
+        return path
+
+    def test_undecodable_byte_deep_in_the_rows(self, scan, tmp_path):
+        data = bytearray(scan.read_bytes())
+        at = data.index(b"\n", len(data) * 4 // 5) + 1     # a row far past the first chunk
+        data[at] = 0xFF
+        p = tmp_path / "scan.csv"
+        p.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=r"scan\.csv: .*can't decode byte 0xff"):
+            nvio.read_rabi_csv(p)
+
+    def test_bad_row_near_the_end_names_its_line(self, scan, tmp_path):
+        lines = scan.read_text().splitlines()
+        assert len(lines) == 4 + 240 * 500
+        lines[-7] = lines[-7].replace(",", ";", 1)
+        p = tmp_path / "scan.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"scan\.csv: line {len(lines) - 6}: ") as err:
+            nvio.read_rabi_csv(p)
+        assert err.value.line == len(lines) - 6
+
+    @staticmethod
+    def traced_peak(func, *args):
+        """Peak bytes that ``func(*args)`` allocates beyond what is live before it."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = func(*args)
+            return tracemalloc.get_traced_memory()[1] - before, result
+        finally:
+            tracemalloc.stop()
+
+    def test_read_peak_is_at_most_4x_the_file(self, scan):
+        size = scan.stat().st_size
+        dataset = nvio.read_rabi_csv(scan)      # warm-up: numpy's first-call state
+        peak, again = self.traced_peak(nvio.read_rabi_csv, scan)
+        assert np.array_equal(again.counts, dataset.counts)
+        assert peak <= 4 * size, f"read peak {peak / size:.1f}x the file"
+
+    def test_write_peak_is_at_most_1_mb(self, scan, tmp_path):
+        dataset = nvio.read_rabi_csv(scan)
+        out = tmp_path / "again.csv"
+        peak, _ = self.traced_peak(nvio.write_rabi_csv, out, dataset)
+        assert peak <= 10**6, f"write peak {peak / 1e6:.1f} MB"
+        assert out.read_bytes() == scan.read_bytes()

@@ -30,6 +30,15 @@ class TestTypes:
         with pytest.raises(ParameterError):
             TimeTrace(np.array([1]), repetitions=1, bin_width_ns=0)
 
+    @pytest.mark.parametrize("label", ["a\nb", "a\r\nb", "a\u2028b", " padded ", "end\n"],
+                             ids=["line-feed", "crlf", "line-separator", "padded",
+                                  "trailing-newline"])
+    def test_label_must_read_back_as_written(self, label):
+        # a label is one header line of a trace file, and the reader strips it
+        with pytest.raises(ParameterError, match="label"):
+            TimeTrace(np.array([1]), repetitions=1, label=label)
+        assert TimeTrace(np.array([1]), repetitions=1, label="bright 1").label == "bright 1"
+
     def test_trace_immutable(self):
         tr = TimeTrace(np.array([1, 2]), repetitions=3)
         with pytest.raises(ValueError):
