@@ -1,9 +1,10 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: simulate, sweep, train, fit-rabi, predict, evaluate, repair.
-Exit status is 0 on success, 1 on usage errors, 2 on data/domain errors.
-All randomness is controlled by ``--seed``; rerunning any pipeline with
-the same inputs and seeds produces byte-identical output files.
+Exit status is 0 on success, 1 on usage errors, 2 on data/domain errors
+and when memory runs out.  All randomness is controlled by ``--seed``;
+rerunning any pipeline with the same inputs and seeds produces
+byte-identical output files.
 
 Defaults can also come from a flat key=value config file with section
 headers (see docs/config-format.md); explicit flags win over the config.
@@ -363,11 +364,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ReadoutError as exc:
+    except (ReadoutError, OSError) as exc:
         print(f"nvreadout: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"nvreadout: {exc}", file=sys.stderr)
+    except MemoryError as exc:      # e.g. a scan too large for this machine
+        print("nvreadout: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
         return EXIT_DATA
 
 

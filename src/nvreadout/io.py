@@ -1,31 +1,31 @@
 """File formats: traces, oscillation datasets, sweeps, models, reports.
 
-All formats are UTF-8 text with LF newlines.  Floats are written with
-``repr`` (shortest round-trip decimal), so save -> load -> save is
-byte-identical and reruns of a deterministic pipeline produce identical
-files.  Every file starts with a ``# <schema> v<N>`` comment.
+All formats are UTF-8 text with LF newlines and start with a ``# <schema>
+v<N>`` comment.  Floats are written with ``repr`` (shortest round-trip
+decimal), so reruns of a deterministic pipeline give identical files and
+six formats round-trip byte for byte (save -> load -> save): trace, scan,
+truth, sweep, model and evaluation report.  The fit and repair reports are
+outputs; their readers return columns (and the fit's parameters).
 
-Every format but the model file is one table: ``# key=value`` header
-comments in any order, a fixed column row, then comma-separated data rows.
-Blank lines and comment lines may sit between rows; comments after the
-column row are skipped, so a footer that restates a value derived from
-the rows (sweep optima, report reductions) is never read back.  The model
-file holds ``key=value`` fields, then a ``weights:`` line and one weight
-per line, which parse as a one-column table.  All rows of a file are
-parsed in one numpy call with a per-format typed column list; numeric
-header and model fields parse like cells, and a key given twice is an
-error.  Every malformed file, undecodable bytes included, raises
-:class:`ParseError` naming the file and, for a bad row or a repeated
-key, its 1-based line; so does a value the domain objects reject, such as
-durations out of order or zero repetitions.  Lines are split at ``\n``
-(after universal-newline translation) and numbered from 1.
+Every format but the model file is one table, written by ``_write_table``
+and read by ``_read_table``: ``# key=value`` header comments in any order,
+a fixed column row, then comma-separated data rows.  Blank and comment
+lines may sit between rows; comments after the column row are skipped, so
+a footer that restates a value derived from the rows is never read back.
+A scan's rows are its counts matrix in file order: one block per duration,
+``bin_index`` 0..N-1 in each.  The model file holds ``key=value`` fields,
+then ``weights:`` and one weight per line, parsed as a one-column table.
+All rows of a file are parsed in one numpy call; numeric header and model
+fields parse like cells, and a key given twice is an error.  Every
+malformed file, undecodable bytes included, raises :class:`ParseError`
+naming the file and, for a bad or misplaced row or a repeated key, its
+1-based line (lines split at ``\n``); so does a value the domain objects
+reject, such as durations out of order or zero repetitions.
 
-Files are read and written as streams.  The reader hands the lines after
-the header, one at a time, to that numpy call, and the scan writer writes
-one duration's block of rows at a time, so neither holds the file's text
-or a list of its lines.  On a 240-point, 2.9 MB scan, reading peaks at
-under 3x the file size in Python allocations (the parsed rows plus the
-counts matrix), and writing at about 0.1 MB.
+Files are read and written as streams, row by row, so no reader or writer
+holds a file's text or a list of its lines.  On a 240-point, 2.9 MB scan,
+reading peaks at 1.7x the file in Python allocations (the parsed rows plus
+the counts matrix), and writing at about 0.1 MB.
 """
 
 from __future__ import annotations
@@ -77,6 +77,16 @@ def _write(path, lines) -> None:
     """Write each string of the iterable ``lines`` and an LF as it comes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{line}\n" for line in lines)
+
+
+def _write_table(path, schema: str, header: dict, columns: str, rows, footer=()) -> None:
+    """Write one table, the layout :func:`_read_table` reads: the schema line,
+    a ``# key=value`` line per header value that is not None, the column row,
+    then each row and each ``#`` footer comment as the iterables yield them."""
+    head = [f"# {schema} v{FORMAT_VERSIONS[schema]}"]
+    head += [f"# {key}={value}" for key, value in header.items() if value is not None]
+    head.append(columns)
+    _write(path, itertools.chain(head, rows, (f"# {line}" for line in footer)))
 
 
 @contextmanager
@@ -203,14 +213,27 @@ def _naming(path, line: int | None = None):
         raise ParseError(str(exc), line, path) from None
 
 
-def _check_bins(path, rows, expected, line_of) -> None:
-    """Reject the first row whose bin_index is not ``expected`` or whose count is negative."""
-    bad = (rows["bin_index"] != expected) | (rows["counts"] < 0)
+def _check_bins(path, rows, n: int, line_of) -> None:
+    """Reject the first row out of place in blocks of ``n`` rows: a bin_index
+    that is not the row's place in its block, a negative count or, in a scan,
+    a duration that is not finite or not that of its block's first row."""
+    index, counts = rows["bin_index"], rows["counts"]
+    bad = (index != np.arange(rows.size) % n) | (counts < 0)
+    if "duration_ns" in rows.dtype.names:
+        durations = rows["duration_ns"]
+        bad |= ~np.isfinite(durations)
+        bad |= durations != np.repeat(durations[::n], n)[:rows.size]
     if bad.any():
         k = int(np.argmax(bad))
-        index, value = rows["bin_index"][k], rows["counts"][k]
-        message = (f"counts {value} is negative" if value < 0 else
-                   f"bin_index {index} out of order (expected {expected[k]})")
+        if counts[k] < 0:
+            message = f"counts {counts[k]} is negative"
+        elif index[k] != k % n:
+            message = f"bin_index {index[k]} out of order (expected {k % n})"
+        elif not math.isfinite(durations[k]):
+            message = f"duration_ns {durations[k]} is not finite"
+        else:
+            message = (f"duration_ns {durations[k]} differs from its block's "
+                       f"{durations[k - k % n]}")
         raise ParseError(message, line_of(k), path)
 
 
@@ -220,16 +243,10 @@ def _check_bins(path, rows, expected, line_of) -> None:
 
 def write_trace_csv(path, trace: TimeTrace) -> None:
     """Write one trace: comment header then ``bin_index,counts`` rows."""
-    lines = [f"# trace-csv v{FORMAT_VERSIONS['trace-csv']}",
-             f"# repetitions={trace.repetitions}",
-             f"# bin_width_ns={_fmt(trace.bin_width_ns)}"]
-    if trace.label is not None:
-        lines.append(f"# label={trace.label}")
-    if trace.seed is not None:
-        lines.append(f"# seed={trace.seed}")
-    lines.append("bin_index,counts")
-    lines.extend(f"{i},{c}" for i, c in enumerate(trace.counts))
-    _write(path, lines)
+    _write_table(path, "trace-csv", {"repetitions": trace.repetitions,
+                                     "bin_width_ns": _fmt(trace.bin_width_ns),
+                                     "label": trace.label, "seed": trace.seed},
+                 "bin_index,counts", (f"{i},{c}" for i, c in enumerate(trace.counts)))
 
 
 def read_trace_csv(path) -> TimeTrace:
@@ -240,7 +257,7 @@ def read_trace_csv(path) -> TimeTrace:
     seed = _field(header, "seed", path, int) if "seed" in header else None
     if not rows.size:
         raise ParseError(f"{path}: no count rows")
-    _check_bins(path, rows, np.arange(rows.size), line_of)
+    _check_bins(path, rows, rows.size, line_of)
     with _naming(path):
         return TimeTrace(rows["counts"], repetitions=reps, bin_width_ns=width,
                          label=header.get("label"), seed=seed)
@@ -252,14 +269,12 @@ def read_trace_csv(path) -> TimeTrace:
 
 def write_rabi_csv(path, dataset: RabiDataset) -> None:
     """Write a scan one duration's block of rows at a time."""
-    header = [f"# rabi-csv v{FORMAT_VERSIONS['rabi-csv']}",
-              f"# repetitions={dataset.repetitions}",
-              f"# bin_width_ns={_fmt(dataset.bin_width_ns)}",
-              "duration_ns,bin_index,counts"]
     bins = [f",{i}," for i in range(dataset.counts.shape[1])]
     blocks = ("\n".join([f"{d}{b}{c}" for b, c in zip(bins, row.tolist())])
               for d, row in zip(map(_fmt, dataset.durations.tolist()), dataset.counts))
-    _write(path, itertools.chain(header, blocks))
+    _write_table(path, "rabi-csv", {"repetitions": dataset.repetitions,
+                                    "bin_width_ns": _fmt(dataset.bin_width_ns)},
+                 "duration_ns,bin_index,counts", blocks)
 
 
 class _Memo(dict):
@@ -271,40 +286,28 @@ class _Memo(dict):
 
 
 def read_rabi_csv(path) -> RabiDataset:
-    """Read a scan; rows of one duration may interleave with other durations'.
-
-    A scan repeats each duration on every bin's row, so the duration column
-    parses each distinct text once.
-    """
+    """Read a scan whose rows are its counts matrix in file order: one block
+    per duration, N (the first block's length) rows each, bin_index 0..N-1.
+    The duration column parses each distinct text once."""
     header, rows, line_of = _read_table(path, "duration_ns,bin_index,counts", "f8,i8,i8",
                                         {0: _Memo().__getitem__})
     reps = _field(header, "repetitions", path, int)
     width = _field(header, "bin_width_ns", path, default=2.0)
     if not rows.size:
         raise ParseError(f"{path}: no data rows")
-    # Rows are grouped in increasing duration and kept in file order within
-    # a group.  RabiDataset rejects durations that do not first appear in
-    # increasing order, so for any accepted file that is also their file order.
-    _, first, group = np.unique(rows["duration_ns"], return_index=True,
-                                return_inverse=True)
-    order = np.argsort(group, kind="stable")
-    sizes = np.bincount(group)
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    _check_bins(path, rows, position, line_of)
-    if sizes.min() != sizes.max():
+    durations = rows["duration_ns"]
+    n = int(np.argmax(durations != durations[0])) or rows.size
+    _check_bins(path, rows, n, line_of)
+    if rows.size % n:
         raise ParseError(f"{path}: durations have unequal bin counts "
-                         f"({sizes.min()} to {sizes.max()})")
+                         f"({rows.size % n} to {n})")
     with _naming(path):
-        return RabiDataset(rows["duration_ns"][np.sort(first)],
-                           rows["counts"][order].reshape(sizes.size, -1), reps, width)
+        return RabiDataset(durations[::n], rows["counts"].reshape(-1, n), reps, width)
 
 
 def write_truth_csv(path, durations, populations) -> None:
-    lines = [f"# truth-csv v{FORMAT_VERSIONS['truth-csv']}",
-             "duration_ns,population"]
-    lines.extend(f"{_fmt(d)},{_fmt(p)}" for d, p in zip(durations, populations))
-    _write(path, lines)
+    _write_table(path, "truth-csv", {}, "duration_ns,population",
+                 (f"{_fmt(d)},{_fmt(p)}" for d, p in zip(durations, populations)))
 
 
 def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -327,28 +330,21 @@ def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
     """Plot-ready sweep table; footer comments restate both optima."""
-    lines = [f"# sweep-csv v{FORMAT_VERSIONS['sweep-csv']}",
-             f"# start_bin={sweep.start_bin}",
-             f"# bin_width_ns={_fmt(sweep.bin_width_ns)}",
-             f"# repetitions={sweep.repetitions}",
-             "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag"]
     curves = (sweep.bright_total, sweep.dark_total, sweep.contrast, sweep.total_variance)
-    for width, values in enumerate(zip(*(curve.tolist() for curve in curves)), start=1):
-        ns = _fmt(width * sweep.bin_width_ns)
-        if math.isnan(values[2]):
-            lines.append(f"{width},{ns},,,,,1")
-        else:
-            lines.append(f"{width},{ns},{','.join(map(_fmt, values))},0")
-    for name, m in (("max_contrast", sweep.max_contrast),
-                    ("min_variance", sweep.min_variance)):
-        if m is None:
-            lines.append(f"# {name}: none")
-        else:
-            lines.append(f"# {name}: width_bins={m.window.width_bins} "
-                         f"width_ns={_fmt(m.window.width_bins * sweep.bin_width_ns)} "
-                         f"contrast={_fmt(m.contrast)} "
-                         f"total_variance={_fmt(m.total_variance)}")
-    _write(path, lines)
+    rows = (f"{width},{_fmt(width * sweep.bin_width_ns)},"
+            + (",,,,1" if math.isnan(values[2]) else f"{','.join(map(_fmt, values))},0")
+            for width, values in enumerate(zip(*(c.tolist() for c in curves)), start=1))
+    footer = (f"{name}: none" if m is None else
+              f"{name}: width_bins={m.window.width_bins} "
+              f"width_ns={_fmt(m.window.width_bins * sweep.bin_width_ns)} "
+              f"contrast={_fmt(m.contrast)} total_variance={_fmt(m.total_variance)}"
+              for name, m in (("max_contrast", sweep.max_contrast),
+                              ("min_variance", sweep.min_variance)))
+    _write_table(path, "sweep-csv", {"start_bin": sweep.start_bin,
+                                     "bin_width_ns": _fmt(sweep.bin_width_ns),
+                                     "repetitions": sweep.repetitions},
+                 "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
+                 rows, footer)
 
 
 def read_sweep_csv(path) -> SweepResult:
@@ -439,15 +435,13 @@ def read_model(path) -> ReadoutModel:
 # ---------------------------------------------------------------------------
 
 def write_report_csv(path, report: EvalReport) -> None:
-    lines = [f"# eval-report v{FORMAT_VERSIONS['eval-report']}",
-             f"# truth_based={int(report.truth_based)}",
-             "method,avg_formula_variance,empirical_mse,contrast_measured"]
-    for m in report.methods:
-        lines.append(f"{m.method},{_fmt(m.avg_formula_variance)},"
-                     f"{_fmt(m.empirical_mse)},{_fmt(m.contrast_measured)}")
-    for (a, b), value in sorted(report.reductions.items()):
-        lines.append(f"# reduction {a} vs {b}={_fmt(value)}")
-    _write(path, lines)
+    _write_table(path, "eval-report", {"truth_based": int(report.truth_based)},
+                 "method,avg_formula_variance,empirical_mse,contrast_measured",
+                 (f"{m.method},{_fmt(m.avg_formula_variance)},"
+                  f"{_fmt(m.empirical_mse)},{_fmt(m.contrast_measured)}"
+                  for m in report.methods),
+                 (f"reduction {a} vs {b}={_fmt(value)}"
+                  for (a, b), value in sorted(report.reductions.items())))
 
 
 def read_report_csv(path) -> EvalReport:
@@ -472,13 +466,11 @@ def write_report_summary(path, report: EvalReport) -> None:
 
 
 def write_repair_csv(path, result: RepairResult) -> None:
-    lines = [f"# repair-csv v{FORMAT_VERSIONS['repair-csv']}",
-             f"# rms_original={_fmt(result.rms_original)}",
-             f"# rms_repaired={_fmt(result.rms_repaired)}",
-             "duration_ns,p_original,p_repaired,q_fit"]
-    for row in zip(result.durations, result.p_original, result.p_repaired, result.q_fit):
-        lines.append(",".join(map(_fmt, row)))
-    _write(path, lines)
+    _write_table(path, "repair-csv", {"rms_original": _fmt(result.rms_original),
+                                      "rms_repaired": _fmt(result.rms_repaired)},
+                 "duration_ns,p_original,p_repaired,q_fit",
+                 (",".join(map(_fmt, row)) for row in zip(
+                     result.durations, result.p_original, result.p_repaired, result.q_fit)))
 
 
 def read_repair_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -497,17 +489,12 @@ def write_fit_csv(path, durations, raw, fit: SinusoidFit) -> None:
     y = np.asarray(raw, dtype=float)
     y_out = (y - (fit.offset - fit.amplitude)) / (2.0 * fit.amplitude)
     f_out = fit.normalized(t)
-    lines = [f"# fit-report v{FORMAT_VERSIONS['fit-report']}",
-             f"# offset={_fmt(fit.offset)}",
-             f"# amplitude={_fmt(fit.amplitude)}",
-             f"# frequency_per_ns={_fmt(fit.frequency)}",
-             f"# phase_rad={_fmt(fit.phase)}",
-             f"# residual_rms={_fmt(fit.residual_rms)}",
-             "# normalized=1",
-             "duration_ns,p_raw,p_fit,residual"]
-    for d, a, b in zip(t, y_out, f_out):
-        lines.append(f"{_fmt(d)},{_fmt(a)},{_fmt(b)},{_fmt(a - b)}")
-    _write(path, lines)
+    header = {"offset": _fmt(fit.offset), "amplitude": _fmt(fit.amplitude),
+              "frequency_per_ns": _fmt(fit.frequency), "phase_rad": _fmt(fit.phase),
+              "residual_rms": _fmt(fit.residual_rms), "normalized": 1}
+    _write_table(path, "fit-report", header, "duration_ns,p_raw,p_fit,residual",
+                 (f"{_fmt(d)},{_fmt(a)},{_fmt(b)},{_fmt(a - b)}"
+                  for d, a, b in zip(t, y_out, f_out)))
 
 
 def read_fit_csv(path) -> tuple[SinusoidFit, np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nvreadout
+from nvreadout import cli
 from nvreadout.cli import main
 
 
@@ -169,6 +170,19 @@ class TestExitCodes:
                    "--trace1", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o.csv")) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 745. GiB for an array"),
+         "out of memory (Unable to allocate 745. GiB for an array)"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_is_2(self, tmp_path, monkeypatch, capsys, error, message):
+        # a command body that cannot allocate, without allocating anything
+        def body(args):
+            raise error
+        monkeypatch.setitem(cli._COMMANDS, "simulate", body)
+        assert run("simulate", "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"nvreadout: {message}\n"
 
     def test_output_must_not_overwrite_input(self, pipeline, capsys):
         trace = pipeline / "data" / "boundary0.csv"
