@@ -9,23 +9,25 @@ outputs; their readers return columns (and the fit's parameters).
 
 Every format but the model file is one table, written by ``_write_table``
 and read by ``_read_table``: ``# key=value`` header comments in any order,
-a fixed column row, then comma-separated data rows.  Blank and comment
-lines may sit between rows; comments after the column row are skipped, so
-a footer that restates a value derived from the rows is never read back.
-A scan's rows are its counts matrix in file order: one block per duration,
-``bin_index`` 0..N-1 in each.  The model file holds ``key=value`` fields,
-then ``weights:`` and one weight per line, parsed as a one-column table.
-All rows of a file are parsed in one numpy call; numeric header and model
-fields parse like cells, and a key given twice is an error.  Every
-malformed file, undecodable bytes included, raises :class:`ParseError`
-naming the file and, for a bad or misplaced row or a repeated key, its
-1-based line (lines split at ``\n``); so does a value the domain objects
-reject, such as durations out of order or zero repetitions.
+a column row, then comma-separated data rows.  Blank and comment lines may
+sit between rows; comments after the column row are skipped, so a footer
+that restates a value derived from the rows is never read back.  A scan
+has one row per duration, durations strictly increasing: the duration,
+then its N counts, with N set by the column row
+``duration_ns,bin_0,...,bin_{N-1}``.  The model file holds ``key=value``
+fields, then ``weights:`` and one weight per line, parsed as a one-column
+table.  All rows of a file are parsed in one numpy call; numeric header
+and model fields parse like cells, and a key given twice is an error.
+Every malformed file, undecodable bytes included, raises
+:class:`ParseError` naming the file and, for a bad or misplaced row or a
+repeated key, its 1-based line (lines split at ``\n``); so does a value
+the domain objects reject, such as zero repetitions.
 
 Files are read and written as streams, row by row, so no reader or writer
-holds a file's text or a list of its lines.  On a 240-point, 2.9 MB scan,
-reading peaks at 1.7x the file in Python allocations (the parsed rows plus
-the counts matrix), and writing at about 0.1 MB.
+holds a file's text or a list of its lines.  A 240-point, 500-bin scan is
+0.25 MB; reading it peaks at about 2.1 MB in Python allocations (the
+parsed rows plus the counts matrix, about 1 MB each), and writing at
+about 0.1 MB.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ __all__ = [
 
 FORMAT_VERSIONS = {
     "trace-csv": 1,
-    "rabi-csv": 1,
+    "rabi-csv": 2,
     "truth-csv": 1,
     "sweep-csv": 1,
     "readout-model": 1,
@@ -155,18 +157,19 @@ def _add_field(fields: dict, key: str, value: str, line: int, path) -> None:
     fields[key] = value
 
 
-def _read_table(path, columns: str, types: str, converters=None):
+def _read_table(path, columns, types: str = "", converters=None):
     """Header, typed rows and a row -> line map of one table file.
 
     ``columns`` is the exact column row and ``types`` one numpy type code per
-    column.  Returns ``(header, rows, line_of)``: the ``key=value`` comments
-    before the column row, one structured record per data line, and the
-    ``line_of`` of :func:`_parse_rows`, which reads the lines after the column
-    row from the same open file.
+    column; for a table whose width the file sets, ``columns`` is instead a
+    function of the file's column row that returns the exact column row and
+    the row dtype.  Returns ``(header, rows, line_of)``: the ``key=value``
+    comments before the column row, one structured record per data line, and
+    the ``line_of`` of :func:`_parse_rows`, which reads the lines after the
+    column row from the same open file.
     """
     header: dict[str, str] = {}
     with _lines(path) as fh:
-        no, line = 0, ""
         for no, line in enumerate(fh, 1):
             if line.startswith("#"):
                 key, sep, value = line[1:].partition("=")
@@ -174,9 +177,15 @@ def _read_table(path, columns: str, types: str, converters=None):
                     _add_field(header, key.strip(), value.strip(), no, path)
             elif line.strip():
                 break
-        if line.rstrip("\n") != columns:
-            raise ParseError(f"{path}: expected '{columns}' column row")
-        dtype = np.dtype(list(zip(columns.split(","), types.split(","))))
+        else:                       # no column row
+            no, line = None, ""
+        row = line.rstrip("\n")
+        if callable(columns):
+            columns, dtype = columns(row)
+        else:
+            dtype = np.dtype(list(zip(columns.split(","), types.split(","))))
+        if row != columns:
+            raise ParseError(f"expected '{columns}' column row", no, path)
         return header, *_parse_rows(path, fh, no + 1, dtype, converters)
 
 
@@ -213,30 +222,6 @@ def _naming(path, line: int | None = None):
         raise ParseError(str(exc), line, path) from None
 
 
-def _check_bins(path, rows, n: int, line_of) -> None:
-    """Reject the first row out of place in blocks of ``n`` rows: a bin_index
-    that is not the row's place in its block, a negative count or, in a scan,
-    a duration that is not finite or not that of its block's first row."""
-    index, counts = rows["bin_index"], rows["counts"]
-    bad = (index != np.arange(rows.size) % n) | (counts < 0)
-    if "duration_ns" in rows.dtype.names:
-        durations = rows["duration_ns"]
-        bad |= ~np.isfinite(durations)
-        bad |= durations != np.repeat(durations[::n], n)[:rows.size]
-    if bad.any():
-        k = int(np.argmax(bad))
-        if counts[k] < 0:
-            message = f"counts {counts[k]} is negative"
-        elif index[k] != k % n:
-            message = f"bin_index {index[k]} out of order (expected {k % n})"
-        elif not math.isfinite(durations[k]):
-            message = f"duration_ns {durations[k]} is not finite"
-        else:
-            message = (f"duration_ns {durations[k]} differs from its block's "
-                       f"{durations[k - k % n]}")
-        raise ParseError(message, line_of(k), path)
-
-
 # ---------------------------------------------------------------------------
 # Trace CSV
 # ---------------------------------------------------------------------------
@@ -257,52 +242,63 @@ def read_trace_csv(path) -> TimeTrace:
     seed = _field(header, "seed", path, int) if "seed" in header else None
     if not rows.size:
         raise ParseError(f"{path}: no count rows")
-    _check_bins(path, rows, rows.size, line_of)
+    index, counts = rows["bin_index"], rows["counts"]
+    bad = (index != np.arange(rows.size)) | (counts < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParseError(f"counts {counts[k]} is negative" if counts[k] < 0 else
+                         f"bin_index {index[k]} out of order (expected {k})", line_of(k), path)
     with _naming(path):
-        return TimeTrace(rows["counts"], repetitions=reps, bin_width_ns=width,
+        return TimeTrace(counts, repetitions=reps, bin_width_ns=width,
                          label=header.get("label"), seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# Oscillation dataset CSV (long format) + truth CSV
+# Oscillation dataset CSV (one row per duration) + truth CSV
 # ---------------------------------------------------------------------------
 
+def _scan_columns(n: int) -> str:
+    return ",".join(["duration_ns", *(f"bin_{i}" for i in range(n))])
+
+
+def _scan_layout(row: str):
+    """Column row and row dtype of a scan whose column row is ``row``: N, at
+    least 1, is the number of cells after the first."""
+    n = max(row.count(","), 1)
+    return _scan_columns(n), np.dtype([("duration_ns", "f8"), ("counts", "i8", (n,))])
+
+
 def write_rabi_csv(path, dataset: RabiDataset) -> None:
-    """Write a scan one duration's block of rows at a time."""
-    bins = [f",{i}," for i in range(dataset.counts.shape[1])]
-    blocks = ("\n".join([f"{d}{b}{c}" for b, c in zip(bins, row.tolist())])
-              for d, row in zip(map(_fmt, dataset.durations.tolist()), dataset.counts))
+    """Write a scan one duration's row at a time."""
+    rows = (f"{d},{','.join(map(str, row.tolist()))}"
+            for d, row in zip(map(_fmt, dataset.durations.tolist()), dataset.counts))
     _write_table(path, "rabi-csv", {"repetitions": dataset.repetitions,
                                     "bin_width_ns": _fmt(dataset.bin_width_ns)},
-                 "duration_ns,bin_index,counts", blocks)
-
-
-class _Memo(dict):
-    """Cell text -> float by the ``_cell`` rules, each distinct text parsed once."""
-
-    def __missing__(self, text: str) -> float:
-        self[text] = value = _cell(text)
-        return value
+                 _scan_columns(dataset.counts.shape[1]), rows)
 
 
 def read_rabi_csv(path) -> RabiDataset:
-    """Read a scan whose rows are its counts matrix in file order: one block
-    per duration, N (the first block's length) rows each, bin_index 0..N-1.
-    The duration column parses each distinct text once."""
-    header, rows, line_of = _read_table(path, "duration_ns,bin_index,counts", "f8,i8,i8",
-                                        {0: _Memo().__getitem__})
+    """Read a scan: one row per duration, the duration then its N counts.
+
+    The first row with a negative count, a non-finite duration or a duration
+    not above the previous row's is an error naming its line."""
+    header, rows, line_of = _read_table(path, _scan_layout)
     reps = _field(header, "repetitions", path, int)
     width = _field(header, "bin_width_ns", path, default=2.0)
     if not rows.size:
         raise ParseError(f"{path}: no data rows")
-    durations = rows["duration_ns"]
-    n = int(np.argmax(durations != durations[0])) or rows.size
-    _check_bins(path, rows, n, line_of)
-    if rows.size % n:
-        raise ParseError(f"{path}: durations have unequal bin counts "
-                         f"({rows.size % n} to {n})")
+    durations, counts = rows["duration_ns"], rows["counts"]
+    negative = (counts < 0).any(axis=1)
+    finite = np.isfinite(durations)
+    bad = negative | ~finite
+    bad[1:] |= durations[1:] <= durations[:-1]
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParseError(f"counts {counts[k].min()} is negative" if negative[k] else
+                         f"duration_ns {durations[k]} is not finite" if not finite[k] else
+                         "durations must be finite and strictly increasing", line_of(k), path)
     with _naming(path):
-        return RabiDataset(durations[::n], rows["counts"].reshape(-1, n), reps, width)
+        return RabiDataset(durations, counts, reps, width)
 
 
 def write_truth_csv(path, durations, populations) -> None:

@@ -184,6 +184,23 @@ class TestExitCodes:
         assert run("simulate", "--out-dir", str(tmp_path)) == 2
         assert capsys.readouterr().err == f"nvreadout: {message}\n"
 
+    @pytest.mark.parametrize("case", ["v1-layout", "rows-swapped"])
+    def test_bad_scan_is_2_naming_its_line(self, pipeline, tmp_path, capsys, case):
+        bad = tmp_path / "bad.csv"
+        if case == "v1-layout":     # one row per bin: fails on its column row
+            bad.write_text("# rabi-csv v1\n# repetitions=100\n# bin_width_ns=2.0\n"
+                           "duration_ns,bin_index,counts\n0.0,0,1\n0.0,1,0\n12.5,0,4\n")
+            message = "line 4: expected 'duration_ns,bin_0,bin_1' column row"
+        else:
+            lines = (pipeline / "data" / "rabi.csv").read_text().splitlines()
+            lines[9], lines[10] = lines[10], lines[9]
+            bad.write_text("\n".join(lines) + "\n")
+            message = "line 11: durations must be finite and strictly increasing"
+        assert run("fit-rabi", "--rabi", str(bad), "--out", str(tmp_path / "fit.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"bad.csv: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "fit.csv").exists()
+
     def test_output_must_not_overwrite_input(self, pipeline, capsys):
         trace = pipeline / "data" / "boundary0.csv"
         assert run("sweep", "--trace0", str(trace), "--trace1", str(trace),

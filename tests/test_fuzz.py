@@ -3,7 +3,8 @@
 The same holds for the CLI: whatever an input file holds, a command exits
 with status 0, 1 or 2 and never with an uncaught exception.  Inputs are
 random bytes or valid files with a few lines or cells replaced by junk.
-Examples are derandomized, so every run tries the same inputs.
+Random scans also round-trip byte for byte.  Examples are derandomized, so
+every run tries the same inputs.
 """
 
 import contextlib
@@ -15,7 +16,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nvreadout import ReadoutError  # noqa: E402
+import numpy as np  # noqa: E402
+
+from nvreadout import RabiDataset, ReadoutError  # noqa: E402
 from nvreadout import io as nvio  # noqa: E402
 from nvreadout.cli import load_config, main  # noqa: E402
 
@@ -24,8 +27,8 @@ SETTINGS = dict(deadline=None, derandomize=True, database=None)
 TEMPLATES = {
     nvio.read_trace_csv: "# trace-csv v1\n# repetitions=10\n# bin_width_ns=2.0\n# seed=3\n"
                          "bin_index,counts\n0,5\n1,3\n2,0\n",
-    nvio.read_rabi_csv: "# rabi-csv v1\n# repetitions=10\n# bin_width_ns=2.0\n"
-                        "duration_ns,bin_index,counts\n0.0,0,5\n0.0,1,3\n10.0,0,4\n10.0,1,2\n",
+    nvio.read_rabi_csv: "# rabi-csv v2\n# repetitions=10\n# bin_width_ns=2.0\n"
+                        "duration_ns,bin_0,bin_1\n0.0,5,3\n10.0,4,2\n",
     nvio.read_truth_csv: "# truth-csv v1\nduration_ns,population\n0.0,1.0\n10.0,0.5\n",
     nvio.read_sweep_csv: "# sweep-csv v1\n# start_bin=0\n# bin_width_ns=2.0\n# repetitions=10\n"
                          "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
@@ -106,6 +109,33 @@ def test_reader_returns_value_or_readout_error(reader, workdir, data):
         reader(path)
     except ReadoutError:
         pass
+
+
+@st.composite
+def scans(draw):
+    """A scan of 1-20 points and 1-64 bins: counts up to 2**62, durations
+    any strictly increasing finite floats."""
+    points, bins = draw(st.integers(1, 20)), draw(st.integers(1, 64))
+    durations = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=points, max_size=points, unique=True))
+    counts = draw(st.lists(st.lists(st.integers(0, 2**62), min_size=bins, max_size=bins),
+                           min_size=points, max_size=points))
+    return RabiDataset(sorted(durations), counts, draw(st.integers(1, 2**62)),
+                       draw(st.floats(1e-6, 1e6)))
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(dataset=scans())
+def test_scan_round_trip(dataset, workdir):
+    a, b = workdir / "scan-a.csv", workdir / "scan-b.csv"
+    nvio.write_rabi_csv(a, dataset)
+    again = nvio.read_rabi_csv(a)
+    nvio.write_rabi_csv(b, again)
+    assert a.read_bytes() == b.read_bytes()
+    assert np.array_equal(again.durations, dataset.durations)
+    assert np.array_equal(again.counts, dataset.counts)
+    assert (again.repetitions, again.bin_width_ns) == (dataset.repetitions,
+                                                       dataset.bin_width_ns)
 
 
 @pytest.fixture(scope="module")
