@@ -18,7 +18,7 @@ import math
 import sys
 
 import numpy as np
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from . import __version__
@@ -27,8 +27,8 @@ from .errors import ParameterError, ParseError, ReadoutError
 from .evaluation import evaluate, repair
 from .gating import sweep_gate
 from .rabi import _targets, fit_rabi, simulate_rabi_dataset
-from .regression import (TrainConfig, gated_equivalent_model, predict,
-                         prediction_variance, train_boundary, train_rabi)
+from .regression import (gated_equivalent_model, predict, prediction_variance,
+                         train_boundary, train_rabi)
 from .traces import (PhotodynamicsParams, make_profiles, paper_like_params,
                      simulate_trace)
 
@@ -55,7 +55,7 @@ class RunConfig:
     rabi_period_ns: float = 200.0
     rabi_span_ns: float = 600.0
     rabi_repetitions: int | None = None
-    train: TrainConfig = TrainConfig()
+    max_iterations: int = 100
 
 
 def _count(value, name: str) -> int:
@@ -65,9 +65,18 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+# the [simulate] and [train] keys, each setting the RunConfig field of its name,
+# and how its value is read: an int, a float, or a float that _count checks
+_KEYS = {"simulate": {"repetitions": _count, "seed": int, "rabi_points": int,
+                      "rabi_period_ns": float, "rabi_span_ns": float,
+                      "rabi_repetitions": _count},
+         "train": {"max_iterations": _count}}
+
+
 def load_config(path) -> RunConfig:
-    """Read a key=value config file with [profile]/[simulate]/[train] sections."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """Read a key=value config file with [profile]/[simulate]/[train] sections;
+    a key of theirs that is not read here, [DEFAULT]'s included, is a ParseError."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -75,34 +84,36 @@ def load_config(path) -> RunConfig:
     if not read:
         raise ReadoutError(f"config file not found: {path}")
 
-    def value(section, key, default, kind=float):
-        if not parser.has_option(section, key):
-            return default
+    profile = {f.name: f for f in dataclass_fields(PhotodynamicsParams)}
+    given = {}
+    for section, known in {"profile": profile, **_KEYS}.items():
+        given[section] = parser.options(section) if parser.has_section(section) else []
+        for key in given[section]:
+            if key not in known:
+                where = " (from [DEFAULT])" if key in parser.defaults() else ""
+                raise ParseError(f"{path}: [{section}] {key}{where} is not a known key")
+
+    def value(section, key, kind=float):
         raw = parser.get(section, key)
         try:
-            return kind(raw)
+            number = (int if kind is int else float)(raw)
         except ValueError:
             noun = "an integer" if kind is int else "a number"
             raise ParseError(f"{path}: [{section}] {key}={raw!r} is not {noun}") from None
+        return _count(number, key) if kind is _count else number
 
-    profile_kwargs = {f.name: value("profile", f.name, None)
-                      for f in dataclass_fields(PhotodynamicsParams)
-                      if parser.has_option("profile", f.name)}
-    params = paper_like_params() if not profile_kwargs else PhotodynamicsParams(**profile_kwargs)
-
+    params = paper_like_params()
+    if given["profile"]:
+        missing = [n for n, f in profile.items() if f.default is MISSING
+                   and n not in given["profile"]]
+        if missing:
+            raise ParseError(f"{path}: [profile] sets some keys but not {', '.join(missing)}")
+        params = PhotodynamicsParams(**{key: value("profile", key)
+                                        for key in given["profile"]})
     cfg = RunConfig(params=params)
-    cfg.repetitions = _count(value("simulate", "repetitions", cfg.repetitions), "repetitions")
-    cfg.seed = value("simulate", "seed", cfg.seed, int)
-    cfg.rabi_points = value("simulate", "rabi_points", cfg.rabi_points, int)
-    cfg.rabi_period_ns = value("simulate", "rabi_period_ns", cfg.rabi_period_ns)
-    cfg.rabi_span_ns = value("simulate", "rabi_span_ns", cfg.rabi_span_ns)
-    if parser.has_option("simulate", "rabi_repetitions"):
-        cfg.rabi_repetitions = _count(value("simulate", "rabi_repetitions", None),
-                                      "rabi_repetitions")
-    cfg.train = TrainConfig(
-        weight_factor=value("train", "weight_factor", TrainConfig.weight_factor),
-        max_iterations=_count(value("train", "max_iterations", TrainConfig.max_iterations),
-                              "max_iterations"))
+    for section, keys in _KEYS.items():
+        for key in given[section]:
+            setattr(cfg, key, value(section, key, keys[key]))
     return cfg
 
 
@@ -149,7 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace1", help="dark boundary trace CSV (boundary mode)")
     p.add_argument("--rabi", help="oscillation dataset CSV (rabi mode)")
     p.add_argument("--config", help="config file with a [train] section")
-    p.add_argument("--weight-factor", type=float)
     p.add_argument("--max-iterations", type=float, help="cap on Newton steps")
     p.add_argument("--out", required=True, help="model file to write")
 
@@ -249,11 +259,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = load_config(args.config).train if args.config else TrainConfig()
-    if args.weight_factor is not None:
-        config = replace(config, weight_factor=args.weight_factor)
+    cfg = load_config(args.config) if args.config else RunConfig(params=paper_like_params())
     if args.max_iterations is not None:
-        config = replace(config, max_iterations=_count(args.max_iterations, "--max-iterations"))
+        cfg.max_iterations = _count(args.max_iterations, "--max-iterations")
     if args.mode == "boundary":
         if not args.trace0 or not args.trace1:
             raise ReadoutError("boundary mode needs --trace0 and --trace1")
@@ -265,7 +273,7 @@ def _cmd_train(args) -> int:
             print("warning: bright boundary trace has fewer photons per "
                   "measurement than the dark one (negative contrast); check "
                   "for swapped inputs", file=sys.stderr)
-        model = train_boundary(trace0, trace1, config)
+        model = train_boundary(trace0, trace1, cfg.max_iterations)
     else:
         if not args.rabi:
             raise ReadoutError("rabi mode needs --rabi")
@@ -277,7 +285,7 @@ def _cmd_train(args) -> int:
             print("warning: peak-target trace has fewer photons than the "
                   "trough-target trace; oscillation data may be inverted",
                   file=sys.stderr)
-        model = train_rabi(dataset, targets, config)
+        model = train_rabi(dataset, targets, cfg.max_iterations)
     nvio.write_model(args.out, model)
     print(f"wrote {args.out} ({model.trained_on})")
     return EXIT_OK

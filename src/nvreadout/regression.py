@@ -22,9 +22,11 @@ intercept b
     (1/m) sum_j (z_j . v + b - t_j)^2 + (1/(w m)) sum_i c_i v_i^2
         + LAMBDA ||v - v_g||^2
 
-for m traces with targets t_j and repetitions R_j, w = weight_factor and
-c_i = sum_j z_ji / (R_j rate_scale).  The first two terms are J / (w m)
-for J = w sum_j (p_j - t_j)^2 + sum_j var(p_j).  The third pulls v toward
+for m traces with targets t_j and repetitions R_j, w = WEIGHT_FACTOR and
+c_i = sum_j z_ji / (R_j rate_scale).  Like LAMBDA, w is a module constant:
+the LAMBDA term dominates, and any w from 1 to 1e8 moves the model's noise
+per unit contrast by under 0.2%.  The first two terms are J / (w m) for
+J = w sum_j (p_j - t_j)^2 + sum_j var(p_j).  The third pulls v toward
 v_g, equal weights over the best min-variance window of the extremal-target
 traces (zeros when every window is degenerate): a ridge penalty in place
 of the early stopping that keeps a fit to noisy oscillation sets from
@@ -53,7 +55,6 @@ from .traces import TimeTrace, _check_pair, _checked_counts
 __all__ = [
     "ReadoutModel",
     "TrainingExample",
-    "TrainConfig",
     "LossBreakdown",
     "predict",
     "prediction_variance",
@@ -65,9 +66,10 @@ __all__ = [
     "gated_equivalent_model",
 ]
 
-LAMBDA = 1.0        # weight of the proximity term toward the gated anchor
-_DUAL_TOL = 1e-13   # dual-gradient tolerance, relative to 1 + |Z_c| v
-_ARMIJO = 1e-4      # sufficient-increase fraction of the line search
+LAMBDA = 1.0          # weight of the proximity term toward the gated anchor
+WEIGHT_FACTOR = 1e4   # weight of the prediction term over the variance term
+_DUAL_TOL = 1e-13     # dual-gradient tolerance, relative to 1 + |Z_c| v
+_ARMIJO = 1e-4        # sufficient-increase fraction of the line search
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,10 @@ class ReadoutModel:
             raise ParameterError("reference_bin_width_ns must be finite and positive")
         if not (0 < self.rate_scale < np.inf):
             raise ParameterError("rate_scale must be finite and positive")
+        # trained_on is one line of the model file and must read back as written
+        if not (isinstance(self.trained_on, str)
+                and self.trained_on.splitlines() in ([], [self.trained_on])):
+            raise ParameterError("trained_on must be one line of text")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -127,21 +133,6 @@ class TrainingExample:
     def __post_init__(self):
         if not (0.0 <= self.target <= 1.0):
             raise DomainError(f"target must be in [0, 1], got {self.target}")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Trainer settings: the prediction-term weight and the Newton-step cap."""
-
-    weight_factor: float = 1e4
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        if not (np.isfinite(self.weight_factor) and self.weight_factor >= 1):
-            raise ParameterError("weight_factor must be finite and >= 1")
-        if not (isinstance(self.max_iterations, (int, np.integer))
-                and self.max_iterations >= 1):
-            raise ParameterError("max_iterations must be an integer >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -208,28 +199,27 @@ def _design(examples, model: ReadoutModel) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _loss(rates: np.ndarray, reps: np.ndarray, targets: np.ndarray,
-          model: ReadoutModel, weight_factor: float) -> LossBreakdown:
-    """Both loss terms of ``model`` on a rates matrix with its repetitions."""
+          model: ReadoutModel, w: float) -> LossBreakdown:
+    """Both loss terms of ``model`` on a rates matrix, totalled at weight ``w``."""
     residuals = rates @ model.weights + model.intercept - targets
     pred = float(residuals @ residuals)
     var_coeff = (rates / reps[:, None]).sum(axis=0)
     var = float(model.weights * model.weights @ var_coeff)
-    return LossBreakdown(pred, var, weight_factor, weight_factor * pred + var)
+    return LossBreakdown(pred, var, w, w * pred + var)
 
 
-def loss(model: ReadoutModel, examples, weight_factor: float) -> LossBreakdown:
+def loss(model: ReadoutModel, examples, w: float) -> LossBreakdown:
     """Evaluate both loss terms for a model on a training set."""
-    return _loss(*_design(examples, model), model, weight_factor)
+    return _loss(*_design(examples, model), model, w)
 
 
-def loss_gradient(model: ReadoutModel, examples,
-                  weight_factor: float) -> tuple[np.ndarray, float]:
-    """Gradient of the total loss with respect to (weights, intercept)."""
+def loss_gradient(model: ReadoutModel, examples, w: float) -> tuple[np.ndarray, float]:
+    """Gradient of the total loss at weight ``w`` over (weights, intercept)."""
     rates, reps, targets = _design(examples, model)
     residuals = rates @ model.weights + model.intercept - targets
     var_coeff = (rates / reps[:, None]).sum(axis=0)
-    grad_w = 2.0 * weight_factor * (rates.T @ residuals) + 2.0 * var_coeff * model.weights
-    grad_b = 2.0 * weight_factor * float(residuals.sum())
+    grad_w = 2.0 * w * (rates.T @ residuals) + 2.0 * var_coeff * model.weights
+    grad_b = 2.0 * w * float(residuals.sum())
     return grad_w, grad_b
 
 
@@ -256,8 +246,8 @@ def _gated_init(counts: np.ndarray, reps: np.ndarray, targets: np.ndarray,
 
 
 def _solve(rates: np.ndarray, reps: np.ndarray, targets: np.ndarray,
-           anchor: np.ndarray, weight_factor: float, max_steps: int,
-           lam: float = LAMBDA) -> tuple[np.ndarray, float, int, float]:
+           anchor: np.ndarray, max_steps: int, lam: float = LAMBDA,
+           w: float = WEIGHT_FACTOR) -> tuple[np.ndarray, float, int, float]:
     """Exact minimizer of the module's stated objective by dual Newton steps.
 
     ``anchor`` holds the gated-anchor weights in rate space.  Returns
@@ -267,7 +257,6 @@ def _solve(rates: np.ndarray, reps: np.ndarray, targets: np.ndarray,
     scale = float(rates.max())
     z = rates / scale
     m = z.shape[0]
-    w = float(weight_factor)
     c = (z / reps[:, None]).sum(axis=0) / scale
     v_g = anchor * scale
     zc = z - z.mean(axis=0)
@@ -319,7 +308,7 @@ def _solve(rates: np.ndarray, reps: np.ndarray, targets: np.ndarray,
 
 
 def train(counts, repetitions, targets, bin_width_ns: float,
-          config: TrainConfig | None = None, provenance: str = "") -> ReadoutModel:
+          max_iterations: int = 100, provenance: str = "") -> ReadoutModel:
     """Fit a readout model to labeled traces by the exact solve above.
 
     Parameters
@@ -332,8 +321,8 @@ def train(counts, repetitions, targets, bin_width_ns: float,
         One target population in [0, 1] per row, not all equal.
     bin_width_ns : float
         Bin width shared by every row.
-    config : TrainConfig, optional
-        Defaults are suitable for the shipped simulator presets.
+    max_iterations : int
+        Cap on Newton steps, an integer >= 1.
     provenance : str
         Free text recorded on the model.
 
@@ -341,12 +330,13 @@ def train(counts, repetitions, targets, bin_width_ns: float,
     -------
     ReadoutModel
         Weights satisfy min(weights) >= 0 exactly; ``training_loss`` holds
-        the final loss breakdown and ``trained_on`` names the solver,
-        LAMBDA, the Newton steps taken and the KKT residual.  A solve that
-        needs more than ``config.max_iterations`` steps raises
+        the final loss breakdown at WEIGHT_FACTOR and ``trained_on`` names
+        the solver, LAMBDA, the Newton steps taken and the KKT residual.  A
+        solve that needs more than ``max_iterations`` steps raises
         :class:`ConvergenceError`.
     """
-    config = config or TrainConfig()
+    if not (isinstance(max_iterations, (int, np.integer)) and max_iterations >= 1):
+        raise ParameterError("max_iterations must be an integer >= 1")
     counts = _checked_counts(counts, 2, 1, bin_width_ns)    # repetitions: below
     m = len(counts)
     reps, targets = np.array(repetitions), np.array(targets, dtype=float)
@@ -366,7 +356,7 @@ def train(counts, repetitions, targets, bin_width_ns: float,
     rates = counts / reps[:, None]
     weights, intercept, steps, kkt = _solve(
         rates, reps, targets, _gated_init(counts, reps, targets, bin_width_ns),
-        config.weight_factor, config.max_iterations)
+        max_iterations)
     model = ReadoutModel(
         weights=weights,
         intercept=intercept,
@@ -376,12 +366,11 @@ def train(counts, repetitions, targets, bin_width_ns: float,
                    f"solver=dual-newton, lambda={LAMBDA!r}, iterations={steps}, "
                    f"kkt_residual={kkt:.3e}",
     )
-    return replace(model, training_loss=_loss(rates, reps, targets, model,
-                                               config.weight_factor))
+    return replace(model, training_loss=_loss(rates, reps, targets, model, WEIGHT_FACTOR))
 
 
 def train_boundary(trace0: TimeTrace, trace1: TimeTrace,
-                   config: TrainConfig | None = None) -> ReadoutModel:
+                   max_iterations: int = 100) -> ReadoutModel:
     """Train on the two boundary traces with targets 1 (bright) and 0 (dark)."""
     _check_pair(trace0, trace1)
     if np.array_equal(trace0.counts, trace1.counts) and \
@@ -389,12 +378,12 @@ def train_boundary(trace0: TimeTrace, trace1: TimeTrace,
         raise DegenerateTrainingError("boundary traces are identical")
     return train(np.stack([trace0.counts, trace1.counts]),
                  [trace0.repetitions, trace1.repetitions], [1.0, 0.0],
-                 trace0.bin_width_ns, config,
+                 trace0.bin_width_ns, max_iterations,
                  provenance=f"boundary traces, repetitions="
                             f"{trace0.repetitions}/{trace1.repetitions}")
 
 
-def train_rabi(dataset, targets, config: TrainConfig | None = None) -> ReadoutModel:
+def train_rabi(dataset, targets, max_iterations: int = 100) -> ReadoutModel:
     """Train on a whole oscillation dataset, one target per point.
 
     Targets normally come from the dataset's own sinusoid fit, as
@@ -405,8 +394,8 @@ def train_rabi(dataset, targets, config: TrainConfig | None = None) -> ReadoutMo
         targets = [ex.target for ex in assign_targets(dataset, fit)]
     """
     return train(dataset.counts, dataset.repetitions, targets, dataset.bin_width_ns,
-                 config, provenance=f"oscillation set, {len(dataset)} points, "
-                                    f"repetitions={dataset.repetitions}")
+                 max_iterations, provenance=f"oscillation set, {len(dataset)} points, "
+                                            f"repetitions={dataset.repetitions}")
 
 
 def gated_equivalent_model(trace0: TimeTrace, trace1: TimeTrace,

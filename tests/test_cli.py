@@ -110,11 +110,11 @@ class TestPipeline:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
             "[simulate]\nrepetitions = 1e5\nseed = 3\nrabi_points = 12\n"
-            "[train]\nweight_factor = 100\nmax_iterations = 50\n")
+            "[train]\nmax_iterations = 50\n")
         cfg = load_config(cfg_file)
         assert cfg.repetitions == 100_000 and cfg.seed == 3
         assert cfg.rabi_points == 12
-        assert cfg.train.weight_factor == 100 and cfg.train.max_iterations == 50
+        assert cfg.max_iterations == 50
         out = tmp_path / "sim"
         assert run("simulate", "--config", str(cfg_file),
                    "--out-dir", str(out)) == 0
@@ -289,6 +289,54 @@ class TestConfigErrors:
         assert run("simulate", "--config", str(cfg_file),
                    "--out-dir", str(tmp_path / "out")) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, match", [
+        ("[profile]\nsteady_rat = 2e-5\n", r"run\.cfg: \[profile\] steady_rat "),
+        ("[simulate]\nrepetitons = 1e3\n", r"run\.cfg: \[simulate\] repetitons "),
+        ("[train]\nweight_factor = 1e4\n", r"run\.cfg: \[train\] weight_factor "),
+        ("[DEFAULT]\nrepetitons = 1e3\n[simulate]\nseed = 3\n",
+         r"run\.cfg: \[simulate\] repetitons \(from \[DEFAULT\]\) "),
+    ], ids=["profile", "simulate", "train", "default"])
+    def test_unknown_key_is_parse_error(self, tmp_path, capsys, text, match):
+        from nvreadout import ParseError
+        from nvreadout.cli import load_config
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text + "[sweep]\nstart_bin = 4\n")    # other sections are ignored
+        with pytest.raises(ParseError, match=match + "is not a known key"):
+            load_config(cfg_file)
+        for command in (["simulate", "--out-dir", str(tmp_path / "out")],
+                        ["train", "--mode", "rabi", "--rabi", "scan.csv",
+                         "--out", str(tmp_path / "m.txt")]):
+            assert run(*command, "--config", str(cfg_file)) == 2
+            err = capsys.readouterr().err
+            assert "is not a known key" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_documented_config_loads(self, tmp_path):
+        from nvreadout.cli import load_config
+        doc = (Path(__file__).parents[1] / "docs" / "config-format.md").read_text()
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(doc.split("```ini\n")[1].split("```")[0])
+        cfg = load_config(cfg_file)
+        assert (cfg.repetitions, cfg.seed, cfg.rabi_repetitions) == (10**7, 7, 10**5)
+        assert cfg.params.steady_rate == 2.1215e-05 and cfg.max_iterations == 100
+
+    def test_partial_profile_is_parse_error(self, tmp_path, capsys):
+        from nvreadout import ParseError
+        from nvreadout.cli import load_config
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[profile]\nbright_boost = 0.3\n")
+        with pytest.raises(ParseError, match=r"run\.cfg: \[profile\] .*steady_rate"):
+            load_config(cfg_file)
+        assert run("simulate", "--config", str(cfg_file),
+                   "--out-dir", str(tmp_path / "out")) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_weight_factor_flag_is_a_usage_error(self, tmp_path, capsys):
+        assert run("train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
+                   "--weight-factor", "1", "--out", str(tmp_path / "m.txt")) == 1
+        assert "--weight-factor" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestSwapWarning:

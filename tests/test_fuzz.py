@@ -48,7 +48,7 @@ TEMPLATES = {
     nvio.read_fit_csv: "# fit-report v1\n# offset=0.5\n# amplitude=0.5\n# frequency_per_ns=0.005\n"
                        "# phase_rad=0.0\n# residual_rms=0.01\n# normalized=1\n"
                        "duration_ns,p_raw,p_fit,residual\n0.0,1.0,1.0,0.0\n",
-    load_config: "[simulate]\nrepetitions = 1e5\nseed = 3\n[train]\nweight_factor = 100\n"
+    load_config: "[simulate]\nrepetitions = 1e5\nseed = 3\n[train]\n"
                  "max_iterations = 50\n[sweep]\nstart_bin = 4\n",
 }
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import gates
-from nvreadout import (ParseError, RabiDataset, ReadoutError, evaluate, expected_trace,
-                       make_profiles, paper_like_params, repair, simulate_rabi_dataset,
-                       simulate_trace, sweep_gate, train_boundary)
+from nvreadout import (ParameterError, ParseError, RabiDataset, ReadoutError, ReadoutModel,
+                       evaluate, expected_trace, make_profiles, paper_like_params, repair,
+                       simulate_rabi_dataset, simulate_trace, sweep_gate, train_boundary)
 from nvreadout import io as nvio
 
 CURVES = ("bright_total", "dark_total", "contrast", "total_variance")
@@ -413,6 +413,30 @@ class TestModelFile:
         assert again.intercept == model.intercept
         assert again.rate_scale == model.rate_scale
         assert again.training_loss == model.training_loss
+
+    @pytest.mark.parametrize("trained_on", ["a\nb", "a\rb", "a\r\nb", "end\n"])
+    def test_trained_on_must_be_one_line(self, trained_on):
+        # trained_on is one line of a model file; a line break would end it there
+        with pytest.raises(ParameterError, match="trained_on"):
+            ReadoutModel([0.5], 0.0, 2.0, trained_on=trained_on)
+
+    def test_one_line_trained_on_round_trips(self, tmp_path):
+        a, b = tmp_path / "a.model", tmp_path / "b.model"
+        nvio.write_model(a, ReadoutModel([0.5], 0.0, 2.0, trained_on=" by hand, x=1 "))
+        nvio.write_model(b, nvio.read_model(a))
+        assert roundtrip_bytes(a, b)
+        assert nvio.read_model(b).trained_on == " by hand, x=1 "
+
+    def test_other_loss_weight_factor_round_trips(self, world, tmp_path):
+        # a model file from a trainer run at another prediction-term weight
+        a, b = tmp_path / "a.model", tmp_path / "b.model"
+        nvio.write_model(a, world[5])
+        a.write_text(re.sub(r"(?m)^loss_weight_factor=.*$", "loss_weight_factor=10.0",
+                            a.read_text()))
+        again = nvio.read_model(a)
+        assert again.training_loss.weight_factor == 10.0
+        nvio.write_model(b, again)
+        assert roundtrip_bytes(a, b)
 
     def test_dimension_mismatch_rejected(self, world, tmp_path):
         model = world[5]

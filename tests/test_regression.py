@@ -5,13 +5,12 @@ import pytest
 
 from nvreadout import (ConvergenceError, DegenerateTrainingError, DomainError,
                        GateWindow, ParameterError, ReadoutError, ReadoutModel,
-                       ShapeError, TimeTrace,
-                       TrainConfig, TrainingExample, expected_trace, gate_sum,
+                       ShapeError, TimeTrace, TrainingExample, expected_trace, gate_sum,
                        gated_equivalent_model, gated_population, loss,
                        loss_gradient, make_profiles, mix_profile,
                        paper_like_params, predict, prediction_variance,
                        simulate_trace, sweep_gate, train, train_boundary)
-from nvreadout.regression import LAMBDA, _gated_init, _solve
+from nvreadout.regression import LAMBDA, WEIGHT_FACTOR, _gated_init, _solve
 
 
 def as_arrays(examples):
@@ -104,7 +103,7 @@ class TestLoss:
     def test_perfect_constant_model(self):
         tr = TimeTrace(np.zeros(5, dtype=int), repetitions=1)
         model = ReadoutModel(np.zeros(5), intercept=0.5, reference_bin_width_ns=2.0)
-        breakdown = loss(model, [TrainingExample(tr, 0.5)], weight_factor=1e4)
+        breakdown = loss(model, [TrainingExample(tr, 0.5)], 1e4)
         assert breakdown.prediction_term == 0.0
         assert breakdown.variance_term == 0.0
         assert breakdown.total == 0.0
@@ -113,7 +112,7 @@ class TestLoss:
         _, _, t0, t1 = preset_traces
         model = gated_equivalent_model(t0, t1, GateWindow(0, 150))
         examples = [TrainingExample(t0, 1.0), TrainingExample(t1, 0.0)]
-        breakdown = loss(model, examples, weight_factor=1e4)
+        breakdown = loss(model, examples, 1e4)
         assert breakdown.prediction_term < 1e-24
 
     def test_against_straightforward_reimplementation(self):
@@ -285,6 +284,14 @@ def stated_objective_parts(data):
     return z, targets, c, v_g, scale
 
 
+def solve(data, w):
+    """The trainer's solve at prediction-term weight ``w``, from its own anchor:
+    weights, intercept, Newton steps and KKT residual."""
+    counts, reps, targets = data
+    return _solve(counts / reps[:, None], reps, targets,
+                  _gated_init(counts, reps, targets, 2.0), 100, w=w)
+
+
 def nnls_oracle(data, weight_factor):
     """Minimize the stated objective as one stacked NNLS problem (b = b+ - b-)."""
     nnls = pytest.importorskip("scipy.optimize").nnls
@@ -313,7 +320,8 @@ def kkt_residual(model, data, weight_factor):
 def solver_cases():
     """c05's boundary pair, c07's 60-point training set, small random sets.
 
-    Each case is the examples and the prediction-term weight.
+    Each case is the examples and the prediction-term weight at which the
+    solve is checked; ``train`` itself always solves at WEIGHT_FACTOR (1e4).
     """
     from conftest import SEED_BOUNDARY_CLEAN, SEED_RABI_TRAINING
     from nvreadout import assign_targets, fit_rabi, simulate_rabi_dataset
@@ -344,33 +352,43 @@ class TestExactSolve:
     def test_matches_nnls_oracle(self, solver_cases):
         for name, (examples, w) in solver_cases.items():
             data = as_arrays(examples)
-            model = train(*data, 2.0, TrainConfig(weight_factor=w))
+            found_w, found_b, _, _ = solve(data, w)
             weights, intercept = nnls_oracle(data, w)
-            err_w = (np.abs(model.weights - weights).max()
+            err_w = (np.abs(found_w - weights).max()
                      / max(np.abs(weights).max(), np.finfo(float).tiny))
-            err_b = abs(model.intercept - intercept) / max(1.0, abs(intercept))
+            err_b = abs(found_b - intercept) / max(1.0, abs(intercept))
             assert err_w <= 1e-9 and err_b <= 1e-9, (name, err_w, err_b)
 
     def test_kkt_residual_at_returned_model(self, solver_cases):
         for name, (examples, w) in solver_cases.items():
             data = as_arrays(examples)
-            model = train(*data, 2.0, TrainConfig(weight_factor=w))
-            assert kkt_residual(model, data, w) <= 1e-9, name
+            weights, intercept, steps, kkt = solve(data, w)
+            assert kkt_residual(ReadoutModel(weights, intercept, 2.0), data, w) <= 1e-9, name
+            assert steps <= 100 and kkt <= 1e-9, name
+
+    def test_train_is_the_solve_at_weight_factor(self, solver_cases):
+        # bit for bit, so the two tests above hold for train at every case
+        # whose weight is WEIGHT_FACTOR
+        for name, (examples, _) in solver_cases.items():
+            data = as_arrays(examples)
+            model = train(*data, 2.0)
+            weights, intercept, steps, kkt = solve(data, WEIGHT_FACTOR)
+            assert np.array_equal(model.weights, weights), name
+            assert model.intercept == intercept, name
             # the array loss recorded on the model is the loss of the examples
-            assert model.training_loss == loss(model, examples, w), name
+            assert model.training_loss == loss(model, examples, WEIGHT_FACTOR), name
+            assert model.training_loss.weight_factor == WEIGHT_FACTOR
             recorded = dict(f.split("=") for f in model.trained_on.split(", ")[-4:])
-            assert recorded["solver"] == "dual-newton"
-            assert float(recorded["lambda"]) == LAMBDA
-            assert int(recorded["iterations"]) <= TrainConfig().max_iterations
-            assert float(recorded["kkt_residual"]) <= 1e-9, name
+            assert recorded == {"solver": "dual-newton", "lambda": repr(LAMBDA),
+                                "iterations": str(steps), "kkt_residual": f"{kkt:.3e}"}, name
 
     def test_infinite_lambda_returns_gated_anchor(self, solver_cases):
         for name, (examples, w) in solver_cases.items():
             counts, reps, targets = as_arrays(examples)
             rates = counts / reps[:, None]
             anchor = _gated_init(counts, reps, targets, 2.0)
-            weights, intercept, _, _ = _solve(rates, reps, targets, anchor, w,
-                                              max_steps=100, lam=1e12)
+            weights, intercept, _, _ = _solve(rates, reps, targets, anchor,
+                                              max_steps=100, lam=1e12, w=w)
             # relative to the anchor, or to 1 in normalized units for a zero anchor
             tol = 1e-9 * max(anchor.max(), 1.0 / rates.max())
             assert np.abs(weights - anchor).max() <= tol, name
@@ -385,15 +403,15 @@ class TestExactSolve:
     def test_step_cap_raises(self, solver_cases):
         examples, _ = solver_cases["c05-boundary"]
         with pytest.raises(ConvergenceError, match="1 Newton steps"):
-            train(*as_arrays(examples), 2.0, TrainConfig(max_iterations=1))
+            train(*as_arrays(examples), 2.0, max_iterations=1)
         assert issubclass(ConvergenceError, ReadoutError)
 
-    @pytest.mark.parametrize("field, bad", [
-        ("max_iterations", 0), ("max_iterations", 2.5), ("max_iterations", float("nan")),
-        ("weight_factor", 0.5), ("weight_factor", float("inf"))])
-    def test_config_rejects_bad_values(self, field, bad):
-        with pytest.raises(ReadoutError, match=field):
-            TrainConfig(**{field: bad})
+    @pytest.mark.parametrize("bad", [0, 2.5, float("nan")],
+                             ids=lambda bad: f"max_iterations-{bad}")
+    def test_config_rejects_bad_values(self, solver_cases, bad):
+        examples, _ = solver_cases["random-0"]
+        with pytest.raises(ParameterError, match="max_iterations must be an integer >= 1"):
+            train(*as_arrays(examples), 2.0, max_iterations=bad)
 
 
 class TestGatedEquivalentModel:
