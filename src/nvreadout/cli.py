@@ -191,11 +191,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_distinct_output(out_path, *input_paths) -> None:
+def _check_distinct_output(out_path, *other_paths) -> None:
+    """Reject an output path that is one of the paths a command reads or writes."""
     out = Path(out_path).resolve()
-    for p in input_paths:
+    for p in other_paths:
         if p and Path(p).resolve() == out:
-            raise ReadoutError(f"output path {out_path} would overwrite input {p}")
+            raise ReadoutError(f"output path {out_path} would overwrite {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,8 @@ def _cmd_simulate(args) -> int:
         rabi_reps = _count(args.rabi_reps, "--rabi-reps")
 
     out = Path(args.out_dir)
+    for name in ("boundary0.csv", "boundary1.csv", "rabi.csv", "rabi_truth.csv"):
+        _check_distinct_output(out / name, args.config)
     out.mkdir(parents=True, exist_ok=True)
     profile0, profile1 = make_profiles(cfg.params)
 
@@ -259,13 +262,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_distinct_output(args.out, args.config, args.trace0, args.trace1, args.rabi)
     cfg = load_config(args.config) if args.config else RunConfig(params=paper_like_params())
     if args.max_iterations is not None:
         cfg.max_iterations = _count(args.max_iterations, "--max-iterations")
     if args.mode == "boundary":
         if not args.trace0 or not args.trace1:
             raise ReadoutError("boundary mode needs --trace0 and --trace1")
-        _check_distinct_output(args.out, args.trace0, args.trace1)
         trace0 = nvio.read_trace_csv(args.trace0)
         trace1 = nvio.read_trace_csv(args.trace1)
         if trace0.counts.sum() / trace0.repetitions < \
@@ -277,7 +280,6 @@ def _cmd_train(args) -> int:
     else:
         if not args.rabi:
             raise ReadoutError("rabi mode needs --rabi")
-        _check_distinct_output(args.out, args.rabi)
         dataset = nvio.read_rabi_csv(args.rabi)
         sums = dataset.counts.sum(axis=1) / dataset.repetitions
         targets = _targets(dataset.durations, fit_rabi(dataset.durations, sums))
@@ -326,7 +328,10 @@ def _scan_inputs(args):
 
 
 def _cmd_evaluate(args) -> int:
-    _check_distinct_output(args.out, args.rabi, args.trace0, args.trace1, args.truth)
+    inputs = (args.rabi, args.model, args.trace0, args.trace1, args.truth)
+    _check_distinct_output(args.out, *inputs)
+    if args.summary:
+        _check_distinct_output(args.summary, args.out, *inputs)
     test, model, max_c, min_v = _scan_inputs(args)
     truth = None
     if args.truth:
@@ -344,7 +349,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    _check_distinct_output(args.out, args.rabi, args.trace0, args.trace1)
+    _check_distinct_output(args.out, args.rabi, args.model, args.trace0, args.trace1)
     test, model, _, min_v = _scan_inputs(args)
     result = repair(test, min_v, model)
     nvio.write_repair_csv(args.out, result)

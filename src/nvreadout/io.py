@@ -7,17 +7,17 @@ six formats round-trip byte for byte (save -> load -> save): trace, scan,
 truth, sweep, model and evaluation report.  The fit and repair reports are
 outputs; their readers return columns (and the fit's parameters).
 
-Every format but the model file is one table, written by ``_write_table``
-and read by ``_read_table``: ``# key=value`` header comments in any order,
+Every format is one table, written by ``_write_table`` and read by
+``_read_table``: ``# key=value`` header comments in any order,
 a column row, then comma-separated data rows.  Blank and comment lines may
 sit between rows; comments after the column row are skipped, so a footer
 that restates a value derived from the rows is never read back.  A scan
 has one row per duration, durations strictly increasing: the duration,
 then its N counts, with N set by the column row
-``duration_ns,bin_0,...,bin_{N-1}``.  The model file holds ``key=value``
-fields, then ``weights:`` and one weight per line, parsed as a one-column
-table.  All rows of a file are parsed in one numpy call; numeric header
-and model fields parse like cells, and a key given twice is an error.
+``duration_ns,bin_0,...,bin_{N-1}``.  All rows of a file are parsed in
+one numpy call; numeric header fields parse like cells, and a key given
+twice is an error.  Header values are read back stripped, so a text value
+is one line without leading or trailing whitespace.
 Every malformed file, undecodable bytes included, raises
 :class:`ParseError` naming the file and, for a bad or misplaced row or a
 repeated key, its 1-based line (lines split at ``\n``); so does a value
@@ -64,7 +64,7 @@ FORMAT_VERSIONS = {
     "rabi-csv": 2,
     "truth-csv": 1,
     "sweep-csv": 1,
-    "readout-model": 1,
+    "readout-model": 2,
     "eval-report": 1,
     "repair-csv": 1,
     "fit-report": 1,
@@ -151,12 +151,6 @@ def _parse_rows(path, lines, first: int, dtype, converters=None):
     raise ParseError(detail, rows[lo][0], path)
 
 
-def _add_field(fields: dict, key: str, value: str, line: int, path) -> None:
-    if key in fields:
-        raise ParseError(f"repeated field '{key}'", line, path)
-    fields[key] = value
-
-
 def _read_table(path, columns, types: str = "", converters=None):
     """Header, typed rows and a row -> line map of one table file.
 
@@ -172,9 +166,11 @@ def _read_table(path, columns, types: str = "", converters=None):
     with _lines(path) as fh:
         for no, line in enumerate(fh, 1):
             if line.startswith("#"):
-                key, sep, value = line[1:].partition("=")
+                key, sep, value = (part.strip() for part in line[1:].partition("="))
                 if sep:
-                    _add_field(header, key.strip(), value.strip(), no, path)
+                    if key in header:
+                        raise ParseError(f"repeated field '{key}'", no, path)
+                    header[key] = value
             elif line.strip():
                 break
         else:                       # no column row
@@ -197,7 +193,7 @@ def _cell(text: str, kind=float):
 
 
 def _field(fields: dict, key: str, path, kind=float, default=None):
-    """A header or model field parsed like a table cell; a missing key falls
+    """A header field parsed like a table cell; a missing key falls
     back to ``default`` if given."""
     if key not in fields:
         if default is None:
@@ -375,44 +371,27 @@ def read_sweep_csv(path) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 def write_model(path, model: ReadoutModel) -> None:
-    """Versioned full-precision text record of a readout model."""
-    lines = [f"# readout-model v{FORMAT_VERSIONS['readout-model']}",
-             f"dimension={model.dimension}",
-             f"bin_width_ns={_fmt(model.reference_bin_width_ns)}",
-             f"rate_scale={_fmt(model.rate_scale)}",
-             f"intercept={_fmt(model.intercept)}",
-             f"trained_on={model.trained_on}"]
-    if model.training_loss is not None:
-        tl = model.training_loss
-        lines.append(f"loss_prediction={_fmt(tl.prediction_term)}")
-        lines.append(f"loss_variance={_fmt(tl.variance_term)}")
-        lines.append(f"loss_weight_factor={_fmt(tl.weight_factor)}")
-        lines.append(f"loss_total={_fmt(tl.total)}")
-    lines.append("weights:")
-    lines.extend(_fmt(w) for w in model.weights)
-    _write(path, lines)
+    """A readout model: its fields and training loss as header values, then
+    one ``weight`` per row."""
+    tl = model.training_loss
+    loss = {} if tl is None else {"loss_prediction": _fmt(tl.prediction_term),
+                                  "loss_variance": _fmt(tl.variance_term),
+                                  "loss_weight_factor": _fmt(tl.weight_factor)}
+    _write_table(path, "readout-model", {"dimension": model.dimension,
+                                         "bin_width_ns": _fmt(model.reference_bin_width_ns),
+                                         "rate_scale": _fmt(model.rate_scale),
+                                         "intercept": _fmt(model.intercept),
+                                         "trained_on": model.trained_on, **loss},
+                 "weight", map(_fmt, model.weights))
 
 
 def read_model(path) -> ReadoutModel:
-    """Read a model: ``key=value`` fields, then ``weights:`` and one weight per
-    line, which parse as a one-column table."""
-    fields: dict[str, str] = {}
-    with _lines(path) as fh:
-        no = 0
-        for no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line == "weights:":
-                break
-            if line.strip() and not line.startswith("#"):
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise ParseError(f"expected key=value, got {line!r}", no, path)
-                _add_field(fields, key, value, no, path)
-        rows, _ = _parse_rows(path, fh, no + 1, np.dtype([("weight", "f8")]))
+    """Read a model; ``dimension`` must equal the number of weight rows."""
+    fields, rows, _ = _read_table(path, "weight", "f8")
     dimension = _field(fields, "dimension", path, int)
     if rows.size != dimension:
         raise ParseError(f"{path}: {rows.size} weights, dimension says {dimension}")
-    loss_keys = ("loss_prediction", "loss_variance", "loss_weight_factor", "loss_total")
+    loss_keys = ("loss_prediction", "loss_variance", "loss_weight_factor")
     with _naming(path):
         training_loss = None
         if any(key in fields for key in loss_keys):

@@ -50,7 +50,7 @@ from .errors import (ConvergenceError, DegenerateBoundaryError,
                      DegenerateTrainingError, DomainError, ParameterError,
                      ShapeError)
 from .gating import GateWindow, _metric_curves
-from .traces import TimeTrace, _check_pair, _checked_counts
+from .traces import TimeTrace, _check_header_text, _check_pair, _checked_counts
 
 __all__ = [
     "ReadoutModel",
@@ -74,16 +74,19 @@ _ARMIJO = 1e-4        # sufficient-increase fraction of the line search
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """The two loss terms and their weighted total."""
+    """The two loss terms and the weight of the first; ``total`` is derived."""
 
     prediction_term: float      # sum of squared prediction errors, unweighted
     variance_term: float        # sum of per-example estimate variances
     weight_factor: float
-    total: float                # weight_factor * prediction_term + variance_term
 
     def __post_init__(self):
         if self.prediction_term < 0 or self.variance_term < 0:
             raise ParameterError("loss terms must be nonnegative")
+
+    @property
+    def total(self) -> float:
+        return self.weight_factor * self.prediction_term + self.variance_term
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +97,7 @@ class ReadoutModel:
     intercept: float
     reference_bin_width_ns: float
     rate_scale: float = 1.0     # training-set max bin rate used as preconditioner
-    trained_on: str = ""
+    trained_on: str = ""        # provenance: one line, no surrounding whitespace
     training_loss: LossBreakdown | None = None
 
     def __post_init__(self):
@@ -111,10 +114,7 @@ class ReadoutModel:
             raise ParameterError("reference_bin_width_ns must be finite and positive")
         if not (0 < self.rate_scale < np.inf):
             raise ParameterError("rate_scale must be finite and positive")
-        # trained_on is one line of the model file and must read back as written
-        if not (isinstance(self.trained_on, str)
-                and self.trained_on.splitlines() in ([], [self.trained_on])):
-            raise ParameterError("trained_on must be one line of text")
+        _check_header_text(self.trained_on, "trained_on")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -205,7 +205,7 @@ def _loss(rates: np.ndarray, reps: np.ndarray, targets: np.ndarray,
     pred = float(residuals @ residuals)
     var_coeff = (rates / reps[:, None]).sum(axis=0)
     var = float(model.weights * model.weights @ var_coeff)
-    return LossBreakdown(pred, var, w, w * pred + var)
+    return LossBreakdown(pred, var, w)
 
 
 def loss(model: ReadoutModel, examples, w: float) -> LossBreakdown:

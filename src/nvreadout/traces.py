@@ -76,6 +76,14 @@ def _checked_counts(counts, ndim: int, repetitions, bin_width_ns) -> np.ndarray:
     return _readonly(counts)
 
 
+def _check_header_text(text, name: str) -> None:
+    """Reject ``text`` unless it is one line without leading or trailing
+    whitespace: a table file's header value, which reads back stripped."""
+    if not (isinstance(text, str) and text == text.strip() and len(text.splitlines()) <= 1):
+        raise ParameterError(f"{name} must be one line of text without leading or "
+                             "trailing whitespace")
+
+
 def _check_pair(a, b) -> None:
     """Reject two traces or profiles that differ in length or bin width."""
     if len(a) != len(b) or a.bin_width_ns != b.bin_width_ns:
@@ -101,12 +109,8 @@ class TimeTrace:
         object.__setattr__(self, "counts", _checked_counts(
             self.counts, 1, self.repetitions, self.bin_width_ns))
         object.__setattr__(self, "repetitions", int(self.repetitions))
-        label = self.label
-        # the label is one header line of a trace file and must read back as written
-        if label is not None and not (isinstance(label, str) and label == label.strip()
-                                      and len(label.splitlines()) <= 1):
-            raise ParameterError("label must be one line of text without leading or "
-                                 "trailing whitespace")
+        if self.label is not None:
+            _check_header_text(self.label, "label")
 
     def __len__(self) -> int:
         return int(self.counts.size)

@@ -207,6 +207,35 @@ class TestExitCodes:
                    "--out", str(trace)) == 2
         assert "overwrite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["summary-is-scan", "summary-is-out", "out-is-config",
+                                      "out-is-model", "simulated-file-is-config"])
+    def test_output_over_another_path_is_2(self, pipeline, tmp_path, capsys, case):
+        # each command reads or writes the kept file twice; it must stay as it was
+        data = pipeline / "data"
+        kept = tmp_path / ("rabi.csv" if case == "simulated-file-is-config" else "kept")
+        kept.write_bytes({"summary-is-scan": (data / "rabi.csv").read_bytes(),
+                          "summary-is-out": b"an earlier report\n",
+                          "out-is-model": (pipeline / "model.txt").read_bytes()}.get(
+            case, b"[train]\nmax_iterations = 50\n"))
+        before = kept.read_bytes()
+        scan = ["--rabi", str(kept if case == "summary-is-scan" else data / "rabi.csv"),
+                "--trace0", str(data / "boundary0.csv"), "--trace1", str(data / "boundary1.csv")]
+        argv = {
+            "summary-is-scan": ["evaluate", *scan, "--model", str(pipeline / "model.txt"),
+                                "--out", str(tmp_path / "report.csv"), "--summary", str(kept)],
+            "summary-is-out": ["evaluate", *scan, "--model", str(pipeline / "model.txt"),
+                               "--out", str(kept), "--summary", str(kept)],
+            "out-is-config": ["train", "--mode", "boundary", *scan[2:], "--config", str(kept),
+                              "--out", str(kept)],
+            "out-is-model": ["repair", *scan, "--model", str(kept), "--out", str(kept)],
+            "simulated-file-is-config": ["simulate", "--config", str(kept), "--what", "rabi",
+                                         "--out-dir", str(tmp_path), "--reps", "1e3"],
+        }[case]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "would overwrite" in err and err.count("\n") == 1
+        assert kept.read_bytes() == before
+
     def test_truth_of_another_scan_is_2(self, pipeline, tmp_path, capsys):
         # as many rows as the scan, but every duration shifted by 1000 ns
         from nvreadout import io as nvio

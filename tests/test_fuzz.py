@@ -3,7 +3,7 @@
 The same holds for the CLI: whatever an input file holds, a command exits
 with status 0, 1 or 2 and never with an uncaught exception.  Inputs are
 random bytes or valid files with a few lines or cells replaced by junk.
-Random scans also round-trip byte for byte.  Examples are derandomized, so
+Random scans and models also round-trip byte for byte.  Examples are derandomized, so
 every run tries the same inputs.
 """
 
@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from nvreadout import RabiDataset, ReadoutError  # noqa: E402
+from nvreadout import (LossBreakdown, RabiDataset, ReadoutError,  # noqa: E402
+                       ReadoutModel)
 from nvreadout import io as nvio  # noqa: E402
 from nvreadout.cli import load_config, main  # noqa: E402
 
@@ -35,9 +36,9 @@ TEMPLATES = {
                          "1,2.0,5.0,1.0,0.5,0.375,0\n2,4.0,,,,,1\n"
                          "# max_contrast: width_bins=1 width_ns=2.0 contrast=0.5\n"
                          "# min_variance: none\n",
-    nvio.read_model: "# readout-model v1\ndimension=2\nbin_width_ns=2.0\nrate_scale=1.0\n"
-                     "intercept=0.0\ntrained_on=hand\nloss_prediction=0.1\nloss_variance=0.2\n"
-                     "loss_weight_factor=10.0\nloss_total=0.3\nweights:\n0.5\n0.25\n",
+    nvio.read_model: "# readout-model v2\n# dimension=2\n# bin_width_ns=2.0\n# rate_scale=1.0\n"
+                     "# intercept=0.0\n# trained_on=hand\n# loss_prediction=0.1\n"
+                     "# loss_variance=0.2\n# loss_weight_factor=10.0\nweight\n0.5\n0.25\n",
     nvio.read_report_csv: "# eval-report v1\n# truth_based=1\n"
                           "method,avg_formula_variance,empirical_mse,contrast_measured\n"
                           "ML,0.01,0.02,0.9\nmin-V gate,0.02,0.03,0.8\n"
@@ -136,6 +137,41 @@ def test_scan_round_trip(dataset, workdir):
     assert np.array_equal(again.counts, dataset.counts)
     assert (again.repetitions, again.bin_width_ns) == (dataset.repetitions,
                                                        dataset.bin_width_ns)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(0.0, allow_infinity=False)
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def models(draw):
+    """A model of 1-64 weights whose ``trained_on`` is one line without surrounding
+    whitespace, holding ``=``, ``#`` and ``,`` as often as other characters, and
+    with a training loss or none."""
+    trained_on = draw(st.text(st.one_of(st.sampled_from("=#, "),
+                                        st.characters(exclude_categories=("Cs",))))
+                      .filter(lambda t: t == t.strip() and len(t.splitlines()) <= 1))
+    loss = draw(st.none() | st.builds(LossBreakdown, NONNEGATIVE, NONNEGATIVE, POSITIVE))
+    return ReadoutModel(draw(st.lists(NONNEGATIVE, min_size=1, max_size=64)), draw(FINITE),
+                        draw(POSITIVE), draw(POSITIVE), trained_on, loss)
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(model=models())
+def test_model_round_trip(model, workdir):
+    a, b = workdir / "model-a.txt", workdir / "model-b.txt"
+    nvio.write_model(a, model)
+    again = nvio.read_model(a)
+    nvio.write_model(b, again)
+    assert a.read_bytes() == b.read_bytes()
+    assert np.array_equal(again.weights, model.weights)
+    assert (again.intercept, again.reference_bin_width_ns, again.rate_scale,
+            again.trained_on, again.training_loss) == (
+        model.intercept, model.reference_bin_width_ns, model.rate_scale,
+        model.trained_on, model.training_loss)
+    if model.training_loss is not None:
+        assert again.training_loss.total.hex() == model.training_loss.total.hex()
 
 
 @pytest.fixture(scope="module")

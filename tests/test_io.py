@@ -198,8 +198,8 @@ class TestRabiReaderOracle:
     (nvio.read_sweep_csv, "# sweep-csv v1\n# start_bin=-1\n# bin_width_ns=2.0\n"
      "# repetitions=10\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
      "1,2.0,5.0,1.0,0.6666666666666666,0.375,0\n", "line 6: start_bin must be nonnegative"),
-    (nvio.read_model, "# readout-model v1\ndimension=2\nbin_width_ns=2.0\nintercept=0.0\n"
-     "weights:\n1.0\n-1.0\n", "weights must be nonnegative"),
+    (nvio.read_model, "# readout-model v2\n# dimension=2\n# bin_width_ns=2.0\n# intercept=0.0\n"
+     "weight\n1.0\n-1.0\n", "weights must be nonnegative"),
     (nvio.read_fit_csv, "# fit-report v1\n# offset=0.5\n# amplitude=-0.1\n"
      "# frequency_per_ns=0.005\n# phase_rad=0.0\n# residual_rms=0.01\n"
      "duration_ns,p_raw,p_fit,residual\n0.0,0.5,0.5,0.0\n", "amplitude must be >= 0"),
@@ -213,7 +213,7 @@ def test_domain_error_names_the_file(tmp_path, reader, text, match):
 
 
 TRACE_HEAD = "# trace-csv v1\n# repetitions=10000000\n"
-MODEL = "# readout-model v1\ndimension=2\nbin_width_ns=2.0\nintercept=0.0\nweights:\n1.0\n1.0\n"
+MODEL = "# readout-model v2\n# dimension=2\n# bin_width_ns=2.0\n# intercept=0.0\nweight\n1.0\n1.0\n"
 
 
 @pytest.mark.parametrize("reader, text, match", [
@@ -225,17 +225,17 @@ MODEL = "# readout-model v1\ndimension=2\nbin_width_ns=2.0\nintercept=0.0\nweigh
      "repetitions='\u0662' is not an integer"),
     (nvio.read_trace_csv, TRACE_HEAD + "# bin_width_ns=2_0.0\nbin_index,counts\n0,5\n",
      "bin_width_ns='2_0.0' is not a number"),
-    (nvio.read_model, MODEL.replace("intercept=0.0\n", "intercept=0.0\nintercept=0.5\n"),
+    (nvio.read_model, MODEL.replace("# intercept=0.0\n", "# intercept=0.0\n# intercept=0.5\n"),
      "line 5: repeated field 'intercept'"),
     (nvio.read_model, MODEL.replace("dimension=2", "dimension=\u0662"),
      "dimension='\u0662' is not an integer"),
     (nvio.read_model, MODEL.replace("intercept=0.0", "intercept=1_0.0"),
      "intercept='1_0.0' is not a number"),
-    (nvio.read_model, MODEL.replace("weights:\n1.0\n", "weights:\n1_0.0\n"),
+    (nvio.read_model, MODEL.replace("weight\n1.0\n", "weight\n1_0.0\n"),
      "line 6: could not convert string '1_0.0'"),
-    (nvio.read_model, MODEL.replace("weights:\n1.0\n", "weights:\n\n\u0665\n"),
+    (nvio.read_model, MODEL.replace("weight\n1.0\n", "weight\n\n\u0665\n"),
      "line 7: could not convert string '\u0665'"),
-    (nvio.read_model, MODEL.replace("weights:\n1.0\n", "weights:\n1.0,2.0\n"),
+    (nvio.read_model, MODEL.replace("weight\n1.0\n", "weight\n1.0,2.0\n"),
      "line 6: "),
 ], ids=["repeated-header-key", "header-underscore", "header-non-ascii-digit",
         "header-float-underscore", "repeated-model-field", "model-non-ascii-digit",
@@ -414,29 +414,39 @@ class TestModelFile:
         assert again.rate_scale == model.rate_scale
         assert again.training_loss == model.training_loss
 
-    @pytest.mark.parametrize("trained_on", ["a\nb", "a\rb", "a\r\nb", "end\n"])
+    @pytest.mark.parametrize("trained_on", ["a\nb", "a\rb", "a\r\nb", "end\n", " x", "x "])
     def test_trained_on_must_be_one_line(self, trained_on):
-        # trained_on is one line of a model file; a line break would end it there
+        # trained_on is one header line of a model file, read back stripped, as a
+        # trace's label is; a line break would end it there
         with pytest.raises(ParameterError, match="trained_on"):
             ReadoutModel([0.5], 0.0, 2.0, trained_on=trained_on)
 
     def test_one_line_trained_on_round_trips(self, tmp_path):
         a, b = tmp_path / "a.model", tmp_path / "b.model"
-        nvio.write_model(a, ReadoutModel([0.5], 0.0, 2.0, trained_on=" by hand, x=1 "))
+        nvio.write_model(a, ReadoutModel([0.5], 0.0, 2.0, trained_on="by hand, x=1"))
         nvio.write_model(b, nvio.read_model(a))
         assert roundtrip_bytes(a, b)
-        assert nvio.read_model(b).trained_on == " by hand, x=1 "
+        assert nvio.read_model(b).trained_on == "by hand, x=1"
 
     def test_other_loss_weight_factor_round_trips(self, world, tmp_path):
         # a model file from a trainer run at another prediction-term weight
         a, b = tmp_path / "a.model", tmp_path / "b.model"
         nvio.write_model(a, world[5])
-        a.write_text(re.sub(r"(?m)^loss_weight_factor=.*$", "loss_weight_factor=10.0",
+        a.write_text(re.sub(r"(?m)^# loss_weight_factor=.*$", "# loss_weight_factor=10.0",
                             a.read_text()))
         again = nvio.read_model(a)
-        assert again.training_loss.weight_factor == 10.0
+        tl = again.training_loss
+        assert tl.weight_factor == 10.0
+        assert tl.total == 10.0 * tl.prediction_term + tl.variance_term
         nvio.write_model(b, again)
         assert roundtrip_bytes(a, b)
+
+    def test_v1_layout_is_parse_error_naming_line_2(self, tmp_path):
+        p = tmp_path / "m.model"
+        p.write_text("# readout-model v1\ndimension=1\nbin_width_ns=2.0\nrate_scale=1.0\n"
+                     "intercept=0.0\ntrained_on=\nweights:\n0.5\n")
+        with pytest.raises(ParseError, match="m.model: line 2: expected 'weight' column row"):
+            nvio.read_model(p)
 
     def test_dimension_mismatch_rejected(self, world, tmp_path):
         model = world[5]
@@ -449,15 +459,15 @@ class TestModelFile:
 
     @pytest.mark.parametrize("key, value", [
         ("dimension", "5.5"), ("intercept", "abc"), ("bin_width_ns", "wide"),
-        ("rate_scale", "x"), ("loss_prediction", None), ("loss_total", None),
+        ("rate_scale", "x"), ("loss_prediction", None), ("loss_weight_factor", None),
         ("intercept", "nan"), ("rate_scale", "inf"), ("bin_width_ns", "inf")])
     def test_malformed_field_rejected(self, world, tmp_path, key, value):
         # value None drops the line: a partial loss_* block
         p = tmp_path / "m.model"
         nvio.write_model(p, world[5])
-        lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+        lines = [f"# {key}={value}" if line.startswith(f"# {key}=") else line
                  for line in p.read_text().splitlines()
-                 if value is not None or not line.startswith(f"{key}=")]
+                 if value is not None or not line.startswith(f"# {key}=")]
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"m.model: .*{key}"):
             nvio.read_model(p)
