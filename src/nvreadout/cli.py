@@ -6,8 +6,8 @@ and when memory runs out.  All randomness is controlled by ``--seed``;
 rerunning any pipeline with the same inputs and seeds produces
 byte-identical output files.
 
-Defaults can also come from a flat key=value config file with section
-headers (see docs/config-format.md); explicit flags win over the config.
+``simulate --config`` takes its defaults from a key=value config file with
+section headers (see docs/config-format.md); a flag that is given wins.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import sys
 
 import numpy as np
-from dataclasses import MISSING, dataclass, fields as dataclass_fields
+from dataclasses import MISSING, fields as dataclass_fields
 from pathlib import Path
 
 from . import __version__
@@ -32,7 +32,7 @@ from .regression import (gated_equivalent_model, predict, prediction_variance,
 from .traces import (PhotodynamicsParams, make_profiles, paper_like_params,
                      simulate_trace)
 
-__all__ = ["main", "RunConfig", "load_config"]
+__all__ = ["main", "load_config"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,20 +44,6 @@ _SEED_DARK = 1
 _SEED_RABI_BASE = 1000
 
 
-@dataclass
-class RunConfig:
-    """Pipeline defaults loadable from a config file."""
-
-    params: PhotodynamicsParams
-    repetitions: int = 1_000_000
-    seed: int = 0
-    rabi_points: int = 60
-    rabi_period_ns: float = 200.0
-    rabi_span_ns: float = 600.0
-    rabi_repetitions: int | None = None
-    max_iterations: int = 100
-
-
 def _count(value, name: str) -> int:
     """A repetition or step count given as a float, so that 1e7 is accepted."""
     if not (math.isfinite(value) and value >= 1 and value == int(value)):
@@ -65,17 +51,17 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
-# the [simulate] and [train] keys, each setting the RunConfig field of its name,
-# and how its value is read: an int, a float, or a float that _count checks
-_KEYS = {"simulate": {"repetitions": _count, "seed": int, "rabi_points": int,
-                      "rabi_period_ns": float, "rabi_span_ns": float,
-                      "rabi_repetitions": _count},
-         "train": {"max_iterations": _count}}
+# the [simulate] keys, each the dest of the simulate flag that overrides it: how
+# its value is read (an int, a float, or a float that _count checks) and its default
+_SIMULATE = {"repetitions": (_count, 1_000_000), "seed": (int, 0), "rabi_points": (int, 60),
+             "rabi_period_ns": (float, 200.0), "rabi_span_ns": (float, 600.0),
+             "rabi_repetitions": (_count, None)}
 
 
-def load_config(path) -> RunConfig:
-    """Read a key=value config file with [profile]/[simulate]/[train] sections;
-    a key of theirs that is not read here, [DEFAULT]'s included, is a ParseError."""
+def load_config(path) -> tuple[PhotodynamicsParams, dict]:
+    """The emission parameters and the ``{key: value}`` of the [simulate] keys that
+    a key=value config file sets.  Other sections are ignored; a [profile] or
+    [simulate] key that is not read here, [DEFAULT]'s included, is a ParseError."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         read = parser.read(path, encoding="utf-8")
@@ -86,7 +72,7 @@ def load_config(path) -> RunConfig:
 
     profile = {f.name: f for f in dataclass_fields(PhotodynamicsParams)}
     given = {}
-    for section, known in {"profile": profile, **_KEYS}.items():
+    for section, known in (("profile", profile), ("simulate", _SIMULATE)):
         given[section] = parser.options(section) if parser.has_section(section) else []
         for key in given[section]:
             if key not in known:
@@ -97,10 +83,11 @@ def load_config(path) -> RunConfig:
         raw = parser.get(section, key)
         try:
             number = (int if kind is int else float)(raw)
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
+            return _count(number, key) if kind is _count else number
+        except ValueError as exc:       # a ParameterError from _count is one too
+            noun = ("a whole number >= 1" if isinstance(exc, ParameterError) else
+                    "an integer" if kind is int else "a number")
             raise ParseError(f"{path}: [{section}] {key}={raw!r} is not {noun}") from None
-        return _count(number, key) if kind is _count else number
 
     params = paper_like_params()
     if given["profile"]:
@@ -110,11 +97,8 @@ def load_config(path) -> RunConfig:
             raise ParseError(f"{path}: [profile] sets some keys but not {', '.join(missing)}")
         params = PhotodynamicsParams(**{key: value("profile", key)
                                         for key in given["profile"]})
-    cfg = RunConfig(params=params)
-    for section, keys in _KEYS.items():
-        for key in given[section]:
-            setattr(cfg, key, value(section, key, keys[key]))
-    return cfg
+    return params, {key: value("simulate", key, _SIMULATE[key][0])
+                    for key in given["simulate"]}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,15 +121,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="emit boundary and/or oscillation trace files")
     p.add_argument("--preset", default="paper-like", choices=["paper-like"],
                    help="simulator calibration preset")
-    p.add_argument("--config", help="config file overriding the preset")
-    p.add_argument("--reps", type=float, help="measurement repetitions")
+    p.add_argument("--config", help="config file with [profile] and [simulate] defaults")
+    p.add_argument("--reps", dest="repetitions", type=float, help="measurement repetitions")
     p.add_argument("--seed", type=int, help="base RNG seed")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--what", default="boundary", choices=["boundary", "rabi", "both"])
     p.add_argument("--rabi-points", type=int)
     p.add_argument("--rabi-period-ns", type=float)
     p.add_argument("--rabi-span-ns", type=float)
-    p.add_argument("--rabi-reps", type=float,
+    p.add_argument("--rabi-reps", dest="rabi_repetitions", type=float,
                    help="repetitions for oscillation points (default: --reps)")
 
     p = sub.add_parser("sweep", help="gate-width sweep over boundary traces")
@@ -159,8 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace0", help="bright boundary trace CSV (boundary mode)")
     p.add_argument("--trace1", help="dark boundary trace CSV (boundary mode)")
     p.add_argument("--rabi", help="oscillation dataset CSV (rabi mode)")
-    p.add_argument("--config", help="config file with a [train] section")
-    p.add_argument("--max-iterations", type=float, help="cap on Newton steps")
+    p.add_argument("--max-iterations", type=float, default=100, help="cap on Newton steps")
     p.add_argument("--out", required=True, help="model file to write")
 
     p = sub.add_parser("fit-rabi", help="sinusoid fit of an oscillation dataset")
@@ -204,40 +187,34 @@ def _check_distinct_output(out_path, *other_paths) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig(params=paper_like_params())
-    if args.reps is not None:
-        cfg.repetitions = _count(args.reps, "--reps")
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.rabi_points is not None:
-        cfg.rabi_points = args.rabi_points
-    if args.rabi_period_ns is not None:
-        cfg.rabi_period_ns = args.rabi_period_ns
-    if args.rabi_span_ns is not None:
-        cfg.rabi_span_ns = args.rabi_span_ns
-    rabi_reps = cfg.rabi_repetitions or cfg.repetitions
-    if args.rabi_reps is not None:
-        rabi_reps = _count(args.rabi_reps, "--rabi-reps")
+    params, values = load_config(args.config) if args.config else (paper_like_params(), {})
+    run = {}
+    for key, (kind, default) in _SIMULATE.items():
+        flag = getattr(args, key)
+        if flag is not None and kind is _count:     # --reps or --rabi-reps
+            flag = _count(flag, "--" + key.replace("repetitions", "reps").replace("_", "-"))
+        run[key] = values.get(key, default) if flag is None else flag
+    rabi_reps = run["rabi_repetitions"] or run["repetitions"]
 
     out = Path(args.out_dir)
     for name in ("boundary0.csv", "boundary1.csv", "rabi.csv", "rabi_truth.csv"):
         _check_distinct_output(out / name, args.config)
     out.mkdir(parents=True, exist_ok=True)
-    profile0, profile1 = make_profiles(cfg.params)
+    profile0, profile1 = make_profiles(params)
 
     if args.what in ("boundary", "both"):
-        bright = simulate_trace(profile0, cfg.repetitions, cfg.seed + _SEED_BRIGHT,
+        bright = simulate_trace(profile0, run["repetitions"], run["seed"] + _SEED_BRIGHT,
                                 label="boundary bright")
-        dark = simulate_trace(profile1, cfg.repetitions, cfg.seed + _SEED_DARK,
+        dark = simulate_trace(profile1, run["repetitions"], run["seed"] + _SEED_DARK,
                               label="boundary dark")
         nvio.write_trace_csv(out / "boundary0.csv", bright)
         nvio.write_trace_csv(out / "boundary1.csv", dark)
         print(f"wrote {out / 'boundary0.csv'} and {out / 'boundary1.csv'}")
     if args.what in ("rabi", "both"):
         dataset, truth = simulate_rabi_dataset(
-            profile0, profile1, rabi_reps, cfg.seed + _SEED_RABI_BASE,
-            points=cfg.rabi_points, period_ns=cfg.rabi_period_ns,
-            span_ns=cfg.rabi_span_ns)
+            profile0, profile1, rabi_reps, run["seed"] + _SEED_RABI_BASE,
+            points=run["rabi_points"], period_ns=run["rabi_period_ns"],
+            span_ns=run["rabi_span_ns"])
         nvio.write_rabi_csv(out / "rabi.csv", dataset)
         nvio.write_truth_csv(out / "rabi_truth.csv", dataset.durations, truth)
         print(f"wrote {out / 'rabi.csv'} and {out / 'rabi_truth.csv'}")
@@ -262,10 +239,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _check_distinct_output(args.out, args.config, args.trace0, args.trace1, args.rabi)
-    cfg = load_config(args.config) if args.config else RunConfig(params=paper_like_params())
-    if args.max_iterations is not None:
-        cfg.max_iterations = _count(args.max_iterations, "--max-iterations")
+    _check_distinct_output(args.out, args.trace0, args.trace1, args.rabi)
+    max_iterations = _count(args.max_iterations, "--max-iterations")
     if args.mode == "boundary":
         if not args.trace0 or not args.trace1:
             raise ReadoutError("boundary mode needs --trace0 and --trace1")
@@ -276,7 +251,7 @@ def _cmd_train(args) -> int:
             print("warning: bright boundary trace has fewer photons per "
                   "measurement than the dark one (negative contrast); check "
                   "for swapped inputs", file=sys.stderr)
-        model = train_boundary(trace0, trace1, cfg.max_iterations)
+        model = train_boundary(trace0, trace1, max_iterations)
     else:
         if not args.rabi:
             raise ReadoutError("rabi mode needs --rabi")
@@ -287,7 +262,7 @@ def _cmd_train(args) -> int:
             print("warning: peak-target trace has fewer photons than the "
                   "trough-target trace; oscillation data may be inverted",
                   file=sys.stderr)
-        model = train_rabi(dataset, targets, cfg.max_iterations)
+        model = train_rabi(dataset, targets, max_iterations)
     nvio.write_model(args.out, model)
     print(f"wrote {args.out} ({model.trained_on})")
     return EXIT_OK

@@ -1,10 +1,11 @@
 """File formats: traces, oscillation datasets, sweeps, models, reports.
 
 All formats are UTF-8 text with LF newlines and start with a ``# <schema>
-v<N>`` comment.  Floats are written with ``repr`` (shortest round-trip
-decimal), so reruns of a deterministic pipeline give identical files and
-six formats round-trip byte for byte (save -> load -> save): trace, scan,
-truth, sweep, model and evaluation report.  The fit and repair reports are
+v<N>`` line, which a reader requires to name its own schema and version.
+Floats are written with ``repr`` (shortest round-trip decimal), so reruns
+of a deterministic pipeline give identical files and six formats
+round-trip byte for byte (save -> load -> save): trace, scan, truth,
+sweep, model and evaluation report.  The fit and repair reports are
 outputs; their readers return columns (and the fit's parameters).
 
 Every format is one table, written by ``_write_table`` and read by
@@ -151,9 +152,10 @@ def _parse_rows(path, lines, first: int, dtype, converters=None):
     raise ParseError(detail, rows[lo][0], path)
 
 
-def _read_table(path, columns, types: str = "", converters=None):
+def _read_table(path, schema: str, columns, types: str = "", converters=None):
     """Header, typed rows and a row -> line map of one table file.
 
+    Line 1 must be ``# {schema} v{N}``, with N from ``FORMAT_VERSIONS``.
     ``columns`` is the exact column row and ``types`` one numpy type code per
     column; for a table whose width the file sets, ``columns`` is instead a
     function of the file's column row that returns the exact column row and
@@ -164,7 +166,10 @@ def _read_table(path, columns, types: str = "", converters=None):
     """
     header: dict[str, str] = {}
     with _lines(path) as fh:
-        for no, line in enumerate(fh, 1):
+        first = f"# {schema} v{FORMAT_VERSIONS[schema]}"
+        if fh.readline().rstrip("\n") != first:
+            raise ParseError(f"expected '{first}' schema line", 1, path)
+        for no, line in enumerate(fh, 2):
             if line.startswith("#"):
                 key, sep, value = (part.strip() for part in line[1:].partition("="))
                 if sep:
@@ -232,7 +237,7 @@ def write_trace_csv(path, trace: TimeTrace) -> None:
 
 def read_trace_csv(path) -> TimeTrace:
     """Read a trace; rejects missing repetitions and non-integer counts."""
-    header, rows, line_of = _read_table(path, "bin_index,counts", "i8,i8")
+    header, rows, line_of = _read_table(path, "trace-csv", "bin_index,counts", "i8,i8")
     reps = _field(header, "repetitions", path, int)
     width = _field(header, "bin_width_ns", path, default=2.0)
     seed = _field(header, "seed", path, int) if "seed" in header else None
@@ -278,7 +283,7 @@ def read_rabi_csv(path) -> RabiDataset:
 
     The first row with a negative count, a non-finite duration or a duration
     not above the previous row's is an error naming its line."""
-    header, rows, line_of = _read_table(path, _scan_layout)
+    header, rows, line_of = _read_table(path, "rabi-csv", _scan_layout)
     reps = _field(header, "repetitions", path, int)
     width = _field(header, "bin_width_ns", path, default=2.0)
     if not rows.size:
@@ -305,7 +310,7 @@ def write_truth_csv(path, durations, populations) -> None:
 def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Durations and populations; rejects a non-finite duration or a population
     outside [0, 1]."""
-    _, rows, line_of = _read_table(path, "duration_ns,population", "f8,f8")
+    _, rows, line_of = _read_table(path, "truth-csv", "duration_ns,population", "f8,f8")
     durations, populations = rows["duration_ns"].copy(), rows["population"].copy()
     finite = np.isfinite(durations)
     bad = ~finite | ~((populations >= 0) & (populations <= 1))
@@ -342,7 +347,7 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
 def read_sweep_csv(path) -> SweepResult:
     """Read a sweep; widths run 1..N in order, degenerate ones (flag 1) with empty metrics."""
     header, rows, line_of = _read_table(
-        path, "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
+        path, "sweep-csv", "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
         "i8,f8,f8,f8,f8,f8,i8",     # an empty metric cell is nan
         dict.fromkeys(range(2, 6), lambda cell: _cell(cell) if cell else math.nan))
     start_bin = _field(header, "start_bin", path, int)
@@ -387,7 +392,7 @@ def write_model(path, model: ReadoutModel) -> None:
 
 def read_model(path) -> ReadoutModel:
     """Read a model; ``dimension`` must equal the number of weight rows."""
-    fields, rows, _ = _read_table(path, "weight", "f8")
+    fields, rows, _ = _read_table(path, "readout-model", "weight", "f8")
     dimension = _field(fields, "dimension", path, int)
     if rows.size != dimension:
         raise ParseError(f"{path}: {rows.size} weights, dimension says {dimension}")
@@ -421,7 +426,8 @@ def write_report_csv(path, report: EvalReport) -> None:
 
 def read_report_csv(path) -> EvalReport:
     header, rows, _ = _read_table(
-        path, "method,avg_formula_variance,empirical_mse,contrast_measured", "O,f8,f8,f8")
+        path, "eval-report", "method,avg_formula_variance,empirical_mse,contrast_measured",
+        "O,f8,f8,f8")
     return EvalReport(tuple(MethodEval(*row) for row in rows.tolist()),
                       header.get("truth_based", "0") == "1")
 
@@ -450,7 +456,8 @@ def write_repair_csv(path, result: RepairResult) -> None:
 
 def read_repair_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Columns of a repair file: durations, original, repaired, fitted."""
-    _, rows, _ = _read_table(path, "duration_ns,p_original,p_repaired,q_fit", "f8,f8,f8,f8")
+    _, rows, _ = _read_table(path, "repair-csv", "duration_ns,p_original,p_repaired,q_fit",
+                             "f8,f8,f8,f8")
     return tuple(rows[name].copy() for name in rows.dtype.names)
 
 
@@ -474,7 +481,8 @@ def write_fit_csv(path, durations, raw, fit: SinusoidFit) -> None:
 
 def read_fit_csv(path) -> tuple[SinusoidFit, np.ndarray, np.ndarray]:
     """Fit parameters plus (durations, raw values) from a fit report."""
-    header, rows, _ = _read_table(path, "duration_ns,p_raw,p_fit,residual", "f8,f8,f8,f8")
+    header, rows, _ = _read_table(path, "fit-report", "duration_ns,p_raw,p_fit,residual",
+                                  "f8,f8,f8,f8")
     with _naming(path):
         fit = SinusoidFit(*(_field(header, key, path) for key in (
             "offset", "amplitude", "frequency_per_ns", "phase_rad", "residual_rms")))

@@ -26,7 +26,7 @@ traces with distinct seeds are reproducible in any execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -160,6 +160,9 @@ class PhotodynamicsParams:
     bin_width_ns: float = 2.0
 
     def __post_init__(self):
+        for field in fields(self):
+            if not np.isfinite(getattr(self, field.name)):
+                raise ParameterError(f"{field.name} must be finite")
         positive = ("steady_rate", "tau_bright_ns", "tau_isc_ns",
                     "trace_length_ns", "bin_width_ns")
         for name in positive:

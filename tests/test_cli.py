@@ -1,6 +1,7 @@
 """End-to-end CLI pipelines, exit codes, determinism."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import nvreadout
-from nvreadout import cli
+from nvreadout import cli, paper_like_params
 from nvreadout.cli import main
 
 
@@ -53,6 +54,11 @@ def pipeline(tmp_path_factory):
     assert run("fit-rabi", "--rabi", str(data / "rabi.csv"),
                "--out", str(root / "fit.csv")) == 0
     return root
+
+
+# a [simulate] section setting every key to a value other than its default
+EVERY_KEY = ("repetitions = 2e5\nseed = 3\nrabi_points = 12\nrabi_period_ns = 100\n"
+             "rabi_span_ns = 300\nrabi_repetitions = 5e4\n")
 
 
 class TestPipeline:
@@ -108,13 +114,13 @@ class TestPipeline:
     def test_config_file_defaults(self, tmp_path):
         from nvreadout.cli import load_config
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(
+        cfg_file.write_text(    # [train], like any other section, is not read
             "[simulate]\nrepetitions = 1e5\nseed = 3\nrabi_points = 12\n"
             "[train]\nmax_iterations = 50\n")
-        cfg = load_config(cfg_file)
-        assert cfg.repetitions == 100_000 and cfg.seed == 3
-        assert cfg.rabi_points == 12
-        assert cfg.max_iterations == 50
+        params, values = load_config(cfg_file)
+        assert values == {"repetitions": 100_000, "seed": 3, "rabi_points": 12}
+        assert type(values["repetitions"]) is int
+        assert params == paper_like_params()
         out = tmp_path / "sim"
         assert run("simulate", "--config", str(cfg_file),
                    "--out-dir", str(out)) == 0
@@ -142,6 +148,32 @@ class TestPipeline:
         assert "population=" in out and "variance=" in out
         p = float(out.split("population=")[1].split()[0])
         assert abs(p - 1.0) < 0.05
+
+    @pytest.mark.parametrize("config, flags, expected", [
+        ("", [], (10**6, 0, 60, 200.0, 600.0, 10**6)),
+        (EVERY_KEY, [], (200_000, 3, 12, 100.0, 300.0, 50_000)),
+        (EVERY_KEY, ["--reps", "3e5", "--seed", "5", "--rabi-points", "8", "--rabi-period-ns", "150",
+          "--rabi-span-ns", "240", "--rabi-reps", "7e4"],
+         (300_000, 5, 8, 150.0, 240.0, 70_000)),
+        ("repetitions = 2e5\n", ["--reps", "3e5"], (300_000, 0, 60, 200.0, 600.0, 300_000)),
+    ], ids=["default", "config", "flag-over-config", "rabi-reps-follow-resolved-reps"])
+    def test_flag_over_config_over_default(self, tmp_path, config, flags, expected):
+        # each [simulate] key, read back from what simulate writes
+        from nvreadout import io as nvio
+        argv = ["simulate", "--what", "both", "--out-dir", str(tmp_path / "sim"), *flags]
+        if config:
+            (tmp_path / "run.cfg").write_text("[simulate]\n" + config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert run(*argv) == 0
+        reps, seed, points, period, span, rabi_reps = expected
+        bright = nvio.read_trace_csv(tmp_path / "sim" / "boundary0.csv")
+        assert (bright.repetitions, bright.seed) == (reps, seed)
+        scan = nvio.read_rabi_csv(tmp_path / "sim" / "rabi.csv")
+        assert (scan.counts.shape[0], scan.durations[-1], scan.repetitions) == \
+            (points, span, rabi_reps)
+        durations, truth = nvio.read_truth_csv(tmp_path / "sim" / "rabi_truth.csv")
+        np.testing.assert_allclose(truth, 0.5 + 0.5 * np.cos(2 * np.pi * durations / period),
+                                   rtol=0, atol=1e-12)
 
     def test_simulate_different_seeds_differ(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -187,10 +219,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", ["v1-layout", "rows-swapped"])
     def test_bad_scan_is_2_naming_its_line(self, pipeline, tmp_path, capsys, case):
         bad = tmp_path / "bad.csv"
-        if case == "v1-layout":     # one row per bin: fails on its column row
+        if case == "v1-layout":     # one row per bin: fails on its schema line
             bad.write_text("# rabi-csv v1\n# repetitions=100\n# bin_width_ns=2.0\n"
                            "duration_ns,bin_index,counts\n0.0,0,1\n0.0,1,0\n12.5,0,4\n")
-            message = "line 4: expected 'duration_ns,bin_0,bin_1' column row"
+            message = "line 1: expected '# rabi-csv v2' schema line"
         else:
             lines = (pipeline / "data" / "rabi.csv").read_text().splitlines()
             lines[9], lines[10] = lines[10], lines[9]
@@ -212,11 +244,12 @@ class TestExitCodes:
     def test_output_over_another_path_is_2(self, pipeline, tmp_path, capsys, case):
         # each command reads or writes the kept file twice; it must stay as it was
         data = pipeline / "data"
-        kept = tmp_path / ("rabi.csv" if case == "simulated-file-is-config" else "kept")
+        kept = tmp_path / {"simulated-file-is-config": "rabi.csv",
+                           "out-is-config": "rabi_truth.csv"}.get(case, "kept")
         kept.write_bytes({"summary-is-scan": (data / "rabi.csv").read_bytes(),
                           "summary-is-out": b"an earlier report\n",
                           "out-is-model": (pipeline / "model.txt").read_bytes()}.get(
-            case, b"[train]\nmax_iterations = 50\n"))
+            case, b"[simulate]\nseed = 3\n"))
         before = kept.read_bytes()
         scan = ["--rabi", str(kept if case == "summary-is-scan" else data / "rabi.csv"),
                 "--trace0", str(data / "boundary0.csv"), "--trace1", str(data / "boundary1.csv")]
@@ -225,8 +258,9 @@ class TestExitCodes:
                                 "--out", str(tmp_path / "report.csv"), "--summary", str(kept)],
             "summary-is-out": ["evaluate", *scan, "--model", str(pipeline / "model.txt"),
                                "--out", str(kept), "--summary", str(kept)],
-            "out-is-config": ["train", "--mode", "boundary", *scan[2:], "--config", str(kept),
-                              "--out", str(kept)],
+            # simulate checks all four of its file names, whatever --what is
+            "out-is-config": ["simulate", "--config", str(kept), "--what", "boundary",
+                              "--out-dir", str(tmp_path), "--reps", "1e3"],
             "out-is-model": ["repair", *scan, "--model", str(kept), "--out", str(kept)],
             "simulated-file-is-config": ["simulate", "--config", str(kept), "--what", "rabi",
                                          "--out-dir", str(tmp_path), "--reps", "1e3"],
@@ -322,23 +356,50 @@ class TestConfigErrors:
     @pytest.mark.parametrize("text, match", [
         ("[profile]\nsteady_rat = 2e-5\n", r"run\.cfg: \[profile\] steady_rat "),
         ("[simulate]\nrepetitons = 1e3\n", r"run\.cfg: \[simulate\] repetitons "),
-        ("[train]\nweight_factor = 1e4\n", r"run\.cfg: \[train\] weight_factor "),
         ("[DEFAULT]\nrepetitons = 1e3\n[simulate]\nseed = 3\n",
          r"run\.cfg: \[simulate\] repetitons \(from \[DEFAULT\]\) "),
-    ], ids=["profile", "simulate", "train", "default"])
+    ], ids=["profile", "simulate", "default"])
     def test_unknown_key_is_parse_error(self, tmp_path, capsys, text, match):
         from nvreadout import ParseError
         from nvreadout.cli import load_config
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(text + "[sweep]\nstart_bin = 4\n")    # other sections are ignored
+        cfg_file.write_text(text + "[sweep]\nstart_bin = 4\n"    # other sections are ignored
+                            "[train]\nweight_factor = 1e4\n")
         with pytest.raises(ParseError, match=match + "is not a known key"):
             load_config(cfg_file)
-        for command in (["simulate", "--out-dir", str(tmp_path / "out")],
-                        ["train", "--mode", "rabi", "--rabi", "scan.csv",
-                         "--out", str(tmp_path / "m.txt")]):
-            assert run(*command, "--config", str(cfg_file)) == 2
-            err = capsys.readouterr().err
-            assert "is not a known key" in err and "Traceback" not in err
+        assert run("simulate", "--out-dir", str(tmp_path / "out"), "--config", str(cfg_file)) == 2
+        err = capsys.readouterr().err
+        assert "is not a known key" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["repetitions", "rabi_repetitions"])
+    @pytest.mark.parametrize("value", ["0", "2.5"])
+    def test_count_is_parse_error_naming_the_file(self, tmp_path, capsys, key, value):
+        from nvreadout import ParseError
+        from nvreadout.cli import load_config
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[simulate]\n{key} = {value}\n")
+        message = rf"run\.cfg: \[simulate\] {key}='{re.escape(value)}' is not a whole number"
+        with pytest.raises(ParseError, match=message):
+            load_config(cfg_file)
+        assert run("simulate", "--out-dir", str(tmp_path / "out"), "--config", str(cfg_file)) == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err) and err.count("\n") == 1
+
+    def test_non_finite_profile_value_is_2(self, tmp_path):
+        # a fresh process, so a traceback would reach stderr
+        doc = (Path(__file__).parents[1] / "docs" / "config-format.md").read_text()
+        block = doc.split("```ini\n")[1].split("```")[0]
+        assert "trace_length_ns = 1000\n" in block
+        (tmp_path / "run.cfg").write_text(block.replace("trace_length_ns = 1000\n",
+                                                        "trace_length_ns = inf\n"))
+        env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nvreadout.cli", "simulate", "--config", "run.cfg",
+             "--reps", "1e3", "--out-dir", "out"],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "nvreadout: trace_length_ns must be finite\n"
         assert not (tmp_path / "out").exists()
 
     def test_documented_config_loads(self, tmp_path):
@@ -346,9 +407,11 @@ class TestConfigErrors:
         doc = (Path(__file__).parents[1] / "docs" / "config-format.md").read_text()
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(doc.split("```ini\n")[1].split("```")[0])
-        cfg = load_config(cfg_file)
-        assert (cfg.repetitions, cfg.seed, cfg.rabi_repetitions) == (10**7, 7, 10**5)
-        assert cfg.params.steady_rate == 2.1215e-05 and cfg.max_iterations == 100
+        params, values = load_config(cfg_file)
+        assert set(values) == set(cli._SIMULATE)        # every key is documented
+        assert (values["repetitions"], values["seed"], values["rabi_repetitions"]) == \
+            (10**7, 7, 10**5)
+        assert params.steady_rate == 2.1215e-05
 
     def test_partial_profile_is_parse_error(self, tmp_path, capsys):
         from nvreadout import ParseError
@@ -365,6 +428,14 @@ class TestConfigErrors:
         assert run("train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
                    "--weight-factor", "1", "--out", str(tmp_path / "m.txt")) == 1
         assert "--weight-factor" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_train_config_flag_is_a_usage_error(self, tmp_path, capsys):
+        # only simulate reads a config; the trainer's one setting is --max-iterations
+        (tmp_path / "run.cfg").write_text("[simulate]\nseed = 3\n")
+        assert run("train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
+                   "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "m.txt")) == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
 

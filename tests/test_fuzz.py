@@ -49,8 +49,7 @@ TEMPLATES = {
     nvio.read_fit_csv: "# fit-report v1\n# offset=0.5\n# amplitude=0.5\n# frequency_per_ns=0.005\n"
                        "# phase_rad=0.0\n# residual_rms=0.01\n# normalized=1\n"
                        "duration_ns,p_raw,p_fit,residual\n0.0,1.0,1.0,0.0\n",
-    load_config: "[simulate]\nrepetitions = 1e5\nseed = 3\n[train]\n"
-                 "max_iterations = 50\n[sweep]\nstart_bin = 4\n",
+    load_config: "[simulate]\nrepetitions = 1e5\nseed = 3\n[sweep]\nstart_bin = 4\n",
 }
 
 JUNK = st.one_of(
@@ -191,14 +190,12 @@ def cli_argv(role: str, root, fuzzed) -> list[str]:
     """A command that reads ``fuzzed`` in the place of the ``role`` input."""
     files = {"trace0": root / "boundary0.csv", "trace1": root / "boundary1.csv",
              "rabi": root / "rabi.csv", "model": root / "model.txt",
-             "truth": root / "rabi_truth.csv", "config": root / "run.cfg"}
+             "truth": root / "rabi_truth.csv"}
     files[role] = fuzzed
     f = {key: str(value) for key, value in files.items()}
     out = str(root / "out.csv")
     return {
         "trace0": ["sweep", "--trace0", f["trace0"], "--trace1", f["trace1"], "--out", out],
-        "config": ["train", "--mode", "boundary", "--trace0", f["trace0"],
-                   "--trace1", f["trace1"], "--config", f["config"], "--out", out],
         "simulate-config": ["simulate", "--config", str(fuzzed), "--what", "both",
                             "--out-dir", str(root / "simulated")],
         "model": ["predict", "--model", f["model"], "--trace", f["trace0"]],
@@ -210,12 +207,11 @@ def cli_argv(role: str, root, fuzzed) -> list[str]:
     }[role]
 
 
-@pytest.mark.parametrize("role", ["trace0", "config", "simulate-config", "model", "rabi",
-                                  "truth"])
+@pytest.mark.parametrize("role", ["trace0", "simulate-config", "model", "rabi", "truth"])
 @settings(max_examples=30, **SETTINGS)
 @given(data=st.data())
 def test_cli_exits_0_1_or_2(role, good_files, data):
-    template = {"trace0": "boundary0.csv", "config": "run.cfg", "simulate-config": "run.cfg",
+    template = {"trace0": "boundary0.csv", "simulate-config": "run.cfg",
                 "model": "model.txt", "rabi": "rabi.csv", "truth": "rabi_truth.csv"}[role]
     fuzzed = good_files / f"fuzzed-{role}"
     fuzzed.write_bytes(data.draw(file_bytes((good_files / template).read_bytes())))

@@ -247,6 +247,51 @@ def test_fields_and_weights_follow_the_cell_rules(tmp_path, reader, text, match)
         reader(p)
 
 
+@pytest.fixture(scope="module")
+def written(world, tmp_path_factory):
+    """The schema of each reader and a file of it as its writer writes it."""
+    from nvreadout import fit_rabi
+    root = tmp_path_factory.mktemp("written")
+    t0, t1, sweep, dataset, truth, model = world
+    sums = dataset.counts.sum(axis=1) / dataset.repetitions
+    min_v = gates(t0, t1)[1]
+    files = {}
+    for reader, schema, write in [
+            (nvio.read_trace_csv, "trace-csv", lambda p: nvio.write_trace_csv(p, t0)),
+            (nvio.read_rabi_csv, "rabi-csv", lambda p: nvio.write_rabi_csv(p, dataset)),
+            (nvio.read_truth_csv, "truth-csv",
+             lambda p: nvio.write_truth_csv(p, dataset.durations, truth)),
+            (nvio.read_sweep_csv, "sweep-csv", lambda p: nvio.write_sweep_csv(p, sweep)),
+            (nvio.read_model, "readout-model", lambda p: nvio.write_model(p, model)),
+            (nvio.read_report_csv, "eval-report", lambda p: nvio.write_report_csv(
+                p, evaluate(dataset, *gates(t0, t1), model, truth))),
+            (nvio.read_repair_csv, "repair-csv",
+             lambda p: nvio.write_repair_csv(p, repair(dataset, min_v, model))),
+            (nvio.read_fit_csv, "fit-report", lambda p: nvio.write_fit_csv(
+                p, dataset.durations, sums, fit_rabi(dataset.durations, sums)))]:
+        write(root / schema)
+        files[reader] = schema, root / schema
+    return files
+
+
+@pytest.mark.parametrize("other", ["schema", "version"])
+@pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
+def test_schema_line_must_be_the_readers(written, tmp_path, reader, other):
+    schema, path = written[reader]
+    reader(path)
+    first, rest = path.read_text().split("\n", 1)
+    assert first == f"# {schema} v{nvio.FORMAT_VERSIONS[schema]}"
+    if other == "schema":       # a file of another format, at that format's version
+        wrong = next(s for s in nvio.FORMAT_VERSIONS if s != schema)
+        first = f"# {wrong} v{nvio.FORMAT_VERSIONS[wrong]}"
+    else:
+        first = f"# {schema} v{nvio.FORMAT_VERSIONS[schema] + 1}"
+    p = tmp_path / "input.csv"
+    p.write_text(f"{first}\n{rest}")
+    with pytest.raises(ParseError, match=rf"input\.csv: line 1: expected '# {schema} v"):
+        reader(p)
+
+
 @pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
 def test_undecodable_bytes_are_parse_error(tmp_path, reader):
     p = tmp_path / "binary.csv"
@@ -295,18 +340,17 @@ class TestRabiCsv:
         with pytest.raises(ParseError, match=r"ragged\.csv: line 5: .*3 columns but 2 were"):
             nvio.read_rabi_csv(p)
 
-    @pytest.mark.parametrize("columns, expected", [
-        ("duration_ns,bin_index,counts", "duration_ns,bin_0,bin_1"),
-        ("duration_ns", "duration_ns,bin_0"),
-        ("duration_ns,bin_1,bin_0", "duration_ns,bin_0,bin_1"),
-        ("duration_ns,bin_0,", "duration_ns,bin_0,bin_1"),
+    @pytest.mark.parametrize("version, columns, expected", [
+        (1, "duration_ns,bin_index,counts", "line 1: expected '# rabi-csv v2' schema line"),
+        (2, "duration_ns", "line 3: expected 'duration_ns,bin_0' column row"),
+        (2, "duration_ns,bin_1,bin_0", "line 3: expected 'duration_ns,bin_0,bin_1' column row"),
+        (2, "duration_ns,bin_0,", "line 3: expected 'duration_ns,bin_0,bin_1' column row"),
     ], ids=["v1", "no-bins", "bins-out-of-order", "empty-cell"])
-    def test_other_column_rows_rejected(self, tmp_path, columns, expected):
-        # a v1 scan (one row per bin) fails on its column row
+    def test_other_column_rows_rejected(self, tmp_path, version, columns, expected):
+        # a v1 scan (one row per bin) fails on its schema line
         p = tmp_path / "scan.csv"
-        p.write_text(f"# rabi-csv v1\n# repetitions=10\n{columns}\n0.0,0,5\n")
-        with pytest.raises(ParseError, match=rf"scan\.csv: line 3: expected '{expected}' "
-                                             "column row"):
+        p.write_text(f"# rabi-csv v{version}\n# repetitions=10\n{columns}\n0.0,0,5\n")
+        with pytest.raises(ParseError, match=rf"scan\.csv: {expected}"):
             nvio.read_rabi_csv(p)
 
     @pytest.mark.parametrize("row, match", [
@@ -441,11 +485,12 @@ class TestModelFile:
         nvio.write_model(b, again)
         assert roundtrip_bytes(a, b)
 
-    def test_v1_layout_is_parse_error_naming_line_2(self, tmp_path):
+    def test_v1_layout_is_parse_error_naming_line_1(self, tmp_path):
         p = tmp_path / "m.model"
         p.write_text("# readout-model v1\ndimension=1\nbin_width_ns=2.0\nrate_scale=1.0\n"
                      "intercept=0.0\ntrained_on=\nweights:\n0.5\n")
-        with pytest.raises(ParseError, match="m.model: line 2: expected 'weight' column row"):
+        with pytest.raises(ParseError,
+                           match="m.model: line 1: expected '# readout-model v2' schema line"):
             nvio.read_model(p)
 
     def test_dimension_mismatch_rejected(self, world, tmp_path):

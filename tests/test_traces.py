@@ -1,5 +1,7 @@
 """Trace types, profile model and Poisson simulator."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,13 @@ class TestTypes:
             flat_params(bright_boost=-0.1)
         with pytest.raises(ParameterError, match="tau_bright_ns"):
             flat_params(tau_bright_ns=-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [f.name for f in fields(PhotodynamicsParams)])
+    def test_params_must_be_finite(self, field, value):
+        # nan passes every comparison-based check as False; inf passes "> 0"
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            flat_params(**{field: value})
 
 
 class TestMakeProfiles:
