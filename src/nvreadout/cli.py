@@ -6,8 +6,9 @@ and when memory runs out.  All randomness is controlled by ``--seed``;
 rerunning any pipeline with the same inputs and seeds produces
 byte-identical output files.
 
-``simulate --config`` takes its defaults from a key=value config file with
-section headers (see docs/config-format.md); a flag that is given wins.
+Run settings are flags.  ``simulate --config`` reads only the emission
+profile, the [profile] section of a key=value config file; any other
+section is an error (see docs/config-format.md).
 """
 
 from __future__ import annotations
@@ -51,17 +52,10 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
-# the [simulate] keys, each the dest of the simulate flag that overrides it: how
-# its value is read (an int, a float, or a float that _count checks) and its default
-_SIMULATE = {"repetitions": (_count, 1_000_000), "seed": (int, 0), "rabi_points": (int, 60),
-             "rabi_period_ns": (float, 200.0), "rabi_span_ns": (float, 600.0),
-             "rabi_repetitions": (_count, None)}
-
-
-def load_config(path) -> tuple[PhotodynamicsParams, dict]:
-    """The emission parameters and the ``{key: value}`` of the [simulate] keys that
-    a key=value config file sets.  Other sections are ignored; a [profile] or
-    [simulate] key that is not read here, [DEFAULT]'s included, is a ParseError."""
+def load_config(path) -> PhotodynamicsParams:
+    """The emission parameters of a config file's [profile] section, or the
+    paper-like preset if it has none.  Any other section, and a [profile] key
+    that is not a PhotodynamicsParams field ([DEFAULT]'s included), is a ParseError."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         read = parser.read(path, encoding="utf-8")
@@ -69,36 +63,33 @@ def load_config(path) -> tuple[PhotodynamicsParams, dict]:
         raise ParseError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ReadoutError(f"config file not found: {path}")
+    for section in parser.sections():
+        if section != "profile":
+            raise ParseError(f"{path}: [{section}] is not a known section (only [profile] "
+                             "is; run settings are flags)")
+    if not parser.has_section("profile"):
+        parser.add_section("profile")       # empty, or holding [DEFAULT]'s keys
 
     profile = {f.name: f for f in dataclass_fields(PhotodynamicsParams)}
-    given = {}
-    for section, known in (("profile", profile), ("simulate", _SIMULATE)):
-        given[section] = parser.options(section) if parser.has_section(section) else []
-        for key in given[section]:
-            if key not in known:
-                where = " (from [DEFAULT])" if key in parser.defaults() else ""
-                raise ParseError(f"{path}: [{section}] {key}{where} is not a known key")
-
-    def value(section, key, kind=float):
-        raw = parser.get(section, key)
+    values = {}
+    for key in parser.options("profile"):
+        if key not in profile:
+            where = " (from [DEFAULT])" if key in parser.defaults() else ""
+            raise ParseError(f"{path}: [profile] {key}{where} is not a known key")
+        raw = parser.get("profile", key)
         try:
-            number = (int if kind is int else float)(raw)
-            return _count(number, key) if kind is _count else number
-        except ValueError as exc:       # a ParameterError from _count is one too
-            noun = ("a whole number >= 1" if isinstance(exc, ParameterError) else
-                    "an integer" if kind is int else "a number")
-            raise ParseError(f"{path}: [{section}] {key}={raw!r} is not {noun}") from None
-
-    params = paper_like_params()
-    if given["profile"]:
-        missing = [n for n, f in profile.items() if f.default is MISSING
-                   and n not in given["profile"]]
-        if missing:
-            raise ParseError(f"{path}: [profile] sets some keys but not {', '.join(missing)}")
-        params = PhotodynamicsParams(**{key: value("profile", key)
-                                        for key in given["profile"]})
-    return params, {key: value("simulate", key, _SIMULATE[key][0])
-                    for key in given["simulate"]}
+            values[key] = float(raw)
+        except ValueError:
+            raise ParseError(f"{path}: [profile] {key}={raw!r} is not a number") from None
+    if not values:
+        return paper_like_params()
+    missing = [n for n, f in profile.items() if f.default is MISSING and n not in values]
+    if missing:
+        raise ParseError(f"{path}: [profile] sets some keys but not {', '.join(missing)}")
+    try:
+        return PhotodynamicsParams(**values)
+    except ParameterError as exc:
+        raise ParseError(f"{path}: [profile] {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,14 +112,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="emit boundary and/or oscillation trace files")
     p.add_argument("--preset", default="paper-like", choices=["paper-like"],
                    help="simulator calibration preset")
-    p.add_argument("--config", help="config file with [profile] and [simulate] defaults")
-    p.add_argument("--reps", dest="repetitions", type=float, help="measurement repetitions")
-    p.add_argument("--seed", type=int, help="base RNG seed")
+    p.add_argument("--config", help="config file with a [profile] section")
+    p.add_argument("--reps", dest="repetitions", type=float, default=1e6,
+                   help="measurement repetitions")
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--what", default="boundary", choices=["boundary", "rabi", "both"])
-    p.add_argument("--rabi-points", type=int)
-    p.add_argument("--rabi-period-ns", type=float)
-    p.add_argument("--rabi-span-ns", type=float)
+    p.add_argument("--rabi-points", type=int, default=60)
+    p.add_argument("--rabi-period-ns", type=float, default=200.0)
+    p.add_argument("--rabi-span-ns", type=float, default=600.0)
     p.add_argument("--rabi-reps", dest="rabi_repetitions", type=float,
                    help="repetitions for oscillation points (default: --reps)")
 
@@ -187,14 +179,10 @@ def _check_distinct_output(out_path, *other_paths) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    params, values = load_config(args.config) if args.config else (paper_like_params(), {})
-    run = {}
-    for key, (kind, default) in _SIMULATE.items():
-        flag = getattr(args, key)
-        if flag is not None and kind is _count:     # --reps or --rabi-reps
-            flag = _count(flag, "--" + key.replace("repetitions", "reps").replace("_", "-"))
-        run[key] = values.get(key, default) if flag is None else flag
-    rabi_reps = run["rabi_repetitions"] or run["repetitions"]
+    params = load_config(args.config) if args.config else paper_like_params()
+    reps = _count(args.repetitions, "--reps")
+    rabi_reps = reps if args.rabi_repetitions is None else \
+        _count(args.rabi_repetitions, "--rabi-reps")
 
     out = Path(args.out_dir)
     for name in ("boundary0.csv", "boundary1.csv", "rabi.csv", "rabi_truth.csv"):
@@ -203,18 +191,16 @@ def _cmd_simulate(args) -> int:
     profile0, profile1 = make_profiles(params)
 
     if args.what in ("boundary", "both"):
-        bright = simulate_trace(profile0, run["repetitions"], run["seed"] + _SEED_BRIGHT,
+        bright = simulate_trace(profile0, reps, args.seed + _SEED_BRIGHT,
                                 label="boundary bright")
-        dark = simulate_trace(profile1, run["repetitions"], run["seed"] + _SEED_DARK,
-                              label="boundary dark")
+        dark = simulate_trace(profile1, reps, args.seed + _SEED_DARK, label="boundary dark")
         nvio.write_trace_csv(out / "boundary0.csv", bright)
         nvio.write_trace_csv(out / "boundary1.csv", dark)
         print(f"wrote {out / 'boundary0.csv'} and {out / 'boundary1.csv'}")
     if args.what in ("rabi", "both"):
         dataset, truth = simulate_rabi_dataset(
-            profile0, profile1, rabi_reps, run["seed"] + _SEED_RABI_BASE,
-            points=run["rabi_points"], period_ns=run["rabi_period_ns"],
-            span_ns=run["rabi_span_ns"])
+            profile0, profile1, rabi_reps, args.seed + _SEED_RABI_BASE,
+            points=args.rabi_points, period_ns=args.rabi_period_ns, span_ns=args.rabi_span_ns)
         nvio.write_rabi_csv(out / "rabi.csv", dataset)
         nvio.write_truth_csv(out / "rabi_truth.csv", dataset.durations, truth)
         print(f"wrote {out / 'rabi.csv'} and {out / 'rabi_truth.csv'}")

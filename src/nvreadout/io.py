@@ -43,7 +43,7 @@ import numpy as np
 from .errors import (DegenerateBoundaryError, DomainError, ParameterError,
                      ParseError, ShapeError)
 from .evaluation import EvalReport, MethodEval, RepairResult
-from .gating import GateMetrics, GateWindow, SweepResult
+from .gating import GateWindow, SweepResult, _metric_curves
 from .rabi import RabiDataset, SinusoidFit
 from .regression import LossBreakdown, ReadoutModel
 from .traces import TimeTrace
@@ -345,30 +345,30 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
 
 
 def read_sweep_csv(path) -> SweepResult:
-    """Read a sweep; widths run 1..N in order, degenerate ones (flag 1) with empty metrics."""
+    """Read a sweep; widths run 1..N in order, and each row's other cells are the
+    ones its width and L0, L1 give, blank (nan) at a degenerate width (flag 1)."""
     header, rows, line_of = _read_table(
         path, "sweep-csv", "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
         "i8,f8,f8,f8,f8,f8,i8",     # an empty metric cell is nan
         dict.fromkeys(range(2, 6), lambda cell: _cell(cell) if cell else math.nan))
     start_bin = _field(header, "start_bin", path, int)
-    width_ns = _field(header, "bin_width_ns", path, default=2.0)
+    bin_width_ns = _field(header, "bin_width_ns", path, default=2.0)
     reps = _field(header, "repetitions", path, int)
-    widths, flag = rows["width_bins"], rows["degenerate_flag"]
-    b, d, c, v = cells = np.array([rows[name] for name in rows.dtype.names[2:6]])
-    in_order = widths == np.arange(1, widths.size + 1)
-    empty = np.isnan(cells)
-    fine = ((flag == 1) & empty.all(axis=0)) | ((flag == 0) & (start_bin >= 0) & (b > d)
-                                                & (d > 0) & (0 < c) & (c < 1) & (v > 0))
-    if not (in_order & fine).all():
-        k = int(np.argmin(in_order & fine))
-        if in_order[k] and flag[k] == 0 and not empty[:, k].any():
-            with _naming(path, line_of(k)):     # the domain check's own message
-                GateMetrics(GateWindow(start_bin, k + 1), *cells[:, k].tolist())
-        raise ParseError(f"width_bins {widths[k]} out of order (expected {k + 1})"
-                         if not in_order[k] else
-                         "expected degenerate_flag 1 with no metrics, or 0 with four",
-                         line_of(k), path)
-    return SweepResult(start_bin, width_ns, reps, *cells)
+    with _naming(path):
+        GateWindow(start_bin)
+    widths = np.arange(1, rows.size + 1)
+    with np.errstate(all="ignore"):         # cells no trace pair gives, such as 1e200
+        curves = _metric_curves(*(np.where(np.isfinite(rows[n]), rows[n], np.nan)
+                                  for n in ("L0", "L1")))
+    cells = np.column_stack([rows[name] for name in rows.dtype.names]).astype(float)
+    derived = np.column_stack((widths, widths * bin_width_ns, *curves, np.isnan(curves[2])))
+    same = (cells == derived) & (np.signbit(cells) == np.signbit(derived)) \
+        | np.isnan(cells) & np.isnan(derived)
+    if not same.all():
+        k, j = np.argwhere(~same)[0]
+        raise ParseError(f"{rows.dtype.names[j]} is {rows[k][j].item()!r}, expected "
+                         f"{rows.dtype[j].type(derived[k, j]).item()!r}", line_of(k), path)
+    return SweepResult(start_bin, bin_width_ns, reps, *curves)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,8 @@ class PhotodynamicsParams:
             raise ParameterError("tau_onset_ns must be nonnegative")
         if self.bin_width_ns > self.trace_length_ns:
             raise ParameterError("bin_width_ns must not exceed trace_length_ns")
+        if not (self.trace_length_ns / self.bin_width_ns <= np.iinfo(np.intp).max):
+            raise ParameterError("trace_length_ns / bin_width_ns exceeds numpy's index range")
 
     @property
     def n_bins(self) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nvreadout
-from nvreadout import cli, paper_like_params
+from nvreadout import cli
 from nvreadout.cli import main
 
 
@@ -56,9 +56,15 @@ def pipeline(tmp_path_factory):
     return root
 
 
-# a [simulate] section setting every key to a value other than its default
-EVERY_KEY = ("repetitions = 2e5\nseed = 3\nrabi_points = 12\nrabi_period_ns = 100\n"
-             "rabi_span_ns = 300\nrabi_repetitions = 5e4\n")
+# every simulate flag, each set to a value other than its default
+EVERY_FLAG = ["--reps", "3e5", "--seed", "5", "--rabi-points", "8", "--rabi-period-ns", "150",
+              "--rabi-span-ns", "240", "--rabi-reps", "7e4"]
+
+
+def documented_block():
+    """The ini block of docs/config-format.md."""
+    doc = (Path(__file__).parents[1] / "docs" / "config-format.md").read_text()
+    return doc.split("```ini\n")[1].split("```")[0]
 
 
 class TestPipeline:
@@ -112,20 +118,33 @@ class TestPipeline:
         assert (data / "boundary0.csv").read_bytes() == before
 
     def test_config_file_defaults(self, tmp_path):
+        # the config sets the profile, the flags the run: the files are those the
+        # library writes for that profile
+        from nvreadout import PhotodynamicsParams, make_profiles, simulate_trace
+        from nvreadout import io as nvio
         from nvreadout.cli import load_config
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(    # [train], like any other section, is not read
-            "[simulate]\nrepetitions = 1e5\nseed = 3\nrabi_points = 12\n"
-            "[train]\nmax_iterations = 50\n")
-        params, values = load_config(cfg_file)
-        assert values == {"repetitions": 100_000, "seed": 3, "rabi_points": 12}
-        assert type(values["repetitions"]) is int
-        assert params == paper_like_params()
+        cfg_file.write_text("[profile]\nsteady_rate = 3e-5\nbright_boost = 0.5\n"
+                            "dark_dip = 0.8\ntau_bright_ns = 40\ntrace_length_ns = 200\n")
+        params = load_config(cfg_file)
+        assert params == PhotodynamicsParams(steady_rate=3e-5, bright_boost=0.5, dark_dip=0.8,
+                                             tau_bright_ns=40.0, trace_length_ns=200.0)
         out = tmp_path / "sim"
-        assert run("simulate", "--config", str(cfg_file),
+        assert run("simulate", "--config", str(cfg_file), "--reps", "1e5", "--seed", "3",
                    "--out-dir", str(out)) == 0
-        from nvreadout import io as nvio
-        assert nvio.read_trace_csv(out / "boundary0.csv").repetitions == 100_000
+        written = nvio.read_trace_csv(out / "boundary0.csv")
+        bright = simulate_trace(make_profiles(params)[0], 100_000, 3)
+        assert (written.repetitions, written.seed, len(written)) == (100_000, 3, 100)
+        assert np.array_equal(written.counts, bright.counts)
+
+    def test_flags_only_defaults_write_the_same_bytes(self, tmp_path):
+        # no flag and no config, against every default given as a flag
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("simulate", "--what", "both", "--out-dir", str(a)) == 0
+        assert run("simulate", "--what", "both", "--out-dir", str(b), "--reps", "1e6",
+                   "--seed", "0", "--rabi-points", "60", "--rabi-period-ns", "200",
+                   "--rabi-span-ns", "600", "--rabi-reps", "1e6") == 0
+        assert tree_bytes(a) == tree_bytes(b)
 
     def test_library_recipe_matches_train_rabi_command(self, pipeline, tmp_path):
         # the recipe that the README and train_rabi's docstring give
@@ -150,19 +169,18 @@ class TestPipeline:
         assert abs(p - 1.0) < 0.05
 
     @pytest.mark.parametrize("config, flags, expected", [
-        ("", [], (10**6, 0, 60, 200.0, 600.0, 10**6)),
-        (EVERY_KEY, [], (200_000, 3, 12, 100.0, 300.0, 50_000)),
-        (EVERY_KEY, ["--reps", "3e5", "--seed", "5", "--rabi-points", "8", "--rabi-period-ns", "150",
-          "--rabi-span-ns", "240", "--rabi-reps", "7e4"],
-         (300_000, 5, 8, 150.0, 240.0, 70_000)),
-        ("repetitions = 2e5\n", ["--reps", "3e5"], (300_000, 0, 60, 200.0, 600.0, 300_000)),
+        (False, [], (10**6, 0, 60, 200.0, 600.0, 10**6)),
+        (True, [], (10**6, 0, 60, 200.0, 600.0, 10**6)),
+        (True, EVERY_FLAG, (300_000, 5, 8, 150.0, 240.0, 70_000)),
+        (False, ["--reps", "3e5"], (300_000, 0, 60, 200.0, 600.0, 300_000)),
     ], ids=["default", "config", "flag-over-config", "rabi-reps-follow-resolved-reps"])
     def test_flag_over_config_over_default(self, tmp_path, config, flags, expected):
-        # each [simulate] key, read back from what simulate writes
+        # each run setting, read back from what simulate writes: a flag if it is
+        # given, else its default; the config (the documented profile) sets none
         from nvreadout import io as nvio
         argv = ["simulate", "--what", "both", "--out-dir", str(tmp_path / "sim"), *flags]
         if config:
-            (tmp_path / "run.cfg").write_text("[simulate]\n" + config)
+            (tmp_path / "run.cfg").write_text(documented_block())
             argv += ["--config", str(tmp_path / "run.cfg")]
         assert run(*argv) == 0
         reps, seed, points, period, span, rabi_reps = expected
@@ -249,7 +267,7 @@ class TestExitCodes:
         kept.write_bytes({"summary-is-scan": (data / "rabi.csv").read_bytes(),
                           "summary-is-out": b"an earlier report\n",
                           "out-is-model": (pipeline / "model.txt").read_bytes()}.get(
-            case, b"[simulate]\nseed = 3\n"))
+            case, b"[profile]\n"))
         before = kept.read_bytes()
         scan = ["--rabi", str(kept if case == "summary-is-scan" else data / "rabi.csv"),
                 "--trace0", str(data / "boundary0.csv"), "--trace1", str(data / "boundary1.csv")]
@@ -338,8 +356,8 @@ class TestExitCodes:
 
 class TestConfigErrors:
     @pytest.mark.parametrize("text, match", [
-        ("[simulate]\nrepetitions = abc\n", r"run\.cfg: \[simulate\] repetitions='abc'"),
-        ("[train]\nweight_factor = 10\n[simulate\nrepetitions = 5\n", r"run\.cfg.*line 3"),
+        ("[profile]\nsteady_rate = abc\n", r"run\.cfg: \[profile\] steady_rate='abc'"),
+        ("[profile]\nsteady_rate = 2e-5\n[simulate\nrepetitions = 5\n", r"run\.cfg.*line 3"),
         ("[simulate\nrepetitions = 5\n", r"run\.cfg.*line: 1"),
     ], ids=["non-numeric", "broken-section", "no-section"])
     def test_malformed_config_is_parse_error(self, tmp_path, capsys, text, match):
@@ -355,16 +373,16 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("text, match", [
         ("[profile]\nsteady_rat = 2e-5\n", r"run\.cfg: \[profile\] steady_rat "),
-        ("[simulate]\nrepetitons = 1e3\n", r"run\.cfg: \[simulate\] repetitons "),
-        ("[DEFAULT]\nrepetitons = 1e3\n[simulate]\nseed = 3\n",
-         r"run\.cfg: \[simulate\] repetitons \(from \[DEFAULT\]\) "),
-    ], ids=["profile", "simulate", "default"])
+        ("[DEFAULT]\nsteady_rat = 2e-5\n[profile]\nsteady_rate = 2e-5\n",
+         r"run\.cfg: \[profile\] steady_rat \(from \[DEFAULT\]\) "),
+        ("[DEFAULT]\nrepetitions = 1e7\n",
+         r"run\.cfg: \[profile\] repetitions \(from \[DEFAULT\]\) "),
+    ], ids=["profile", "default", "default-without-profile"])
     def test_unknown_key_is_parse_error(self, tmp_path, capsys, text, match):
         from nvreadout import ParseError
         from nvreadout.cli import load_config
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(text + "[sweep]\nstart_bin = 4\n"    # other sections are ignored
-                            "[train]\nweight_factor = 1e4\n")
+        cfg_file.write_text(text)
         with pytest.raises(ParseError, match=match + "is not a known key"):
             load_config(cfg_file)
         assert run("simulate", "--out-dir", str(tmp_path / "out"), "--config", str(cfg_file)) == 2
@@ -372,24 +390,47 @@ class TestConfigErrors:
         assert "is not a known key" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", ["repetitions", "rabi_repetitions"])
-    @pytest.mark.parametrize("value", ["0", "2.5"])
-    def test_count_is_parse_error_naming_the_file(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("section", ["simulate", "train", "sweep"])
+    def test_section_other_than_profile_is_2(self, tmp_path, capsys, section):
+        # a run setting in the config would be a second way to set it: the file fails
+        # rather than simulate the defaults
         from nvreadout import ParseError
         from nvreadout.cli import load_config
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"[simulate]\n{key} = {value}\n")
-        message = rf"run\.cfg: \[simulate\] {key}='{re.escape(value)}' is not a whole number"
-        with pytest.raises(ParseError, match=message):
+        cfg_file.write_text(documented_block() + f"\n[{section}]\nrepetitions = 1e7\n")
+        message = (f"run.cfg: [{section}] is not a known section (only [profile] is; "
+                   "run settings are flags)")
+        with pytest.raises(ParseError, match=re.escape(message)):
             load_config(cfg_file)
         assert run("simulate", "--out-dir", str(tmp_path / "out"), "--config", str(cfg_file)) == 2
         err = capsys.readouterr().err
-        assert re.search(message, err) and err.count("\n") == 1
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dark_dip", "1.5", "dark_dip must be in [0, 1)"),
+        ("tau_bright_ns", "-1", "tau_bright_ns must be positive"),
+        ("trace_length_ns", "1e300", "trace_length_ns / bin_width_ns exceeds numpy's index range"),
+    ], ids=["dark-dip", "negative-tau", "huge-length"])
+    def test_profile_domain_error_names_the_file(self, tmp_path, key, value, message):
+        # a fresh process, so a traceback would reach stderr (inf: see the test
+        # below); 1e300 is rejected before anything is allocated
+        block = documented_block()
+        assert re.search(rf"^{key} = ", block, re.M)
+        (tmp_path / "run.cfg").write_text(re.sub(rf"^{key} = \S+", f"{key} = {value}", block,
+                                                 flags=re.M))
+        env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nvreadout.cli", "simulate", "--config", "run.cfg",
+             "--reps", "1e3", "--out-dir", "out"],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"nvreadout: run.cfg: [profile] {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_profile_value_is_2(self, tmp_path):
         # a fresh process, so a traceback would reach stderr
-        doc = (Path(__file__).parents[1] / "docs" / "config-format.md").read_text()
-        block = doc.split("```ini\n")[1].split("```")[0]
+        block = documented_block()
         assert "trace_length_ns = 1000\n" in block
         (tmp_path / "run.cfg").write_text(block.replace("trace_length_ns = 1000\n",
                                                         "trace_length_ns = inf\n"))
@@ -399,19 +440,20 @@ class TestConfigErrors:
              "--reps", "1e3", "--out-dir", "out"],
             capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == "nvreadout: trace_length_ns must be finite\n"
+        assert proc.stderr == "nvreadout: run.cfg: [profile] trace_length_ns must be finite\n"
         assert not (tmp_path / "out").exists()
 
     def test_documented_config_loads(self, tmp_path):
+        from dataclasses import fields
+        from nvreadout import PhotodynamicsParams
         from nvreadout.cli import load_config
-        doc = (Path(__file__).parents[1] / "docs" / "config-format.md").read_text()
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(doc.split("```ini\n")[1].split("```")[0])
-        params, values = load_config(cfg_file)
-        assert set(values) == set(cli._SIMULATE)        # every key is documented
-        assert (values["repetitions"], values["seed"], values["rabi_repetitions"]) == \
-            (10**7, 7, 10**5)
-        assert params.steady_rate == 2.1215e-05
+        cfg_file.write_text(documented_block())
+        params = load_config(cfg_file)
+        assert isinstance(params, PhotodynamicsParams)
+        keys = set(re.findall(r"^(\w+) = ", documented_block(), re.M))
+        assert keys == {f.name for f in fields(PhotodynamicsParams)}   # every key is documented
+        assert (params.steady_rate, params.tau_onset_ns) == (2.1215e-05, 160.0)
 
     def test_partial_profile_is_parse_error(self, tmp_path, capsys):
         from nvreadout import ParseError
@@ -432,7 +474,7 @@ class TestConfigErrors:
 
     def test_train_config_flag_is_a_usage_error(self, tmp_path, capsys):
         # only simulate reads a config; the trainer's one setting is --max-iterations
-        (tmp_path / "run.cfg").write_text("[simulate]\nseed = 3\n")
+        (tmp_path / "run.cfg").write_text("[profile]\n")
         assert run("train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
                    "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "m.txt")) == 1
         assert "unrecognized arguments: --config" in capsys.readouterr().err

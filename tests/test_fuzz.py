@@ -33,9 +33,10 @@ TEMPLATES = {
     nvio.read_truth_csv: "# truth-csv v1\nduration_ns,population\n0.0,1.0\n10.0,0.5\n",
     nvio.read_sweep_csv: "# sweep-csv v1\n# start_bin=0\n# bin_width_ns=2.0\n# repetitions=10\n"
                          "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
-                         "1,2.0,5.0,1.0,0.5,0.375,0\n2,4.0,,,,,1\n"
-                         "# max_contrast: width_bins=1 width_ns=2.0 contrast=0.5\n"
-                         "# min_variance: none\n",
+                         "1,2.0,5.0,1.0,0.8,0.1875,0\n2,4.0,,,,,1\n"
+                         "# max_contrast: width_bins=1 width_ns=2.0 contrast=0.8 "
+                         "total_variance=0.1875\n# min_variance: width_bins=1 width_ns=2.0 "
+                         "contrast=0.8 total_variance=0.1875\n",
     nvio.read_model: "# readout-model v2\n# dimension=2\n# bin_width_ns=2.0\n# rate_scale=1.0\n"
                      "# intercept=0.0\n# trained_on=hand\n# loss_prediction=0.1\n"
                      "# loss_variance=0.2\n# loss_weight_factor=10.0\nweight\n0.5\n0.25\n",
@@ -49,7 +50,9 @@ TEMPLATES = {
     nvio.read_fit_csv: "# fit-report v1\n# offset=0.5\n# amplitude=0.5\n# frequency_per_ns=0.005\n"
                        "# phase_rad=0.0\n# residual_rms=0.01\n# normalized=1\n"
                        "duration_ns,p_raw,p_fit,residual\n0.0,1.0,1.0,0.0\n",
-    load_config: "[simulate]\nrepetitions = 1e5\nseed = 3\n[sweep]\nstart_bin = 4\n",
+    # the four keys without a default, so no cell sets the trace length
+    load_config: "[profile]\nsteady_rate = 2e-05\nbright_boost = 0.37\ndark_dip = 0.9\n"
+                 "tau_bright_ns = 50\n",
 }
 
 JUNK = st.one_of(
@@ -197,7 +200,7 @@ def cli_argv(role: str, root, fuzzed) -> list[str]:
     return {
         "trace0": ["sweep", "--trace0", f["trace0"], "--trace1", f["trace1"], "--out", out],
         "simulate-config": ["simulate", "--config", str(fuzzed), "--what", "both",
-                            "--out-dir", str(root / "simulated")],
+                            "--reps", "1e5", "--seed", "3", "--out-dir", str(root / "simulated")],
         "model": ["predict", "--model", f["model"], "--trace", f["trace0"]],
         "rabi": ["repair", "--rabi", f["rabi"], "--model", f["model"],
                  "--trace0", f["trace0"], "--trace1", f["trace1"], "--out", out],

@@ -197,7 +197,7 @@ class TestRabiReaderOracle:
      "repetitions must be an integer >= 1"),
     (nvio.read_sweep_csv, "# sweep-csv v1\n# start_bin=-1\n# bin_width_ns=2.0\n"
      "# repetitions=10\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
-     "1,2.0,5.0,1.0,0.6666666666666666,0.375,0\n", "line 6: start_bin must be nonnegative"),
+     "1,2.0,5.0,1.0,0.8,0.1875,0\n", "start_bin must be nonnegative"),
     (nvio.read_model, "# readout-model v2\n# dimension=2\n# bin_width_ns=2.0\n# intercept=0.0\n"
      "weight\n1.0\n-1.0\n", "weights must be nonnegative"),
     (nvio.read_fit_csv, "# fit-report v1\n# offset=0.5\n# amplitude=-0.1\n"
@@ -427,6 +427,29 @@ class TestSweepCsv:
         with pytest.raises(ParseError, match=r"sweep\.csv: line 7: ") as err:
             nvio.read_sweep_csv(p)
         assert err.value.line == 7
+
+    @pytest.mark.parametrize("row, message", [
+        ("300,600.0,{L0},{L1},0.9,{v},0", "contrast is 0.9, expected {c}"),
+        ("300,7.0,{L0},{L1},{c},{v},0", "width_ns is 7.0, expected 600.0"),
+        ("300,600.0,,,,,0", "degenerate_flag is 0, expected 1"),
+        ("300,600.0,inf,{L1},,,1", "L0 is inf, expected nan"),
+        ("300,600.0,{L0},{L1},{c},-{v},0", "total_variance is -{v}, expected {v}"),
+    ], ids=["contrast", "width-ns", "flag-0-blank", "inf-bright", "sign"])
+    def test_derived_cell_must_match(self, world, tmp_path, row, message):
+        # each cell after width_bins, L0 and L1 is derived from them; an edited
+        # contrast would otherwise move the max-contrast width to the edited row
+        sweep = world[2]
+        cells = {name: repr(float(getattr(sweep, curve)[299]))
+                 for name, curve in zip(("L0", "L1", "c", "v"), CURVES)}
+        p = tmp_path / "sweep.csv"
+        nvio.write_sweep_csv(p, sweep)
+        lines = p.read_text().splitlines()
+        assert lines[304] == "300,600.0,{L0},{L1},{c},{v},0".format(**cells)
+        lines[304] = row.format(**cells)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(
+                "sweep.csv: line 305: " + message.format(**cells))):
+            nvio.read_sweep_csv(p)
 
     def test_footer_is_a_comment(self, world, tmp_path):
         # the optima come from the rows, whatever the footer names

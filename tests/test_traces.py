@@ -69,6 +69,14 @@ class TestTypes:
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             flat_params(**{field: value})
 
+    def test_bin_count_must_be_indexable(self):
+        # rejected before make_profiles would allocate; no value that would
+        # allocate is tried
+        with pytest.raises(ParameterError, match="numpy's index range"):
+            flat_params(trace_length_ns=1e300)
+        with pytest.raises(ParameterError, match="numpy's index range"):
+            flat_params(trace_length_ns=1e300, bin_width_ns=1e-300)  # the ratio is inf
+
 
 class TestMakeProfiles:
     def test_no_transients_gives_flat_identical_profiles(self):
