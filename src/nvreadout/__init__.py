@@ -27,11 +27,11 @@ from .errors import (ConvergenceError, DegenerateBoundaryError,
 from .evaluation import EvalReport, MethodEval, RepairResult, evaluate, repair
 from .gating import (GateMetrics, GateWindow, SweepResult, contrast, gate_sum,
                      gated_population, sweep_gate, total_variance)
-from .rabi import (RabiDataset, SinusoidFit, assign_targets, fit_rabi,
-                   simulate_rabi_dataset)
-from .regression import (LossBreakdown, ReadoutModel, TrainingExample,
-                         gated_equivalent_model, loss, loss_gradient, predict,
-                         prediction_variance, train, train_boundary, train_rabi)
+from .rabi import (RabiDataset, SinusoidFit, TrainingExample, assign_targets,
+                   fit_rabi, simulate_rabi_dataset)
+from .regression import (LossBreakdown, ReadoutModel, gated_equivalent_model,
+                         loss, loss_gradient, predict, prediction_variance,
+                         train, train_boundary, train_rabi)
 from .traces import (EmissionProfile, PhotodynamicsParams, TimeTrace,
                      differential, expected_trace, make_profiles, mix_profile,
                      paper_like_params, simulate_trace)

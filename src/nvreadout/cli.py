@@ -27,7 +27,7 @@ from . import io as nvio
 from .errors import ParameterError, ParseError, ReadoutError
 from .evaluation import evaluate, repair
 from .gating import sweep_gate
-from .rabi import _targets, fit_rabi, simulate_rabi_dataset
+from .rabi import fit_rabi, simulate_rabi_dataset
 from .regression import (gated_equivalent_model, predict, prediction_variance,
                          train_boundary, train_rabi)
 from .traces import (PhotodynamicsParams, make_profiles, paper_like_params,
@@ -183,24 +183,34 @@ def _cmd_simulate(args) -> int:
     reps = _count(args.repetitions, "--reps")
     rabi_reps = reps if args.rabi_repetitions is None else \
         _count(args.rabi_repetitions, "--rabi-reps")
+    if args.rabi_points < 2:
+        raise ParameterError(f"--rabi-points must be >= 2, got {args.rabi_points}")
+    for flag, value in (("--rabi-period-ns", args.rabi_period_ns),
+                        ("--rabi-span-ns", args.rabi_span_ns)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"{flag} must be finite and positive, got {value!r}")
 
     out = Path(args.out_dir)
     for name in ("boundary0.csv", "boundary1.csv", "rabi.csv", "rabi_truth.csv"):
         _check_distinct_output(out / name, args.config)
-    out.mkdir(parents=True, exist_ok=True)
     profile0, profile1 = make_profiles(params)
-
-    if args.what in ("boundary", "both"):
+    boundary, rabi = args.what in ("boundary", "both"), args.what in ("rabi", "both")
+    # every draw before the output directory, so a failing one writes nothing
+    if boundary:
         bright = simulate_trace(profile0, reps, args.seed + _SEED_BRIGHT,
                                 label="boundary bright")
         dark = simulate_trace(profile1, reps, args.seed + _SEED_DARK, label="boundary dark")
-        nvio.write_trace_csv(out / "boundary0.csv", bright)
-        nvio.write_trace_csv(out / "boundary1.csv", dark)
-        print(f"wrote {out / 'boundary0.csv'} and {out / 'boundary1.csv'}")
-    if args.what in ("rabi", "both"):
+    if rabi:
         dataset, truth = simulate_rabi_dataset(
             profile0, profile1, rabi_reps, args.seed + _SEED_RABI_BASE,
             points=args.rabi_points, period_ns=args.rabi_period_ns, span_ns=args.rabi_span_ns)
+
+    out.mkdir(parents=True, exist_ok=True)
+    if boundary:
+        nvio.write_trace_csv(out / "boundary0.csv", bright)
+        nvio.write_trace_csv(out / "boundary1.csv", dark)
+        print(f"wrote {out / 'boundary0.csv'} and {out / 'boundary1.csv'}")
+    if rabi:
         nvio.write_rabi_csv(out / "rabi.csv", dataset)
         nvio.write_truth_csv(out / "rabi_truth.csv", dataset.durations, truth)
         print(f"wrote {out / 'rabi.csv'} and {out / 'rabi_truth.csv'}")
@@ -241,14 +251,7 @@ def _cmd_train(args) -> int:
     else:
         if not args.rabi:
             raise ReadoutError("rabi mode needs --rabi")
-        dataset = nvio.read_rabi_csv(args.rabi)
-        sums = dataset.counts.sum(axis=1) / dataset.repetitions
-        targets = _targets(dataset.durations, fit_rabi(dataset.durations, sums))
-        if sums[int(np.argmax(targets))] < sums[int(np.argmin(targets))]:
-            print("warning: peak-target trace has fewer photons than the "
-                  "trough-target trace; oscillation data may be inverted",
-                  file=sys.stderr)
-        model = train_rabi(dataset, targets, max_iterations)
+        model = train_rabi(nvio.read_rabi_csv(args.rabi), max_iterations=max_iterations)
     nvio.write_model(args.out, model)
     print(f"wrote {args.out} ({model.trained_on})")
     return EXIT_OK

@@ -166,14 +166,14 @@ def total_variance(bright_total: float, dark_total: float) -> float:
 def _metric_curves(cum_bright: np.ndarray, cum_dark: np.ndarray):
     """Gated sums, contrast and total variance over widths, from cumulative sums.
 
-    Returns four arrays holding nan at every degenerate width, so that
-    nanargmax/nanargmin never select one.
+    Returns four arrays holding nan at every width that GateMetrics refuses
+    (degenerate), so that nanargmax/nanargmin never select one.
     """
-    valid = (cum_bright > cum_dark) & (cum_dark > 0)
-    bright = np.where(valid, cum_bright, np.nan)
-    dark = np.where(valid, cum_dark, np.nan)
-    span = bright - dark
-    return bright, dark, span / bright, (bright + dark) / (2.0 * span * span)
+    with np.errstate(all="ignore"):     # 0/0 at empty widths; a file's 1e200 overflows
+        span = cum_bright - cum_dark
+        c, v = span / cum_bright, (cum_bright + cum_dark) / (2.0 * span * span)
+    valid = (span > 0) & (cum_dark > 0) & (c < 1) & (v > 0)
+    return tuple(np.where(valid, x, np.nan) for x in (cum_bright, cum_dark, c, v))
 
 
 def sweep_gate(trace0: TimeTrace, trace1: TimeTrace, start_bin: int = 0) -> SweepResult:

@@ -357,9 +357,8 @@ def read_sweep_csv(path) -> SweepResult:
     with _naming(path):
         GateWindow(start_bin)
     widths = np.arange(1, rows.size + 1)
-    with np.errstate(all="ignore"):         # cells no trace pair gives, such as 1e200
-        curves = _metric_curves(*(np.where(np.isfinite(rows[n]), rows[n], np.nan)
-                                  for n in ("L0", "L1")))
+    curves = _metric_curves(*(np.where(np.isfinite(rows[n]), rows[n], np.nan)
+                              for n in ("L0", "L1")))
     cells = np.column_stack([rows[name] for name in rows.dtype.names]).astype(float)
     derived = np.column_stack((widths, widths * bin_width_ns, *curves, np.isnan(curves[2])))
     same = (cells == derived) & (np.signbit(cells) == np.signbit(derived)) \

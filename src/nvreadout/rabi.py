@@ -9,7 +9,8 @@ free source of regression targets: fit
 to any per-duration population series (the fit is invariant to affine
 processing of the series, so even raw per-measurement count sums work),
 then rescale the fitted curve so its extrema map to 1 and 0.  Points
-nearest the fitted extrema get exactly 1 and 0.
+nearest the fitted extrema get exactly 1 and 0 (:func:`assign_targets`
+pairs each with its trace in a :class:`TrainingExample`).
 
 Sinusoid fitting is multimodal in frequency, but frequency is its only
 nonlinear parameter: at a fixed frequency the offset and the cos/sin
@@ -29,14 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitFailureError, ParameterError, ShapeError
-from .regression import TrainingExample
+from .errors import DomainError, FitFailureError, ParameterError, ShapeError
 from .traces import (EmissionProfile, TimeTrace, _checked_counts, mix_profile,
                      simulate_trace)
 
 __all__ = [
     "RabiDataset",
     "SinusoidFit",
+    "TrainingExample",
     "fit_rabi",
     "assign_targets",
     "simulate_rabi_dataset",
@@ -90,6 +91,18 @@ class SinusoidFit:
         ks = np.arange(k_lo, k_hi + 1)
         times = (target - self.phase + 2.0 * np.pi * ks) / w
         return times[(times >= t_min) & (times <= t_max)]
+
+
+@dataclass(frozen=True)
+class TrainingExample:
+    """A trace with its target population in [0, 1]."""
+
+    trace: TimeTrace
+    target: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.target <= 1.0):
+            raise DomainError(f"target must be in [0, 1], got {self.target}")
 
 
 @dataclass(frozen=True, eq=False)

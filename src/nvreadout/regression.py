@@ -12,10 +12,10 @@ any repetition count.  Under Poisson counts the estimate's variance is
 
 Training takes a traces x bins counts matrix, the repetitions of every
 row and one target population per row (:func:`train`);
-:func:`train_boundary` stacks the two boundary traces and
-:func:`train_rabi` passes a scan's counts matrix.  It is the exact solve
-of one convex problem.  With rate_scale the largest per-measurement bin
-rate of the training set, normalized rates z = rates / rate_scale and
+:func:`train_boundary` stacks the two boundary traces, :func:`train_rabi`
+takes a scan's counts matrix and its own fit's targets.  It is the exact
+solve of one convex problem.  With rate_scale the largest per-measurement
+bin rate of the training set, normalized rates z = rates / rate_scale and
 weights v = weights * rate_scale, it minimizes over v >= 0 and a free
 intercept b
 
@@ -50,11 +50,11 @@ from .errors import (ConvergenceError, DegenerateBoundaryError,
                      DegenerateTrainingError, DomainError, ParameterError,
                      ShapeError)
 from .gating import GateWindow, _metric_curves
+from .rabi import RabiDataset, _targets, fit_rabi
 from .traces import TimeTrace, _check_header_text, _check_pair, _checked_counts
 
 __all__ = [
     "ReadoutModel",
-    "TrainingExample",
     "LossBreakdown",
     "predict",
     "prediction_variance",
@@ -121,18 +121,6 @@ class ReadoutModel:
     @property
     def dimension(self) -> int:
         return int(self.weights.size)
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    """A trace with its target population in [0, 1]."""
-
-    trace: TimeTrace
-    target: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.target <= 1.0):
-            raise DomainError(f"target must be in [0, 1], got {self.target}")
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +371,11 @@ def train_boundary(trace0: TimeTrace, trace1: TimeTrace,
                             f"{trace0.repetitions}/{trace1.repetitions}")
 
 
-def train_rabi(dataset, targets, max_iterations: int = 100) -> ReadoutModel:
-    """Train on a whole oscillation dataset, one target per point.
-
-    Targets normally come from the dataset's own sinusoid fit, as
-    ``train --mode rabi`` takes them::
-
-        sums = dataset.counts.sum(axis=1) / dataset.repetitions
-        fit = fit_rabi(dataset.durations, sums)
-        targets = [ex.target for ex in assign_targets(dataset, fit)]
-    """
+def train_rabi(dataset: RabiDataset, *, max_iterations: int = 100) -> ReadoutModel:
+    """Train on a whole oscillation dataset, one target per point from the fit
+    of its count sums (see ``assign_targets``); other targets go to :func:`train`."""
+    sums = dataset.counts.sum(axis=1) / dataset.repetitions
+    targets = _targets(dataset.durations, fit_rabi(dataset.durations, sums))
     return train(dataset.counts, dataset.repetitions, targets, dataset.bin_width_ns,
                  max_iterations, provenance=f"oscillation set, {len(dataset)} points, "
                                             f"repetitions={dataset.repetitions}")

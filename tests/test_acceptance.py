@@ -198,7 +198,7 @@ def test_c07_rabi_training_repair():
         sums = [tr.counts.sum() / tr.repetitions for _, tr in train_set.points]
         fit = fit_rabi(train_set.durations, sums)
         targets = [ex.target for ex in assign_targets(train_set, fit)]
-        model = train_rabi(train_set, targets)
+        model = train_rabi(train_set)
 
         # the only boundary information in this scenario is the oscillation
         # set itself: its extremal-target traces calibrate the original

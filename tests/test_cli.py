@@ -147,15 +147,13 @@ class TestPipeline:
         assert tree_bytes(a) == tree_bytes(b)
 
     def test_library_recipe_matches_train_rabi_command(self, pipeline, tmp_path):
-        # the recipe that the README and train_rabi's docstring give
-        from nvreadout import assign_targets, fit_rabi, train_rabi
+        # the one-line recipe that the README gives
+        from nvreadout import train_rabi
         from nvreadout import io as nvio
         rabi = pipeline / "data" / "rabi.csv"
         assert run("train", "--mode", "rabi", "--rabi", str(rabi),
                    "--out", str(tmp_path / "rabi_model.txt")) == 0
-        dataset = nvio.read_rabi_csv(rabi)
-        fit = fit_rabi(dataset.durations, dataset.counts.sum(axis=1) / dataset.repetitions)
-        model = train_rabi(dataset, [ex.target for ex in assign_targets(dataset, fit)])
+        model = train_rabi(nvio.read_rabi_csv(rabi))
         written = nvio.read_model(tmp_path / "rabi_model.txt")
         assert np.array_equal(model.weights, written.weights)
         assert model.intercept == written.intercept
@@ -338,10 +336,12 @@ class TestExitCodes:
         ["simulate", "--what", "rabi", "--rabi-period-ns", "-5"],
         ["simulate", "--what", "rabi", "--rabi-period-ns", "inf"],
         ["simulate", "--what", "rabi", "--rabi-span-ns", "0"],
+        ["simulate", "--what", "rabi", "--rabi-points", "1"],
+        ["simulate", "--what", "both", "--reps", "1e3", "--rabi-period-ns", "-5"],
     ], ids=["reps-nan", "reps-inf", "reps-1e30", "reps-2.7", "rabi-reps-nan",
             "rabi-reps-1e30", "max-iterations-nan", "max-iterations-2.5",
             "rabi-period-negative", "rabi-period-inf",
-            "rabi-span-zero"])
+            "rabi-span-zero", "rabi-points-1", "both-rabi-period-negative"])
     def test_bad_numeric_value_is_2(self, argv, tmp_path):
         # a fresh process, so a traceback would reach stderr
         env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
@@ -352,6 +352,11 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        # the message names the flag (a count too large to draw is refused by the
+        # simulator, which names its parameter), and nothing is written, not
+        # even the directory
+        assert argv[-2] in proc.stderr or argv[-1] == "1e30", proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigErrors:

@@ -434,7 +434,9 @@ class TestSweepCsv:
         ("300,600.0,,,,,0", "degenerate_flag is 0, expected 1"),
         ("300,600.0,inf,{L1},,,1", "L0 is inf, expected nan"),
         ("300,600.0,{L0},{L1},{c},-{v},0", "total_variance is -{v}, expected {v}"),
-    ], ids=["contrast", "width-ns", "flag-0-blank", "inf-bright", "sign"])
+        # the span squared overflows: contrast 1.0 and variance 0.0, which GateMetrics refuses
+        ("300,600.0,1e+200,{L1},1.0,0.0,0", "L0 is 1e+200, expected nan"),
+    ], ids=["contrast", "width-ns", "flag-0-blank", "inf-bright", "sign", "overflowing-span"])
     def test_derived_cell_must_match(self, world, tmp_path, row, message):
         # each cell after width_bins, L0 and L1 is derived from them; an edited
         # contrast would otherwise move the max-contrast width to the edited row

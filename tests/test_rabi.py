@@ -7,6 +7,7 @@ from nvreadout import (FitFailureError, ParameterError, RabiDataset,
                        ShapeError, SinusoidFit, assign_targets, fit_rabi,
                        make_profiles, paper_like_params, simulate_rabi_dataset,
                        train_rabi)
+from nvreadout.rabi import _targets
 
 
 def sample(offset, amplitude, frequency, phase, t):
@@ -212,10 +213,7 @@ class TestAssignTargets:
         fit = SinusoidFit(offset=0.5, amplitude=0.4, frequency=1 / 200.0,
                           phase=0.0, residual_rms=0.01)
         t = np.arange(9) * 50.0  # peaks at 0, 200, 400; troughs at 100, 300
-        q = np.clip(fit.normalized(t), 0, 1)
-        for kind, value in (("peak", 1.0), ("trough", 0.0)):
-            for te in fit.extremum_times(0.0, 400.0, kind):
-                q[int(np.argmin(np.abs(t - te)))] = value
+        q = _targets(t, fit)
         assert q[0] == 1.0 and q[4] == 1.0 and q[8] == 1.0
         assert q[2] == 0.0 and q[6] == 0.0
         # node points sit exactly between: normalized value 0.5
@@ -253,17 +251,41 @@ class TestResiduals:
 
 class TestTrainRabi:
     def test_two_point_set_reduces_to_boundary_training(self):
-        # a peak/trough-only dataset behaves like boundary training
-        from nvreadout import train_boundary
+        # a peak/trough-only dataset behaves like boundary training; two
+        # points are too few to fit, so its hand targets go to train()
+        from nvreadout import train, train_boundary
         import nvreadout
         p0, p1 = make_profiles(paper_like_params())
         peak = nvreadout.simulate_trace(p0, 10**6, seed=81)
         trough = nvreadout.simulate_trace(p1, 10**6, seed=82)
         dataset = RabiDataset([0.0, 100.0], np.stack([peak.counts, trough.counts]), 10**6)
-        a = train_rabi(dataset, [1.0, 0.0])
+        a = train(dataset.counts, dataset.repetitions, [1.0, 0.0], dataset.bin_width_ns)
         b = train_boundary(peak, trough)
         assert np.allclose(a.weights, b.weights, rtol=0, atol=0)
         assert a.intercept == b.intercept
+        with pytest.raises(FitFailureError, match="at least 8 points"):
+            train_rabi(dataset)
+
+    def test_targets_are_the_assign_targets_of_the_count_sum_fit(self, simulated_dataset):
+        from nvreadout import train
+        dataset, _ = simulated_dataset
+        fit = fit_rabi(dataset.durations, dataset.counts.sum(axis=1) / dataset.repetitions)
+        targets = [ex.target for ex in assign_targets(dataset, fit)]
+        a = train_rabi(dataset)
+        b = train(dataset.counts, dataset.repetitions, targets, dataset.bin_width_ns,
+                  provenance=f"oscillation set, 60 points, repetitions={10**6}")
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert (a.intercept, a.trained_on, a.training_loss) == \
+            (b.intercept, b.trained_on, b.training_loss)
+
+    def test_targets_cannot_be_passed(self, simulated_dataset):
+        # a call written for the old signature fails instead of taking the
+        # targets as max_iterations
+        dataset, _ = simulated_dataset
+        with pytest.raises(TypeError):
+            train_rabi(dataset, [0.5] * len(dataset))
+        with pytest.raises(TypeError):
+            train_rabi(dataset, 100)
 
     def test_variance_stays_close_to_gated_baseline(self):
         # oscillation-trained model on a held-out higher-repetition set:
@@ -282,7 +304,7 @@ class TestTrainRabi:
         sums = train_set.counts.sum(axis=1) / train_set.repetitions
         fit = fit_rabi(train_set.durations, sums)
         targets = [ex.target for ex in assign_targets(train_set, fit)]
-        model = train_rabi(train_set, targets)
+        model = train_rabi(train_set)
         bright = train_set.points[int(np.argmax(targets))][1]
         dark = train_set.points[int(np.argmin(targets))][1]
         report = evaluate(test_set, *gates(bright, dark), model)
