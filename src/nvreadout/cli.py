@@ -180,9 +180,16 @@ def _check_distinct_output(out_path, *other_paths) -> None:
 
 def _cmd_simulate(args) -> int:
     params = load_config(args.config) if args.config else paper_like_params()
+    profile0, profile1 = make_profiles(params)
     reps = _count(args.repetitions, "--reps")
     rabi_reps = reps if args.rabi_repetitions is None else \
         _count(args.rabi_repetitions, "--rabi-reps")
+    # the simulator's own bound, checked here so that the message names the flag
+    photons = max(profile0.photons_per_measurement, profile1.photons_per_measurement)
+    for flag, value in (("--reps", reps), ("--rabi-reps", rabi_reps)):
+        if value * photons > 2.0**53:
+            raise ParameterError(f"{flag} must draw at most 2^53 expected photons per "
+                                 f"trace, got {value:g}")
     if args.rabi_points < 2:
         raise ParameterError(f"--rabi-points must be >= 2, got {args.rabi_points}")
     for flag, value in (("--rabi-period-ns", args.rabi_period_ns),
@@ -193,7 +200,6 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     for name in ("boundary0.csv", "boundary1.csv", "rabi.csv", "rabi_truth.csv"):
         _check_distinct_output(out / name, args.config)
-    profile0, profile1 = make_profiles(params)
     boundary, rabi = args.what in ("boundary", "both"), args.what in ("rabi", "both")
     # every draw before the output directory, so a failing one writes nothing
     if boundary:

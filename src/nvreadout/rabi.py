@@ -14,14 +14,15 @@ pairs each with its trace in a :class:`TrainingExample`).
 
 Sinusoid fitting is multimodal in frequency, but frequency is its only
 nonlinear parameter: at a fixed frequency the offset and the cos/sin
-amplitudes follow from a linear least-squares solve.  The fit therefore
-profiles the sum of squares over one frequency grid around the dominant
-periodogram frequency (variable projection), refines the best grid
-point (the lowest frequency among ties) by golden-section search between
-its grid neighbours and reads offset, amplitude and phase from the linear
-solve there.  The grid stops at the Nyquist
-frequency of the median sampling step, above which aliases fit equally
-well.
+amplitudes follow from a linear least-squares solve.  The fit profiles
+the sum of squares over one frequency grid (variable projection, from
+row sums) and takes its best point, the lowest frequency among ties.
+Between that point's grid neighbours it finds the root of the profile's
+slope, which has a closed form at each linear solve, and reads offset,
+amplitude and phase from the solve there.  The slope, unlike the flat sum
+of squares, is well conditioned at the minimum, so the fit is accurate to
+rounding.  The grid spans 0.25-4x the dominant periodogram frequency and
+stops at the Nyquist frequency of the median sampling step.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitFailureError, ParameterError, ShapeError
-from .traces import (EmissionProfile, TimeTrace, _checked_counts, mix_profile,
-                     simulate_trace)
+from .traces import (EmissionProfile, TimeTrace, _check_pair, _check_repetitions,
+                     _checked_counts, _draw)
 
 __all__ = [
     "RabiDataset",
@@ -49,7 +50,7 @@ _GRID_STEPS_PER_BASIN = 8       # grid spacing is 1 / (this * time span)
 _GRID_BLOCK = 2**18             # frequencies x points profiled per block
 _RANK_TOL = 1e-10               # squared column norm / points below which a
                                 # cos/sin column counts as rank-deficient
-_FREQ_RTOL = 1e-12              # golden-section stopping width, relative
+_FREQ_RTOL = 1e-12              # refine's stopping bracket width, relative
 _AMPLITUDE_SNR = 3.0            # amplitude must exceed this multiple of rms
 
 
@@ -146,13 +147,12 @@ class RabiDataset:
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _dominant_frequency(t: np.ndarray, y: np.ndarray) -> float:
-    """Dominant nonzero frequency of the series from a padded periodogram."""
-    dt = float(np.median(np.diff(t)))
-    n = len(t)
-    spectrum = np.abs(np.fft.rfft(y - y.mean(), 4 * n))
-    freqs = np.fft.rfftfreq(4 * n, dt)
-    return float(freqs[1 + int(np.argmax(spectrum[1:]))])
+def _median_step(t: np.ndarray) -> float:
+    """``np.median(np.diff(t))``, bit for bit, without its NaN check (which
+    imports ``numpy.ma``): the middle step, or the mean of the middle two."""
+    d = np.sort(np.diff(t))
+    m = d.size // 2
+    return float(d[m] if d.size % 2 else (d[m - 1] + d[m]) / 2)
 
 
 def _profile_sse(t: np.ndarray, y: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -161,47 +161,59 @@ def _profile_sse(t: np.ndarray, y: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     The offset is projected out by centering; the sine column is then
     orthogonalized against the cosine column (Gram-Schmidt), so a column
     that vanishes (f -> 0) or aliases onto the other (Nyquist) drops out
-    instead of dividing by zero.  The sum is taken over the residual
-    vector itself, not as a difference of sums, so it stays accurate down
-    to a noiseless fit.
+    instead of dividing by zero.  Only the centred columns' row sums
+    c.c, c.s, s.s, c.y and s.y are formed, and the projections are taken
+    on those scalars, so no residual matrix is built.  The sum is a
+    difference of sums, good enough to rank the grid; the fit's
+    rounding-level accuracy comes from the slope root in :func:`_refine`.
     """
     yc = y - y.mean()
     arg = 2.0 * np.pi * np.outer(freqs, t)
     c = np.cos(arg)
     c -= c.mean(axis=1, keepdims=True)
-    s = np.sin(arg)
+    s = np.sin(arg, out=arg)
     s -= s.mean(axis=1, keepdims=True)
     tol = _RANK_TOL * t.size
-
-    def along(dots, basis):
-        norm2 = np.einsum("ij,ij->i", basis, basis)
-        coef = np.divide(dots, norm2, out=np.zeros_like(norm2), where=norm2 > tol)
-        return coef[:, None] * basis
-
-    s -= along(np.einsum("ij,ij->i", c, s), c)
-    r = yc - along(c @ yc, c) - along(s @ yc, s)
-    return np.einsum("ij,ij->i", r, r)
+    cc, cs, ss = (np.einsum("ij,ij->i", u, v) for u, v in ((c, c), (c, s), (s, s)))
+    cy, sy = c @ yc, s @ yc
+    k = np.divide(cs, cc, out=np.zeros_like(cc), where=cc > tol)
+    ss, sy = ss - k * cs, sy - k * cy   # s := s - k c, on the sums
+    sse = yc @ yc - np.divide(cy * cy, cc, out=np.zeros_like(cc), where=cc > tol)
+    return sse - np.divide(sy * sy, ss, out=np.zeros_like(ss), where=ss > tol)
 
 
-def _golden_minimum(t: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
-    """Frequency of the profile minimum inside [lo, hi], by golden section."""
-    def sse(f):
-        return float(_profile_sse(t, y, np.array([f]))[0])
+def _solve_at(t: np.ndarray, y: np.ndarray, f: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Offset and cos/sin amplitudes solved at frequency f, the residual
+    y - fit, and the profile's slope there: by the envelope theorem,
+    d(sse)/df = -4*pi * sum(r * t * (b*cos - a*sin)) at the solved (a, b)."""
+    arg = 2.0 * np.pi * f * t
+    design = np.column_stack([np.ones_like(t), np.cos(arg), np.sin(arg)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    r = y - design @ coef
+    _, a, b = coef
+    return coef, r, -4.0 * np.pi * float(r @ (t * (b * design[:, 1] - a * design[:, 2])))
 
-    shrink = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - shrink * (b - a), a + shrink * (b - a)
-    fc, fd = sse(c), sse(d)
-    while b - a > _FREQ_RTOL * b:
-        if fc <= fd:                          # ties keep the lower frequency
-            b, d, fd = d, c, fc
-            c = b - shrink * (b - a)
-            fc = sse(c)
+
+def _refine(t: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
+    """Frequency of the profile minimum in [lo, hi]: an end where the slope
+    points outward, else the slope's root by regula falsi with the Illinois
+    halving (an end kept twice has its slope halved).  A secant step that
+    rounds onto an end stops; the least-|slope| frequency evaluated is returned."""
+    g_lo, g_hi = _solve_at(t, y, lo)[2], _solve_at(t, y, hi)[2]
+    if g_lo >= 0 or g_hi <= 0:
+        return lo if g_lo >= 0 else hi
+    best, side = min((-g_lo, lo), (g_hi, hi)), 0
+    while hi - lo > _FREQ_RTOL * hi:
+        f = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+        if not lo < f < hi:
+            break
+        g = _solve_at(t, y, f)[2]
+        best = min(best, (abs(g), f))
+        if g < 0:
+            lo, g_lo, g_hi, side = f, g, g_hi * (0.5 if side < 0 else 1.0), -1
         else:
-            a, c, fc = c, d, fd
-            d = a + shrink * (b - a)
-            fd = sse(d)
-    return c if fc <= fd else d
+            hi, g_hi, g_lo, side = f, g, g_lo * (0.5 if side > 0 else 1.0), 1
+    return best[1]
 
 
 def fit_rabi(durations, values) -> SinusoidFit:
@@ -232,25 +244,24 @@ def fit_rabi(durations, values) -> SinusoidFit:
         raise FitFailureError("durations must be strictly increasing "
                               "and span nonzero time")
 
-    f_dom = _dominant_frequency(t, y)
+    dt = _median_step(t)
+    spectrum = np.abs(np.fft.rfft(y - y.mean(), 4 * t.size))   # padded periodogram
+    f_dom = float(np.fft.rfftfreq(4 * t.size, dt)[1 + int(np.argmax(spectrum[1:]))])
     if f_dom <= 0:
         raise FitFailureError("no dominant oscillation frequency found")
 
     span = t[-1] - t[0]
     f_lo = _FREQ_GRID_SPAN[0] * f_dom
-    f_hi = min(_FREQ_GRID_SPAN[1] * f_dom, 0.5 / float(np.median(np.diff(t))))
+    f_hi = min(_FREQ_GRID_SPAN[1] * f_dom, 0.5 / dt)
     n_grid = int(np.ceil((f_hi - f_lo) * _GRID_STEPS_PER_BASIN * span)) + 1
     grid = np.linspace(f_lo, f_hi, n_grid)
     blocks = np.array_split(grid, max(1, grid.size * t.size // _GRID_BLOCK))
     k = int(np.argmin(np.concatenate([_profile_sse(t, y, b) for b in blocks])))
-    f = _golden_minimum(t, y, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
+    f = _refine(t, y, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
 
-    arg = 2.0 * np.pi * f * t
-    design = np.column_stack([np.ones_like(t), np.cos(arg), np.sin(arg)])
-    (offset, a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
-    r = design @ (offset, a, b) - y
+    (offset, a, b), r, _ = _solve_at(t, y, f)
     amplitude = float(np.hypot(a, b))
-    phase = float(np.arctan2(-b, a) % (2.0 * np.pi))
+    phase = float(np.arctan2(-b, a) % (2.0 * np.pi) % (2.0 * np.pi))   # -tiny % 2pi == 2pi
     rms = float(np.sqrt(r @ r / t.size))
 
     span_periods = span * f
@@ -310,8 +321,12 @@ def simulate_rabi_dataset(profile0: EmissionProfile, profile1: EmissionProfile,
             raise ParameterError(f"{name} must be finite and positive, got {value!r}")
     durations = np.linspace(0.0, span_ns, points)
     truth = 0.5 + 0.5 * np.cos(2.0 * np.pi * durations / period_ns)
-    counts = [simulate_trace(mix_profile(float(p), profile0, profile1),
-                             repetitions, seed + k).counts
-              for k, p in enumerate(truth)]
+    _check_pair(profile0, profile1)
+    for profile in (profile0, profile1):     # every mix draws fewer photons than one
+        _check_repetitions(repetitions, profile)
+    counts = np.empty((points, len(profile0)), dtype=np.int64)
+    for k, p in enumerate(truth):
+        rates = p * profile0.rates + (1.0 - p) * profile1.rates     # mix_profile's arithmetic
+        counts[k] = _draw(rates, repetitions, seed + k)
     dataset = RabiDataset(durations, counts, int(repetitions), profile0.bin_width_ns)
     return dataset, truth

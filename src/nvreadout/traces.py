@@ -254,6 +254,13 @@ def _check_repetitions(repetitions, profile: EmissionProfile) -> None:
                              f"2^53 expected photons per trace, got {repetitions!r}")
 
 
+def _draw(rates: np.ndarray, repetitions, seed: int) -> np.ndarray:
+    """Poisson counts with means ``repetitions * rates``, from the Philox
+    stream keyed by ``seed``; the caller has checked the repetitions."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+    return rng.poisson(repetitions * rates)
+
+
 def simulate_trace(profile: EmissionProfile, repetitions: int, seed: int,
                    label: str | None = None) -> TimeTrace:
     """Draw one Poisson trace from a profile.
@@ -264,9 +271,7 @@ def simulate_trace(profile: EmissionProfile, repetitions: int, seed: int,
     (profile, repetitions, seed).
     """
     _check_repetitions(repetitions, profile)
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-    counts = rng.poisson(repetitions * profile.rates)
-    return TimeTrace(counts, repetitions=int(repetitions),
+    return TimeTrace(_draw(profile.rates, repetitions, seed), repetitions=int(repetitions),
                      bin_width_ns=profile.bin_width_ns, label=label, seed=int(seed))
 
 

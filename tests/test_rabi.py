@@ -1,12 +1,14 @@
 """Sinusoid fitting, target assignment, oscillation-set training."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nvreadout import (FitFailureError, ParameterError, RabiDataset,
                        ShapeError, SinusoidFit, assign_targets, fit_rabi,
-                       make_profiles, paper_like_params, simulate_rabi_dataset,
-                       train_rabi)
+                       make_profiles, mix_profile, paper_like_params,
+                       simulate_rabi_dataset, simulate_trace, train_rabi)
 from nvreadout.rabi import _targets
 
 
@@ -113,11 +115,13 @@ class TestFitRabi:
             (b.offset, b.amplitude, b.frequency, b.phase)
 
 
-@pytest.mark.parametrize("frequency", [0.05, 1e-12], ids=["nyquist", "near-zero"])
+@pytest.mark.parametrize("frequency", [0.05, 1e-12, 0.0123],
+                         ids=["nyquist", "near-zero", "generic"])
 def test_profile_survives_rank_deficient_columns(frequency):
     # at the Nyquist frequency of a grid not starting at 0 the sine column
     # is a multiple of the cosine column; near f = 0 both fall onto the
-    # offset.  The profile must then match a rank-revealing solve.
+    # offset.  The profile must then match a rank-revealing solve, as it
+    # must where the centred columns are independent but not orthogonal.
     from nvreadout.rabi import _profile_sse
     t = 5.0 + 10.0 * np.arange(40)
     y = np.random.default_rng(4).normal(size=t.size)
@@ -163,31 +167,142 @@ def _multistart_lm_fit(t, y):
     return f, best_sse
 
 
-def test_matches_multistart_lm_oracle():
-    # seeded count-sum series of simulated scans, at two layouts and two
-    # repetition counts so that both fit outcomes occur
+def _oracle_series():
+    """Seeded count-sum series of simulated scans, at two layouts and two
+    repetition counts so that both fit outcomes occur."""
     p0, p1 = make_profiles(paper_like_params())
-    outcomes = []
     for seed in range(12):
         for points, span in ((60, 600.0), (240, 2400.0)):
             reps = 10**5 if seed % 3 else 3 * 10**4
             dataset, _ = simulate_rabi_dataset(p0, p1, reps, 1000 * seed + 3,
                                                points=points, span_ns=span)
-            t = dataset.durations
-            y = dataset.counts.sum(axis=1) / dataset.repetitions
-            expected = _multistart_lm_fit(t, y)
-            try:
-                fit = fit_rabi(t, y)
-            except FitFailureError:
-                fit = None
-            assert (fit is None) == (expected is None)
-            outcomes.append(fit is None)
-            if fit is not None:
-                f_ref, sse_ref = expected
-                sse = float(np.sum((fit.value(t) - y) ** 2))
-                assert sse == pytest.approx(sse_ref, rel=1e-8)
-                assert fit.frequency == pytest.approx(f_ref, rel=1e-6)
+            yield dataset.durations, dataset.counts.sum(axis=1) / dataset.repetitions
+
+
+def _assert_matches(oracle, f_rel, sse_rel):
+    """fit_rabi agrees with ``oracle`` on every oracle series: same pass/fail,
+    frequency and sum of squares within the given relative tolerances."""
+    outcomes = []
+    for t, y in _oracle_series():
+        expected = oracle(t, y)
+        try:
+            fit = fit_rabi(t, y)
+        except FitFailureError:
+            fit = None
+        assert (fit is None) == (expected is None)
+        outcomes.append(fit is None)
+        if fit is not None:
+            f_ref, sse_ref = expected
+            sse = float(np.sum((fit.value(t) - y) ** 2))
+            assert sse == pytest.approx(sse_ref, rel=sse_rel)
+            assert fit.frequency == pytest.approx(f_ref, rel=f_rel)
     assert any(outcomes) and not all(outcomes)
+
+
+def test_matches_multistart_lm_oracle():
+    _assert_matches(_multistart_lm_fit, f_rel=1e-6, sse_rel=1e-8)
+
+
+def _grid_golden_fit(t, y):
+    """The former refine, kept as oracle: the same frequency grid profiled
+    through the residual vector itself, then a golden-section search on the
+    sum of squares between the best grid point's neighbours.
+
+    Returns (frequency, sse) or None where fit_rabi's failure rules apply.
+    """
+    def profile_sse(freqs):
+        yc = y - y.mean()
+        arg = 2.0 * np.pi * np.outer(freqs, t)
+        c = np.cos(arg)
+        c -= c.mean(axis=1, keepdims=True)
+        s = np.sin(arg)
+        s -= s.mean(axis=1, keepdims=True)
+
+        def along(dots, basis):
+            norm2 = np.einsum("ij,ij->i", basis, basis)
+            coef = np.divide(dots, norm2, out=np.zeros_like(norm2),
+                             where=norm2 > 1e-10 * t.size)
+            return coef[:, None] * basis
+
+        s -= along(np.einsum("ij,ij->i", c, s), c)
+        r = yc - along(c @ yc, c) - along(s @ yc, s)
+        return np.einsum("ij,ij->i", r, r)
+
+    dt = float(np.median(np.diff(t)))
+    spectrum = np.abs(np.fft.rfft(y - y.mean(), 4 * t.size))
+    f_dom = float(np.fft.rfftfreq(4 * t.size, dt)[1 + int(np.argmax(spectrum[1:]))])
+    span = t[-1] - t[0]
+    f_lo, f_hi = 0.25 * f_dom, min(4.0 * f_dom, 0.5 / dt)
+    grid = np.linspace(f_lo, f_hi, int(np.ceil((f_hi - f_lo) * 8 * span)) + 1)
+    k = int(np.argmin(profile_sse(grid)))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = profile_sse([c])[0], profile_sse([d])[0]
+    while b - a > 1e-12 * b:
+        if fc <= fd:                          # ties keep the lower frequency
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = profile_sse([c])[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = profile_sse([d])[0]
+    f = c if fc <= fd else d
+    arg = 2.0 * np.pi * f * t
+    design = np.column_stack([np.ones_like(t), np.cos(arg), np.sin(arg)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    sse = float(np.sum((design @ coef - y) ** 2))
+    if span * f < 1.0 or np.hypot(coef[1], coef[2]) < 3.0 * np.sqrt(sse / t.size):
+        return None
+    return f, sse
+
+
+def test_matches_grid_golden_oracle():
+    # the slope-root refine lands on the minimum the golden-section search
+    # brackets, to within that search's own rounding-level stop
+    _assert_matches(_grid_golden_fit, f_rel=1e-8, sse_rel=1e-10)
+
+
+def test_one_ulp_input_change_moves_fit_at_rounding_level():
+    # the slope is well conditioned at the minimum, where the sum of squares
+    # is flat: a 1-ulp change of five inputs moves the fit at rounding level
+    p0, p1 = make_profiles(paper_like_params())
+    for seed in range(700003, 708003, 1000):
+        rng = np.random.default_rng(seed)
+        dataset, _ = simulate_rabi_dataset(p0, p1, 10**5, seed, points=240, span_ns=2400.0)
+        t = dataset.durations
+        y = dataset.counts.sum(axis=1) / dataset.repetitions
+        fit = fit_rabi(t, y)
+        for _ in range(10):
+            moved = y.copy()
+            k = rng.choice(t.size, 5, replace=False)
+            moved[k] = np.nextafter(moved[k], np.where(rng.random(5) < 0.5, np.inf, -np.inf))
+            other = fit_rabi(t, moved)
+            assert abs(other.frequency - fit.frequency) <= 1e-13 * fit.frequency
+            assert np.max(np.abs(other.value(t) - fit.value(t))) <= 1e-12 * fit.amplitude
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-steps", "odd-steps"])
+def test_median_step_is_np_median_bit_for_bit(parity):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from nvreadout.rabi import _median_step
+
+    # strictly increasing durations, as fit_rabi takes them; repeated steps
+    # make ties in the middle
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(start=st.floats(-1e6, 1e6),
+                      steps=st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.5]),
+                                               st.floats(1e-6, 1e6)),
+                                     min_size=2, max_size=41))
+    def check(start, steps):
+        steps = steps[:len(steps) - (len(steps) - parity) % 2]
+        t = start + np.concatenate([[0.0], np.cumsum(steps)])
+        assert np.all(np.diff(t) > 0) and (t.size - 1) % 2 == parity
+        assert _median_step(t).hex() == float(np.median(np.diff(t))).hex()
+
+    check()
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +443,20 @@ class TestTrainRabi:
     def test_dataset_invariants(self, durations, counts, error):
         with pytest.raises(error):
             RabiDataset(durations, np.array(counts), repetitions=10)
+
+    def test_simulated_rows_are_per_point_trace_draws(self):
+        # the former path, kept as reference: one mixed profile and one trace
+        # per point, drawn with seed + k
+        p0, p1 = make_profiles(paper_like_params())
+        dataset, truth = simulate_rabi_dataset(p0, p1, 10**5, 31, points=12)
+        for k, (row, p) in enumerate(zip(dataset.counts, truth)):
+            expected = simulate_trace(mix_profile(float(p), p0, p1), 10**5, 31 + k)
+            assert np.array_equal(row, expected.counts)
+        short = make_profiles(replace(paper_like_params(), trace_length_ns=500.0))[1]
+        with pytest.raises(ShapeError):
+            simulate_rabi_dataset(p0, short, 10**5, 31)
+        with pytest.raises(ParameterError, match="2\\^53"):
+            simulate_rabi_dataset(p0, p1, 10**18, 31)
 
     def test_dataset_is_read_only_matrix(self):
         counts = np.array([[1, 2], [3, 4]])
