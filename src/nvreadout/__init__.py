@@ -7,8 +7,9 @@ serves as their ground-truth oracle:
   gate-width sweep returns contrast and total-variance curves over widths
   plus both optima,
 * :mod:`nvreadout.regression` - a per-bin weighted linear estimator with
-  nonnegative weights, the exact optimum of one stated variance-regularized
-  objective (dual semismooth Newton); every readout, a gate included
+  nonnegative weights, trained in closed form: weights (delta)_+ / m on
+  log-spaced bin groups, the least variance per unit contrast, then
+  calibrated to the targets; every readout, a gate included
   (``gated_equivalent_model``), is one such ``ReadoutModel``,
 * :mod:`nvreadout.traces` - Poisson trace simulator with a calibrated
   default preset,
@@ -21,9 +22,9 @@ serves as their ground-truth oracle:
   command-line pipeline.
 """
 
-from .errors import (ConvergenceError, DegenerateBoundaryError,
-                     DegenerateTrainingError, DomainError, FitFailureError,
-                     ParameterError, ParseError, ReadoutError, ShapeError)
+from .errors import (DegenerateBoundaryError, DegenerateTrainingError,
+                     DomainError, FitFailureError, ParameterError, ParseError,
+                     ReadoutError, ShapeError)
 from .evaluation import EvalReport, MethodEval, RepairResult, evaluate, repair
 from .gating import (GateMetrics, GateWindow, SweepResult, contrast, gate_sum,
                      gated_population, sweep_gate, total_variance)

@@ -135,7 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace0", help="bright boundary trace CSV (boundary mode)")
     p.add_argument("--trace1", help="dark boundary trace CSV (boundary mode)")
     p.add_argument("--rabi", help="oscillation dataset CSV (rabi mode)")
-    p.add_argument("--max-iterations", type=float, default=100, help="cap on Newton steps")
+    p.add_argument("--max-iterations", type=float, default=100,
+                   help="no effect: the trainer is closed-form (kept for old scripts)")
     p.add_argument("--out", required=True, help="model file to write")
 
     p = sub.add_parser("fit-rabi", help="sinusoid fit of an oscillation dataset")
@@ -242,7 +243,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_train(args) -> int:
     _check_distinct_output(args.out, args.trace0, args.trace1, args.rabi)
-    max_iterations = _count(args.max_iterations, "--max-iterations")
+    _count(args.max_iterations, "--max-iterations")
     if args.mode == "boundary":
         if not args.trace0 or not args.trace1:
             raise ReadoutError("boundary mode needs --trace0 and --trace1")
@@ -253,11 +254,11 @@ def _cmd_train(args) -> int:
             print("warning: bright boundary trace has fewer photons per "
                   "measurement than the dark one (negative contrast); check "
                   "for swapped inputs", file=sys.stderr)
-        model = train_boundary(trace0, trace1, max_iterations)
+        model = train_boundary(trace0, trace1)
     else:
         if not args.rabi:
             raise ReadoutError("rabi mode needs --rabi")
-        model = train_rabi(nvio.read_rabi_csv(args.rabi), max_iterations=max_iterations)
+        model = train_rabi(nvio.read_rabi_csv(args.rabi))
     nvio.write_model(args.out, model)
     print(f"wrote {args.out} ({model.trained_on})")
     return EXIT_OK

@@ -30,10 +30,6 @@ class DegenerateTrainingError(ReadoutError):
     """The training set cannot constrain a model (identical targets/traces)."""
 
 
-class ConvergenceError(ReadoutError):
-    """The trainer's Newton solve did not converge within its step cap."""
-
-
 class FitFailureError(ReadoutError):
     """Sinusoid fitting failed (too few points, no oscillation, short span)."""
 

@@ -27,6 +27,14 @@ def gates(trace0, trace1):
                  for m in (sweep.max_contrast, sweep.min_variance))
 
 
+def noise_per_contrast(model, profile0, profile1):
+    """N = sum w^2 m / (w . delta)^2 on the true profiles at p = 1/2."""
+    delta = profile0.rates - profile1.rates
+    mean = 0.5 * (profile0.rates + profile1.rates)
+    w = model.weights
+    return float(w * w @ mean / (w @ delta) ** 2)
+
+
 @dataclass
 class BoundarySetup:
     params: object

@@ -476,7 +476,7 @@ class TestConfigErrors:
         assert not (tmp_path / "m.txt").exists()
 
     def test_train_config_flag_is_a_usage_error(self, tmp_path, capsys):
-        # only simulate reads a config; the trainer's one setting is --max-iterations
+        # only simulate reads a config; the trainer has no setting
         (tmp_path / "run.cfg").write_text("[profile]\n")
         assert run("train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
                    "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "m.txt")) == 1
@@ -493,6 +493,10 @@ class TestSwapWarning:
                    "--max-iterations", "100",
                    "--out", str(tmp_path / "swapped.txt")) == 0
         assert "swapped" in capsys.readouterr().err
+        # no bin group has a positive slope: the flat model at the mean target
+        from nvreadout import io as nvio
+        model = nvio.read_model(tmp_path / "swapped.txt")
+        assert np.all(model.weights == 0.0) and model.intercept == 0.5
 
 
 class TestConsoleScript:
@@ -514,13 +518,17 @@ class TestConsoleScript:
         assert proc.stdout.strip() == "False"
 
     def test_scan_commands_leave_numpy_ma_unloaded(self, pipeline, tmp_path):
-        # np.median's NaN check imports numpy.ma, 10-13 ms of every fitting process
+        # np.median's NaN check and np.unique import numpy.ma, 10-25 ms of every
+        # fitting or training process
         env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
         data = pipeline / "data"
         script = ("import sys\n"
                   "from nvreadout.cli import main\n"
                   "rabi, model, b0, b1 = sys.argv[1:]\n"
                   "assert main(['fit-rabi', '--rabi', rabi, '--out', 'fit.csv']) == 0\n"
+                  "assert main(['train', '--mode', 'rabi', '--rabi', rabi, '--out', 'm.txt']) == 0\n"
+                  "assert main(['train', '--mode', 'boundary', '--trace0', b0, '--trace1', b1,\n"
+                  "             '--out', 'b.txt']) == 0\n"
                   "assert main(['evaluate', '--rabi', rabi, '--model', model, '--trace0', b0,\n"
                   "             '--trace1', b1, '--out', 'report.csv']) == 0\n"
                   "print('numpy.ma' in sys.modules)\n")

@@ -394,8 +394,8 @@ class TestTrainRabi:
             (b.intercept, b.trained_on, b.training_loss)
 
     def test_targets_cannot_be_passed(self, simulated_dataset):
-        # a call written for the old signature fails instead of taking the
-        # targets as max_iterations
+        # a call written for an old signature (targets, or a step cap) fails
+        # loudly; the dataset is the only argument
         dataset, _ = simulated_dataset
         with pytest.raises(TypeError):
             train_rabi(dataset, [0.5] * len(dataset))

@@ -1,16 +1,18 @@
-"""Weighted readout model: prediction, loss, gradient, training."""
+"""Weighted readout model: prediction, loss, gradient, closed-form training."""
 
 import numpy as np
 import pytest
 
-from nvreadout import (ConvergenceError, DegenerateTrainingError, DomainError,
-                       GateWindow, ParameterError, ReadoutError, ReadoutModel,
+from nvreadout import (DegenerateTrainingError, DomainError,
+                       GateWindow, ParameterError, ReadoutModel,
                        ShapeError, TimeTrace, TrainingExample, expected_trace, gate_sum,
                        gated_equivalent_model, gated_population, loss,
                        loss_gradient, make_profiles, mix_profile,
                        paper_like_params, predict, prediction_variance,
                        simulate_trace, sweep_gate, train, train_boundary)
-from nvreadout.regression import LAMBDA, WEIGHT_FACTOR, _gated_init, _solve
+from nvreadout.regression import GROUPS, WEIGHT_FACTOR
+
+from conftest import noise_per_contrast
 
 
 def as_arrays(examples):
@@ -35,6 +37,11 @@ def random_model(rng, n=30):
     return ReadoutModel(weights=rng.uniform(0, 2.0, size=n),
                         intercept=float(rng.normal()),
                         reference_bin_width_ns=2.0)
+
+
+# 1e6- and 1e9-repetition boundary seeds; each draws seed and seed + 1
+NOISE_SEED_PAIRS = ((9101, 9201), (9103, 9203), (9105, 9205), (9107, 9207), (9109, 9209))
+
 
 
 @pytest.fixture(scope="module")
@@ -230,11 +237,15 @@ class TestTrain:
             train_boundary(t0, TimeTrace(t1.counts, t1.repetitions, bin_width_ns=4.0))
 
     def test_swapped_labels_still_train(self, preset_traces):
-        # dark trace labeled 1: no increasing nonnegative model exists, the
-        # trainer falls back to a flat compromise instead of failing
+        # dark trace labeled 1: no bin group has a positive slope, so the
+        # trainer returns the flat model at the mean target instead of failing
         _, _, t0, t1 = preset_traces
         model = train_boundary(t1, t0)
-        assert predict(model, t0) == pytest.approx(predict(model, t1), abs=0.2)
+        assert np.all(model.weights == 0.0) and model.intercept == 0.5
+        assert predict(model, t0) == predict(model, t1) == 0.5
+        counts = np.stack([t1.counts, t0.counts, t0.counts])
+        model = train(counts, t0.repetitions, [0.9, 0.2, 0.1], t0.bin_width_ns)
+        assert np.all(model.weights == 0.0) and model.intercept == pytest.approx(0.4)
 
     def test_training_is_deterministic(self, preset_traces):
         _, _, t0, t1 = preset_traces
@@ -243,20 +254,23 @@ class TestTrain:
         assert np.array_equal(a.weights, b.weights)
         assert a.intercept == b.intercept
 
-    def test_noisy_training_matches_clean_training_variance(self, preset_traces):
-        # models trained on 1e6- and 1e9-repetition boundaries give test
-        # variances within 5% of each other
+    def test_noisy_training_noise_matches_clean_training(self, preset_traces):
+        # the noise per unit contrast squared, N = sum w^2 m / (w . delta)^2 on
+        # the true profiles, is calibration-free: for every seed pair, training
+        # on 1e6 boundaries costs at most 10% over 1e9 and still beats the
+        # min-V gate of the same 1e6 boundaries
         p0, p1, *_ = preset_traces
-        from nvreadout import simulate_rabi_dataset
-        test, _ = simulate_rabi_dataset(p0, p1, repetitions=10**5, seed=900,
-                                        points=24)
-        variances = {}
-        for reps, seed in ((10**6, 701), (10**9, 703)):
-            model = train_boundary(simulate_trace(p0, reps, seed),
-                                   simulate_trace(p1, reps, seed + 1))
-            variances[reps] = np.mean([prediction_variance(model, tr)
-                                       for _, tr in test.points])
-        assert variances[10**6] == pytest.approx(variances[10**9], rel=0.05)
+        for noisy_seed, clean_seed in NOISE_SEED_PAIRS:
+            noisy0 = simulate_trace(p0, 10**6, noisy_seed)
+            noisy1 = simulate_trace(p1, 10**6, noisy_seed + 1)
+            clean = train_boundary(simulate_trace(p0, 10**9, clean_seed),
+                                   simulate_trace(p1, 10**9, clean_seed + 1))
+            noisy = train_boundary(noisy0, noisy1)
+            gate = gated_equivalent_model(
+                noisy0, noisy1, sweep_gate(noisy0, noisy1).min_variance.window)
+            n_noisy = noise_per_contrast(noisy, p0, p1)
+            assert n_noisy <= 1.10 * noise_per_contrast(clean, p0, p1), noisy_seed
+            assert n_noisy < noise_per_contrast(gate, p0, p1), noisy_seed
 
     def test_variance_law_monte_carlo(self, preset_traces):
         p0, p1, t0, t1 = preset_traces
@@ -273,145 +287,104 @@ class TestTrain:
         assert means[10**6] / means[10**7] == pytest.approx(10.0, rel=0.1)
 
 
-def stated_objective_parts(data):
-    """Normalized design of the trainer's stated objective, built from scratch."""
+def group_sums(data):
+    """Per-bin least-squares slope and rate at target 1/2, summed over the
+    trainer's bin groups; built with lstsq, independently of the trainer."""
     counts, reps, targets = data
-    rates = np.stack([row / r for row, r in zip(counts, reps)])
-    scale = rates.max()
-    z = rates / scale
-    c = (z / reps[:, None]).sum(axis=0) / scale
-    v_g = _gated_init(counts, reps, targets, 2.0) * scale
-    return z, targets, c, v_g, scale
-
-
-def solve(data, w):
-    """The trainer's solve at prediction-term weight ``w``, from its own anchor:
-    weights, intercept, Newton steps and KKT residual."""
-    counts, reps, targets = data
-    return _solve(counts / reps[:, None], reps, targets,
-                  _gated_init(counts, reps, targets, 2.0), 100, w=w)
-
-
-def nnls_oracle(data, weight_factor):
-    """Minimize the stated objective as one stacked NNLS problem (b = b+ - b-)."""
-    nnls = pytest.importorskip("scipy.optimize").nnls
-    z, t, c, v_g, scale = stated_objective_parts(data)
-    m, n = z.shape
-    a = np.vstack([np.hstack([z, np.ones((m, 1)), -np.ones((m, 1))]),
-                   np.hstack([np.diag(np.sqrt(c / weight_factor)), np.zeros((n, 2))]),
-                   np.hstack([np.sqrt(LAMBDA * m) * np.eye(n), np.zeros((n, 2))])])
-    y = np.concatenate([t, np.zeros(n), np.sqrt(LAMBDA * m) * v_g])
-    x, _ = nnls(a, y, maxiter=50 * n)
-    return x[:n] / scale, x[n] - x[n + 1]
-
-
-def kkt_residual(model, data, weight_factor):
-    """Projected-gradient norm of the stated objective over (v >= 0, b)."""
-    z, t, c, v_g, scale = stated_objective_parts(data)
-    m = z.shape[0]
-    v = model.weights * scale
-    r = z @ v + model.intercept - t
-    grad_v = (2 / m) * z.T @ r + 2 / (weight_factor * m) * c * v + 2 * LAMBDA * (v - v_g)
-    grad_v = np.where(v > 0, grad_v, np.minimum(grad_v, 0.0))
-    return float(np.sqrt(grad_v @ grad_v + (2 / m * r.sum()) ** 2))
+    rates = counts / reps[:, None]
+    design = np.column_stack([np.ones_like(targets), targets])
+    (intercept, slope), *_ = np.linalg.lstsq(design, rates, rcond=None)
+    n = rates.shape[1]
+    edges = sorted({0, *np.round(np.geomspace(1, n, GROUPS + 1)).astype(int)})
+    mid = intercept + slope / 2
+    return (np.array([slope[a:b].sum() for a, b in zip(edges, edges[1:])]),
+            np.array([mid[a:b].sum() for a, b in zip(edges, edges[1:])]), edges)
 
 
 @pytest.fixture(scope="module")
-def solver_cases():
-    """c05's boundary pair, c07's 60-point training set, small random sets.
-
-    Each case is the examples and the prediction-term weight at which the
-    solve is checked; ``train`` itself always solves at WEIGHT_FACTOR (1e4).
-    """
-    from conftest import SEED_BOUNDARY_CLEAN, SEED_RABI_TRAINING
+def training_sets():
+    """c05's boundary pair, a 1e5 boundary pair, c07's 60-point training set
+    and small random sets, as (counts, repetitions, targets) arrays."""
+    from conftest import SEED_BOUNDARY_CLEAN, SEED_BOUNDARY_NOISY, SEED_RABI_TRAINING
     from nvreadout import assign_targets, fit_rabi, simulate_rabi_dataset
     p0, p1 = make_profiles(paper_like_params())
-    cases = {"c05-boundary": ([
-        TrainingExample(simulate_trace(p0, 10**7, SEED_BOUNDARY_CLEAN), 1.0),
-        TrainingExample(simulate_trace(p1, 10**7, SEED_BOUNDARY_CLEAN + 1), 0.0)], 1e4)}
+    sets = {f"boundary-{reps:.0e}": as_arrays([
+        TrainingExample(simulate_trace(p0, reps, seed), 1.0),
+        TrainingExample(simulate_trace(p1, reps, seed + 1), 0.0)])
+        for reps, seed in ((10**7, SEED_BOUNDARY_CLEAN), (10**5, SEED_BOUNDARY_NOISY))}
     train_set, _ = simulate_rabi_dataset(p0, p1, repetitions=10**5,
                                          seed=SEED_RABI_TRAINING, points=60)
-    sums = [tr.counts.sum() / tr.repetitions for _, tr in train_set.points]
-    cases["c07-oscillation"] = (
-        assign_targets(train_set, fit_rabi(train_set.durations, sums)), 1e4)
-    # seed 1 holds a set (random-2) whose large-lambda solve stalls in
-    # rounding unless a step that keeps the active set is accepted
-    rng = np.random.default_rng(1)
-    for k in range(10):
-        cases[f"random-{k}"] = (random_examples(rng, m=int(rng.integers(2, 7))),
-                                float(rng.uniform(1, 1e5)))
-    # at weight_factor 1e6 one of these stalls just above an absolute dual
-    # tolerance of 1e-13: the stopping rule must scale with |Z_c| v
-    rng = np.random.default_rng(14)
-    for k in range(20):
-        cases[f"random-w1e6-{k}"] = (random_examples(rng, m=int(rng.integers(2, 10))), 1e6)
-    return cases
+    fit = fit_rabi(train_set.durations, train_set.counts.sum(axis=1) / train_set.repetitions)
+    sets["c07-oscillation"] = as_arrays(assign_targets(train_set, fit))
+    rng = np.random.default_rng(3)
+    for k in range(5):
+        sets[f"random-{k}"] = as_arrays(random_examples(rng, m=int(rng.integers(2, 7))))
+    return sets
 
 
-class TestExactSolve:
-    def test_matches_nnls_oracle(self, solver_cases):
-        for name, (examples, w) in solver_cases.items():
-            data = as_arrays(examples)
-            found_w, found_b, _, _ = solve(data, w)
-            weights, intercept = nnls_oracle(data, w)
-            err_w = (np.abs(found_w - weights).max()
-                     / max(np.abs(weights).max(), np.finfo(float).tiny))
-            err_b = abs(found_b - intercept) / max(1.0, abs(intercept))
-            assert err_w <= 1e-9 and err_b <= 1e-9, (name, err_w, err_b)
+class TestClosedForm:
+    @pytest.mark.parametrize("name", ["boundary-1e+07", "boundary-1e+05"])
+    def test_boundary_pair_maps_to_exactly_one_and_zero(self, training_sets, name):
+        counts, reps, _ = training_sets[name]
+        model = train_boundary(TimeTrace(counts[0], reps[0]), TimeTrace(counts[1], reps[1]))
+        assert predict(model, TimeTrace(counts[0], reps[0])) == pytest.approx(1.0, abs=1e-12)
+        assert predict(model, TimeTrace(counts[1], reps[1])) == pytest.approx(0.0, abs=1e-12)
 
-    def test_kkt_residual_at_returned_model(self, solver_cases):
-        for name, (examples, w) in solver_cases.items():
-            data = as_arrays(examples)
-            weights, intercept, steps, kkt = solve(data, w)
-            assert kkt_residual(ReadoutModel(weights, intercept, 2.0), data, w) <= 1e-9, name
-            assert steps <= 100 and kkt <= 1e-9, name
+    def test_group_weights_match_scipy_oracle(self, training_sets):
+        # over group-constant w >= 0, maximize (w . delta)^2 / sum w^2 m, which
+        # is minimizing sum w^2 m at w . delta = 1: in x = w sqrt(m) one NNLS
+        # problem with the constraint as a heavily weighted row
+        nnls = pytest.importorskip("scipy.optimize").nnls
+        for name, data in training_sets.items():
+            delta, mid, edges = group_sums(data)
+            assert np.all(mid > 0), name
+            a = delta / np.sqrt(mid)
+            x, _ = nnls(np.vstack([1e4 * a, np.eye(len(a))]),
+                        np.r_[1e4, np.zeros(len(a))])
+            oracle = x / np.sqrt(mid)
+            weights = train(*data, 2.0).weights
+            assert np.all(weights == np.repeat(weights[edges[:-1]], np.diff(edges))), name
+            found = weights[edges[:-1]]
+            if not np.any(delta > 0):           # nothing to weight: the flat model
+                assert np.all(found == 0) and np.all(oracle == 0), name
+                continue
+            assert np.abs(found / found.sum() - oracle / oracle.sum()).max() <= 1e-9, name
+            if name == "boundary-1e+05":    # the positive part matters here
+                assert np.any(delta < 0) and np.any(found == 0)
 
-    def test_train_is_the_solve_at_weight_factor(self, solver_cases):
-        # bit for bit, so the two tests above hold for train at every case
-        # whose weight is WEIGHT_FACTOR
-        for name, (examples, _) in solver_cases.items():
-            data = as_arrays(examples)
+    def test_trained_on_and_loss_record_the_recipe(self, training_sets):
+        for name, data in training_sets.items():
             model = train(*data, 2.0)
-            weights, intercept, steps, kkt = solve(data, WEIGHT_FACTOR)
-            assert np.array_equal(model.weights, weights), name
-            assert model.intercept == intercept, name
-            # the array loss recorded on the model is the loss of the examples
+            examples = [TrainingExample(TimeTrace(c, r), t) for c, r, t in zip(*data)]
             assert model.training_loss == loss(model, examples, WEIGHT_FACTOR), name
             assert model.training_loss.weight_factor == WEIGHT_FACTOR
-            recorded = dict(f.split("=") for f in model.trained_on.split(", ")[-4:])
-            assert recorded == {"solver": "dual-newton", "lambda": repr(LAMBDA),
-                                "iterations": str(steps), "kkt_residual": f"{kkt:.3e}"}, name
+            recorded = dict(f.split("=") for f in model.trained_on.split(", ")[-3:])
+            assert recorded == {"solver": "closed-form", "groups": str(GROUPS),
+                                "iterations": "0"}, name
 
-    def test_infinite_lambda_returns_gated_anchor(self, solver_cases):
-        for name, (examples, w) in solver_cases.items():
-            counts, reps, targets = as_arrays(examples)
-            rates = counts / reps[:, None]
-            anchor = _gated_init(counts, reps, targets, 2.0)
-            weights, intercept, _, _ = _solve(rates, reps, targets, anchor,
-                                              max_steps=100, lam=1e12, w=w)
-            # relative to the anchor, or to 1 in normalized units for a zero anchor
-            tol = 1e-9 * max(anchor.max(), 1.0 / rates.max())
-            assert np.abs(weights - anchor).max() <= tol, name
-            if name == "c05-boundary":
-                # the anchor is the gated estimator over its own window
-                gated = gated_equivalent_model(
-                    examples[0].trace, examples[1].trace,
-                    GateWindow(0, int(np.count_nonzero(anchor))))
-                assert np.array_equal(anchor, gated.weights)
-                assert intercept == pytest.approx(gated.intercept, rel=1e-9, abs=1e-12)
+    def test_calibration_is_the_least_squares_fit_of_the_targets(self, training_sets):
+        counts, reps, targets = training_sets["c07-oscillation"]
+        model = train(counts, reps, targets, 2.0)
+        p = np.array([predict(model, TimeTrace(c, r)) for c, r in zip(counts, reps)])
+        # residuals of a least-squares line sum to zero and are uncorrelated
+        # with its fitted values
+        assert abs((p - targets).sum()) <= 1e-12 * len(p)
+        assert abs((p - targets) @ (p - p.mean())) <= 1e-12 * len(p)
 
-    def test_step_cap_raises(self, solver_cases):
-        examples, _ = solver_cases["c05-boundary"]
-        with pytest.raises(ConvergenceError, match="1 Newton steps"):
-            train(*as_arrays(examples), 2.0, max_iterations=1)
-        assert issubclass(ConvergenceError, ReadoutError)
+    def test_group_with_no_positive_mean_rate_gets_no_weight(self):
+        # targets 1 and 0.6 put target 1/2 outside the data: bin 0's fitted
+        # rate there is 10 - 25 * 0.5 = -2.5, so only bin 1 is weighted
+        model = train([[10, 5], [0, 4]], 1, [1.0, 0.6], 2.0)
+        assert model.weights[0] == 0.0 and model.weights[1] > 0.0
+        assert predict(model, TimeTrace([10, 5], 1)) == pytest.approx(1.0, abs=1e-12)
+        assert predict(model, TimeTrace([0, 4], 1)) == pytest.approx(0.6, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [0, 2.5, float("nan")],
-                             ids=lambda bad: f"max_iterations-{bad}")
-    def test_config_rejects_bad_values(self, solver_cases, bad):
-        examples, _ = solver_cases["random-0"]
-        with pytest.raises(ParameterError, match="max_iterations must be an integer >= 1"):
-            train(*as_arrays(examples), 2.0, max_iterations=bad)
+    @pytest.mark.parametrize("value", [0, 2.5, float("nan")],
+                             ids=lambda value: f"max_iterations-{value}")
+    def test_max_iterations_is_not_a_parameter(self, training_sets, value):
+        # the step cap went with the iteration: any value is a TypeError
+        with pytest.raises(TypeError, match="max_iterations"):
+            train(*training_sets["boundary-1e+05"], 2.0, max_iterations=value)
 
 
 class TestGatedEquivalentModel:
