@@ -30,8 +30,8 @@ from .gating import sweep_gate
 from .rabi import fit_rabi, simulate_rabi_dataset
 from .regression import (gated_equivalent_model, predict, prediction_variance,
                          train_boundary, train_rabi)
-from .traces import (PhotodynamicsParams, make_profiles, paper_like_params,
-                     simulate_trace)
+from .traces import (PhotodynamicsParams, _check_repetitions, make_profiles,
+                     paper_like_params, simulate_trace)
 
 __all__ = ["main", "load_config"]
 
@@ -46,7 +46,7 @@ _SEED_RABI_BASE = 1000
 
 
 def _count(value, name: str) -> int:
-    """A repetition or step count given as a float, so that 1e7 is accepted."""
+    """A step count given as a float, so that 1e7 is accepted."""
     if not (math.isfinite(value) and value >= 1 and value == int(value)):
         raise ParameterError(f"{name} must be a whole number >= 1, got {value!r}")
     return int(value)
@@ -182,15 +182,12 @@ def _check_distinct_output(out_path, *other_paths) -> None:
 def _cmd_simulate(args) -> int:
     params = load_config(args.config) if args.config else paper_like_params()
     profile0, profile1 = make_profiles(params)
-    reps = _count(args.repetitions, "--reps")
-    rabi_reps = reps if args.rabi_repetitions is None else \
-        _count(args.rabi_repetitions, "--rabi-reps")
-    # the simulator's own bound, checked here so that the message names the flag
-    photons = max(profile0.photons_per_measurement, profile1.photons_per_measurement)
+    reps = args.repetitions
+    rabi_reps = reps if args.rabi_repetitions is None else args.rabi_repetitions
+    # the simulator's own check, made here so that the message names the flag
     for flag, value in (("--reps", reps), ("--rabi-reps", rabi_reps)):
-        if value * photons > 2.0**53:
-            raise ParameterError(f"{flag} must draw at most 2^53 expected photons per "
-                                 f"trace, got {value:g}")
+        for profile in (profile0, profile1):
+            _check_repetitions(value, profile, flag)
     if args.rabi_points < 2:
         raise ParameterError(f"--rabi-points must be >= 2, got {args.rabi_points}")
     for flag, value in (("--rabi-period-ns", args.rabi_period_ns),

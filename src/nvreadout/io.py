@@ -197,13 +197,10 @@ def _cell(text: str, kind=float):
     return kind(text)
 
 
-def _field(fields: dict, key: str, path, kind=float, default=None):
-    """A header field parsed like a table cell; a missing key falls
-    back to ``default`` if given."""
+def _field(fields: dict, key: str, path, kind=float):
+    """A required header field parsed like a table cell."""
     if key not in fields:
-        if default is None:
-            raise ParseError(f"{path}: missing required field '{key}'")
-        return default
+        raise ParseError(f"{path}: missing required field '{key}'")
     try:
         value = _cell(fields[key], kind)
     except ValueError:
@@ -236,10 +233,10 @@ def write_trace_csv(path, trace: TimeTrace) -> None:
 
 
 def read_trace_csv(path) -> TimeTrace:
-    """Read a trace; rejects missing repetitions and non-integer counts."""
+    """Read a trace; rejects a missing header value and non-integer counts."""
     header, rows, line_of = _read_table(path, "trace-csv", "bin_index,counts", "i8,i8")
     reps = _field(header, "repetitions", path, int)
-    width = _field(header, "bin_width_ns", path, default=2.0)
+    width = _field(header, "bin_width_ns", path)
     seed = _field(header, "seed", path, int) if "seed" in header else None
     if not rows.size:
         raise ParseError(f"{path}: no count rows")
@@ -285,7 +282,7 @@ def read_rabi_csv(path) -> RabiDataset:
     not above the previous row's is an error naming its line."""
     header, rows, line_of = _read_table(path, "rabi-csv", _scan_layout)
     reps = _field(header, "repetitions", path, int)
-    width = _field(header, "bin_width_ns", path, default=2.0)
+    width = _field(header, "bin_width_ns", path)
     if not rows.size:
         raise ParseError(f"{path}: no data rows")
     durations, counts = rows["duration_ns"], rows["counts"]
@@ -352,7 +349,7 @@ def read_sweep_csv(path) -> SweepResult:
         "i8,f8,f8,f8,f8,f8,i8",     # an empty metric cell is nan
         dict.fromkeys(range(2, 6), lambda cell: _cell(cell) if cell else math.nan))
     start_bin = _field(header, "start_bin", path, int)
-    bin_width_ns = _field(header, "bin_width_ns", path, default=2.0)
+    bin_width_ns = _field(header, "bin_width_ns", path)
     reps = _field(header, "repetitions", path, int)
     with _naming(path):
         GateWindow(start_bin)
@@ -404,7 +401,7 @@ def read_model(path) -> ReadoutModel:
             weights=rows["weight"],
             intercept=_field(fields, "intercept", path),
             reference_bin_width_ns=_field(fields, "bin_width_ns", path),
-            rate_scale=_field(fields, "rate_scale", path, default=1.0),
+            rate_scale=_field(fields, "rate_scale", path),
             trained_on=fields.get("trained_on", ""),
             training_loss=training_loss)
 
@@ -427,8 +424,10 @@ def read_report_csv(path) -> EvalReport:
     header, rows, _ = _read_table(
         path, "eval-report", "method,avg_formula_variance,empirical_mse,contrast_measured",
         "O,f8,f8,f8")
-    return EvalReport(tuple(MethodEval(*row) for row in rows.tolist()),
-                      header.get("truth_based", "0") == "1")
+    truth_based = _field(header, "truth_based", path, int)
+    if truth_based not in (0, 1):
+        raise ParseError(f"{path}: truth_based={header['truth_based']!r} is not 0 or 1")
+    return EvalReport(tuple(MethodEval(*row) for row in rows.tolist()), truth_based == 1)
 
 
 def write_report_summary(path, report: EvalReport) -> None:
@@ -464,7 +463,8 @@ def write_fit_csv(path, durations, raw, fit: SinusoidFit) -> None:
     """Fit report: per-point raw/fitted/residual values plus fit parameters.
 
     The point series is rescaled by the fitted extrema, so the columns are
-    population-like regardless of the input units.
+    population-like regardless of the input units; ``p_fit`` is
+    ``fit.normalized``, the scan's training targets.
     """
     t = np.asarray(durations, dtype=float)
     y = np.asarray(raw, dtype=float)

@@ -8,9 +8,10 @@ free source of regression targets: fit
 
 to any per-duration population series (the fit is invariant to affine
 processing of the series, so even raw per-measurement count sums work),
-then rescale the fitted curve so its extrema map to 1 and 0.  Points
-nearest the fitted extrema get exactly 1 and 0 (:func:`assign_targets`
-pairs each with its trace in a :class:`TrainingExample`).
+then rescale the fitted curve so its extrema map to 1 and 0
+(:meth:`SinusoidFit.normalized`).  That curve at the scan's durations is
+the scan's target vector (:func:`assign_targets` pairs each target with
+its trace in a :class:`TrainingExample`).
 
 Sinusoid fitting is multimodal in frequency, but frequency is its only
 nonlinear parameter: at a fixed frequency the offset and the cos/sin
@@ -76,22 +77,12 @@ class SinusoidFit:
             2.0 * np.pi * self.frequency * np.asarray(t, dtype=float) + self.phase)
 
     def normalized(self, t):
-        """Fitted curve rescaled so its extrema map to exactly 1 and 0."""
+        """Fitted curve rescaled so its extrema map to 1 and 0, clipped to
+        [0, 1] (rounding can land a value just outside)."""
         if self.amplitude == 0:
             raise FitFailureError("cannot normalize a flat fit")
-        return (np.asarray(self.value(t)) - (self.offset - self.amplitude)) / \
-            (2.0 * self.amplitude)
-
-    def extremum_times(self, t_min: float, t_max: float,
-                       kind: str) -> np.ndarray:
-        """Times of fitted peaks ('peak') or troughs ('trough') in [t_min, t_max]."""
-        target = 0.0 if kind == "peak" else np.pi
-        w = 2.0 * np.pi * self.frequency
-        k_lo = int(np.floor((w * t_min + self.phase - target) / (2.0 * np.pi))) - 1
-        k_hi = int(np.ceil((w * t_max + self.phase - target) / (2.0 * np.pi))) + 1
-        ks = np.arange(k_lo, k_hi + 1)
-        times = (target - self.phase + 2.0 * np.pi * ks) / w
-        return times[(times >= t_min) & (times <= t_max)]
+        return np.clip((np.asarray(self.value(t)) - (self.offset - self.amplitude)) /
+                       (2.0 * self.amplitude), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -275,24 +266,10 @@ def fit_rabi(durations, values) -> SinusoidFit:
     return SinusoidFit(float(offset), amplitude, float(f), phase, rms)
 
 
-def _targets(t: np.ndarray, fit: SinusoidFit) -> np.ndarray:
-    """Targets at durations ``t``, as :func:`assign_targets` describes."""
-    q = np.clip(fit.normalized(t), 0.0, 1.0)
-    for kind, value in (("peak", 1.0), ("trough", 0.0)):
-        for te in fit.extremum_times(float(t[0]), float(t[-1]), kind):
-            q[int(np.argmin(np.abs(t - te)))] = value
-    return q
-
-
 def assign_targets(dataset: RabiDataset, fit: SinusoidFit) -> list[TrainingExample]:
-    """Per-point regression targets from a fitted oscillation.
-
-    Every target is the fitted curve rescaled to [0, 1] (extrema map to
-    1 and 0) and clipped; the dataset point nearest each fitted peak gets
-    exactly 1 and nearest each fitted trough exactly 0.
-    """
+    """Each point's trace with its target, ``fit.normalized`` at its duration."""
     return [TrainingExample(trace, float(qk))
-            for (_, trace), qk in zip(dataset.points, _targets(dataset.durations, fit))]
+            for (_, trace), qk in zip(dataset.points, fit.normalized(dataset.durations))]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import (DegenerateBoundaryError, DegenerateTrainingError,
                      DomainError, ParameterError, ShapeError)
 from .gating import GateWindow
-from .rabi import RabiDataset, _targets, fit_rabi
+from .rabi import RabiDataset, fit_rabi
 from .traces import TimeTrace, _check_header_text, _check_pair, _checked_counts
 
 __all__ = [
@@ -295,11 +295,13 @@ def train_boundary(trace0: TimeTrace, trace1: TimeTrace) -> ReadoutModel:
 
 
 def train_rabi(dataset: RabiDataset) -> ReadoutModel:
-    """Train on a whole oscillation dataset, one target per point from the fit
-    of its count sums (see ``assign_targets``); other targets go to :func:`train`."""
+    """Train on a whole oscillation dataset, each point's target the
+    ``normalized`` fit of its count sums at its duration; other targets go
+    to :func:`train`."""
     sums = dataset.counts.sum(axis=1) / dataset.repetitions
-    targets = _targets(dataset.durations, fit_rabi(dataset.durations, sums))
-    return train(dataset.counts, dataset.repetitions, targets, dataset.bin_width_ns,
+    fit = fit_rabi(dataset.durations, sums)
+    return train(dataset.counts, dataset.repetitions, fit.normalized(dataset.durations),
+                 dataset.bin_width_ns,
                  provenance=f"oscillation set, {len(dataset)} points, "
                             f"repetitions={dataset.repetitions}")
 

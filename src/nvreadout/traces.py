@@ -246,11 +246,12 @@ def mix_profile(population: float, profile0: EmissionProfile,
     return EmissionProfile(rates, profile0.bin_width_ns)
 
 
-def _check_repetitions(repetitions, profile: EmissionProfile) -> None:
+def _check_repetitions(repetitions, profile: EmissionProfile,
+                       name: str = "repetitions") -> None:
     # at most 2^53 expected photons per trace keeps counts and their sums exact
     if not (1 <= repetitions and repetitions * float(profile.rates.sum()) <= 2.0**53
             and repetitions % 1 == 0):
-        raise ParameterError("repetitions must be a whole number >= 1 and draw at most "
+        raise ParameterError(f"{name} must be a whole number >= 1 and draw at most "
                              f"2^53 expected photons per trace, got {repetitions!r}")
 
 

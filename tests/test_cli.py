@@ -158,6 +158,24 @@ class TestPipeline:
         assert np.array_equal(model.weights, written.weights)
         assert model.intercept == written.intercept
 
+    def test_fit_rabi_curve_is_the_train_rabi_target(self, pipeline, tmp_path):
+        # fit-rabi's normalized curve (its p_fit column) is train --mode rabi's target
+        from nvreadout import train
+        from nvreadout import io as nvio
+        rabi = pipeline / "data" / "rabi.csv"
+        assert run("train", "--mode", "rabi", "--rabi", str(rabi),
+                   "--out", str(tmp_path / "rabi_model.txt")) == 0
+        fit, durations, _ = nvio.read_fit_csv(pipeline / "fit.csv")
+        targets = fit.normalized(durations)
+        rows = [line for line in (pipeline / "fit.csv").read_text().splitlines()
+                if line[0] != "#"][1:]
+        assert [float(row.split(",")[2]) for row in rows] == targets.tolist()
+        dataset = nvio.read_rabi_csv(rabi)
+        model = train(dataset.counts, dataset.repetitions, targets, dataset.bin_width_ns)
+        written = nvio.read_model(tmp_path / "rabi_model.txt")
+        assert model.weights.tobytes() == written.weights.tobytes()
+        assert model.intercept == written.intercept
+
     def test_predict_prints_population(self, pipeline, capsys):
         assert run("predict", "--model", str(pipeline / "model.txt"),
                    "--trace", str(pipeline / "data" / "boundary0.csv")) == 0

@@ -67,23 +67,26 @@ class TestTraceCsv:
 
     def test_out_of_order_bins_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("# trace-csv v1\n# repetitions=10\nbin_index,counts\n1,2\n")
+        p.write_text("# trace-csv v1\n# repetitions=10\n# bin_width_ns=2.0\n"
+                     "bin_index,counts\n1,2\n")
         with pytest.raises(ParseError, match="out of order"):
             nvio.read_trace_csv(p)
 
     def test_negative_counts_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("# trace-csv v1\n# repetitions=10\nbin_index,counts\n0,-3\n")
+        p.write_text("# trace-csv v1\n# repetitions=10\n# bin_width_ns=2.0\n"
+                     "bin_index,counts\n0,-3\n")
         with pytest.raises(ParseError, match="negative"):
             nvio.read_trace_csv(p)
 
     @pytest.mark.parametrize("header, row, match", [
         ("# seed=abc\n", "1,4", r"bad\.csv: seed='abc' is not an integer"),
-        ("", "1,9223372036854775808", r"bad\.csv: line 6: .*'9223372036854775808'"),
+        ("", "1,9223372036854775808", r"bad\.csv: line 7: .*'9223372036854775808'"),
     ], ids=["non-integer-seed", "count-above-int64"])
     def test_malformed_value_is_parse_error(self, tmp_path, header, row, match):
         p = tmp_path / "bad.csv"
-        p.write_text(f"# trace-csv v1\n# repetitions=10\n{header}bin_index,counts\n"
+        p.write_text(f"# trace-csv v1\n# repetitions=10\n# bin_width_ns=2.0\n"
+                     f"{header}bin_index,counts\n"
                      f"0,3\n\n{row}\n")
         with pytest.raises(ParseError, match=match):
             nvio.read_trace_csv(p)
@@ -124,7 +127,7 @@ def old_read_rabi_csv(path):
         durations.append(duration)
         counts.append(values)
     return (durations, counts, int(header["repetitions"]),
-            float(header.get("bin_width_ns", 2.0)))
+            float(header["bin_width_ns"]))
 
 
 RABI_HEAD = "# rabi-csv v2\n# repetitions=100\n# bin_width_ns=4.0\nduration_ns,bin_0,bin_1\n"
@@ -191,15 +194,17 @@ class TestRabiReaderOracle:
 
 
 @pytest.mark.parametrize("reader, text, match", [
-    (nvio.read_rabi_csv, "# rabi-csv v2\n# repetitions=10\nduration_ns,bin_0\n10.0,5\n0.0,6\n",
-     "line 5: durations must be finite and strictly increasing"),
-    (nvio.read_trace_csv, "# trace-csv v1\n# repetitions=0\nbin_index,counts\n0,5\n",
+    (nvio.read_rabi_csv, "# rabi-csv v2\n# repetitions=10\n# bin_width_ns=2.0\n"
+     "duration_ns,bin_0\n10.0,5\n0.0,6\n",
+     "line 6: durations must be finite and strictly increasing"),
+    (nvio.read_trace_csv, "# trace-csv v1\n# repetitions=0\n# bin_width_ns=2.0\n"
+     "bin_index,counts\n0,5\n",
      "repetitions must be an integer >= 1"),
     (nvio.read_sweep_csv, "# sweep-csv v1\n# start_bin=-1\n# bin_width_ns=2.0\n"
      "# repetitions=10\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
      "1,2.0,5.0,1.0,0.8,0.1875,0\n", "start_bin must be nonnegative"),
     (nvio.read_model, "# readout-model v2\n# dimension=2\n# bin_width_ns=2.0\n# intercept=0.0\n"
-     "weight\n1.0\n-1.0\n", "weights must be nonnegative"),
+     "# rate_scale=1.0\nweight\n1.0\n-1.0\n", "weights must be nonnegative"),
     (nvio.read_fit_csv, "# fit-report v1\n# offset=0.5\n# amplitude=-0.1\n"
      "# frequency_per_ns=0.005\n# phase_rad=0.0\n# residual_rms=0.01\n"
      "duration_ns,p_raw,p_fit,residual\n0.0,0.5,0.5,0.0\n", "amplitude must be >= 0"),
@@ -290,6 +295,32 @@ def test_schema_line_must_be_the_readers(written, tmp_path, reader, other):
     p.write_text(f"{first}\n{rest}")
     with pytest.raises(ParseError, match=rf"input\.csv: line 1: expected '# {schema} v"):
         reader(p)
+
+
+@pytest.mark.parametrize("reader, key", [
+    (nvio.read_trace_csv, "bin_width_ns"), (nvio.read_rabi_csv, "bin_width_ns"),
+    (nvio.read_sweep_csv, "bin_width_ns"), (nvio.read_model, "rate_scale"),
+    (nvio.read_report_csv, "truth_based")], ids=lambda x: getattr(x, "__name__", x))
+def test_missing_header_is_parse_error(written, tmp_path, reader, key):
+    # every writer writes the field, so a file without it is not read with a guess
+    _, path = written[reader]
+    text = path.read_text()
+    line = re.search(rf"^# {key}=.*\n", text, re.M).group()
+    p = tmp_path / "input.csv"
+    p.write_text(text.replace(line, ""))
+    with pytest.raises(ParseError, match=rf"input\.csv: missing required field '{key}'"):
+        reader(p)
+
+
+@pytest.mark.parametrize("value, match", [
+    ("yes", "is not an integer"), ("2", "is not 0 or 1"), ("-1", "is not 0 or 1"),
+    ("1.0", "is not an integer")])
+def test_truth_based_must_be_0_or_1(written, tmp_path, value, match):
+    _, path = written[nvio.read_report_csv]
+    p = tmp_path / "input.csv"
+    p.write_text(path.read_text().replace("# truth_based=1\n", f"# truth_based={value}\n"))
+    with pytest.raises(ParseError, match=rf"input\.csv: truth_based='{value}' {match}"):
+        nvio.read_report_csv(p)
 
 
 @pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)

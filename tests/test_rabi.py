@@ -9,7 +9,6 @@ from nvreadout import (FitFailureError, ParameterError, RabiDataset,
                        ShapeError, SinusoidFit, assign_targets, fit_rabi,
                        make_profiles, mix_profile, paper_like_params,
                        simulate_rabi_dataset, simulate_trace, train_rabi)
-from nvreadout.rabi import _targets
 
 
 def sample(offset, amplitude, frequency, phase, t):
@@ -312,27 +311,26 @@ def simulated_dataset():
 
 
 class TestAssignTargets:
-    def test_range_and_exact_extrema(self, simulated_dataset):
+    def test_targets_are_the_normalized_fit(self, simulated_dataset):
         dataset, _ = simulated_dataset
-        sums = [tr.counts.sum() / tr.repetitions for _, tr in dataset.points]
-        fit = fit_rabi(dataset.durations, sums)
-        examples = assign_targets(dataset, fit)
-        q = np.array([ex.target for ex in examples])
+        fit = fit_rabi(dataset.durations, dataset.counts.sum(axis=1) / dataset.repetitions)
+        q = np.array([ex.target for ex in assign_targets(dataset, fit)])
+        assert q.tobytes() == fit.normalized(dataset.durations).tobytes()
         assert np.all((q >= 0) & (q <= 1))
-        # sampled peaks/troughs: exactly one 1 and one 0 per fitted period
-        n_periods = (dataset.durations[-1] - dataset.durations[0]) * fit.frequency
-        assert np.sum(q == 1.0) == pytest.approx(n_periods + 1, abs=1)
-        assert np.sum(q == 0.0) == pytest.approx(n_periods, abs=1)
 
     def test_point_at_fitted_peak_gets_one(self):
         fit = SinusoidFit(offset=0.5, amplitude=0.4, frequency=1 / 200.0,
                           phase=0.0, residual_rms=0.01)
         t = np.arange(9) * 50.0  # peaks at 0, 200, 400; troughs at 100, 300
-        q = _targets(t, fit)
-        assert q[0] == 1.0 and q[4] == 1.0 and q[8] == 1.0
-        assert q[2] == 0.0 and q[6] == 0.0
+        q = fit.normalized(t)
+        assert q[[0, 4, 8]] == pytest.approx(1.0, abs=1e-12)
+        assert q[[2, 6]] == pytest.approx(0.0, abs=1e-12)
         # node points sit exactly between: normalized value 0.5
         assert q[1] == pytest.approx(0.5, abs=1e-12)
+        # rounding lands this peak at 1 + 2^-52 before the clip to [0, 1]
+        fit = replace(fit, offset=1.1, amplitude=0.3)
+        assert (fit.value(0.0) - (fit.offset - fit.amplitude)) / (2 * fit.amplitude) > 1.0
+        assert fit.normalized([0.0, 100.0]).tolist() == [1.0, 0.0]
 
     def test_targets_independent_of_series_scale(self, simulated_dataset):
         # affine-processed series produce identical targets
