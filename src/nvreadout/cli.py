@@ -14,7 +14,6 @@ section is an error (see docs/config-format.md).
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import sys
 
@@ -56,6 +55,8 @@ def load_config(path) -> PhotodynamicsParams:
     """The emission parameters of a config file's [profile] section, or the
     paper-like preset if it has none.  Any other section, and a [profile] key
     that is not a PhotodynamicsParams field ([DEFAULT]'s included), is a ParseError."""
+    import configparser         # here: only simulate --config reads a config file
+
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         read = parser.read(path, encoding="utf-8")

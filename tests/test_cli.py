@@ -231,6 +231,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "repetitions" in err
 
+    def test_model_without_trained_on_is_2(self, pipeline, tmp_path, capsys):
+        data = pipeline / "data"
+        bad = tmp_path / "model.txt"
+        bad.write_text(re.sub(r"(?m)^# trained_on=.*\n", "", (pipeline / "model.txt").read_text()))
+        assert run("evaluate", "--rabi", str(data / "rabi.csv"), "--model", str(bad),
+                   "--trace0", str(data / "boundary0.csv"), "--trace1", str(data / "boundary1.csv"),
+                   "--out", str(tmp_path / "report.csv")) == 2
+        err = capsys.readouterr().err
+        assert "model.txt: missing required field 'trained_on'" in err and "Traceback" not in err
+
     def test_missing_file_is_2(self, tmp_path, capsys):
         assert run("sweep", "--trace0", str(tmp_path / "nope.csv"),
                    "--trace1", str(tmp_path / "nope.csv"),
@@ -537,7 +547,8 @@ class TestConsoleScript:
 
     def test_scan_commands_leave_numpy_ma_unloaded(self, pipeline, tmp_path):
         # np.median's NaN check and np.unique import numpy.ma, 10-25 ms of every
-        # fitting or training process
+        # fitting or training process; configparser, about 2.6 ms, is for
+        # simulate --config alone
         env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
         data = pipeline / "data"
         script = ("import sys\n"
@@ -549,11 +560,11 @@ class TestConsoleScript:
                   "             '--out', 'b.txt']) == 0\n"
                   "assert main(['evaluate', '--rabi', rabi, '--model', model, '--trace0', b0,\n"
                   "             '--trace1', b1, '--out', 'report.csv']) == 0\n"
-                  "print('numpy.ma' in sys.modules)\n")
+                  "print('numpy.ma' in sys.modules, 'configparser' in sys.modules)\n")
         proc = subprocess.run(
             [sys.executable, "-c", script, str(data / "rabi.csv"), str(pipeline / "model.txt"),
              str(data / "boundary0.csv"), str(data / "boundary1.csv")],
             capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "fit.csv").exists() and (tmp_path / "report.csv").exists()
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "False False"

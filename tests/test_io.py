@@ -8,8 +8,9 @@ import pytest
 
 from conftest import gates
 from nvreadout import (ParameterError, ParseError, RabiDataset, ReadoutError, ReadoutModel,
-                       evaluate, expected_trace, make_profiles, paper_like_params, repair,
-                       simulate_rabi_dataset, simulate_trace, sweep_gate, train_boundary)
+                       RepairResult, SinusoidFit, TimeTrace, evaluate, expected_trace,
+                       make_profiles, paper_like_params, repair, simulate_rabi_dataset,
+                       simulate_trace, sweep_gate, train_boundary)
 from nvreadout import io as nvio
 
 CURVES = ("bright_total", "dark_total", "contrast", "total_variance")
@@ -204,7 +205,8 @@ class TestRabiReaderOracle:
      "# repetitions=10\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
      "1,2.0,5.0,1.0,0.8,0.1875,0\n", "start_bin must be nonnegative"),
     (nvio.read_model, "# readout-model v2\n# dimension=2\n# bin_width_ns=2.0\n# intercept=0.0\n"
-     "# rate_scale=1.0\nweight\n1.0\n-1.0\n", "weights must be nonnegative"),
+     "# rate_scale=1.0\n# trained_on=by hand\nweight\n1.0\n-1.0\n",
+     "weights must be nonnegative"),
     (nvio.read_fit_csv, "# fit-report v1\n# offset=0.5\n# amplitude=-0.1\n"
      "# frequency_per_ns=0.005\n# phase_rad=0.0\n# residual_rms=0.01\n"
      "duration_ns,p_raw,p_fit,residual\n0.0,0.5,0.5,0.0\n", "amplitude must be >= 0"),
@@ -300,7 +302,8 @@ def test_schema_line_must_be_the_readers(written, tmp_path, reader, other):
 @pytest.mark.parametrize("reader, key", [
     (nvio.read_trace_csv, "bin_width_ns"), (nvio.read_rabi_csv, "bin_width_ns"),
     (nvio.read_sweep_csv, "bin_width_ns"), (nvio.read_model, "rate_scale"),
-    (nvio.read_report_csv, "truth_based")], ids=lambda x: getattr(x, "__name__", x))
+    (nvio.read_model, "trained_on"), (nvio.read_report_csv, "truth_based")],
+    ids=lambda x: getattr(x, "__name__", x))
 def test_missing_header_is_parse_error(written, tmp_path, reader, key):
     # every writer writes the field, so a file without it is not read with a guess
     _, path = written[reader]
@@ -329,6 +332,53 @@ def test_undecodable_bytes_are_parse_error(tmp_path, reader):
     p.write_bytes(b"# trace-csv v1\n# repetitions=10\n\xff\xfe\n")
     with pytest.raises(ParseError, match=r"binary\.csv: .*can't decode byte 0xff"):
         reader(p)
+
+
+# float64 arrays, as the pipeline passes them: %r of a numpy scalar would spell its type
+EDGE = np.array([-0.0, 5e-324, 0.1 + 0.2, 1e22])
+FIT = SinusoidFit(0.5, 0.5, 0.01, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("write, expected", [
+    (lambda p: nvio.write_trace_csv(p, TimeTrace(np.array([2**63 - 1, 0, 7]), repetitions=10,
+                                                 bin_width_ns=0.1 + 0.2, label="edge", seed=3)),
+     b"# trace-csv v1\n# repetitions=10\n# bin_width_ns=0.30000000000000004\n# label=edge\n"
+     b"# seed=3\nbin_index,counts\n0,9223372036854775807\n1,0\n2,7\n"),
+    (lambda p: nvio.write_rabi_csv(p, RabiDataset(EDGE, [[2**63 - 1, 0], [1, 2], [3, 4], [5, 6]],
+                                                  10, 2.0)),
+     b"# rabi-csv v2\n# repetitions=10\n# bin_width_ns=2.0\nduration_ns,bin_0,bin_1\n"
+     b"-0.0,9223372036854775807,0\n5e-324,1,2\n0.30000000000000004,3,4\n1e+22,5,6\n"),
+    (lambda p: nvio.write_truth_csv(p, EDGE, np.array([1.0, 5e-324, 0.1 + 0.2, -0.0])),
+     b"# truth-csv v1\nduration_ns,population\n-0.0,1.0\n5e-324,5e-324\n"
+     b"0.30000000000000004,0.30000000000000004\n1e+22,-0.0\n"),
+    (lambda p: nvio.write_model(p, ReadoutModel(np.array([0.1 + 0.2, 1e22, 5e-324, -0.0]), 0.1,
+                                                2.0, trained_on="by hand")),
+     b"# readout-model v2\n# dimension=4\n# bin_width_ns=2.0\n# rate_scale=1.0\n"
+     b"# intercept=0.1\n# trained_on=by hand\nweight\n0.30000000000000004\n1e+22\n5e-324\n"
+     b"-0.0\n"),
+    (lambda p: nvio.write_repair_csv(p, RepairResult(
+        EDGE, EDGE[::-1].copy(), np.array([0.5, -0.0, 1e22, 0.1 + 0.2]),
+        np.array([5e-324, 0.25, 0.1 + 0.2, 1.0]), FIT, FIT, 0.1 + 0.2, 5e-324)),
+     b"# repair-csv v1\n# rms_original=0.30000000000000004\n# rms_repaired=5e-324\n"
+     b"duration_ns,p_original,p_repaired,q_fit\n-0.0,1e+22,0.5,5e-324\n"
+     b"5e-324,0.30000000000000004,-0.0,0.25\n0.30000000000000004,5e-324,1e+22,0.30000000000000004\n"
+     b"1e+22,-0.0,0.30000000000000004,1.0\n"),
+    # offset 0.5, amplitude 0.5: p_raw is the raw value; the frequency is so low that
+    # the fitted curve is 1.0 at every duration
+    (lambda p: nvio.write_fit_csv(p, EDGE, np.array([0.1 + 0.2, 1e22, 5e-324, -0.0]),
+                                  SinusoidFit(0.5, 0.5, 5e-324, 0.0, 0.1 + 0.2)),
+     b"# fit-report v1\n# offset=0.5\n# amplitude=0.5\n# frequency_per_ns=5e-324\n"
+     b"# phase_rad=0.0\n# residual_rms=0.30000000000000004\n# normalized=1\n"
+     b"duration_ns,p_raw,p_fit,residual\n-0.0,0.30000000000000004,1.0,-0.7\n"
+     b"5e-324,1e+22,1.0,1e+22\n0.30000000000000004,5e-324,1.0,-1.0\n1e+22,-0.0,1.0,-1.0\n"),
+], ids=["trace", "scan", "truth", "model", "repair", "fit"])
+def test_numeric_writer_bytes(tmp_path, write, expected):
+    # exact text where a float format drifts (shortest repr, exponent, subnormal,
+    # signed zero) and at the largest count: a round trip cannot see a format that
+    # changes alike on write and on re-write
+    p = tmp_path / "out.csv"
+    write(p)
+    assert p.read_bytes() == expected
 
 
 class TestRabiCsv:
@@ -710,3 +760,14 @@ class TestStreamingReader:
         peak, _ = self.traced_peak(nvio.write_rabi_csv, out, dataset)
         assert peak <= 10**6, f"write peak {peak / 1e6:.1f} MB"
         assert out.read_bytes() == scan.read_bytes()
+
+    def test_write_peak_at_2400_points_is_at_most_1_mb(self, tmp_path):
+        # the same bound at 10x the rows: the writer holds one row at a time,
+        # never the matrix as Python lists (about 10 MB here)
+        p0, p1 = make_profiles(paper_like_params())
+        dataset, _ = simulate_rabi_dataset(p0, p1, repetitions=10**5, seed=41,
+                                           points=2400, span_ns=24000.0)
+        out = tmp_path / "big.csv"
+        peak, _ = self.traced_peak(nvio.write_rabi_csv, out, dataset)
+        assert peak <= 10**6, f"write peak {peak / 1e6:.1f} MB"
+        assert np.array_equal(nvio.read_rabi_csv(out).counts, dataset.counts)
