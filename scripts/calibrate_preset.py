@@ -53,7 +53,7 @@ def sweep_geometry(params: PhotodynamicsParams):
         "width_v_ns": (i_v + 1) * params.bin_width_ns,
         "contrast": float(c[i_c]),
         "v_ratio": float(v[i_c] / v[i_v]),
-        "mean_photons": 0.5 * (profile0.rates.sum() + profile1.rates.sum()),
+        "mean_photons": float(0.5 * (profile0.rates.sum() + profile1.rates.sum())),
         "interior": 0 < i_c < c.size - 1 and 0 < i_v < v.size - 1,
         "ordered": i_c < i_v,
     }
@@ -103,10 +103,12 @@ def main() -> int:
     print(f"  bright_boost={bright_boost:.4f} dark_dip={dark_dip:.4f} "
           f"tau_bright={np.exp(log_bright):.2f} tau_onset={np.exp(log_onset):.2f}")
 
-    # round the shape constants for readability; targets are insensitive to it
-    rounded = dict(bright_boost=round(bright_boost, 2), dark_dip=round(dark_dip, 2),
-                   tau_bright=round(np.exp(log_bright), 0),
-                   tau_onset=round(np.exp(log_onset) / 10) * 10)
+    # round the shape constants for readability; targets are insensitive to it.
+    # Plain floats, so that the printed preset pastes into paper_like_params.
+    rounded = dict(bright_boost=round(float(bright_boost), 2),
+                   dark_dip=round(float(dark_dip), 2),
+                   tau_bright=round(float(np.exp(log_bright)), 0),
+                   tau_onset=round(float(np.exp(log_onset)) / 10) * 10.0)
     raw = shape_params(rounded["bright_boost"], rounded["dark_dip"],
                        rounded["tau_bright"], rounded["tau_onset"])
     steady = round(TARGET_PHOTONS / sweep_geometry(raw)["mean_photons"], 9)

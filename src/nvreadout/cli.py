@@ -26,7 +26,7 @@ from . import io as nvio
 from .errors import ParameterError, ParseError, ReadoutError
 from .evaluation import evaluate, repair
 from .gating import sweep_gate
-from .rabi import fit_rabi, simulate_rabi_dataset
+from .rabi import _check_scan, fit_rabi, simulate_rabi_dataset
 from .regression import (gated_equivalent_model, predict, prediction_variance,
                          train_boundary, train_rabi)
 from .traces import (PhotodynamicsParams, _check_repetitions, make_profiles,
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace1", help="dark boundary trace CSV (boundary mode)")
     p.add_argument("--rabi", help="oscillation dataset CSV (rabi mode)")
     p.add_argument("--max-iterations", type=float, default=100,
-                   help="no effect: the trainer is closed-form (kept for old scripts)")
+                   help="no effect: the trainer is closed-form (kept until ROADMAP item 5)")
     p.add_argument("--out", required=True, help="model file to write")
 
     p = sub.add_parser("fit-rabi", help="sinusoid fit of an oscillation dataset")
@@ -185,16 +185,12 @@ def _cmd_simulate(args) -> int:
     profile0, profile1 = make_profiles(params)
     reps = args.repetitions
     rabi_reps = reps if args.rabi_repetitions is None else args.rabi_repetitions
-    # the simulator's own check, made here so that the message names the flag
+    # the simulator's own checks, made here so that the messages name the flags
     for flag, value in (("--reps", reps), ("--rabi-reps", rabi_reps)):
         for profile in (profile0, profile1):
             _check_repetitions(value, profile, flag)
-    if args.rabi_points < 2:
-        raise ParameterError(f"--rabi-points must be >= 2, got {args.rabi_points}")
-    for flag, value in (("--rabi-period-ns", args.rabi_period_ns),
-                        ("--rabi-span-ns", args.rabi_span_ns)):
-        if not (math.isfinite(value) and value > 0):
-            raise ParameterError(f"{flag} must be finite and positive, got {value!r}")
+    _check_scan(args.rabi_points, args.rabi_period_ns, args.rabi_span_ns,
+                names=("--rabi-points", "--rabi-period-ns", "--rabi-span-ns"))
 
     out = Path(args.out_dir)
     for name in ("boundary0.csv", "boundary1.csv", "rabi.csv", "rabi_truth.csv"):
@@ -247,8 +243,8 @@ def _cmd_train(args) -> int:
             raise ReadoutError("boundary mode needs --trace0 and --trace1")
         trace0 = nvio.read_trace_csv(args.trace0)
         trace1 = nvio.read_trace_csv(args.trace1)
-        if trace0.counts.sum() / trace0.repetitions < \
-                trace1.counts.sum() / trace1.repetitions:
+        if trace0.counts.sum(dtype=float) / trace0.repetitions < \
+                trace1.counts.sum(dtype=float) / trace1.repetitions:
             print("warning: bright boundary trace has fewer photons per "
                   "measurement than the dark one (negative contrast); check "
                   "for swapped inputs", file=sys.stderr)
@@ -265,7 +261,7 @@ def _cmd_train(args) -> int:
 def _cmd_fit_rabi(args) -> int:
     _check_distinct_output(args.out, args.rabi)
     dataset = nvio.read_rabi_csv(args.rabi)
-    sums = dataset.counts.sum(axis=1) / dataset.repetitions
+    sums = dataset.counts.sum(axis=1, dtype=float) / dataset.repetitions
     fit = fit_rabi(dataset.durations, sums)
     nvio.write_fit_csv(args.out, dataset.durations, sums, fit)
     print(f"fit: frequency={fit.frequency:.6g}/ns "

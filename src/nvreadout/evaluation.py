@@ -9,11 +9,12 @@ Three processing methods are compared on the same test traces:
 All three arrive as :class:`ReadoutModel` objects, each gate in its exact
 model form (:func:`nvreadout.regression.gated_equivalent_model` of the
 sweep optimum's window, calibrated by the boundary traces' per-measurement
-window sums), and are applied to the dataset's counts matrix in one
-product.  Two precision measures are reported per method: the
-average formula variance (Poisson propagation through the estimator) and
-the empirical mean squared error against ground truth when available,
-else against the method's own sinusoid fit.  Contrast is the
+window sums), and are applied to the dataset's counts matrix by one
+matrix-vector product per model, so no output depends on the BLAS thread
+count.  Two precision measures are reported per method: the average
+formula variance (Poisson propagation through the estimator) and the
+empirical mean squared error against ground truth when available, else
+against the method's own sinusoid fit.  Contrast is the
 peak-minus-trough of the method's own fitted oscillation in its own
 population units.
 """

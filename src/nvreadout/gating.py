@@ -58,7 +58,7 @@ class GateWindow:
 
 @dataclass(frozen=True)
 class GateMetrics:
-    """Boundary gated sums and figures of merit for one window."""
+    """Boundary gated sums and figures of merit for one window of a sweep."""
 
     window: GateWindow
     bright_total: float         # gated sum of the bright boundary trace
@@ -66,23 +66,16 @@ class GateMetrics:
     contrast: float
     total_variance: float
 
-    def __post_init__(self):
-        if not (self.bright_total > self.dark_total > 0):
-            raise DegenerateBoundaryError(
-                f"need bright > dark > 0, got {self.bright_total}, {self.dark_total}")
-        if not (0.0 < self.contrast < 1.0) or not (self.total_variance > 0):
-            raise DegenerateBoundaryError("contrast/total_variance out of range")
-
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Figures of merit over gate widths 1..N - start_bin, and their optima.
 
     Entry k of each array belongs to width k + 1.  Widths whose boundary
-    sums are degenerate (bright <= dark or dark <= 0, possible on noisy
-    traces) hold nan in all four arrays.  The optima ``max_contrast`` and
-    ``min_variance`` are computed from the arrays, ties going to the
-    smaller width; they are None only when every width is degenerate.
+    sums are degenerate (see :func:`_metric_curves`) hold nan in all four
+    arrays.  The optima ``max_contrast`` and ``min_variance`` are computed
+    from the arrays, ties going to the smaller width; they are None only
+    when every width is degenerate.
     """
 
     start_bin: int
@@ -109,14 +102,16 @@ class SweepResult:
         window = GateWindow(self.start_bin, width)
         window.check_fits(self.start_bin + self.contrast.size)
         k = width - 1
+        if np.isnan(self.contrast[k]):
+            raise DegenerateBoundaryError(f"gate width {width} is degenerate")
         return GateMetrics(window, float(self.bright_total[k]), float(self.dark_total[k]),
                            float(self.contrast[k]), float(self.total_variance[k]))
 
 
 def gate_sum(trace: TimeTrace, window: GateWindow) -> float:
-    """Sum of counts inside the window."""
+    """Sum of counts inside the window, in float64 (an int64 sum can wrap)."""
     window.check_fits(len(trace))
-    return float(trace.counts[window.start_bin:window.stop_bin].sum())
+    return float(trace.counts[window.start_bin:window.stop_bin].sum(dtype=float))
 
 
 def gated_population(gate_counts: float, bright_total: float,
@@ -166,8 +161,9 @@ def total_variance(bright_total: float, dark_total: float) -> float:
 def _metric_curves(cum_bright: np.ndarray, cum_dark: np.ndarray):
     """Gated sums, contrast and total variance over widths, from cumulative sums.
 
-    Returns four arrays holding nan at every width that GateMetrics refuses
-    (degenerate), so that nanargmax/nanargmin never select one.
+    Returns four arrays holding nan at every degenerate width, so that
+    nanargmax/nanargmin never select one: a width is degenerate unless
+    bright > dark > 0, contrast < 1 and total variance > 0, which nan fails.
     """
     with np.errstate(all="ignore"):     # 0/0 at empty widths; a file's 1e200 overflows
         span = cum_bright - cum_dark
@@ -190,7 +186,7 @@ def sweep_gate(trace0: TimeTrace, trace1: TimeTrace, start_bin: int = 0) -> Swee
     if not (0 <= start_bin < n):
         raise ShapeError(f"start_bin {start_bin} outside trace of {n} bins")
 
-    cum0 = np.cumsum(trace0.counts[start_bin:]).astype(float)
-    cum1 = np.cumsum(trace1.counts[start_bin:]).astype(float)
+    cum0 = np.cumsum(trace0.counts[start_bin:], dtype=float)    # int64 could wrap
+    cum1 = np.cumsum(trace1.counts[start_bin:], dtype=float)
     return SweepResult(start_bin, trace0.bin_width_ns, trace0.repetitions,
                        *_metric_curves(cum0, cum1))

@@ -11,12 +11,12 @@ A table whose cells are all numbers, every one but the sweep and the
 evaluation report, formats each row in C with one ``%`` template per file.
 
 Every format is one table, written by ``_write_table`` and read by
-``_read_table``: ``# key=value`` header comments in any order,
-a column row, then comma-separated data rows.  Blank and comment lines may
-sit between rows; comments after the column row are skipped, so a footer
-that restates a value derived from the rows is never read back.  A scan
-has one row per duration, durations strictly increasing: the duration,
-then its N counts, with N set by the column row
+``_read_table``: ``# key=value`` header comments in any order, a
+column row, then one or more comma-separated data rows.  Blank and comment
+lines may sit between rows; comments after the column row are skipped, so
+a footer that restates a value derived from the rows is never read back.
+A scan has one row per duration, durations strictly increasing: the
+duration, then its N counts, with N set by the column row
 ``duration_ns,bin_0,...,bin_{N-1}``.  All rows of a file are parsed in
 one numpy call; numeric header fields parse like cells, and a key given
 twice is an error.  Header values are read back stripped, so a text value
@@ -127,7 +127,8 @@ def _parse_rows(path, lines, first: int, dtype, converters=None):
     rows are parsed in one numpy call as the lines stream past, so no list of
     them is built.  Returns ``(rows, line_of)``, where ``line_of`` gives the
     1-based file line of a row index; it re-reads the file, on an error path
-    only.  A row that does not parse raises ParseError naming its line.
+    only.  ParseError names the line of a row that does not parse, and the
+    file of a table without rows (no writer writes one).
     """
     def numbered() -> list[tuple[int, str]]:
         with _lines(path) as fh:
@@ -140,7 +141,7 @@ def _parse_rows(path, lines, first: int, dtype, converters=None):
     data = (line for line in lines if line.strip() and line[0] != "#")
     head = next(data, None)
     if head is None:
-        return np.empty(0, dtype), line_of
+        raise ParseError(f"{path}: no data rows")
     try:
         return _load(itertools.chain((head,), data), dtype, converters), line_of
     except UnicodeDecodeError:      # the file's fault, not a row's: _lines names it
@@ -256,8 +257,6 @@ def read_trace_csv(path) -> TimeTrace:
     reps = _field(header, "repetitions", path, int)
     width = _field(header, "bin_width_ns", path)
     seed = _field(header, "seed", path, int) if "seed" in header else None
-    if not rows.size:
-        raise ParseError(f"{path}: no count rows")
     index, counts = rows["bin_index"], rows["counts"]
     bad = (index != np.arange(rows.size)) | (counts < 0)
     if bad.any():
@@ -303,8 +302,6 @@ def read_rabi_csv(path) -> RabiDataset:
     header, rows, line_of = _read_table(path, "rabi-csv", _scan_layout)
     reps = _field(header, "repetitions", path, int)
     width = _field(header, "bin_width_ns", path)
-    if not rows.size:
-        raise ParseError(f"{path}: no data rows")
     durations, counts = rows["duration_ns"], rows["counts"]
     negative = (counts < 0).any(axis=1)
     finite = np.isfinite(durations)
@@ -374,8 +371,7 @@ def read_sweep_csv(path) -> SweepResult:
     with _naming(path):
         GateWindow(start_bin)
     widths = np.arange(1, rows.size + 1)
-    curves = _metric_curves(*(np.where(np.isfinite(rows[n]), rows[n], np.nan)
-                              for n in ("L0", "L1")))
+    curves = _metric_curves(rows["L0"], rows["L1"])
     cells = np.column_stack([rows[name] for name in rows.dtype.names]).astype(float)
     derived = np.column_stack((widths, widths * bin_width_ns, *curves, np.isnan(curves[2])))
     same = (cells == derived) & (np.signbit(cells) == np.signbit(derived)) \

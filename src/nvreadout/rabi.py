@@ -87,7 +87,8 @@ class SinusoidFit:
 
 @dataclass(frozen=True)
 class TrainingExample:
-    """A trace with its target population in [0, 1]."""
+    """A trace with its target population in [0, 1]; kept only for
+    ``bench/run.py``'s solver diagnostics, until ROADMAP item 5."""
 
     trace: TimeTrace
     target: float
@@ -129,7 +130,8 @@ class RabiDataset:
 
     @property
     def points(self) -> tuple[tuple[float, TimeTrace], ...]:
-        """(duration, trace) pairs, one per row of the counts matrix."""
+        """(duration, trace) pairs, one per row of the counts matrix; kept
+        only for ``bench/run.py`` and :func:`assign_targets`, until ROADMAP item 5."""
         return tuple((float(d), TimeTrace(row, self.repetitions, self.bin_width_ns))
                      for d, row in zip(self.durations, self.counts))
 
@@ -267,7 +269,8 @@ def fit_rabi(durations, values) -> SinusoidFit:
 
 
 def assign_targets(dataset: RabiDataset, fit: SinusoidFit) -> list[TrainingExample]:
-    """Each point's trace with its target, ``fit.normalized`` at its duration."""
+    """Each point's trace with its target, ``fit.normalized`` at its duration;
+    kept only for ``bench/run.py``'s solver diagnostics, until ROADMAP item 5."""
     return [TrainingExample(trace, float(qk))
             for (_, trace), qk in zip(dataset.points, fit.normalized(dataset.durations))]
 
@@ -275,6 +278,15 @@ def assign_targets(dataset: RabiDataset, fit: SinusoidFit) -> list[TrainingExamp
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
+
+def _check_scan(points, period_ns, span_ns, names=("points", "period_ns", "span_ns")) -> None:
+    """Reject fewer than 2 points, or a period or span not finite and positive."""
+    if points < 2:
+        raise ParameterError(f"{names[0]} must be >= 2, got {points}")
+    for name, value in zip(names[1:], (period_ns, span_ns)):
+        if not (np.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+
 
 def simulate_rabi_dataset(profile0: EmissionProfile, profile1: EmissionProfile,
                           repetitions: int, seed: int, points: int = 60,
@@ -291,11 +303,7 @@ def simulate_rabi_dataset(profile0: EmissionProfile, profile1: EmissionProfile,
     (dataset, truth)
         The dataset and the true population of every point.
     """
-    if points < 2:
-        raise ParameterError("points must be >= 2")
-    for name, value in (("period_ns", period_ns), ("span_ns", span_ns)):
-        if not (np.isfinite(value) and value > 0):
-            raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+    _check_scan(points, period_ns, span_ns)
     durations = np.linspace(0.0, span_ns, points)
     truth = 0.5 + 0.5 * np.cos(2.0 * np.pi * durations / period_ns)
     _check_pair(profile0, profile1)

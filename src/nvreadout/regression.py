@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (DegenerateBoundaryError, DegenerateTrainingError,
                      DomainError, ParameterError, ShapeError)
-from .gating import GateWindow
+from .gating import GateWindow, gate_sum
 from .rabi import RabiDataset, fit_rabi
 from .traces import TimeTrace, _check_header_text, _check_pair, _checked_counts
 
@@ -61,12 +61,14 @@ __all__ = [
 ]
 
 GROUPS = 16           # log-spaced bin groups the weights are constant on
-WEIGHT_FACTOR = 1e4   # weight of the prediction term in the recorded training loss
+WEIGHT_FACTOR = 1e4   # prediction-term weight of the recorded loss (see LossBreakdown)
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """The two loss terms and the weight of the first; ``total`` is derived."""
+    """The two loss terms and the weight of the first; ``total`` is derived.
+    The trainer does not minimize ``total``; kept, with WEIGHT_FACTOR and
+    ``training_loss``, only for ``bench/run.py``, until ROADMAP item 5."""
 
     prediction_term: float      # sum of squared prediction errors, unweighted
     variance_term: float        # sum of per-example estimate variances
@@ -88,7 +90,7 @@ class ReadoutModel:
     weights: np.ndarray
     intercept: float
     reference_bin_width_ns: float
-    rate_scale: float = 1.0     # training-set max bin rate used as preconditioner
+    rate_scale: float = 1.0     # training-set max bin rate, for provenance only
     trained_on: str = ""        # provenance: one line, no surrounding whitespace
     training_loss: LossBreakdown | None = None
 
@@ -190,12 +192,14 @@ def _loss(rates: np.ndarray, reps: np.ndarray, targets: np.ndarray,
 
 
 def loss(model: ReadoutModel, examples, w: float) -> LossBreakdown:
-    """Evaluate both loss terms for a model on a training set."""
+    """Evaluate both loss terms for a model on a training set; kept only for
+    criterion c02's check of :func:`loss_gradient`, until ROADMAP item 5."""
     return _loss(*_design(examples, model), model, w)
 
 
 def loss_gradient(model: ReadoutModel, examples, w: float) -> tuple[np.ndarray, float]:
-    """Gradient of the total loss at weight ``w`` over (weights, intercept)."""
+    """Gradient of the total loss at weight ``w`` over (weights, intercept);
+    kept only for ``bench/run.py`` and criterion c02, until ROADMAP item 5."""
     rates, reps, targets = _design(examples, model)
     residuals = rates @ model.weights + model.intercept - targets
     var_coeff = (rates / reps[:, None]).sum(axis=0)
@@ -298,7 +302,7 @@ def train_rabi(dataset: RabiDataset) -> ReadoutModel:
     """Train on a whole oscillation dataset, each point's target the
     ``normalized`` fit of its count sums at its duration; other targets go
     to :func:`train`."""
-    sums = dataset.counts.sum(axis=1) / dataset.repetitions
+    sums = dataset.counts.sum(axis=1, dtype=float) / dataset.repetitions
     fit = fit_rabi(dataset.durations, sums)
     return train(dataset.counts, dataset.repetitions, fit.normalized(dataset.durations),
                  dataset.bin_width_ns,
@@ -316,16 +320,13 @@ def gated_equivalent_model(trace0: TimeTrace, trace1: TimeTrace,
     variance identically.
     """
     _check_pair(trace0, trace1)
-    window.check_fits(len(trace0))
-    sel = slice(window.start_bin, window.stop_bin)
-    bright = float(trace0.counts[sel].sum() / trace0.repetitions)
-    dark = float(trace1.counts[sel].sum() / trace1.repetitions)
+    bright, dark = (gate_sum(trace, window) / trace.repetitions for trace in (trace0, trace1))
     span = bright - dark
     if not (span > 0):
         raise DegenerateBoundaryError(
             f"window sums degenerate: bright={bright}, dark={dark}")
     weights = np.zeros(len(trace0))
-    weights[sel] = 1.0 / span
+    weights[window.start_bin:window.stop_bin] = 1.0 / span
     return ReadoutModel(
         weights=weights,
         intercept=-dark / span,

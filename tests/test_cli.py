@@ -527,6 +527,30 @@ class TestSwapWarning:
         assert np.all(model.weights == 0.0) and model.intercept == 0.5
 
 
+class TestCountSums:
+    def test_scan_sums_past_int64_do_not_wrap(self, tmp_path):
+        # row sums up to 22 * 2^60, past int64's 2^63: fit-rabi and train --mode rabi
+        # must fit the exact sums, which float64 holds (multiples of 2^60 below 2^65)
+        from nvreadout import RabiDataset, fit_rabi, train
+        from nvreadout import io as nvio
+        durations = np.arange(24) * 20.0
+        a = np.rint(4 + 3 * np.cos(2 * np.pi * durations / 200.0)).astype(np.int64)
+        counts = np.stack([a, a, a, np.ones_like(a)], axis=1) << 60
+        scan = tmp_path / "rabi.csv"
+        nvio.write_rabi_csv(scan, RabiDataset(durations, counts, 10**6))
+        assert run("fit-rabi", "--rabi", str(scan), "--out", str(tmp_path / "fit.csv")) == 0
+        assert run("train", "--mode", "rabi", "--rabi", str(scan),
+                   "--out", str(tmp_path / "model.txt")) == 0
+        sums = np.array([float(sum(map(int, row))) for row in counts]) / 10**6
+        fit = fit_rabi(durations, sums)
+        assert nvio.read_fit_csv(tmp_path / "fit.csv")[0] == fit
+        assert fit.offset - fit.amplitude > 0
+        model = nvio.read_model(tmp_path / "model.txt")
+        expected = train(counts, 10**6, fit.normalized(durations), 2.0)
+        assert np.array_equal(model.weights, expected.weights)
+        assert model.intercept == expected.intercept
+
+
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

@@ -1,5 +1,7 @@
 """Gated estimator, figures of merit, gate-width sweep."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,18 @@ class TestGateSum:
     def test_overrun_raises(self):
         with pytest.raises(ShapeError):
             gate_sum(trace_of([1, 2]), GateWindow(1, 2))
+
+    def test_sums_past_int64_do_not_wrap(self):
+        # four bins of 2^62 sum to 2^64, which an int64 sum wraps to exactly 0;
+        # every partial sum here is a multiple of 4096 below 2^65, so float64
+        # holds the exact sums
+        bright = trace_of([2**62] * 4 + [4096] * 16, reps=10**6)
+        dark = trace_of([1000] * 20, reps=10**6)
+        exact = [float(s) for s in itertools.accumulate(int(c) for c in bright.counts)]
+        assert [gate_sum(bright, GateWindow(0, w)) for w in range(1, 21)] == exact
+        assert gate_sum(bright, GateWindow(2, 3)) == float(2 * 2**62 + 4096)
+        sweep = sweep_gate(bright, dark)
+        assert sweep.bright_total.tolist() == exact     # no width degenerate
 
 
 class TestGatedPopulation:
@@ -153,6 +167,14 @@ class TestSweep:
         assert sweep.max_contrast is not None
         with pytest.raises(DegenerateBoundaryError):
             sweep.at(1)
+
+    def test_at_names_a_degenerate_width(self):
+        # dark outcounts bright over the first two bins only
+        sweep = sweep_gate(trace_of([5, 0, 50]), trace_of([1, 10, 10]))
+        assert np.isnan(sweep.contrast).tolist() == [False, True, False]
+        assert sweep.at(3).window.width_bins == 3
+        with pytest.raises(DegenerateBoundaryError, match="gate width 2 is degenerate"):
+            sweep.at(2)
 
     def test_start_bin_shifts_windows(self, noiseless_sweep):
         p0, p1 = make_profiles(paper_like_params())

@@ -315,6 +315,19 @@ def test_missing_header_is_parse_error(written, tmp_path, reader, key):
         reader(p)
 
 
+@pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
+def test_no_data_rows_is_parse_error(written, tmp_path, reader):
+    # no writer writes a table without rows: a file of only its header, column
+    # row and footer reads as an error, not as an empty sweep, report or fit
+    _, path = written[reader]
+    lines = path.read_text().splitlines(keepends=True)
+    end = next(k for k, line in enumerate(lines) if not line.startswith("#")) + 1
+    p = tmp_path / "input.csv"
+    p.write_text("".join(lines[:end] + [line for line in lines[end:] if line.startswith("#")]))
+    with pytest.raises(ParseError, match=r"input\.csv: no data rows$"):
+        reader(p)
+
+
 @pytest.mark.parametrize("value, match", [
     ("yes", "is not an integer"), ("2", "is not 0 or 1"), ("-1", "is not 0 or 1"),
     ("1.0", "is not an integer")])
@@ -515,7 +528,7 @@ class TestSweepCsv:
         ("300,600.0,,,,,0", "degenerate_flag is 0, expected 1"),
         ("300,600.0,inf,{L1},,,1", "L0 is inf, expected nan"),
         ("300,600.0,{L0},{L1},{c},-{v},0", "total_variance is -{v}, expected {v}"),
-        # the span squared overflows: contrast 1.0 and variance 0.0, which GateMetrics refuses
+        # the span squared overflows: contrast 1.0 and variance 0.0, a degenerate width
         ("300,600.0,1e+200,{L1},1.0,0.0,0", "L0 is 1e+200, expected nan"),
     ], ids=["contrast", "width-ns", "flag-0-blank", "inf-bright", "sign", "overflowing-span"])
     def test_derived_cell_must_match(self, world, tmp_path, row, message):

@@ -456,6 +456,16 @@ class TestTrainRabi:
         with pytest.raises(ParameterError, match="2\\^53"):
             simulate_rabi_dataset(p0, p1, 10**18, 31)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"points": 1}, "points must be >= 2, got 1"),
+        ({"period_ns": float("nan")}, "period_ns must be finite and positive, got nan"),
+        ({"span_ns": -1.0}, "span_ns must be finite and positive, got -1.0")],
+        ids=["points-1", "period-nan", "span-negative"])
+    def test_bad_scan_shape_names_the_value(self, kwargs, match):
+        p0, p1 = make_profiles(paper_like_params())
+        with pytest.raises(ParameterError, match=match):
+            simulate_rabi_dataset(p0, p1, 10**5, 31, **kwargs)
+
     def test_dataset_is_read_only_matrix(self):
         counts = np.array([[1, 2], [3, 4]])
         dataset = RabiDataset([0.0, 1.0], counts, repetitions=10)

@@ -398,3 +398,8 @@ class TestGatedEquivalentModel:
         _, _, t0, t1 = preset_traces
         with pytest.raises(Exception):
             gated_equivalent_model(t1, t1, GateWindow(0, 100))
+
+    def test_overrunning_window_rejected(self, preset_traces):
+        _, _, t0, t1 = preset_traces
+        with pytest.raises(ShapeError, match="overruns"):
+            gated_equivalent_model(t0, t1, GateWindow(len(t0) - 10, 11))
