@@ -26,7 +26,7 @@ from . import io as nvio
 from .errors import ParameterError, ParseError, ReadoutError
 from .evaluation import evaluate, repair
 from .gating import sweep_gate
-from .rabi import _check_scan, fit_rabi, simulate_rabi_dataset
+from .rabi import _check_scan, fit_count_sums, simulate_rabi_dataset
 from .regression import (gated_equivalent_model, predict, prediction_variance,
                          train_boundary, train_rabi)
 from .traces import (PhotodynamicsParams, _check_repetitions, make_profiles,
@@ -261,8 +261,7 @@ def _cmd_train(args) -> int:
 def _cmd_fit_rabi(args) -> int:
     _check_distinct_output(args.out, args.rabi)
     dataset = nvio.read_rabi_csv(args.rabi)
-    sums = dataset.counts.sum(axis=1, dtype=float) / dataset.repetitions
-    fit = fit_rabi(dataset.durations, sums)
+    sums, fit = fit_count_sums(dataset)
     nvio.write_fit_csv(args.out, dataset.durations, sums, fit)
     print(f"fit: frequency={fit.frequency:.6g}/ns "
           f"period={1.0 / fit.frequency:.6g} ns residual_rms={fit.residual_rms:.4g}")

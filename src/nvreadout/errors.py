@@ -2,7 +2,9 @@
 
 Every error raised on bad data or bad parameters derives from
 :class:`ReadoutError`, so callers (and the CLI) can distinguish usage
-problems from data/domain problems with a single except clause.
+problems from data/domain problems with a single except clause.  A type
+that checks a rule on each row of an array names the first offending row;
+a file reader turns that row into its line.
 """
 
 
@@ -11,7 +13,12 @@ class ReadoutError(Exception):
 
 
 class ParameterError(ReadoutError, ValueError):
-    """A parameter is outside its allowed domain; names the offending field."""
+    """A parameter is outside its allowed domain; names the offending field,
+    and in ``row`` the first offending row (0-based) of a rule on each row."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ShapeError(ReadoutError, ValueError):

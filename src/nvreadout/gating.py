@@ -9,12 +9,13 @@ merit computed from the boundary gated sums (bright B, dark D):
     total variance  V = (B + D) / (2 (B - D)^2)
 
 V is the population-estimate variance integrated over all populations in
-[0, 1].  Sweeping the window width trades one against the other.
+[0, 1].  Sweeping the window width trades one against the other; a
+:class:`SweepResult` derives both curves from the gated sums over widths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,11 +72,12 @@ class GateMetrics:
 class SweepResult:
     """Figures of merit over gate widths 1..N - start_bin, and their optima.
 
-    Entry k of each array belongs to width k + 1.  Widths whose boundary
-    sums are degenerate (see :func:`_metric_curves`) hold nan in all four
-    arrays.  The optima ``max_contrast`` and ``min_variance`` are computed
-    from the arrays, ties going to the smaller width; they are None only
-    when every width is degenerate.
+    Built from the boundary gated sums; entry k of each array belongs to
+    width k + 1.  ``contrast`` and ``total_variance`` are derived, and a
+    width is degenerate unless bright > dark > 0, contrast < 1 and total
+    variance > 0; it holds nan in all four arrays and is never an optimum.
+    The optima ``max_contrast`` and ``min_variance`` take ties to the smaller
+    width; they are None only when every width is degenerate.
     """
 
     start_bin: int
@@ -83,8 +85,19 @@ class SweepResult:
     repetitions: int
     bright_total: np.ndarray
     dark_total: np.ndarray
-    contrast: np.ndarray
-    total_variance: np.ndarray
+    contrast: np.ndarray = field(init=False)
+    total_variance: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        GateWindow(self.start_bin)          # start_bin's own rule
+        bright, dark = np.asarray(self.bright_total, float), np.asarray(self.dark_total, float)
+        with np.errstate(all="ignore"):     # 0/0 at empty widths; a file's 1e200 overflows
+            span = bright - dark
+            c, v = span / bright, (bright + dark) / (2.0 * span * span)
+        valid = (span > 0) & (dark > 0) & (c < 1) & (v > 0)
+        for name, x in zip(("bright_total", "dark_total", "contrast", "total_variance"),
+                           (bright, dark, c, v)):
+            object.__setattr__(self, name, np.where(valid, x, np.nan))
 
     @property
     def max_contrast(self) -> GateMetrics | None:
@@ -158,20 +171,6 @@ def total_variance(bright_total: float, dark_total: float) -> float:
     return (bright_total + dark_total) / (2.0 * span * span)
 
 
-def _metric_curves(cum_bright: np.ndarray, cum_dark: np.ndarray):
-    """Gated sums, contrast and total variance over widths, from cumulative sums.
-
-    Returns four arrays holding nan at every degenerate width, so that
-    nanargmax/nanargmin never select one: a width is degenerate unless
-    bright > dark > 0, contrast < 1 and total variance > 0, which nan fails.
-    """
-    with np.errstate(all="ignore"):     # 0/0 at empty widths; a file's 1e200 overflows
-        span = cum_bright - cum_dark
-        c, v = span / cum_bright, (cum_bright + cum_dark) / (2.0 * span * span)
-    valid = (span > 0) & (cum_dark > 0) & (c < 1) & (v > 0)
-    return tuple(np.where(valid, x, np.nan) for x in (cum_bright, cum_dark, c, v))
-
-
 def sweep_gate(trace0: TimeTrace, trace1: TimeTrace, start_bin: int = 0) -> SweepResult:
     """Evaluate every gate width on a pair of boundary traces.
 
@@ -188,5 +187,4 @@ def sweep_gate(trace0: TimeTrace, trace1: TimeTrace, start_bin: int = 0) -> Swee
 
     cum0 = np.cumsum(trace0.counts[start_bin:], dtype=float)    # int64 could wrap
     cum1 = np.cumsum(trace1.counts[start_bin:], dtype=float)
-    return SweepResult(start_bin, trace0.bin_width_ns, trace0.repetitions,
-                       *_metric_curves(cum0, cum1))
+    return SweepResult(start_bin, trace0.bin_width_ns, trace0.repetitions, cum0, cum1)

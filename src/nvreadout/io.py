@@ -24,7 +24,8 @@ is one line without leading or trailing whitespace.
 Every malformed file, undecodable bytes included, raises
 :class:`ParseError` naming the file and, for a bad or misplaced row or a
 repeated key, its 1-based line (lines split at ``\n``); so does a value
-the domain objects reject, such as zero repetitions.
+the domain objects reject, such as zero repetitions, with the line of the
+row a type names.  A reader checks the format; each row rule is the type's.
 
 Files are read and written as streams, row by row, so no reader or writer
 holds a file's text or a list of its lines.  A 240-point, 500-bin scan is
@@ -45,7 +46,7 @@ import numpy as np
 from .errors import (DegenerateBoundaryError, DomainError, ParameterError,
                      ParseError, ShapeError)
 from .evaluation import EvalReport, MethodEval, RepairResult
-from .gating import GateWindow, SweepResult, _metric_curves
+from .gating import SweepResult
 from .rabi import RabiDataset, SinusoidFit
 from .regression import LossBreakdown, ReadoutModel
 from .traces import TimeTrace
@@ -230,12 +231,14 @@ def _field(fields: dict, key: str, path, kind=float):
 
 
 @contextmanager
-def _naming(path, line: int | None = None):
-    """Re-raise a domain error from the block as a ParseError naming the file."""
+def _naming(path, line_of):
+    """Re-raise a domain error from the block as a ParseError naming the file
+    and, by ``line_of``, the line of the row a ParameterError names."""
     try:
         yield
     except (ParameterError, ShapeError, DomainError, DegenerateBoundaryError) as exc:
-        raise ParseError(str(exc), line, path) from None
+        row = getattr(exc, "row", None)
+        raise ParseError(str(exc), line_of(row) if row is not None else None, path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +255,18 @@ def write_trace_csv(path, trace: TimeTrace) -> None:
 
 
 def read_trace_csv(path) -> TimeTrace:
-    """Read a trace; rejects a missing header value and non-integer counts."""
+    """Read a trace; rejects a missing header value and a bin_index out of order."""
     header, rows, line_of = _read_table(path, "trace-csv", "bin_index,counts", "i8,i8")
     reps = _field(header, "repetitions", path, int)
     width = _field(header, "bin_width_ns", path)
     seed = _field(header, "seed", path, int) if "seed" in header else None
-    index, counts = rows["bin_index"], rows["counts"]
-    bad = (index != np.arange(rows.size)) | (counts < 0)
+    index = rows["bin_index"]
+    bad = index != np.arange(rows.size)
     if bad.any():
         k = int(np.argmax(bad))
-        raise ParseError(f"counts {counts[k]} is negative" if counts[k] < 0 else
-                         f"bin_index {index[k]} out of order (expected {k})", line_of(k), path)
-    with _naming(path):
-        return TimeTrace(counts, repetitions=reps, bin_width_ns=width,
+        raise ParseError(f"bin_index {index[k]} out of order (expected {k})", line_of(k), path)
+    with _naming(path, line_of):
+        return TimeTrace(rows["counts"], repetitions=reps, bin_width_ns=width,
                          label=header.get("label"), seed=seed)
 
 
@@ -295,25 +297,13 @@ def write_rabi_csv(path, dataset: RabiDataset) -> None:
 
 
 def read_rabi_csv(path) -> RabiDataset:
-    """Read a scan: one row per duration, the duration then its N counts.
-
-    The first row with a negative count, a non-finite duration or a duration
-    not above the previous row's is an error naming its line."""
+    """Read a scan: one row per duration, the duration then its N counts; a row
+    :class:`RabiDataset` rejects is an error naming its line."""
     header, rows, line_of = _read_table(path, "rabi-csv", _scan_layout)
     reps = _field(header, "repetitions", path, int)
     width = _field(header, "bin_width_ns", path)
-    durations, counts = rows["duration_ns"], rows["counts"]
-    negative = (counts < 0).any(axis=1)
-    finite = np.isfinite(durations)
-    bad = negative | ~finite
-    bad[1:] |= durations[1:] <= durations[:-1]
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ParseError(f"counts {counts[k].min()} is negative" if negative[k] else
-                         f"duration_ns {durations[k]} is not finite" if not finite[k] else
-                         "durations must be finite and strictly increasing", line_of(k), path)
-    with _naming(path):
-        return RabiDataset(durations, counts, reps, width)
+    with _naming(path, line_of):
+        return RabiDataset(rows["duration_ns"], rows["counts"], reps, width)
 
 
 def write_truth_csv(path, durations, populations) -> None:
@@ -368,10 +358,10 @@ def read_sweep_csv(path) -> SweepResult:
     start_bin = _field(header, "start_bin", path, int)
     bin_width_ns = _field(header, "bin_width_ns", path)
     reps = _field(header, "repetitions", path, int)
-    with _naming(path):
-        GateWindow(start_bin)
+    with _naming(path, line_of):
+        sweep = SweepResult(start_bin, bin_width_ns, reps, rows["L0"], rows["L1"])
     widths = np.arange(1, rows.size + 1)
-    curves = _metric_curves(rows["L0"], rows["L1"])
+    curves = (sweep.bright_total, sweep.dark_total, sweep.contrast, sweep.total_variance)
     cells = np.column_stack([rows[name] for name in rows.dtype.names]).astype(float)
     derived = np.column_stack((widths, widths * bin_width_ns, *curves, np.isnan(curves[2])))
     same = (cells == derived) & (np.signbit(cells) == np.signbit(derived)) \
@@ -380,7 +370,7 @@ def read_sweep_csv(path) -> SweepResult:
         k, j = np.argwhere(~same)[0]
         raise ParseError(f"{rows.dtype.names[j]} is {rows[k][j].item()!r}, expected "
                          f"{rows.dtype[j].type(derived[k, j]).item()!r}", line_of(k), path)
-    return SweepResult(start_bin, bin_width_ns, reps, *curves)
+    return sweep
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +394,12 @@ def write_model(path, model: ReadoutModel) -> None:
 
 def read_model(path) -> ReadoutModel:
     """Read a model; ``dimension`` must equal the number of weight rows."""
-    fields, rows, _ = _read_table(path, "readout-model", "weight", "f8")
+    fields, rows, line_of = _read_table(path, "readout-model", "weight", "f8")
     dimension = _field(fields, "dimension", path, int)
     if rows.size != dimension:
         raise ParseError(f"{path}: {rows.size} weights, dimension says {dimension}")
     loss_keys = ("loss_prediction", "loss_variance", "loss_weight_factor")
-    with _naming(path):
+    with _naming(path, line_of):
         training_loss = None
         if any(key in fields for key in loss_keys):
             training_loss = LossBreakdown(*(_field(fields, key, path) for key in loss_keys))
@@ -482,22 +472,19 @@ def write_fit_csv(path, durations, raw, fit: SinusoidFit) -> None:
     population-like regardless of the input units; ``p_fit`` is
     ``fit.normalized``, the scan's training targets.
     """
-    t = np.asarray(durations, dtype=float)
-    y = np.asarray(raw, dtype=float)
-    y_out = (y - (fit.offset - fit.amplitude)) / (2.0 * fit.amplitude)
-    f_out = fit.normalized(t)
+    y_out, f_out = fit.rescaled(raw), fit.normalized(durations)
     header = {"offset": _fmt(fit.offset), "amplitude": _fmt(fit.amplitude),
               "frequency_per_ns": _fmt(fit.frequency), "phase_rad": _fmt(fit.phase),
               "residual_rms": _fmt(fit.residual_rms), "normalized": 1}
     _write_table(path, "fit-report", header, "duration_ns,p_raw,p_fit,residual",
-                 _float_rows(t, y_out, f_out, y_out - f_out))
+                 _float_rows(durations, y_out, f_out, y_out - f_out))
 
 
 def read_fit_csv(path) -> tuple[SinusoidFit, np.ndarray, np.ndarray]:
     """Fit parameters plus (durations, raw values) from a fit report."""
-    header, rows, _ = _read_table(path, "fit-report", "duration_ns,p_raw,p_fit,residual",
+    header, rows, line_of = _read_table(path, "fit-report", "duration_ns,p_raw,p_fit,residual",
                                   "f8,f8,f8,f8")
-    with _naming(path):
+    with _naming(path, line_of):
         fit = SinusoidFit(*(_field(header, key, path) for key in (
             "offset", "amplitude", "frequency_per_ns", "phase_rad", "residual_rms")))
     return fit, rows["duration_ns"].copy(), rows["p_raw"].copy()

@@ -76,13 +76,16 @@ class SinusoidFit:
         return self.offset + self.amplitude * np.cos(
             2.0 * np.pi * self.frequency * np.asarray(t, dtype=float) + self.phase)
 
-    def normalized(self, t):
-        """Fitted curve rescaled so its extrema map to 1 and 0, clipped to
-        [0, 1] (rounding can land a value just outside)."""
+    def rescaled(self, y):
+        """Values ``y`` on the fit's scale: its extrema map to 1 and 0."""
         if self.amplitude == 0:
             raise FitFailureError("cannot normalize a flat fit")
-        return np.clip((np.asarray(self.value(t)) - (self.offset - self.amplitude)) /
-                       (2.0 * self.amplitude), 0.0, 1.0)
+        low = self.offset - self.amplitude
+        return (np.asarray(y, dtype=float) - low) / (2.0 * self.amplitude)
+
+    def normalized(self, t):
+        """Fitted curve rescaled, clipped to [0, 1] (rounding can land just outside)."""
+        return np.clip(self.rescaled(self.value(t)), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,13 @@ class RabiDataset:
         durations = np.array(self.durations, dtype=float)
         if durations.ndim != 1 or durations.size < 1:
             raise ParameterError("dataset needs at least one point")
-        if not np.all(np.isfinite(durations)) or np.any(np.diff(durations) <= 0):
-            raise ParameterError("durations must be finite and strictly increasing")
+        bad = ~np.isfinite(durations)
+        bad[1:] |= durations[1:] <= durations[:-1]
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ParameterError("durations must be finite and strictly increasing"
+                                 if np.isfinite(durations[k]) else
+                                 f"duration_ns {durations[k]} is not finite", row=k)
         counts = _checked_counts(self.counts, 2, self.repetitions, self.bin_width_ns)
         if len(counts) != durations.size:
             raise ShapeError(f"{len(counts)} count rows for {durations.size} durations")
@@ -266,6 +274,12 @@ def fit_rabi(durations, values) -> SinusoidFit:
             f"no credible oscillation: amplitude {amplitude:.4g} < "
             f"{_AMPLITUDE_SNR} * residual rms {rms:.4g}")
     return SinusoidFit(float(offset), amplitude, float(f), phase, rms)
+
+
+def fit_count_sums(dataset: RabiDataset) -> tuple[np.ndarray, SinusoidFit]:
+    """Per-measurement count sums of each row (float64: int64 can wrap) and their fit."""
+    sums = dataset.counts.sum(axis=1, dtype=float) / dataset.repetitions
+    return sums, fit_rabi(dataset.durations, sums)
 
 
 def assign_targets(dataset: RabiDataset, fit: SinusoidFit) -> list[TrainingExample]:

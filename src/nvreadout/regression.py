@@ -44,7 +44,7 @@ import numpy as np
 from .errors import (DegenerateBoundaryError, DegenerateTrainingError,
                      DomainError, ParameterError, ShapeError)
 from .gating import GateWindow, gate_sum
-from .rabi import RabiDataset, fit_rabi
+from .rabi import RabiDataset, fit_count_sums
 from .traces import TimeTrace, _check_header_text, _check_pair, _checked_counts
 
 __all__ = [
@@ -98,10 +98,11 @@ class ReadoutModel:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ParameterError("weights must be a non-empty 1-d sequence")
-        if np.any(~np.isfinite(w)):
-            raise ParameterError("weights must be finite")
-        if w.min() < 0:
-            raise ParameterError("weights must be nonnegative")
+        bad = ~np.isfinite(w) | (w < 0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ParameterError("weights must be finite" if not np.isfinite(w[k]) else
+                                 "weights must be nonnegative", row=k)
         if not np.isfinite(self.intercept):
             raise ParameterError("intercept must be finite")
         if not (0 < self.reference_bin_width_ns < np.inf):
@@ -302,8 +303,7 @@ def train_rabi(dataset: RabiDataset) -> ReadoutModel:
     """Train on a whole oscillation dataset, each point's target the
     ``normalized`` fit of its count sums at its duration; other targets go
     to :func:`train`."""
-    sums = dataset.counts.sum(axis=1, dtype=float) / dataset.repetitions
-    fit = fit_rabi(dataset.durations, sums)
+    _, fit = fit_count_sums(dataset)
     return train(dataset.counts, dataset.repetitions, fit.normalized(dataset.durations),
                  dataset.bin_width_ns,
                  provenance=f"oscillation set, {len(dataset)} points, "

@@ -67,8 +67,9 @@ def _checked_counts(counts, ndim: int, repetitions, bin_width_ns) -> np.ndarray:
             counts.dtype.kind == "f" and np.all(counts == np.floor(counts))):
         raise ParameterError("counts must be integers")
     counts = counts.astype(np.int64, copy=False)
-    if np.any(counts < 0):
-        raise ParameterError("counts must be nonnegative")
+    if counts.min() < 0:
+        k = int(np.argmax(counts.reshape(len(counts), -1).min(axis=1) < 0))
+        raise ParameterError(f"counts {counts[k].min()} is negative", row=k)
     if not (bin_width_ns > 0):
         raise ParameterError("bin_width_ns must be positive")
     if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 1):

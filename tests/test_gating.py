@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from nvreadout import (DegenerateBoundaryError, GateWindow, ShapeError,
-                       TimeTrace, contrast, expected_trace, gate_sum,
+                       SweepResult, TimeTrace, contrast, expected_trace, gate_sum,
                        gated_population, make_profiles, paper_like_params,
-                       sweep_gate, total_variance)
+                       simulate_trace, sweep_gate, total_variance)
 
 
 def trace_of(counts, reps=1):
@@ -183,6 +183,26 @@ class TestSweep:
         sweep = sweep_gate(t0, t1, start_bin=10)
         assert sweep.at(1).window == GateWindow(10, 1)
         assert sweep.contrast.shape == (490,)
+
+    @pytest.mark.parametrize("start_bin", [0, 3, 499])
+    def test_hand_built_sweep_is_sweep_gates(self, start_bin):
+        # 100 repetitions: the first widths of the noisy pair are degenerate
+        p0, p1 = make_profiles(paper_like_params())
+        t0, t1 = simulate_trace(p0, 100, 5), simulate_trace(p1, 100, 6)
+        swept = sweep_gate(t0, t1, start_bin)
+        hand = SweepResult(start_bin, 2.0, 100, np.cumsum(t0.counts[start_bin:]),
+                           np.cumsum(t1.counts[start_bin:]))
+        names = ("bright_total", "dark_total", "contrast", "total_variance")
+        for name in names:
+            assert getattr(hand, name).tobytes() == getattr(swept, name).tobytes()
+        assert hand.max_contrast == swept.max_contrast
+        assert hand.min_variance == swept.min_variance
+        if start_bin == 0:
+            assert np.isnan(swept.contrast).any() and not np.isnan(swept.contrast).all()
+
+    def test_hand_built_sweep_checks_start_bin(self):
+        with pytest.raises(ShapeError, match="start_bin must be nonnegative"):
+            SweepResult(-1, 2.0, 10, [5.0, 9.0], [1.0, 2.0])
 
     def test_requires_equal_repetitions(self):
         a = trace_of([5, 5], reps=10)

@@ -206,7 +206,7 @@ class TestRabiReaderOracle:
      "1,2.0,5.0,1.0,0.8,0.1875,0\n", "start_bin must be nonnegative"),
     (nvio.read_model, "# readout-model v2\n# dimension=2\n# bin_width_ns=2.0\n# intercept=0.0\n"
      "# rate_scale=1.0\n# trained_on=by hand\nweight\n1.0\n-1.0\n",
-     "weights must be nonnegative"),
+     "line 9: weights must be nonnegative"),
     (nvio.read_fit_csv, "# fit-report v1\n# offset=0.5\n# amplitude=-0.1\n"
      "# frequency_per_ns=0.005\n# phase_rad=0.0\n# residual_rms=0.01\n"
      "duration_ns,p_raw,p_fit,residual\n0.0,0.5,0.5,0.0\n", "amplitude must be >= 0"),
@@ -217,6 +217,39 @@ def test_domain_error_names_the_file(tmp_path, reader, text, match):
     p.write_text(text)
     with pytest.raises(ParseError, match=rf"input\.csv: {match}"):
         reader(p)
+
+
+@pytest.mark.parametrize("row", [0, 2])
+@pytest.mark.parametrize("weight, match", [
+    ("-1.0", "nonnegative"), ("nan", "finite"), ("inf", "finite"), ("-inf", "finite")])
+def test_bad_model_weight_names_its_line(tmp_path, weight, match, row):
+    # weight rows sit on lines 8, 10 and 11: a comment line precedes the second
+    weights = ["0.5", "1.0", "0.25"]
+    weights[row] = weight
+    p = tmp_path / "model.txt"
+    p.write_text("# readout-model v2\n# dimension=3\n# bin_width_ns=2.0\n# intercept=0.0\n"
+                 "# rate_scale=1.0\n# trained_on=by hand\nweight\n"
+                 "{}\n# a comment\n{}\n{}\n".format(*weights))
+    line = (8, 10, 11)[row]
+    with pytest.raises(ParseError, match=rf"model\.txt: line {line}: weights must be {match}$") \
+            as err:
+        nvio.read_model(p)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("reader, text, line, match", [
+    (nvio.read_rabi_csv, RABI_HEAD + "0.0,5,-6\n10.0,7,8\n5.0,1,2\n", 7,
+     "durations must be finite and strictly increasing"),
+    (nvio.read_trace_csv, "# trace-csv v1\n# repetitions=10\n# bin_width_ns=2.0\n"
+     "bin_index,counts\n0,-3\n2,4\n", 6, r"bin_index 2 out of order \(expected 1\)"),
+], ids=["scan-durations-before-counts", "trace-bin-index-before-counts"])
+def test_two_broken_rules_report_the_first_rule(tmp_path, reader, text, line, match):
+    # a negative count sits on an earlier row than the other broken rule
+    p = tmp_path / "input.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=rf"input\.csv: line {line}: {match}$") as err:
+        reader(p)
+    assert err.value.line == line
 
 
 TRACE_HEAD = "# trace-csv v1\n# repetitions=10000000\n"

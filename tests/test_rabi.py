@@ -329,8 +329,16 @@ class TestAssignTargets:
         assert q[1] == pytest.approx(0.5, abs=1e-12)
         # rounding lands this peak at 1 + 2^-52 before the clip to [0, 1]
         fit = replace(fit, offset=1.1, amplitude=0.3)
-        assert (fit.value(0.0) - (fit.offset - fit.amplitude)) / (2 * fit.amplitude) > 1.0
+        assert fit.rescaled(fit.value(0.0)) > 1.0
         assert fit.normalized([0.0, 100.0]).tolist() == [1.0, 0.0]
+
+    def test_rescaled_flat_fit_fails(self):
+        fit = SinusoidFit(offset=0.5, amplitude=0.0, frequency=1 / 200.0,
+                          phase=0.0, residual_rms=0.0)
+        with pytest.raises(FitFailureError, match="flat fit"):
+            fit.rescaled([0.5])
+        with pytest.raises(FitFailureError, match="flat fit"):
+            fit.normalized([0.0])
 
     def test_targets_independent_of_series_scale(self, simulated_dataset):
         # affine-processed series produce identical targets
@@ -441,6 +449,22 @@ class TestTrainRabi:
     def test_dataset_invariants(self, durations, counts, error):
         with pytest.raises(error):
             RabiDataset(durations, np.array(counts), repetitions=10)
+
+    @pytest.mark.parametrize("durations, counts, match", [
+        ([0.0, 1.0, 2.0, 3.0], [[1, 2], [3, 4], [5, -6], [-7, 8]], "counts -6 is negative"),
+        ([0.0, 1.0, np.nan, 3.0], [[1, 2]] * 4, "duration_ns nan is not finite"),
+        ([0.0, 1.0, -np.inf, 3.0], [[1, 2]] * 4, "duration_ns -inf is not finite"),
+        ([0.0, 2.0, 1.0, 0.5], [[1, 2]] * 4,
+         "durations must be finite and strictly increasing"),
+        ([0.0, 2.0, 2.0, 3.0], [[1, -2]] * 4,
+         "durations must be finite and strictly increasing"),
+    ], ids=["negative-count", "nan-duration", "minus-inf-duration", "decreasing",
+            "durations-before-counts"])
+    def test_bad_row_is_named(self, durations, counts, match):
+        # the first offending row; a duration rule is checked before the counts
+        with pytest.raises(ParameterError, match=rf"^{match}$") as err:
+            RabiDataset(durations, np.array(counts), repetitions=10)
+        assert err.value.row == 2
 
     def test_simulated_rows_are_per_point_trace_draws(self):
         # the former path, kept as reference: one mixed profile and one trace

@@ -59,6 +59,14 @@ class TestPredict:
         with pytest.raises(ParameterError, match=field):
             ReadoutModel(**{**fields, field: bad})
 
+    @pytest.mark.parametrize("weight, match", [
+        (-1.0, "nonnegative"), (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite")])
+    def test_bad_weight_names_its_first_row(self, weight, match):
+        with pytest.raises(ParameterError, match=f"^weights must be {match}$") as err:
+            ReadoutModel(np.array([0.5, 0.0, weight, weight, 1.0]), intercept=0.0,
+                         reference_bin_width_ns=2.0)
+        assert err.value.row == 2
+
     def test_zero_weights_give_intercept(self):
         model = ReadoutModel(np.zeros(4), intercept=0.37,
                              reference_bin_width_ns=2.0)

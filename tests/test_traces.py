@@ -32,6 +32,11 @@ class TestTypes:
         with pytest.raises(ParameterError):
             TimeTrace(np.array([1]), repetitions=1, bin_width_ns=0)
 
+    def test_negative_count_names_its_first_row(self):
+        with pytest.raises(ParameterError, match=r"^counts -3 is negative$") as err:
+            TimeTrace(np.array([4, 0, -3, 5, -7]), repetitions=10)
+        assert err.value.row == 2
+
     @pytest.mark.parametrize("label", ["a\nb", "a\r\nb", "a\u2028b", " padded ", "end\n"],
                              ids=["line-feed", "crlf", "line-separator", "padded",
                                   "trailing-newline"])
