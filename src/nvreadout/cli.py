@@ -14,6 +14,7 @@ section is an error (see docs/config-format.md).
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
@@ -349,5 +350,14 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
-if __name__ == "__main__":
+def _script() -> None:
+    """Process entry point, for ``python -m nvreadout.cli`` and the installed
+    ``nvreadout`` script.  Freezing the start-up heap spares the collector a
+    walk over the imported modules at exit; :func:`main` itself changes no
+    process-wide state, as tests call it in-process."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    _script()

@@ -72,12 +72,13 @@ class GateMetrics:
 class SweepResult:
     """Figures of merit over gate widths 1..N - start_bin, and their optima.
 
-    Built from the boundary gated sums; entry k of each array belongs to
-    width k + 1.  ``contrast`` and ``total_variance`` are derived, and a
-    width is degenerate unless bright > dark > 0, contrast < 1 and total
-    variance > 0; it holds nan in all four arrays and is never an optimum.
-    The optima ``max_contrast`` and ``min_variance`` take ties to the smaller
-    width; they are None only when every width is degenerate.
+    Built from the boundary gated sums, two 1-d arrays of one length; entry
+    k of each array belongs to width k + 1.  ``contrast`` and
+    ``total_variance`` are derived, and a width is degenerate unless
+    bright > dark > 0, contrast < 1 and total variance > 0; it holds nan in
+    all four arrays and is never an optimum.  The optima ``max_contrast``
+    and ``min_variance`` take ties to the smaller width; they are None only
+    when every width is degenerate.
     """
 
     start_bin: int
@@ -91,6 +92,9 @@ class SweepResult:
     def __post_init__(self):
         GateWindow(self.start_bin)          # start_bin's own rule
         bright, dark = np.asarray(self.bright_total, float), np.asarray(self.dark_total, float)
+        if bright.ndim != 1 or bright.shape != dark.shape:
+            raise ShapeError("bright_total and dark_total must be 1-d and of one length, "
+                             f"got shapes {bright.shape} and {dark.shape}")
         with np.errstate(all="ignore"):     # 0/0 at empty widths; a file's 1e200 overflows
             span = bright - dark
             c, v = span / bright, (bright + dark) / (2.0 * span * span)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, FitFailureError, ParameterError, ShapeError
 from .traces import (EmissionProfile, TimeTrace, _check_pair, _check_repetitions,
-                     _checked_counts, _draw)
+                     _checked_counts, _draw, _readonly)
 
 __all__ = [
     "RabiDataset",
@@ -327,5 +327,5 @@ def simulate_rabi_dataset(profile0: EmissionProfile, profile1: EmissionProfile,
     for k, p in enumerate(truth):
         rates = p * profile0.rates + (1.0 - p) * profile1.rates     # mix_profile's arithmetic
         counts[k] = _draw(rates, repetitions, seed + k)
-    dataset = RabiDataset(durations, counts, int(repetitions), profile0.bin_width_ns)
+    dataset = RabiDataset(durations, _readonly(counts), int(repetitions), profile0.bin_width_ns)
     return dataset, truth

@@ -54,13 +54,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _sealed(a) -> bool:
+    """Whether ``a`` is a read-only int64 ndarray that no writable array
+    shares: its ``base`` is None or a read-only ndarray."""
+    return (type(a) is np.ndarray and a.dtype == np.int64 and not a.flags.writeable
+            and (a.base is None or (type(a.base) is np.ndarray
+                                    and not a.base.flags.writeable)))
+
+
 def _checked_counts(counts, ndim: int, repetitions, bin_width_ns) -> np.ndarray:
-    """Read-only int64 copy of non-empty, nonnegative integer counts.
+    """Read-only int64 array of non-empty, nonnegative integer counts.
 
     Also checks the repetition count (integer >= 1) and the bin width (> 0)
-    the counts were taken with.  Integer input is copied once.
+    the counts were taken with.  A read-only int64 array that no writable
+    array shares (the simulator's draws, a reader's parsed rows) is kept as
+    it is; any other input is copied, so a caller's later writes cannot
+    reach the result.
     """
-    counts = np.array(counts)
+    if not _sealed(counts):
+        counts = np.array(counts)
     if counts.ndim != ndim or counts.size < 1:
         raise ParameterError(f"counts must be a non-empty {ndim}-d array")
     if counts.dtype.kind not in "iu" and not (
@@ -257,10 +269,10 @@ def _check_repetitions(repetitions, profile: EmissionProfile,
 
 
 def _draw(rates: np.ndarray, repetitions, seed: int) -> np.ndarray:
-    """Poisson counts with means ``repetitions * rates``, from the Philox
-    stream keyed by ``seed``; the caller has checked the repetitions."""
+    """Read-only Poisson counts with means ``repetitions * rates``, from the
+    Philox stream keyed by ``seed``; the caller has checked the repetitions."""
     rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-    return rng.poisson(repetitions * rates)
+    return _readonly(rng.poisson(repetitions * rates))
 
 
 def simulate_trace(profile: EmissionProfile, repetitions: int, seed: int,
@@ -281,7 +293,7 @@ def expected_trace(profile: EmissionProfile, repetitions: int,
                    label: str | None = None) -> TimeTrace:
     """Noiseless counterpart of :func:`simulate_trace`: counts = round(R * rate)."""
     _check_repetitions(repetitions, profile)
-    counts = np.rint(repetitions * profile.rates).astype(np.int64)
+    counts = _readonly(np.rint(repetitions * profile.rates).astype(np.int64))
     return TimeTrace(counts, repetitions=int(repetitions),
                      bin_width_ns=profile.bin_width_ns, label=label)
 

@@ -204,6 +204,13 @@ class TestSweep:
         with pytest.raises(ShapeError, match="start_bin must be nonnegative"):
             SweepResult(-1, 2.0, 10, [5.0, 9.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bright, dark", [([1.0, 2.0, 3.0], [1.0, 2.0]),
+                                              ([[4.0, 5.0]], [1.0, 2.0])],
+                             ids=["lengths-differ", "bright-is-2d"])
+    def test_hand_built_sweep_checks_curve_shapes(self, bright, dark):
+        with pytest.raises(ShapeError, match="1-d and of one length"):
+            SweepResult(0, 2.0, 1, bright, dark)
+
     def test_requires_equal_repetitions(self):
         a = trace_of([5, 5], reps=10)
         b = trace_of([1, 1], reps=5)

@@ -817,3 +817,27 @@ class TestStreamingReader:
         peak, _ = self.traced_peak(nvio.write_rabi_csv, out, dataset)
         assert peak <= 10**6, f"write peak {peak / 1e6:.1f} MB"
         assert np.array_equal(nvio.read_rabi_csv(out).counts, dataset.counts)
+
+    @pytest.mark.parametrize("points", [240, 2400])
+    def test_simulate_peak_is_at_most_1_25x_the_counts_matrix(self, points):
+        # the drawn matrix becomes the dataset's counts, uncopied (2.0x if copied)
+        p0, p1 = make_profiles(paper_like_params())
+        args = (p0, p1, 10**5, 41, points, 200.0, 10.0 * points)
+        simulate_rabi_dataset(*args)        # warm-up: numpy's first-call state
+        peak, (dataset, _) = self.traced_peak(simulate_rabi_dataset, *args)
+        size = dataset.counts.nbytes
+        assert peak <= 1.25 * size, f"simulate peak {peak / size:.2f}x the counts matrix"
+
+    @pytest.mark.parametrize("points", [240, 2400])
+    def test_read_peak_is_at_most_1_25x_the_counts_matrix(self, points, tmp_path):
+        # the parsed rows hold the dataset's counts, uncopied (2.0x if copied)
+        p0, p1 = make_profiles(paper_like_params())
+        dataset, _ = simulate_rabi_dataset(p0, p1, repetitions=10**5, seed=41,
+                                           points=points, span_ns=10.0 * points)
+        path = tmp_path / "rabi.csv"
+        nvio.write_rabi_csv(path, dataset)
+        nvio.read_rabi_csv(path)            # warm-up: numpy's first-call state
+        peak, again = self.traced_peak(nvio.read_rabi_csv, path)
+        size = dataset.counts.nbytes
+        assert np.array_equal(again.counts, dataset.counts)
+        assert peak <= 1.25 * size, f"read peak {peak / size:.2f}x the counts matrix"

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from nvreadout import (EmissionProfile, ParameterError, PhotodynamicsParams,
-                       ShapeError, TimeTrace, differential, expected_trace,
+                       RabiDataset, ShapeError, TimeTrace, differential, expected_trace,
                        make_profiles, mix_profile, paper_like_params,
                        simulate_rabi_dataset, simulate_trace)
+from nvreadout import io as nvio
 
 
 def flat_params(**overrides):
@@ -50,6 +51,44 @@ class TestTypes:
         tr = TimeTrace(np.array([1, 2]), repetitions=3)
         with pytest.raises(ValueError):
             tr.counts[0] = 5
+
+    @pytest.mark.parametrize("shared", ["writable", "read-only-view-of-writable"])
+    def test_counts_a_caller_can_write_are_copied(self, shared):
+        counts = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        given = counts
+        if shared == "read-only-view-of-writable":
+            given = counts[:]
+            given.setflags(write=False)
+        trace = TimeTrace(given[0], repetitions=3)
+        dataset = RabiDataset([0.0, 1.0], given, repetitions=3)
+        counts[0, 0] = 99                   # the caller can still write here
+        assert trace.counts[0] == 1 and dataset.counts[0, 0] == 1
+
+    def test_read_only_counts_no_writable_array_shares_are_kept(self):
+        counts = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        counts.setflags(write=False)
+        row = counts[1]                     # a read-only view of a read-only array
+        assert RabiDataset([0.0, 1.0], counts, repetitions=3).counts is counts
+        assert TimeTrace(row, repetitions=3).counts is row
+
+    @pytest.mark.parametrize("make", ["simulate_trace", "expected_trace",
+                                      "simulate_rabi_dataset", "read_rabi_csv"])
+    def test_counts_are_read_only(self, make, tmp_path):
+        p0, p1 = make_profiles(paper_like_params())
+        if make == "simulate_trace":
+            counts = simulate_trace(p0, 10**5, seed=41).counts
+        elif make == "expected_trace":
+            counts = expected_trace(p0, 10**5).counts
+        else:
+            dataset, _ = simulate_rabi_dataset(p0, p1, 10**5, seed=41, points=8)
+            if make == "read_rabi_csv":
+                nvio.write_rabi_csv(tmp_path / "rabi.csv", dataset)
+                dataset = nvio.read_rabi_csv(tmp_path / "rabi.csv")
+            counts = dataset.counts
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0] = 5
+        # nor can any array that shares the counts be written
+        assert counts.base is None or not counts.base.flags.writeable
 
     def test_profile_validation(self):
         with pytest.raises(ParameterError):
