@@ -8,7 +8,10 @@ round-trip byte for byte (save -> load -> save): trace, scan, truth,
 sweep, model and evaluation report.  The fit and repair reports are
 outputs; their readers return columns (and the fit's parameters).
 A table whose cells are all numbers, every one but the sweep and the
-evaluation report, formats each row in C with one ``%`` template per file.
+evaluation report, formats each row in C with one ``%`` template per file;
+a scan whose counts are all below its row width N instead joins each row's
+count cells from a table of the N strings ``,0`` ... ``,N-1``, with the same
+bytes.
 
 Every format is one table, written by ``_write_table`` and read by
 ``_read_table``: ``# key=value`` header comments in any order, a
@@ -32,7 +35,7 @@ holds a file's text or a list of its lines.  A 240-point, 500-bin scan is
 0.25 MB; reading it peaks at about 1.1 MB in Python allocations, 1.12x
 its 0.96 MB counts matrix (1.23x at 2400 points), because the parsed rows
 are made read-only and the dataset keeps their counts field uncopied.
-Writing it peaks at about 0.05 MB.
+Writing it peaks at about 0.07 MB, 0.03 MB of which is the table of N cells.
 """
 
 from __future__ import annotations
@@ -287,14 +290,24 @@ def _scan_layout(row: str):
 
 
 def write_rabi_csv(path, dataset: RabiDataset) -> None:
-    """Write a scan one duration's row at a time, each through one ``%``
-    template of the duration's ``repr`` and the N counts."""
-    template = "%r" + ",%d" * dataset.counts.shape[1]
-    rows = (template % (d, *row.tolist())
-            for d, row in zip(dataset.durations.tolist(), dataset.counts))
+    """Write a scan one duration's row at a time: the duration's ``repr``,
+    then the N counts.  When every count is below N, a row's cells are taken
+    from a table of the N cells ``,0`` ... ``,N-1`` (one index and one join);
+    otherwise each row goes through one ``%`` template.  Both give the same
+    bytes."""
+    counts = dataset.counts
+    n = counts.shape[1]
+    if counts.max() < n:
+        table = np.array([f",{i}" for i in range(n)], dtype=object)
+        rows = (repr(d) + "".join(table[row].tolist())
+                for d, row in zip(dataset.durations.tolist(), counts))
+    else:
+        template = "%r" + ",%d" * n
+        rows = (template % (d, *row.tolist())
+                for d, row in zip(dataset.durations.tolist(), counts))
     _write_table(path, "rabi-csv", {"repetitions": dataset.repetitions,
                                     "bin_width_ns": _fmt(dataset.bin_width_ns)},
-                 _scan_columns(dataset.counts.shape[1]), rows)
+                 _scan_columns(n), rows)
 
 
 def read_rabi_csv(path) -> RabiDataset:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, FitFailureError, ParameterError, ShapeError
 from .traces import (EmissionProfile, TimeTrace, _check_pair, _check_repetitions,
-                     _checked_counts, _draw, _readonly)
+                     _checked_counts, _draw)
 
 __all__ = [
     "RabiDataset",
@@ -323,9 +323,9 @@ def simulate_rabi_dataset(profile0: EmissionProfile, profile1: EmissionProfile,
     _check_pair(profile0, profile1)
     for profile in (profile0, profile1):     # every mix draws fewer photons than one
         _check_repetitions(repetitions, profile)
-    counts = np.empty((points, len(profile0)), dtype=np.int64)
-    for k, p in enumerate(truth):
-        rates = p * profile0.rates + (1.0 - p) * profile1.rates     # mix_profile's arithmetic
-        counts[k] = _draw(rates, repetitions, seed + k)
-    dataset = RabiDataset(durations, _readonly(counts), int(repetitions), profile0.bin_width_ns)
+    # mixed one row at a time, with mix_profile's arithmetic: a whole-matrix
+    # mix would double the peak
+    rows = (p * profile0.rates + (1.0 - p) * profile1.rates for p in truth)
+    counts = _draw(rows, (points, len(profile0)), repetitions, seed)
+    dataset = RabiDataset(durations, counts, int(repetitions), profile0.bin_width_ns)
     return dataset, truth

@@ -45,7 +45,8 @@ from .errors import (DegenerateBoundaryError, DegenerateTrainingError,
                      DomainError, ParameterError, ShapeError)
 from .gating import GateWindow, gate_sum
 from .rabi import RabiDataset, fit_count_sums
-from .traces import TimeTrace, _check_header_text, _check_pair, _checked_counts
+from .traces import (TimeTrace, _check_header_text, _check_pair, _checked_counts, _owned,
+                     _readonly)
 
 __all__ = [
     "ReadoutModel",
@@ -95,7 +96,7 @@ class ReadoutModel:
     training_loss: LossBreakdown | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _owned(self.weights, np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ParameterError("weights must be a non-empty 1-d sequence")
         bad = ~np.isfinite(w) | (w < 0)
@@ -110,8 +111,7 @@ class ReadoutModel:
         if not (0 < self.rate_scale < np.inf):
             raise ParameterError("rate_scale must be finite and positive")
         _check_header_text(self.trained_on, "trained_on")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _readonly(w))
 
     @property
     def dimension(self) -> int:

@@ -21,7 +21,10 @@ rates use the midpoint rule: rate(t_center) * bin_width.
 Counts are Poisson: with R repetitions, bin i of a simulated trace is an
 independent draw from Poisson(R * rate_i).  Simulation uses the
 counter-based Philox generator keyed by an explicit seed, so batches of
-traces with distinct seeds are reproducible in any execution order.
+traces with distinct seeds are reproducible in any execution order.  Row k
+of a scan is the stream keyed by seed + k (mod 2^64): one generator per
+scan is re-keyed before each row to the state a new ``Philox(key=seed + k)``
+starts in, so it draws what a new generator per row would.
 """
 
 from __future__ import annotations
@@ -54,12 +57,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sealed(a) -> bool:
-    """Whether ``a`` is a read-only int64 ndarray that no writable array
+def _sealed(a, dtype) -> bool:
+    """Whether ``a`` is a read-only ``dtype`` ndarray that no writable array
     shares: its ``base`` is None or a read-only ndarray."""
-    return (type(a) is np.ndarray and a.dtype == np.int64 and not a.flags.writeable
+    return (type(a) is np.ndarray and a.dtype == dtype and not a.flags.writeable
             and (a.base is None or (type(a.base) is np.ndarray
                                     and not a.base.flags.writeable)))
+
+
+def _owned(a, dtype, convert: bool = True) -> np.ndarray:
+    """``a`` as it is when it is :func:`_sealed` of ``dtype``; else a copy of it,
+    of ``dtype`` unless ``convert`` is false (the caller checks the values
+    first).  Either way no array a caller can write shares the result."""
+    if _sealed(a, dtype):
+        return a
+    return np.array(a, dtype=dtype if convert else None)
 
 
 def _checked_counts(counts, ndim: int, repetitions, bin_width_ns) -> np.ndarray:
@@ -68,11 +80,10 @@ def _checked_counts(counts, ndim: int, repetitions, bin_width_ns) -> np.ndarray:
     Also checks the repetition count (integer >= 1) and the bin width (> 0)
     the counts were taken with.  A read-only int64 array that no writable
     array shares (the simulator's draws, a reader's parsed rows) is kept as
-    it is; any other input is copied, so a caller's later writes cannot
-    reach the result.
+    it is; any other input is copied (:func:`_owned`), so a caller's later
+    writes cannot reach the result.
     """
-    if not _sealed(counts):
-        counts = np.array(counts)
+    counts = _owned(counts, np.int64, convert=False)
     if counts.ndim != ndim or counts.size < 1:
         raise ParameterError(f"counts must be a non-empty {ndim}-d array")
     if counts.dtype.kind not in "iu" and not (
@@ -142,7 +153,7 @@ class EmissionProfile:
     bin_width_ns: float = 2.0
 
     def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=float)
+        rates = _owned(self.rates, np.float64)
         if rates.ndim != 1 or rates.size < 1:
             raise ParameterError("rates must be a non-empty 1-d sequence")
         if np.any(~np.isfinite(rates)) or np.any(rates < 0):
@@ -268,11 +279,27 @@ def _check_repetitions(repetitions, profile: EmissionProfile,
                              f"2^53 expected photons per trace, got {repetitions!r}")
 
 
-def _draw(rates: np.ndarray, repetitions, seed: int) -> np.ndarray:
-    """Read-only Poisson counts with means ``repetitions * rates``, from the
-    Philox stream keyed by ``seed``; the caller has checked the repetitions."""
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-    return _readonly(rng.poisson(repetitions * rates))
+def _draw(rows, shape, repetitions, seed: int) -> np.ndarray:
+    """Read-only int64 Poisson counts of ``shape``, filled one row of
+    ``shape[-1]`` bins at a time: row k has means ``repetitions * rates`` for
+    the k-th ``rates`` of the iterable ``rows``, drawn from the Philox stream
+    keyed by ``seed + k`` (mod 2^64).  The caller has checked the repetitions.
+
+    Philox is counter-based: its stream is a function of its key, read from
+    counter 0.  One generator is made and, before each row, set to the
+    state a fresh ``Philox(key=seed + k)`` starts in (counter 0, no buffered
+    output); each row is the draw of that fresh generator, without the
+    per-row construction (which also seeds an unused ``SeedSequence``).
+    """
+    bits = np.random.Philox(key=0)
+    fresh = bits.state              # counter 0, empty buffer; the key is set per row
+    rng = np.random.Generator(bits)
+    counts = np.empty(shape, dtype=np.int64)
+    for key, (row, rates) in enumerate(zip(counts.reshape(-1, shape[-1]), rows), int(seed)):
+        fresh["state"]["key"][0] = key & (2**64 - 1)
+        bits.state = fresh
+        row[:] = rng.poisson(repetitions * rates)
+    return _readonly(counts)
 
 
 def simulate_trace(profile: EmissionProfile, repetitions: int, seed: int,
@@ -285,7 +312,8 @@ def simulate_trace(profile: EmissionProfile, repetitions: int, seed: int,
     (profile, repetitions, seed).
     """
     _check_repetitions(repetitions, profile)
-    return TimeTrace(_draw(profile.rates, repetitions, seed), repetitions=int(repetitions),
+    counts = _draw([profile.rates], (len(profile),), repetitions, seed)
+    return TimeTrace(counts, repetitions=int(repetitions),
                      bin_width_ns=profile.bin_width_ns, label=label, seed=int(seed))
 
 

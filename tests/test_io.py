@@ -434,6 +434,20 @@ class TestRabiCsv:
         assert p.read_bytes() == (b"# rabi-csv v2\n# repetitions=100\n# bin_width_ns=2.0\n"
                                   b"duration_ns,bin_0,bin_1,bin_2\n0.0,1,0,3\n12.5,4,5,60\n")
 
+    @pytest.mark.parametrize("top", [6, 7], ids=["table", "template"])
+    def test_writer_bytes_at_the_table_bound(self, tmp_path, top):
+        # N = 7 bins: counts below N take their cells from a table, a count of N
+        # or more sends the scan through the template; the bytes are the template's
+        counts = np.random.default_rng(top).integers(0, top, size=(4, 7))
+        counts[2, 3] = top
+        p = tmp_path / "scan.csv"
+        nvio.write_rabi_csv(p, RabiDataset(EDGE, counts, 10, 2.0))
+        rows = "".join(("%r" + ",%d" * 7) % (d, *row) + "\n"
+                       for d, row in zip(EDGE.tolist(), counts.tolist()))
+        assert p.read_text() == ("# rabi-csv v2\n# repetitions=10\n# bin_width_ns=2.0\n"
+                                 "duration_ns," + ",".join(f"bin_{i}" for i in range(7))
+                                 + "\n" + rows)
+
     def test_round_trip(self, world, tmp_path):
         dataset = world[3]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -480,6 +480,16 @@ class TestTrainRabi:
         with pytest.raises(ParameterError, match="2\\^53"):
             simulate_rabi_dataset(p0, p1, 10**18, 31)
 
+    @pytest.mark.parametrize("seed", [31, 2**64 - 5], ids=["31", "wraps-past-2^64"])
+    def test_simulated_rows_are_fresh_philox_draws(self, seed):
+        # the reference without the package's generator: one new Philox keyed by
+        # seed + k (mod 2^64) per point
+        p0, p1 = make_profiles(paper_like_params())
+        dataset, truth = simulate_rabi_dataset(p0, p1, 10**7, seed, points=12)
+        for k, (row, p) in enumerate(zip(dataset.counts, truth)):
+            fresh = np.random.Generator(np.random.Philox(key=(seed + k) % 2**64))
+            assert np.array_equal(row, fresh.poisson(10**7 * mix_profile(float(p), p0, p1).rates))
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"points": 1}, "points must be >= 2, got 1"),
         ({"period_ns": float("nan")}, "period_ns must be finite and positive, got nan"),

@@ -67,6 +67,20 @@ class TestPredict:
                          reference_bin_width_ns=2.0)
         assert err.value.row == 2
 
+    def test_weights_a_caller_can_write_are_copied(self):
+        # the counts' rule: a caller's float64 array is neither frozen nor shared
+        weights, base = np.ones(5), np.ones(5)
+        model = ReadoutModel(weights, 0.0, 2.0)
+        of_view = ReadoutModel(base[:], 0.0, 2.0)
+        weights[0] = 2.0                    # the caller can still write here
+        base[0] = 7.0
+        assert model.weights[0] == 1.0 and of_view.weights[0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.weights[0] = 3.0
+        sealed = np.ones(5)
+        sealed.setflags(write=False)        # no writable array shares it: kept
+        assert ReadoutModel(sealed, 0.0, 2.0).weights is sealed
+
     def test_zero_weights_give_intercept(self):
         model = ReadoutModel(np.zeros(4), intercept=0.37,
                              reference_bin_width_ns=2.0)

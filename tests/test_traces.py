@@ -10,6 +10,7 @@ from nvreadout import (EmissionProfile, ParameterError, PhotodynamicsParams,
                        make_profiles, mix_profile, paper_like_params,
                        simulate_rabi_dataset, simulate_trace)
 from nvreadout import io as nvio
+from nvreadout.traces import _draw
 
 
 def flat_params(**overrides):
@@ -89,6 +90,19 @@ class TestTypes:
             counts[0] = 5
         # nor can any array that shares the counts be written
         assert counts.base is None or not counts.base.flags.writeable
+
+    def test_profile_rates_a_caller_can_write_are_copied(self):
+        # the counts' rule: a caller's float64 array is neither frozen nor shared
+        rates, base = np.ones(5), np.ones(5)
+        profile, of_view = EmissionProfile(rates), EmissionProfile(base[:])
+        rates[0] = 2.0                      # the caller can still write here
+        base[0] = 7.0
+        assert profile.rates[0] == 1.0 and of_view.rates[0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            profile.rates[0] = 3.0
+        sealed = np.ones(5)
+        sealed.setflags(write=False)        # no writable array shares it: kept
+        assert EmissionProfile(sealed).rates is sealed
 
     def test_profile_validation(self):
         with pytest.raises(ParameterError):
@@ -208,6 +222,24 @@ class TestSimulateTrace:
         c = simulate_trace(p0, 10**5, seed=43)
         assert np.array_equal(a.counts, b.counts)
         assert not np.array_equal(a.counts, c.counts)
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, 2**64 - 2],
+                             ids=["0", "2^63", "2^64-1", "wraps-past-2^64"])
+    def test_rows_are_fresh_philox_draws(self, seed):
+        # one generator re-keyed per row draws what Philox(key=seed + k) draws from
+        # new; rows of few and of many photons use different numbers of raw outputs,
+        # so a counter or buffer left over from the row before would show.  A numpy
+        # change to the bit generator's state layout fails here, not in a file's bytes
+        rates = [np.full(40, 1e-6), np.linspace(0.0, 1e-3, 40), np.full(40, 2e-4),
+                 np.linspace(1e-3, 0.0, 40)]
+        counts = _draw(rates, (4, 40), 10**5, seed)
+        for k, r in enumerate(rates):
+            fresh = np.random.Generator(np.random.Philox(key=(seed + k) % 2**64))
+            assert np.array_equal(counts[k], fresh.poisson(10**5 * r))
+        profile = EmissionProfile(rates[1])
+        fresh = np.random.Generator(np.random.Philox(key=seed % 2**64))
+        assert np.array_equal(simulate_trace(profile, 10**5, seed).counts,
+                              fresh.poisson(10**5 * rates[1]))
 
     def test_poisson_moments(self):
         # flat profile at rate 4e-5/bin, 1e6 repetitions: mean 40/bin
