@@ -126,10 +126,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rabi-reps", dest="rabi_repetitions", type=float,
                    help="repetitions for oscillation points (default: --reps)")
 
-    p = sub.add_parser("sweep", help="gate-width sweep over boundary traces")
-    p.add_argument("--trace0", required=True, help="bright boundary trace CSV")
-    p.add_argument("--trace1", required=True, help="dark boundary trace CSV")
-    p.add_argument("--start-bin", type=int, default=0)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--trace0", required=True, help="bright boundary trace CSV")
+    pair.add_argument("--trace1", required=True, help="dark boundary trace CSV")
+    pair.add_argument("--start-bin", type=int, default=0)
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--rabi", required=True, help="test dataset CSV")
+    scan.add_argument("--model", required=True)
+
+    p = sub.add_parser("sweep", parents=[pair], help="gate-width sweep over boundary traces")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a weighted readout model")
@@ -149,22 +154,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--trace", required=True)
 
-    p = sub.add_parser("evaluate", help="compare gated baselines and a model")
-    p.add_argument("--rabi", required=True, help="test dataset CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--trace0", required=True, help="bright boundary trace CSV")
-    p.add_argument("--trace1", required=True, help="dark boundary trace CSV")
+    p = sub.add_parser("evaluate", parents=[scan, pair],
+                       help="compare gated baselines and a model")
     p.add_argument("--truth", help="truth CSV for ground-truth errors")
-    p.add_argument("--start-bin", type=int, default=0)
     p.add_argument("--out", required=True, help="report CSV")
     p.add_argument("--summary", help="optional human-readable summary file")
 
-    p = sub.add_parser("repair", help="original vs model-repaired oscillation")
-    p.add_argument("--rabi", required=True, help="test dataset CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--trace0", required=True)
-    p.add_argument("--trace1", required=True)
-    p.add_argument("--start-bin", type=int, default=0)
+    p = sub.add_parser("repair", parents=[scan, pair],
+                       help="original vs model-repaired oscillation")
     p.add_argument("--out", required=True, help="repair CSV")
     return parser
 
@@ -219,11 +216,14 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _pair(args):
+    """The boundary traces of ``--trace0`` (bright) and ``--trace1`` (dark)."""
+    return nvio.read_trace_csv(args.trace0), nvio.read_trace_csv(args.trace1)
+
+
 def _cmd_sweep(args) -> int:
     _check_distinct_output(args.out, args.trace0, args.trace1)
-    trace0 = nvio.read_trace_csv(args.trace0)
-    trace1 = nvio.read_trace_csv(args.trace1)
-    result = sweep_gate(trace0, trace1, args.start_bin)
+    result = sweep_gate(*_pair(args), args.start_bin)
     nvio.write_sweep_csv(args.out, result)
     if result.max_contrast is None:
         print("sweep: every width degenerate")
@@ -242,18 +242,14 @@ def _cmd_train(args) -> int:
     if args.mode == "boundary":
         if not args.trace0 or not args.trace1:
             raise ReadoutError("boundary mode needs --trace0 and --trace1")
-        trace0 = nvio.read_trace_csv(args.trace0)
-        trace1 = nvio.read_trace_csv(args.trace1)
-        if trace0.counts.sum(dtype=float) / trace0.repetitions < \
-                trace1.counts.sum(dtype=float) / trace1.repetitions:
-            print("warning: bright boundary trace has fewer photons per "
-                  "measurement than the dark one (negative contrast); check "
-                  "for swapped inputs", file=sys.stderr)
-        model = train_boundary(trace0, trace1)
+        model = train_boundary(*_pair(args))
     else:
         if not args.rabi:
             raise ReadoutError("rabi mode needs --rabi")
         model = train_rabi(nvio.read_rabi_csv(args.rabi))
+    if not model.weights.any():         # the trainer's branch for swapped labels
+        hint = "; check for swapped boundary traces" if args.mode == "boundary" else ""
+        print(f"warning: the trained model is flat (every weight zero){hint}", file=sys.stderr)
     nvio.write_model(args.out, model)
     print(f"wrote {args.out} ({model.trained_on})")
     return EXIT_OK
@@ -282,8 +278,7 @@ def _scan_inputs(args):
     """The scan, the model and the max-C and min-V gates of one boundary sweep."""
     test = nvio.read_rabi_csv(args.rabi)
     model = nvio.read_model(args.model)
-    trace0 = nvio.read_trace_csv(args.trace0)
-    trace1 = nvio.read_trace_csv(args.trace1)
+    trace0, trace1 = _pair(args)
     sweep = sweep_gate(trace0, trace1, args.start_bin)
     if sweep.max_contrast is None:
         raise ReadoutError("boundary sweep is fully degenerate; cannot pick windows")

@@ -72,7 +72,7 @@ class EvalReport:
 
 @dataclass(frozen=True, eq=False)
 class RepairResult:
-    """Original and repaired series per point, each with its own fit."""
+    """Original and repaired series per point (read-only), each with its own fit."""
 
     durations: np.ndarray       # ns
     p_original: np.ndarray
@@ -144,10 +144,12 @@ def repair(dataset: RabiDataset, original: ReadoutModel,
     durations = dataset.durations
     p, _ = _apply([original, repaired], dataset.counts, dataset.repetitions,
                   dataset.bin_width_ns)
+    p.setflags(write=False)             # and with it both series, views of its columns
     p_orig, p_rep = p[:, 0], p[:, 1]
     fit_o = fit_rabi(durations, p_orig)
     fit_r = fit_rabi(durations, p_rep)
     q_fit = fit_o.value(durations)
+    q_fit.setflags(write=False)
     rms_o = float(np.sqrt(np.mean((p_orig - q_fit) ** 2)))
     rms_r = float(np.sqrt(np.mean((p_rep - fit_r.value(durations)) ** 2)))
     return RepairResult(durations, p_orig, p_rep, q_fit, fit_o, fit_r, rms_o, rms_r)

@@ -76,9 +76,9 @@ class SweepResult:
     k of each array belongs to width k + 1.  ``contrast`` and
     ``total_variance`` are derived, and a width is degenerate unless
     bright > dark > 0, contrast < 1 and total variance > 0; it holds nan in
-    all four arrays and is never an optimum.  The optima ``max_contrast``
-    and ``min_variance`` take ties to the smaller width; they are None only
-    when every width is degenerate.
+    all four arrays, which are read-only, and is never an optimum.  The
+    optima ``max_contrast`` and ``min_variance`` take ties to the smaller
+    width; they are None only when every width is degenerate.
     """
 
     start_bin: int
@@ -101,7 +101,9 @@ class SweepResult:
         valid = (span > 0) & (dark > 0) & (c < 1) & (v > 0)
         for name, x in zip(("bright_total", "dark_total", "contrast", "total_variance"),
                            (bright, dark, c, v)):
-            object.__setattr__(self, name, np.where(valid, x, np.nan))
+            curve = np.where(valid, x, np.nan)
+            curve.setflags(write=False)
+            object.__setattr__(self, name, curve)
 
     @property
     def max_contrast(self) -> GateMetrics | None:
@@ -185,10 +187,7 @@ def sweep_gate(trace0: TimeTrace, trace1: TimeTrace, start_bin: int = 0) -> Swee
     if trace0.repetitions != trace1.repetitions:
         raise ShapeError("boundary traces must share a repetition count; "
                          "rescale one of them first")
-    n = len(trace0)
-    if not (0 <= start_bin < n):
-        raise ShapeError(f"start_bin {start_bin} outside trace of {n} bins")
-
+    GateWindow(start_bin).check_fits(len(trace0))
     cum0 = np.cumsum(trace0.counts[start_bin:], dtype=float)    # int64 could wrap
     cum1 = np.cumsum(trace1.counts[start_bin:], dtype=float)
     return SweepResult(start_bin, trace0.bin_width_ns, trace0.repetitions, cum0, cum1)

@@ -23,7 +23,9 @@ slope, which has a closed form at each linear solve, and reads offset,
 amplitude and phase from the solve there.  The slope, unlike the flat sum
 of squares, is well conditioned at the minimum, so the fit is accurate to
 rounding.  The grid spans 0.25-4x the dominant periodogram frequency and
-stops at the Nyquist frequency of the median sampling step.
+stops at the Nyquist frequency of the median sampling step.  Its size grows
+with the span over (points - 1) median steps, 1 on an evenly spaced scan;
+above 16 the scan is rejected, so the fit's work is bounded by the points.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, FitFailureError, ParameterError, ShapeError
 from .traces import (EmissionProfile, TimeTrace, _check_pair, _check_repetitions,
-                     _checked_counts, _draw)
+                     _checked_counts, _draw, _owned)
 
 __all__ = [
     "RabiDataset",
@@ -49,6 +51,7 @@ _MIN_POINTS = 8
 _FREQ_GRID_SPAN = (0.25, 4.0)   # scan range around the dominant frequency
 _GRID_STEPS_PER_BASIN = 8       # grid spacing is 1 / (this * time span)
 _GRID_BLOCK = 2**18             # frequencies x points profiled per block
+_MAX_SPAN_STEPS = 16            # span / ((points - 1) * median step) allowed
 _RANK_TOL = 1e-10               # squared column norm / points below which a
                                 # cos/sin column counts as rank-deficient
 _FREQ_RTOL = 1e-12              # refine's stopping bracket width, relative
@@ -115,7 +118,7 @@ class RabiDataset:
     bin_width_ns: float = 2.0
 
     def __post_init__(self):
-        durations = np.array(self.durations, dtype=float)
+        durations = _owned(self.durations, np.float64)
         if durations.ndim != 1 or durations.size < 1:
             raise ParameterError("dataset needs at least one point")
         bad = ~np.isfinite(durations)
@@ -128,7 +131,6 @@ class RabiDataset:
         counts = _checked_counts(self.counts, 2, self.repetitions, self.bin_width_ns)
         if len(counts) != durations.size:
             raise ShapeError(f"{len(counts)} count rows for {durations.size} durations")
-        durations.setflags(write=False)
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "repetitions", int(self.repetitions))
@@ -230,8 +232,9 @@ def fit_rabi(durations, values) -> SinusoidFit:
     ------
     FitFailureError
         On too few points, non-finite values, durations that are not
-        strictly increasing, a span below one fitted period, or no
-        credible oscillation (fitted amplitude below 3x the residual rms).
+        strictly increasing, a span above 16 (points - 1) median steps or
+        below one fitted period, or no credible oscillation (fitted
+        amplitude below 3x the residual rms).
     """
     t = np.asarray(durations, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -246,12 +249,16 @@ def fit_rabi(durations, values) -> SinusoidFit:
                               "and span nonzero time")
 
     dt = _median_step(t)
+    span = t[-1] - t[0]
+    ratio = span / dt / (t.size - 1)        # nan or inf where a difference overflows
+    if not ratio <= _MAX_SPAN_STEPS:
+        raise FitFailureError(f"durations span {ratio:.4g} times (points - 1) median "
+                              f"steps; need <= {_MAX_SPAN_STEPS}")
     spectrum = np.abs(np.fft.rfft(y - y.mean(), 4 * t.size))   # padded periodogram
     f_dom = float(np.fft.rfftfreq(4 * t.size, dt)[1 + int(np.argmax(spectrum[1:]))])
     if f_dom <= 0:
         raise FitFailureError("no dominant oscillation frequency found")
 
-    span = t[-1] - t[0]
     f_lo = _FREQ_GRID_SPAN[0] * f_dom
     f_hi = min(_FREQ_GRID_SPAN[1] * f_dom, 0.5 / dt)
     n_grid = int(np.ceil((f_hi - f_lo) * _GRID_STEPS_PER_BASIN * span)) + 1

@@ -45,8 +45,7 @@ from .errors import (DegenerateBoundaryError, DegenerateTrainingError,
                      DomainError, ParameterError, ShapeError)
 from .gating import GateWindow, gate_sum
 from .rabi import RabiDataset, fit_count_sums
-from .traces import (TimeTrace, _check_header_text, _check_pair, _checked_counts, _owned,
-                     _readonly)
+from .traces import TimeTrace, _check_header_text, _check_pair, _checked_counts, _owned
 
 __all__ = [
     "ReadoutModel",
@@ -111,7 +110,7 @@ class ReadoutModel:
         if not (0 < self.rate_scale < np.inf):
             raise ParameterError("rate_scale must be finite and positive")
         _check_header_text(self.trained_on, "trained_on")
-        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "weights", w)
 
     @property
     def dimension(self) -> int:

@@ -52,44 +52,38 @@ __all__ = [
 # Domain types
 # ---------------------------------------------------------------------------
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _owned(a, dtype) -> np.ndarray:
+    """A read-only ``dtype`` array that no array a caller can write shares.
 
-
-def _sealed(a, dtype) -> bool:
-    """Whether ``a`` is a read-only ``dtype`` ndarray that no writable array
-    shares: its ``base`` is None or a read-only ndarray."""
-    return (type(a) is np.ndarray and a.dtype == dtype and not a.flags.writeable
+    That is ``a`` itself when it is a read-only ``dtype`` ndarray whose
+    ``base`` is None or a read-only ndarray: code that makes a fresh array
+    seals it, so that it is handed over uncopied.  Any other ``a`` becomes a
+    read-only ``dtype`` copy.
+    """
+    if not (type(a) is np.ndarray and a.dtype == dtype and not a.flags.writeable
             and (a.base is None or (type(a.base) is np.ndarray
-                                    and not a.base.flags.writeable)))
-
-
-def _owned(a, dtype, convert: bool = True) -> np.ndarray:
-    """``a`` as it is when it is :func:`_sealed` of ``dtype``; else a copy of it,
-    of ``dtype`` unless ``convert`` is false (the caller checks the values
-    first).  Either way no array a caller can write shares the result."""
-    if _sealed(a, dtype):
-        return a
-    return np.array(a, dtype=dtype if convert else None)
+                                    and not a.base.flags.writeable))):
+        a = np.array(a, dtype=dtype)
+        a.setflags(write=False)
+    return a
 
 
 def _checked_counts(counts, ndim: int, repetitions, bin_width_ns) -> np.ndarray:
     """Read-only int64 array of non-empty, nonnegative integer counts.
 
     Also checks the repetition count (integer >= 1) and the bin width (> 0)
-    the counts were taken with.  A read-only int64 array that no writable
-    array shares (the simulator's draws, a reader's parsed rows) is kept as
-    it is; any other input is copied (:func:`_owned`), so a caller's later
-    writes cannot reach the result.
+    the counts were taken with.  The input's own dtype must be an integer
+    one, or a float one holding whole numbers; only then does it become
+    int64 through :func:`_owned`, which keeps a sealed int64 array (the
+    simulator's draws, a reader's parsed rows) and copies any other.
     """
-    counts = _owned(counts, np.int64, convert=False)
-    if counts.ndim != ndim or counts.size < 1:
+    raw = np.asarray(counts)
+    if raw.ndim != ndim or raw.size < 1:
         raise ParameterError(f"counts must be a non-empty {ndim}-d array")
-    if counts.dtype.kind not in "iu" and not (
-            counts.dtype.kind == "f" and np.all(counts == np.floor(counts))):
+    if raw.dtype.kind not in "iu" and not (
+            raw.dtype.kind == "f" and np.all(raw == np.floor(raw))):
         raise ParameterError("counts must be integers")
-    counts = counts.astype(np.int64, copy=False)
+    counts = _owned(raw, np.int64)
     if counts.min() < 0:
         k = int(np.argmax(counts.reshape(len(counts), -1).min(axis=1) < 0))
         raise ParameterError(f"counts {counts[k].min()} is negative", row=k)
@@ -97,7 +91,7 @@ def _checked_counts(counts, ndim: int, repetitions, bin_width_ns) -> np.ndarray:
         raise ParameterError("bin_width_ns must be positive")
     if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 1):
         raise ParameterError("repetitions must be an integer >= 1")
-    return _readonly(counts)
+    return counts
 
 
 def _check_header_text(text, name: str) -> None:
@@ -160,7 +154,7 @@ class EmissionProfile:
             raise ParameterError("rates must be finite and nonnegative")
         if not (self.bin_width_ns > 0):
             raise ParameterError("bin_width_ns must be positive")
-        object.__setattr__(self, "rates", _readonly(rates))
+        object.__setattr__(self, "rates", rates)
 
     def __len__(self) -> int:
         return int(self.rates.size)
@@ -299,7 +293,8 @@ def _draw(rows, shape, repetitions, seed: int) -> np.ndarray:
         fresh["state"]["key"][0] = key & (2**64 - 1)
         bits.state = fresh
         row[:] = rng.poisson(repetitions * rates)
-    return _readonly(counts)
+    counts.setflags(write=False)
+    return counts
 
 
 def simulate_trace(profile: EmissionProfile, repetitions: int, seed: int,
@@ -321,7 +316,8 @@ def expected_trace(profile: EmissionProfile, repetitions: int,
                    label: str | None = None) -> TimeTrace:
     """Noiseless counterpart of :func:`simulate_trace`: counts = round(R * rate)."""
     _check_repetitions(repetitions, profile)
-    counts = _readonly(np.rint(repetitions * profile.rates).astype(np.int64))
+    counts = np.rint(repetitions * profile.rates).astype(np.int64)
+    counts.setflags(write=False)
     return TimeTrace(counts, repetitions=int(repetitions),
                      bin_width_ns=profile.bin_width_ns, label=label)
 

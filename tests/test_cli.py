@@ -277,6 +277,52 @@ class TestExitCodes:
         assert f"bad.csv: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "fit.csv").exists()
 
+    @pytest.mark.parametrize("case, status, message", [
+        ("train-boundary-without-trace1", 2, "boundary mode needs --trace0 and --trace1"),
+        ("train-rabi-without-rabi", 2, "rabi mode needs --rabi"),
+        ("config-not-found", 2, "config file not found"),
+        ("sweep-identical-pair", 0, "sweep: every width degenerate"),
+        ("evaluate-identical-pair", 2, "boundary sweep is fully degenerate"),
+        ("trace-without-column-row", 2, "no-columns.csv: expected 'bin_index,counts' column row"),
+        ("model-of-another-bin-width", 2, "data bin width 2.0 ns differs from model's 4.0 ns"),
+        ("sweep-start-bin-past-the-trace", 2, "window [500, 501) overruns trace of 500 bins"),
+    ])
+    def test_error_path_exit_and_message(self, pipeline, tmp_path, capsys, case, status,
+                                         message):
+        data = pipeline / "data"
+        b0, b1, scan = (str(data / name) for name in ("boundary0.csv", "boundary1.csv",
+                                                      "rabi.csv"))
+        out = str(tmp_path / "out.csv")
+        no_columns = tmp_path / "no-columns.csv"
+        no_columns.write_text("# trace-csv v1\n# repetitions=10\n# bin_width_ns=2.0\n")
+        wide = tmp_path / "wide.txt"
+        wide.write_text((pipeline / "model.txt").read_text().replace(
+            "# bin_width_ns=2.0\n", "# bin_width_ns=4.0\n"))
+        argv = {
+            "train-boundary-without-trace1": ["train", "--mode", "boundary", "--trace0", b0,
+                                              "--out", out],
+            "train-rabi-without-rabi": ["train", "--mode", "rabi", "--out", out],
+            "config-not-found": ["simulate", "--config", str(tmp_path / "nope.cfg"),
+                                 "--out-dir", str(tmp_path / "sim")],
+            "sweep-identical-pair": ["sweep", "--trace0", b0, "--trace1", b0, "--out", out],
+            "evaluate-identical-pair": ["evaluate", "--rabi", scan, "--model",
+                                        str(pipeline / "model.txt"), "--trace0", b0,
+                                        "--trace1", b0, "--out", out],
+            "trace-without-column-row": ["sweep", "--trace0", str(no_columns), "--trace1", b1,
+                                         "--out", out],
+            "model-of-another-bin-width": ["evaluate", "--rabi", scan, "--model", str(wide),
+                                           "--trace0", b0, "--trace1", b1, "--out", out],
+            "sweep-start-bin-past-the-trace": ["sweep", "--trace0", b0, "--trace1", b1,
+                                               "--start-bin", "500", "--out", out],
+        }[case]
+        assert run(*argv) == status
+        captured = capsys.readouterr()
+        assert message in (captured.out if status == 0 else captured.err)
+        assert "Traceback" not in captured.err
+        # a failing command writes nothing
+        assert (tmp_path / "out.csv").exists() == (status == 0)
+        assert not (tmp_path / "sim").exists()
+
     def test_output_must_not_overwrite_input(self, pipeline, capsys):
         trace = pipeline / "data" / "boundary0.csv"
         assert run("sweep", "--trace0", str(trace), "--trace1", str(trace),
@@ -361,13 +407,15 @@ class TestExitCodes:
          "--max-iterations", "nan"],
         ["train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
          "--max-iterations", "2.5"],
+        ["train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
+         "--max-iterations", "0"],
         ["simulate", "--what", "rabi", "--rabi-period-ns", "-5"],
         ["simulate", "--what", "rabi", "--rabi-period-ns", "inf"],
         ["simulate", "--what", "rabi", "--rabi-span-ns", "0"],
         ["simulate", "--what", "rabi", "--rabi-points", "1"],
         ["simulate", "--what", "both", "--reps", "1e3", "--rabi-period-ns", "-5"],
     ], ids=["reps-nan", "reps-inf", "reps-1e30", "reps-2.7", "rabi-reps-nan",
-            "rabi-reps-1e30", "max-iterations-nan", "max-iterations-2.5",
+            "rabi-reps-1e30", "max-iterations-nan", "max-iterations-2.5", "max-iterations-0",
             "rabi-period-negative", "rabi-period-inf",
             "rabi-span-zero", "rabi-points-1", "both-rabi-period-negative"])
     def test_bad_numeric_value_is_2(self, argv, tmp_path):
@@ -513,6 +561,14 @@ class TestConfigErrors:
 
 
 class TestSwapWarning:
+    def test_good_pair_trains_without_warning(self, pipeline, capsys, tmp_path):
+        data = pipeline / "data"
+        assert run("train", "--mode", "boundary",
+                   "--trace0", str(data / "boundary0.csv"),
+                   "--trace1", str(data / "boundary1.csv"),
+                   "--out", str(tmp_path / "model.txt")) == 0
+        assert capsys.readouterr().err == ""
+
     def test_swapped_boundary_warns(self, pipeline, capsys, tmp_path):
         data = pipeline / "data"
         assert run("train", "--mode", "boundary",
@@ -520,7 +576,8 @@ class TestSwapWarning:
                    "--trace1", str(data / "boundary0.csv"),
                    "--max-iterations", "100",
                    "--out", str(tmp_path / "swapped.txt")) == 0
-        assert "swapped" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("warning: the trained model is flat (every weight "
+                                           "zero); check for swapped boundary traces\n")
         # no bin group has a positive slope: the flat model at the mean target
         from nvreadout import io as nvio
         model = nvio.read_model(tmp_path / "swapped.txt")

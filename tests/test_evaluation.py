@@ -1,13 +1,16 @@
 """Method comparison and repair."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from conftest import gates
-from nvreadout import (evaluate, expected_trace, fit_rabi, gate_sum,
-                       gated_equivalent_model, gated_population, make_profiles,
-                       mix_profile, paper_like_params, repair,
-                       simulate_rabi_dataset, simulate_trace, sweep_gate)
+from nvreadout import (EmissionProfile, ReadoutModel, SweepResult, TimeTrace, evaluate,
+                       expected_trace, fit_rabi, gate_sum, gated_equivalent_model,
+                       gated_population, make_profiles, mix_profile, paper_like_params,
+                       repair, simulate_rabi_dataset, simulate_trace, sweep_gate,
+                       train_boundary)
 from nvreadout.evaluation import METHOD_MAX_C, METHOD_MIN_V, METHOD_ML
 from nvreadout.rabi import RabiDataset
 
@@ -131,3 +134,29 @@ class TestRepair:
             by_mse = min(gates, key=lambda m: m.empirical_mse)
             agree += by_var.method == by_mse.method
         assert agree >= 0.95 * runs
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("kind", ["TimeTrace", "EmissionProfile", "RabiDataset",
+                                      "ReadoutModel", "SweepResult", "RepairResult"])
+    def test_every_array_field_rejects_a_write(self, setup, gate_models, kind):
+        # as the package makes them, and as made by hand from arrays a caller can
+        # write: a write into a sweep curve would move its optima
+        p0, _, t0, t1, sweep, test, _ = setup
+        trained = train_boundary(t0, t1)
+        made = {
+            "TimeTrace": [t0, TimeTrace(np.arange(4), 3)],
+            "EmissionProfile": [p0, EmissionProfile(np.ones(4))],
+            "RabiDataset": [test, RabiDataset(np.arange(3.0), np.ones((3, 4), int), 3)],
+            "ReadoutModel": [gate_models[1], trained, ReadoutModel(np.ones(4), 0.0, 2.0)],
+            "SweepResult": [sweep, SweepResult(0, 2.0, 3, np.arange(2.0, 6.0), np.ones(4))],
+            "RepairResult": [repair(test, gate_models[1], trained)],
+        }[kind]
+        for obj in made:
+            arrays = {f.name: getattr(obj, f.name) for f in fields(obj)
+                      if isinstance(getattr(obj, f.name), np.ndarray)}
+            assert len(arrays) == {"SweepResult": 4, "RepairResult": 4,
+                                   "RabiDataset": 2}.get(kind, 1)
+            for name, a in arrays.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 1

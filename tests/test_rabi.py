@@ -1,5 +1,6 @@
 """Sinusoid fitting, target assignment, oscillation-set training."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,21 @@ class TestFitRabi:
         y = sample(0.5, 0.5, 1 / 200.0, 0.0, np.linspace(0, 600, 30))
         with pytest.raises(FitFailureError, match="strictly increasing"):
             fit_rabi(t, y)
+
+    @pytest.mark.parametrize("last, ratio", [(1e4, "16.67"), (1e8, "1.667e+05"),
+                                             (1e308, "1.667e+305")])
+    def test_span_of_many_median_steps_fails_naming_the_ratio(self, last, ratio):
+        # the frequency grid grows with the span over (points - 1) median steps:
+        # one outlying duration must not make the fit's work unbounded
+        t = np.linspace(0, 600, 60)
+        y = sample(0.5, 0.5, 1 / 200.0, 0.0, t)
+        t[-1] = last
+        message = f"durations span {ratio} times (points - 1) median steps; need <= 16"
+        with pytest.raises(FitFailureError, match=f"^{re.escape(message)}$"):
+            fit_rabi(t, y)
+        t[-1] = 9590.0                      # span / (59 median steps) just below 16
+        assert fit_rabi(t, sample(0.5, 0.5, 1 / 200.0, 0.0, t)).frequency == \
+            pytest.approx(1 / 200.0, rel=1e-9)
 
     def test_frequency_never_above_nyquist(self):
         # aliases above the sampling Nyquist frequency fit exactly as well;
