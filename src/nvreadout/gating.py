@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBoundaryError, ShapeError
-from .traces import TimeTrace, _check_pair
+from .traces import TimeTrace, _check_pair, _check_positive, _repetition_count
 
 __all__ = [
     "GateWindow",
@@ -91,6 +91,8 @@ class SweepResult:
 
     def __post_init__(self):
         GateWindow(self.start_bin)          # start_bin's own rule
+        _check_positive(self.bin_width_ns, "bin_width_ns")
+        _repetition_count(self.repetitions)
         bright, dark = np.asarray(self.bright_total, float), np.asarray(self.dark_total, float)
         if bright.ndim != 1 or bright.shape != dark.shape:
             raise ShapeError("bright_total and dark_total must be 1-d and of one length, "

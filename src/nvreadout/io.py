@@ -13,8 +13,9 @@ a scan whose counts are all below its row width N instead joins each row's
 count cells from a table of the N strings ``,0`` ... ``,N-1``, with the same
 bytes.
 
-Every format is one table, written by ``_write_table`` and read by
-``_read_table``: ``# key=value`` header comments in any order, a
+Every format is one table, declared once in ``_LAYOUTS`` (its version,
+column row and one numpy type per column), written by ``_write_table`` and
+read by ``_read_table``: ``# key=value`` header comments in any order, the
 column row, then one or more comma-separated data rows.  Blank and comment
 lines may sit between rows; comments after the column row are skipped, so
 a footer that restates a value derived from the rows is never read back.
@@ -31,11 +32,10 @@ the domain objects reject, such as zero repetitions, with the line of the
 row a type names.  A reader checks the format; each row rule is the type's.
 
 Files are read and written as streams, row by row, so no reader or writer
-holds a file's text or a list of its lines.  A 240-point, 500-bin scan is
-0.25 MB; reading it peaks at about 1.1 MB in Python allocations, 1.12x
-its 0.96 MB counts matrix (1.23x at 2400 points), because the parsed rows
-are made read-only and the dataset keeps their counts field uncopied.
-Writing it peaks at about 0.07 MB, 0.03 MB of which is the table of N cells.
+holds a file's text or a list of its lines.  Reading a 240-point, 500-bin
+scan (0.25 MB) peaks at about 1.12x its 0.96 MB counts matrix in Python
+allocations, because the parsed rows are made read-only and the dataset
+keeps their counts field uncopied; writing it peaks at about 0.07 MB.
 """
 
 from __future__ import annotations
@@ -67,16 +67,26 @@ __all__ = [
     "write_fit_csv", "read_fit_csv",
 ]
 
-FORMAT_VERSIONS = {
-    "trace-csv": 1,
-    "rabi-csv": 2,
-    "truth-csv": 1,
-    "sweep-csv": 1,
-    "readout-model": 2,
-    "eval-report": 1,
-    "repair-csv": 1,
-    "fit-report": 1,
+
+def _scan_layout(n: int):
+    """Column row and row dtype of a scan N counts wide."""
+    return (",".join(["duration_ns", *(f"bin_{i}" for i in range(n))]),
+            np.dtype([("duration_ns", "f8"), ("counts", "i8", (n,))]))
+
+
+_LAYOUTS = {
+    "trace-csv": (1, "bin_index,counts", "i8,i8"),
+    "rabi-csv": (2, _scan_layout, None),
+    "truth-csv": (1, "duration_ns,population", "f8,f8"),
+    "sweep-csv": (1, "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
+                  "i8,f8,f8,f8,f8,f8,i8"),
+    "readout-model": (2, "weight", "f8"),
+    "eval-report": (1, "method,avg_formula_variance,empirical_mse,contrast_measured",
+                    "O,f8,f8,f8"),
+    "repair-csv": (1, "duration_ns,p_original,p_repaired,q_fit", "f8,f8,f8,f8"),
+    "fit-report": (1, "duration_ns,p_raw,p_fit,residual", "f8,f8,f8,f8"),
 }
+FORMAT_VERSIONS = {schema: layout[0] for schema, layout in _LAYOUTS.items()}
 
 
 def _fmt(x: float) -> str:
@@ -98,13 +108,15 @@ def _write(path, lines) -> None:
         fh.writelines(f"{line}\n" for line in lines)
 
 
-def _write_table(path, schema: str, header: dict, columns: str, rows, footer=()) -> None:
-    """Write one table, the layout :func:`_read_table` reads: the schema line,
-    a ``# key=value`` line per header value that is not None, the column row,
-    then each row and each ``#`` footer comment as the iterables yield them."""
-    head = [f"# {schema} v{FORMAT_VERSIONS[schema]}"]
+def _write_table(path, schema: str, header: dict, rows, footer=(), columns=None) -> None:
+    """Write one table, the layout :func:`_read_table` reads: the schema line with
+    its ``_LAYOUTS`` version, a ``# key=value`` line per header value that is not
+    None, the column row (from ``_LAYOUTS``, or ``columns``: a scan's, set by its
+    width), then each row and each ``#`` footer comment as the iterables yield them."""
+    version, fixed, _ = _LAYOUTS[schema]
+    head = [f"# {schema} v{version}"]
     head += [f"# {key}={value}" for key, value in header.items() if value is not None]
-    head.append(columns)
+    head.append(columns or fixed)
     _write(path, itertools.chain(head, rows, (f"# {line}" for line in footer)))
 
 
@@ -169,21 +181,22 @@ def _parse_rows(path, lines, first: int, dtype, converters=None):
     raise ParseError(detail, rows[lo][0], path)
 
 
-def _read_table(path, schema: str, columns, types: str = "", converters=None):
+def _read_table(path, schema: str, converters=None):
     """Header, typed rows and a row -> line map of one table file.
 
-    Line 1 must be ``# {schema} v{N}``, with N from ``FORMAT_VERSIONS``.
-    ``columns`` is the exact column row and ``types`` one numpy type code per
-    column; for a table whose width the file sets, ``columns`` is instead a
-    function of the file's column row that returns the exact column row and
-    the row dtype.  Returns ``(header, rows, line_of)``: the ``key=value``
-    comments before the column row, one structured record per data line, and
-    the ``line_of`` of :func:`_parse_rows`, which reads the lines after the
-    column row from the same open file.
+    ``_LAYOUTS[schema]`` gives the layout: line 1 must be ``# {schema} v{N}``
+    with its version N, and the column row must be its exact column row, the
+    cells parsed by its numpy type codes, one per column.  A scan's entry is
+    instead :func:`_scan_layout`, called with N, the number of cells after the
+    first in the file's column row.  Returns ``(header, rows, line_of)``: the
+    ``key=value`` comments before the column row, one structured record per
+    data line, and the ``line_of`` of :func:`_parse_rows`, which reads the
+    lines after the column row from the same open file.
     """
+    version, columns, types = _LAYOUTS[schema]
     header: dict[str, str] = {}
     with _lines(path) as fh:
-        first = f"# {schema} v{FORMAT_VERSIONS[schema]}"
+        first = f"# {schema} v{version}"
         if fh.readline().rstrip("\n") != first:
             raise ParseError(f"expected '{first}' schema line", 1, path)
         for no, line in enumerate(fh, 2):
@@ -198,8 +211,8 @@ def _read_table(path, schema: str, columns, types: str = "", converters=None):
         else:                       # no column row
             no, line = None, ""
         row = line.rstrip("\n")
-        if callable(columns):
-            columns, dtype = columns(row)
+        if callable(columns):       # a scan; N is at least 1
+            columns, dtype = columns(max(row.count(","), 1))
         else:
             dtype = np.dtype(list(zip(columns.split(","), types.split(","))))
         if row != columns:
@@ -254,13 +267,12 @@ def write_trace_csv(path, trace: TimeTrace) -> None:
     _write_table(path, "trace-csv", {"repetitions": trace.repetitions,
                                      "bin_width_ns": _fmt(trace.bin_width_ns),
                                      "label": trace.label, "seed": trace.seed},
-                 "bin_index,counts",
                  ("%d,%d" % row for row in enumerate(trace.counts.tolist())))
 
 
 def read_trace_csv(path) -> TimeTrace:
     """Read a trace; rejects a missing header value and a bin_index out of order."""
-    header, rows, line_of = _read_table(path, "trace-csv", "bin_index,counts", "i8,i8")
+    header, rows, line_of = _read_table(path, "trace-csv")
     reps = _field(header, "repetitions", path, int)
     width = _field(header, "bin_width_ns", path)
     seed = _field(header, "seed", path, int) if "seed" in header else None
@@ -277,17 +289,6 @@ def read_trace_csv(path) -> TimeTrace:
 # ---------------------------------------------------------------------------
 # Oscillation dataset CSV (one row per duration) + truth CSV
 # ---------------------------------------------------------------------------
-
-def _scan_columns(n: int) -> str:
-    return ",".join(["duration_ns", *(f"bin_{i}" for i in range(n))])
-
-
-def _scan_layout(row: str):
-    """Column row and row dtype of a scan whose column row is ``row``: N, at
-    least 1, is the number of cells after the first."""
-    n = max(row.count(","), 1)
-    return _scan_columns(n), np.dtype([("duration_ns", "f8"), ("counts", "i8", (n,))])
-
 
 def write_rabi_csv(path, dataset: RabiDataset) -> None:
     """Write a scan one duration's row at a time: the duration's ``repr``,
@@ -307,13 +308,13 @@ def write_rabi_csv(path, dataset: RabiDataset) -> None:
                 for d, row in zip(dataset.durations.tolist(), counts))
     _write_table(path, "rabi-csv", {"repetitions": dataset.repetitions,
                                     "bin_width_ns": _fmt(dataset.bin_width_ns)},
-                 _scan_columns(n), rows)
+                 rows, columns=_scan_layout(n)[0])
 
 
 def read_rabi_csv(path) -> RabiDataset:
     """Read a scan: one row per duration, the duration then its N counts; a row
     :class:`RabiDataset` rejects is an error naming its line."""
-    header, rows, line_of = _read_table(path, "rabi-csv", _scan_layout)
+    header, rows, line_of = _read_table(path, "rabi-csv")
     reps = _field(header, "repetitions", path, int)
     width = _field(header, "bin_width_ns", path)
     rows.setflags(write=False)      # so the dataset keeps the counts view, uncopied
@@ -322,14 +323,13 @@ def read_rabi_csv(path) -> RabiDataset:
 
 
 def write_truth_csv(path, durations, populations) -> None:
-    _write_table(path, "truth-csv", {}, "duration_ns,population",
-                 _float_rows(durations, populations))
+    _write_table(path, "truth-csv", {}, _float_rows(durations, populations))
 
 
 def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Durations and populations; rejects a non-finite duration or a population
     outside [0, 1]."""
-    _, rows, line_of = _read_table(path, "truth-csv", "duration_ns,population", "f8,f8")
+    _, rows, line_of = _read_table(path, "truth-csv")
     durations, populations = rows["duration_ns"].copy(), rows["population"].copy()
     finite = np.isfinite(durations)
     bad = ~finite | ~((populations >= 0) & (populations <= 1))
@@ -358,18 +358,14 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
                               ("min_variance", sweep.min_variance)))
     _write_table(path, "sweep-csv", {"start_bin": sweep.start_bin,
                                      "bin_width_ns": _fmt(sweep.bin_width_ns),
-                                     "repetitions": sweep.repetitions},
-                 "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
-                 rows, footer)
+                                     "repetitions": sweep.repetitions}, rows, footer)
 
 
 def read_sweep_csv(path) -> SweepResult:
     """Read a sweep; widths run 1..N in order, and each row's other cells are the
     ones its width and L0, L1 give, blank (nan) at a degenerate width (flag 1)."""
-    header, rows, line_of = _read_table(
-        path, "sweep-csv", "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
-        "i8,f8,f8,f8,f8,f8,i8",     # an empty metric cell is nan
-        dict.fromkeys(range(2, 6), lambda cell: _cell(cell) if cell else math.nan))
+    blank_is_nan = dict.fromkeys(range(2, 6), lambda cell: _cell(cell) if cell else math.nan)
+    header, rows, line_of = _read_table(path, "sweep-csv", blank_is_nan)
     start_bin = _field(header, "start_bin", path, int)
     bin_width_ns = _field(header, "bin_width_ns", path)
     reps = _field(header, "repetitions", path, int)
@@ -404,12 +400,12 @@ def write_model(path, model: ReadoutModel) -> None:
                                          "rate_scale": _fmt(model.rate_scale),
                                          "intercept": _fmt(model.intercept),
                                          "trained_on": model.trained_on, **loss},
-                 "weight", _float_rows(model.weights))
+                 _float_rows(model.weights))
 
 
 def read_model(path) -> ReadoutModel:
     """Read a model; ``dimension`` must equal the number of weight rows."""
-    fields, rows, line_of = _read_table(path, "readout-model", "weight", "f8")
+    fields, rows, line_of = _read_table(path, "readout-model")
     dimension = _field(fields, "dimension", path, int)
     if rows.size != dimension:
         raise ParseError(f"{path}: {rows.size} weights, dimension says {dimension}")
@@ -433,7 +429,6 @@ def read_model(path) -> ReadoutModel:
 
 def write_report_csv(path, report: EvalReport) -> None:
     _write_table(path, "eval-report", {"truth_based": int(report.truth_based)},
-                 "method,avg_formula_variance,empirical_mse,contrast_measured",
                  (f"{m.method},{_fmt(m.avg_formula_variance)},"
                   f"{_fmt(m.empirical_mse)},{_fmt(m.contrast_measured)}"
                   for m in report.methods),
@@ -442,9 +437,7 @@ def write_report_csv(path, report: EvalReport) -> None:
 
 
 def read_report_csv(path) -> EvalReport:
-    header, rows, _ = _read_table(
-        path, "eval-report", "method,avg_formula_variance,empirical_mse,contrast_measured",
-        "O,f8,f8,f8")
+    header, rows, _ = _read_table(path, "eval-report")
     truth_based = _field(header, "truth_based", path, int)
     if truth_based not in (0, 1):
         raise ParseError(f"{path}: truth_based={header['truth_based']!r} is not 0 or 1")
@@ -468,15 +461,13 @@ def write_report_summary(path, report: EvalReport) -> None:
 def write_repair_csv(path, result: RepairResult) -> None:
     _write_table(path, "repair-csv", {"rms_original": _fmt(result.rms_original),
                                       "rms_repaired": _fmt(result.rms_repaired)},
-                 "duration_ns,p_original,p_repaired,q_fit",
                  _float_rows(result.durations, result.p_original, result.p_repaired,
                              result.q_fit))
 
 
 def read_repair_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Columns of a repair file: durations, original, repaired, fitted."""
-    _, rows, _ = _read_table(path, "repair-csv", "duration_ns,p_original,p_repaired,q_fit",
-                             "f8,f8,f8,f8")
+    _, rows, _ = _read_table(path, "repair-csv")
     return tuple(rows[name].copy() for name in rows.dtype.names)
 
 
@@ -491,14 +482,12 @@ def write_fit_csv(path, durations, raw, fit: SinusoidFit) -> None:
     header = {"offset": _fmt(fit.offset), "amplitude": _fmt(fit.amplitude),
               "frequency_per_ns": _fmt(fit.frequency), "phase_rad": _fmt(fit.phase),
               "residual_rms": _fmt(fit.residual_rms), "normalized": 1}
-    _write_table(path, "fit-report", header, "duration_ns,p_raw,p_fit,residual",
-                 _float_rows(durations, y_out, f_out, y_out - f_out))
+    _write_table(path, "fit-report", header, _float_rows(durations, y_out, f_out, y_out - f_out))
 
 
 def read_fit_csv(path) -> tuple[SinusoidFit, np.ndarray, np.ndarray]:
     """Fit parameters plus (durations, raw values) from a fit report."""
-    header, rows, line_of = _read_table(path, "fit-report", "duration_ns,p_raw,p_fit,residual",
-                                  "f8,f8,f8,f8")
+    header, rows, line_of = _read_table(path, "fit-report")
     with _naming(path, line_of):
         fit = SinusoidFit(*(_field(header, key, path) for key in (
             "offset", "amplitude", "frequency_per_ns", "phase_rad", "residual_rms")))

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitFailureError, ParameterError, ShapeError
-from .traces import (EmissionProfile, TimeTrace, _check_pair, _check_repetitions,
-                     _checked_counts, _draw, _owned)
+from .traces import (EmissionProfile, TimeTrace, _check_pair, _check_positive,
+                     _check_repetitions, _checked_counts, _draw, _owned, _repetition_count)
 
 __all__ = [
     "RabiDataset",
@@ -128,12 +128,12 @@ class RabiDataset:
             raise ParameterError("durations must be finite and strictly increasing"
                                  if np.isfinite(durations[k]) else
                                  f"duration_ns {durations[k]} is not finite", row=k)
-        counts = _checked_counts(self.counts, 2, self.repetitions, self.bin_width_ns)
+        counts = _checked_counts(self.counts, 2, self.bin_width_ns)
+        object.__setattr__(self, "repetitions", _repetition_count(self.repetitions))
         if len(counts) != durations.size:
             raise ShapeError(f"{len(counts)} count rows for {durations.size} durations")
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "repetitions", int(self.repetitions))
 
     def __len__(self) -> int:
         return int(self.durations.size)
@@ -305,8 +305,7 @@ def _check_scan(points, period_ns, span_ns, names=("points", "period_ns", "span_
     if points < 2:
         raise ParameterError(f"{names[0]} must be >= 2, got {points}")
     for name, value in zip(names[1:], (period_ns, span_ns)):
-        if not (np.isfinite(value) and value > 0):
-            raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+        _check_positive(value, name)
 
 
 def simulate_rabi_dataset(profile0: EmissionProfile, profile1: EmissionProfile,

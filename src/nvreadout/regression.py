@@ -45,7 +45,8 @@ from .errors import (DegenerateBoundaryError, DegenerateTrainingError,
                      DomainError, ParameterError, ShapeError)
 from .gating import GateWindow, gate_sum
 from .rabi import RabiDataset, fit_count_sums
-from .traces import TimeTrace, _check_header_text, _check_pair, _checked_counts, _owned
+from .traces import (TimeTrace, _check_header_text, _check_pair, _check_positive,
+                     _checked_counts, _checked_floats, _repetition_count)
 
 __all__ = [
     "ReadoutModel",
@@ -95,22 +96,12 @@ class ReadoutModel:
     training_loss: LossBreakdown | None = None
 
     def __post_init__(self):
-        w = _owned(self.weights, np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ParameterError("weights must be a non-empty 1-d sequence")
-        bad = ~np.isfinite(w) | (w < 0)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ParameterError("weights must be finite" if not np.isfinite(w[k]) else
-                                 "weights must be nonnegative", row=k)
+        object.__setattr__(self, "weights", _checked_floats(self.weights, "weights"))
         if not np.isfinite(self.intercept):
             raise ParameterError("intercept must be finite")
-        if not (0 < self.reference_bin_width_ns < np.inf):
-            raise ParameterError("reference_bin_width_ns must be finite and positive")
-        if not (0 < self.rate_scale < np.inf):
-            raise ParameterError("rate_scale must be finite and positive")
+        _check_positive(self.reference_bin_width_ns, "reference_bin_width_ns")
+        _check_positive(self.rate_scale, "rate_scale")
         _check_header_text(self.trained_on, "trained_on")
-        object.__setattr__(self, "weights", w)
 
     @property
     def dimension(self) -> int:
@@ -129,7 +120,8 @@ def _apply(models, counts: np.ndarray, repetitions: int,
     weights w and intercept b of model k, column k of the returned points x K
     arrays is P = (counts / R) w + b and V = counts (w / R)^2 = (counts / R) w^2 / R.
     One matrix-vector product per model: a product with the stacked weights
-    would sum in an order that follows the BLAS thread count.
+    would sum in an order that follows the BLAS thread count.  DomainError if
+    a variance or the estimates' sum of squares, which the MSE and fits take, overflows.
     """
     for model in models:
         if counts.shape[1] != model.dimension:
@@ -140,9 +132,12 @@ def _apply(models, counts: np.ndarray, repetitions: int,
                 f"data bin width {bin_width_ns} ns differs from model's "
                 f"{model.reference_bin_width_ns} ns")
     rates = counts / repetitions
-    p = np.stack([rates @ model.weights + model.intercept for model in models], axis=1)
-    v = np.stack([rates @ (model.weights * model.weights) for model in models], axis=1)
-    return p, v / repetitions
+    with np.errstate(over="ignore", invalid="ignore"):   # inf * 0 is nan
+        p = np.stack([rates @ m.weights + m.intercept for m in models], axis=1)
+        v = np.stack([rates @ (m.weights * m.weights) for m in models], axis=1) / repetitions
+        if not (np.isfinite(v).all() and np.isfinite((p * p).sum())):
+            raise DomainError("estimates overflow: a model's weights or intercept are too large")
+    return p, v
 
 
 def predict(model: ReadoutModel, trace: TimeTrace) -> float:
@@ -236,15 +231,14 @@ def train(counts, repetitions, targets, bin_width_ns: float,
         the loss breakdown at WEIGHT_FACTOR and ``trained_on`` names the
         recipe and GROUPS.
     """
-    counts = _checked_counts(counts, 2, 1, bin_width_ns)    # repetitions: below
+    counts = _checked_counts(counts, 2, bin_width_ns)
     m, n = counts.shape
     reps, targets = np.array(repetitions), np.array(targets, dtype=float)
     if reps.ndim == 0:
         reps = np.full(m, reps)
     if reps.shape != (m,) or targets.shape != (m,):
         raise ShapeError(f"need one repetition count and one target for each of {m} traces")
-    if reps.dtype.kind not in "iu" or reps.min() < 1:
-        raise ParameterError("repetitions must be integers >= 1")
+    reps = np.array([_repetition_count(r) for r in reps.tolist()], dtype=float)
     if not np.all((targets >= 0.0) & (targets <= 1.0)):
         raise DomainError("targets must be in [0, 1]")
     if np.all(targets == targets[0]):       # one trace included

@@ -68,15 +68,39 @@ def _owned(a, dtype) -> np.ndarray:
     return a
 
 
-def _checked_counts(counts, ndim: int, repetitions, bin_width_ns) -> np.ndarray:
-    """Read-only int64 array of non-empty, nonnegative integer counts.
+def _check_positive(value, name: str) -> None:
+    """Reject ``value`` unless it is a finite number above 0."""
+    if not (0 < value < np.inf):
+        raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
-    Also checks the repetition count (integer >= 1) and the bin width (> 0)
-    the counts were taken with.  The input's own dtype must be an integer
-    one, or a float one holding whole numbers; only then does it become
-    int64 through :func:`_owned`, which keeps a sealed int64 array (the
-    simulator's draws, a reader's parsed rows) and copies any other.
-    """
+
+def _repetition_count(repetitions) -> int:
+    """``repetitions`` as an int, if it is an integer (Python or numpy) >= 1."""
+    if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 1):
+        raise ParameterError("repetitions must be an integer >= 1")
+    return int(repetitions)
+
+
+def _checked_floats(values, name: str) -> np.ndarray:
+    """Read-only float64 array of non-empty, 1-d, finite, nonnegative values,
+    through :func:`_owned`; the error for a bad value names its first row."""
+    a = _owned(values, np.float64)
+    if a.ndim != 1 or a.size < 1:
+        raise ParameterError(f"{name} must be a non-empty 1-d sequence")
+    bad = ~np.isfinite(a) | (a < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        rule = "nonnegative" if np.isfinite(a[k]) else "finite"
+        raise ParameterError(f"{name} must be {rule}", row=k)
+    return a
+
+
+def _checked_counts(counts, ndim: int, bin_width_ns) -> np.ndarray:
+    """Read-only int64 array of non-empty, nonnegative integer counts, taken at
+    a finite positive bin width.  The input's own dtype must be an integer one,
+    or a float one holding whole numbers; only then does it become int64
+    through :func:`_owned`, which keeps a sealed int64 array (the simulator's
+    draws, a reader's parsed rows) and copies any other."""
     raw = np.asarray(counts)
     if raw.ndim != ndim or raw.size < 1:
         raise ParameterError(f"counts must be a non-empty {ndim}-d array")
@@ -87,10 +111,7 @@ def _checked_counts(counts, ndim: int, repetitions, bin_width_ns) -> np.ndarray:
     if counts.min() < 0:
         k = int(np.argmax(counts.reshape(len(counts), -1).min(axis=1) < 0))
         raise ParameterError(f"counts {counts[k].min()} is negative", row=k)
-    if not (bin_width_ns > 0):
-        raise ParameterError("bin_width_ns must be positive")
-    if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 1):
-        raise ParameterError("repetitions must be an integer >= 1")
+    _check_positive(bin_width_ns, "bin_width_ns")
     return counts
 
 
@@ -124,9 +145,8 @@ class TimeTrace:
     seed: int | None = None         # RNG seed when simulated, for provenance
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _checked_counts(
-            self.counts, 1, self.repetitions, self.bin_width_ns))
-        object.__setattr__(self, "repetitions", int(self.repetitions))
+        object.__setattr__(self, "counts", _checked_counts(self.counts, 1, self.bin_width_ns))
+        object.__setattr__(self, "repetitions", _repetition_count(self.repetitions))
         if self.label is not None:
             _check_header_text(self.label, "label")
 
@@ -147,14 +167,8 @@ class EmissionProfile:
     bin_width_ns: float = 2.0
 
     def __post_init__(self):
-        rates = _owned(self.rates, np.float64)
-        if rates.ndim != 1 or rates.size < 1:
-            raise ParameterError("rates must be a non-empty 1-d sequence")
-        if np.any(~np.isfinite(rates)) or np.any(rates < 0):
-            raise ParameterError("rates must be finite and nonnegative")
-        if not (self.bin_width_ns > 0):
-            raise ParameterError("bin_width_ns must be positive")
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rates", _checked_floats(self.rates, "rates"))
+        _check_positive(self.bin_width_ns, "bin_width_ns")
 
     def __len__(self) -> int:
         return int(self.rates.size)

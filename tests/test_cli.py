@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,10 @@ class TestExitCodes:
         ("trace-without-column-row", 2, "no-columns.csv: expected 'bin_index,counts' column row"),
         ("model-of-another-bin-width", 2, "data bin width 2.0 ns differs from model's 4.0 ns"),
         ("sweep-start-bin-past-the-trace", 2, "window [500, 501) overruns trace of 500 bins"),
+        # a weight or intercept whose estimates overflow: once an inf variance and a
+        # nan contrast, exit 0, after numpy's RuntimeWarnings
+        ("evaluate-model-weight-1e308", 2, "nvreadout: estimates overflow"),
+        ("evaluate-model-intercept-1e308", 2, "nvreadout: estimates overflow"),
     ])
     def test_error_path_exit_and_message(self, pipeline, tmp_path, capsys, case, status,
                                          message):
@@ -295,9 +300,16 @@ class TestExitCodes:
         out = str(tmp_path / "out.csv")
         no_columns = tmp_path / "no-columns.csv"
         no_columns.write_text("# trace-csv v1\n# repetitions=10\n# bin_width_ns=2.0\n")
+        model = (pipeline / "model.txt").read_text()
         wide = tmp_path / "wide.txt"
-        wide.write_text((pipeline / "model.txt").read_text().replace(
-            "# bin_width_ns=2.0\n", "# bin_width_ns=4.0\n"))
+        wide.write_text(model.replace("# bin_width_ns=2.0\n", "# bin_width_ns=4.0\n"))
+        huge = tmp_path / "huge.txt"
+        lines = model.splitlines()
+        if case == "evaluate-model-weight-1e308":
+            lines[lines.index("weight") + 5] = "1e308"          # the fifth weight
+        else:
+            lines = [re.sub(r"^# intercept=.*", "# intercept=1e308", line) for line in lines]
+        huge.write_text("\n".join(lines) + "\n")
         argv = {
             "train-boundary-without-trace1": ["train", "--mode", "boundary", "--trace0", b0,
                                               "--out", out],
@@ -314,11 +326,20 @@ class TestExitCodes:
                                            "--trace0", b0, "--trace1", b1, "--out", out],
             "sweep-start-bin-past-the-trace": ["sweep", "--trace0", b0, "--trace1", b1,
                                                "--start-bin", "500", "--out", out],
+            "evaluate-model-weight-1e308": ["evaluate", "--rabi", scan, "--model", str(huge),
+                                            "--trace0", b0, "--trace1", b1, "--truth",
+                                            str(data / "rabi_truth.csv"), "--out", out],
+            "evaluate-model-intercept-1e308": ["evaluate", "--rabi", scan, "--model",
+                                               str(huge), "--trace0", b0, "--trace1", b1,
+                                               "--out", out],
         }[case]
-        assert run(*argv) == status
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv) == status
         captured = capsys.readouterr()
         assert message in (captured.out if status == 0 else captured.err)
-        assert "Traceback" not in captured.err
+        assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         # a failing command writes nothing
         assert (tmp_path / "out.csv").exists() == (status == 0)
         assert not (tmp_path / "sim").exists()
@@ -617,19 +638,22 @@ class TestConsoleScript:
         assert "nvreadout" in proc.stdout
 
     def test_cli_import_leaves_scipy_unloaded(self):
-        # the runtime needs numpy alone; scipy is a test-only extra
+        # the runtime needs numpy alone; scipy is a test-only extra.  Start-up is
+        # most of every command: numpy.random (about 15 ms and 6 MB a process),
+        # numpy.fft and numpy.ma load only where a command uses them
         env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, nvreadout.cli; print('scipy' in sys.modules)"],
+             "import sys, nvreadout.cli; print([m for m in ('scipy', 'numpy.random', "
+             "'numpy.fft', 'numpy.ma') if m in sys.modules])"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_scan_commands_leave_numpy_ma_unloaded(self, pipeline, tmp_path):
         # np.median's NaN check and np.unique import numpy.ma, 10-25 ms of every
         # fitting or training process; configparser, about 2.6 ms, is for
-        # simulate --config alone
+        # simulate --config alone, and numpy.random for simulate alone
         env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
         data = pipeline / "data"
         script = ("import sys\n"
@@ -641,11 +665,15 @@ class TestConsoleScript:
                   "             '--out', 'b.txt']) == 0\n"
                   "assert main(['evaluate', '--rabi', rabi, '--model', model, '--trace0', b0,\n"
                   "             '--trace1', b1, '--out', 'report.csv']) == 0\n"
-                  "print('numpy.ma' in sys.modules, 'configparser' in sys.modules)\n")
+                  "assert main(['repair', '--rabi', rabi, '--model', model, '--trace0', b0,\n"
+                  "             '--trace1', b1, '--out', 'repaired.csv']) == 0\n"
+                  "print([m for m in ('numpy.ma', 'configparser', 'numpy.random')\n"
+                  "       if m in sys.modules])\n")
         proc = subprocess.run(
             [sys.executable, "-c", script, str(data / "rabi.csv"), str(pipeline / "model.txt"),
              str(data / "boundary0.csv"), str(data / "boundary1.csv")],
             capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "fit.csv").exists() and (tmp_path / "report.csv").exists()
-        assert proc.stdout.splitlines()[-1] == "False False"
+        assert all((tmp_path / name).exists() for name in ("fit.csv", "report.csv",
+                                                           "repaired.csv"))
+        assert proc.stdout.splitlines()[-1] == "[]"

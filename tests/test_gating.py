@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nvreadout import (DegenerateBoundaryError, GateWindow, ShapeError,
+from nvreadout import (DegenerateBoundaryError, GateWindow, ParameterError, ShapeError,
                        SweepResult, TimeTrace, contrast, expected_trace, gate_sum,
                        gated_population, make_profiles, paper_like_params,
                        simulate_trace, sweep_gate, total_variance)
@@ -199,6 +199,13 @@ class TestSweep:
         assert hand.min_variance == swept.min_variance
         if start_bin == 0:
             assert np.isnan(swept.contrast).any() and not np.isnan(swept.contrast).all()
+
+    @pytest.mark.parametrize("reps", [0, -3, 2.5, 10.0], ids=["zero", "negative",
+                                                            "fraction", "float"])
+    def test_hand_built_sweep_checks_repetitions(self, reps):
+        # the traces' rule: an integer >= 1
+        with pytest.raises(ParameterError, match="^repetitions must be an integer >= 1$"):
+            SweepResult(0, 2.0, reps, [5.0, 9.0], [1.0, 2.0])
 
     def test_hand_built_sweep_checks_start_bin(self):
         with pytest.raises(ShapeError, match="start_bin must be nonnegative"):

@@ -204,13 +204,20 @@ class TestRabiReaderOracle:
     (nvio.read_sweep_csv, "# sweep-csv v1\n# start_bin=-1\n# bin_width_ns=2.0\n"
      "# repetitions=10\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
      "1,2.0,5.0,1.0,0.8,0.1875,0\n", "start_bin must be nonnegative"),
+    (nvio.read_sweep_csv, "# sweep-csv v1\n# start_bin=0\n# bin_width_ns=-2.0\n"
+     "# repetitions=10\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
+     "1,-2.0,5.0,1.0,0.8,0.1875,0\n", "bin_width_ns must be finite and positive, got -2.0"),
+    (nvio.read_sweep_csv, "# sweep-csv v1\n# start_bin=0\n# bin_width_ns=2.0\n"
+     "# repetitions=-3\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
+     "1,2.0,5.0,1.0,0.8,0.1875,0\n", "repetitions must be an integer >= 1"),
     (nvio.read_model, "# readout-model v2\n# dimension=2\n# bin_width_ns=2.0\n# intercept=0.0\n"
      "# rate_scale=1.0\n# trained_on=by hand\nweight\n1.0\n-1.0\n",
      "line 9: weights must be nonnegative"),
     (nvio.read_fit_csv, "# fit-report v1\n# offset=0.5\n# amplitude=-0.1\n"
      "# frequency_per_ns=0.005\n# phase_rad=0.0\n# residual_rms=0.01\n"
      "duration_ns,p_raw,p_fit,residual\n0.0,0.5,0.5,0.0\n", "amplitude must be >= 0"),
-], ids=["durations-swapped", "zero-repetitions", "negative-start-bin", "negative-weight",
+], ids=["durations-swapped", "zero-repetitions", "negative-start-bin",
+        "negative-sweep-bin-width", "negative-sweep-repetitions", "negative-weight",
         "negative-amplitude"])
 def test_domain_error_names_the_file(tmp_path, reader, text, match):
     p = tmp_path / "input.csv"

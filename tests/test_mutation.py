@@ -8,10 +8,13 @@ ends or a cut.  The cases are fixed (no random draw): the header lines,
 the column row and the first, second, middle and last data rows of every
 file, and the first, second, middle and last cells of each of those lines.
 Each case runs, in-process through ``cli.main``, every command that reads
-that file, and each command must return 0 or 2 and raise nothing.  A scan
-whose last duration reads ``1e308`` is one case: its fit once sized a
-frequency grid by that value.  The sweep runs about 3,000 commands in
-about 8 s on a 2-core machine; its budget is 30 s.
+that file, and each command must return 0 or 2, raise nothing and emit no
+``RuntimeWarning`` (numpy's note of an overflow or an invalid value, the
+sign of a figure computed from values the types should have rejected).  A
+scan whose last duration reads ``1e308`` is one case: its fit once sized a
+frequency grid by that value; a model weight or intercept of ``1e308`` is
+another, whose estimates once overflowed.  The sweep runs about 3,700
+commands in about 10 s on a 2-core machine; its budget is 30 s.
 """
 
 import contextlib
@@ -52,7 +55,10 @@ def commands(role: str, root, mutated) -> list[list[str]]:
         "trace": [["sweep", *pair, "--out", out],
                   ["train", "--mode", "boundary", *pair, "--out", out],
                   ["predict", "--model", model, "--trace", b0]],
-        "model": [["predict", "--model", model, "--trace", b0]],
+        "model": [["predict", "--model", model, "--trace", b0],
+                  ["evaluate", "--rabi", scan, "--model", model, *pair, "--truth", truth,
+                   "--out", out],
+                  ["repair", "--rabi", scan, "--model", model, *pair, "--out", out]],
         "scan": [["fit-rabi", "--rabi", scan, "--out", out],
                  ["train", "--mode", "rabi", "--rabi", scan, "--out", out],
                  ["repair", "--rabi", scan, "--model", model, *pair, "--out", out]],
@@ -110,14 +116,16 @@ def test_every_mutation_exits_0_or_2(files, tmp_path, role):
             sink = io.StringIO()
             try:
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
-                        warnings.catch_warnings():
-                    warnings.simplefilter("ignore")     # numpy's overflow notes; not the point
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
                     status = main(argv)
             except Exception as exc:                    # the fault this test exists to find
                 failures.append(f"{name}: {argv[0]} raised {exc!r}")
                 continue
             if status not in (0, 2):
                 failures.append(f"{name}: {argv[0]} exited {status}: {sink.getvalue()!r}")
+            failures += [f"{name}: {argv[0]} warned {w.message}" for w in caught
+                         if issubclass(w.category, RuntimeWarning)]
     assert cases >= 200
     assert not failures, "\n".join(failures)
 

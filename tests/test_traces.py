@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from nvreadout import (EmissionProfile, ParameterError, PhotodynamicsParams,
-                       RabiDataset, ShapeError, TimeTrace, differential, expected_trace,
-                       make_profiles, mix_profile, paper_like_params,
-                       simulate_rabi_dataset, simulate_trace)
+                       RabiDataset, ReadoutModel, ShapeError, SweepResult, TimeTrace,
+                       differential, expected_trace, make_profiles, mix_profile,
+                       paper_like_params, simulate_rabi_dataset, simulate_trace)
 from nvreadout import io as nvio
 from nvreadout.traces import _draw
 
@@ -109,6 +109,29 @@ class TestTypes:
             EmissionProfile(np.array([-1.0]))
         with pytest.raises(ParameterError):
             EmissionProfile(np.array([np.nan]))
+
+    @pytest.mark.parametrize("rate, match", [(-1.0, "nonnegative"), (np.nan, "finite"),
+                                             (np.inf, "finite")])
+    def test_bad_profile_rate_names_its_first_row(self, rate, match):
+        # the weights' rule, from the same check
+        with pytest.raises(ParameterError, match=f"^rates must be {match}$") as err:
+            EmissionProfile(np.array([0.5, 0.0, rate, rate]))
+        assert err.value.row == 2
+
+    @pytest.mark.parametrize("width", [0.0, -2.0, np.inf, np.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    @pytest.mark.parametrize("make", [
+        lambda w: TimeTrace(np.array([1, 2]), repetitions=3, bin_width_ns=w),
+        lambda w: RabiDataset([0.0, 1.0], np.array([[1, 2], [3, 4]]), 3, w),
+        lambda w: EmissionProfile(np.array([0.5, 0.25]), w),
+        lambda w: ReadoutModel(np.ones(2), 0.0, w),
+        lambda w: SweepResult(0, w, 3, [5.0, 9.0], [1.0, 2.0]),
+    ], ids=["TimeTrace", "RabiDataset", "EmissionProfile", "ReadoutModel", "SweepResult"])
+    def test_bin_width_must_be_finite_and_positive(self, make, width):
+        # an inf width was once kept, and written to a file its reader rejects
+        with pytest.raises(ParameterError,
+                           match=rf"bin_width_ns must be finite and positive, got {width!r}$"):
+            make(width)
 
     def test_params_validation_names_field(self):
         with pytest.raises(ParameterError, match="dark_dip"):
