@@ -129,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pair = argparse.ArgumentParser(add_help=False)
     pair.add_argument("--trace0", required=True, help="bright boundary trace CSV")
     pair.add_argument("--trace1", required=True, help="dark boundary trace CSV")
-    pair.add_argument("--start-bin", type=int, default=0)
     scan = argparse.ArgumentParser(add_help=False)
     scan.add_argument("--rabi", required=True, help="test dataset CSV")
     scan.add_argument("--model", required=True)
@@ -223,7 +222,7 @@ def _pair(args):
 
 def _cmd_sweep(args) -> int:
     _check_distinct_output(args.out, args.trace0, args.trace1)
-    result = sweep_gate(*_pair(args), args.start_bin)
+    result = sweep_gate(*_pair(args))
     nvio.write_sweep_csv(args.out, result)
     if result.max_contrast is None:
         print("sweep: every width degenerate")
@@ -279,7 +278,7 @@ def _scan_inputs(args):
     test = nvio.read_rabi_csv(args.rabi)
     model = nvio.read_model(args.model)
     trace0, trace1 = _pair(args)
-    sweep = sweep_gate(trace0, trace1, args.start_bin)
+    sweep = sweep_gate(trace0, trace1)
     if sweep.max_contrast is None:
         raise ReadoutError("boundary sweep is fully degenerate; cannot pick windows")
     max_c, min_v = (gated_equivalent_model(trace0, trace1, m.window)

@@ -9,8 +9,11 @@ merit computed from the boundary gated sums (bright B, dark D):
     total variance  V = (B + D) / (2 (B - D)^2)
 
 V is the population-estimate variance integrated over all populations in
-[0, 1].  Sweeping the window width trades one against the other; a
-:class:`SweepResult` derives both curves from the gated sums over widths.
+[0, 1].  Every window starts at the trace's first bin, so a gate is its
+width, the one free parameter: sweeping it trades one figure against the
+other, and a :class:`SweepResult` derives both curves from the gated sums
+over widths.  A boundary pair is usable only when bright > dark, the one
+rule :func:`_boundary_span` states.
 """
 
 from __future__ import annotations
@@ -36,25 +39,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GateWindow:
-    """Contiguous bin window [start_bin, start_bin + width_bins)."""
+    """The first ``width_bins`` bins of a trace."""
 
-    start_bin: int = 0
-    width_bins: int = 1
+    width_bins: int
 
     def __post_init__(self):
-        if self.start_bin < 0:
-            raise ShapeError("start_bin must be nonnegative")
         if self.width_bins < 1:
             raise ShapeError("width_bins must be >= 1")
 
-    @property
-    def stop_bin(self) -> int:
-        return self.start_bin + self.width_bins
-
     def check_fits(self, n_bins: int) -> None:
-        if self.stop_bin > n_bins:
+        if self.width_bins > n_bins:
             raise ShapeError(
-                f"window [{self.start_bin}, {self.stop_bin}) overruns trace of {n_bins} bins")
+                f"gate width {self.width_bins} overruns trace of {n_bins} bins")
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,7 @@ class GateMetrics:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Figures of merit over gate widths 1..N - start_bin, and their optima.
+    """Figures of merit over gate widths 1..N, and their optima.
 
     Built from the boundary gated sums, two 1-d arrays of one length; entry
     k of each array belongs to width k + 1.  ``contrast`` and
@@ -81,7 +77,6 @@ class SweepResult:
     width; they are None only when every width is degenerate.
     """
 
-    start_bin: int
     bin_width_ns: float
     repetitions: int
     bright_total: np.ndarray
@@ -90,7 +85,6 @@ class SweepResult:
     total_variance: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        GateWindow(self.start_bin)          # start_bin's own rule
         _check_positive(self.bin_width_ns, "bin_width_ns")
         _repetition_count(self.repetitions)
         bright, dark = np.asarray(self.bright_total, float), np.asarray(self.dark_total, float)
@@ -120,8 +114,8 @@ class SweepResult:
 
     def at(self, width: int) -> GateMetrics:
         """Metrics of one width; DegenerateBoundaryError if it is degenerate."""
-        window = GateWindow(self.start_bin, width)
-        window.check_fits(self.start_bin + self.contrast.size)
+        window = GateWindow(width)
+        window.check_fits(self.contrast.size)
         k = width - 1
         if np.isnan(self.contrast[k]):
             raise DegenerateBoundaryError(f"gate width {width} is degenerate")
@@ -132,7 +126,16 @@ class SweepResult:
 def gate_sum(trace: TimeTrace, window: GateWindow) -> float:
     """Sum of counts inside the window, in float64 (an int64 sum can wrap)."""
     window.check_fits(len(trace))
-    return float(trace.counts[window.start_bin:window.stop_bin].sum(dtype=float))
+    return float(trace.counts[:window.width_bins].sum(dtype=float))
+
+
+def _boundary_span(bright_total: float, dark_total: float) -> float:
+    """bright - dark; DegenerateBoundaryError unless bright > dark."""
+    span = bright_total - dark_total
+    if not (span > 0):
+        raise DegenerateBoundaryError(
+            f"bright_total must exceed dark_total, got {bright_total} <= {dark_total}")
+    return span
 
 
 def gated_population(gate_counts: float, bright_total: float,
@@ -152,10 +155,7 @@ def gated_population(gate_counts: float, bright_total: float,
         unbiased; variance = gate_counts / (bright_total - dark_total)^2
         assuming Poisson counts.
     """
-    span = bright_total - dark_total
-    if not (span > 0):
-        raise DegenerateBoundaryError(
-            f"bright_total must exceed dark_total, got {bright_total} <= {dark_total}")
+    span = _boundary_span(bright_total, dark_total)
     return (gate_counts - dark_total) / span, gate_counts / (span * span)
 
 
@@ -172,24 +172,19 @@ def total_variance(bright_total: float, dark_total: float) -> float:
     Closed form (bright + dark) / (2 (bright - dark)^2), the integral of
     the per-population variance (p*bright + (1-p)*dark) / (bright-dark)^2.
     """
-    span = bright_total - dark_total
-    if not (span > 0):
-        raise DegenerateBoundaryError(
-            f"bright_total must exceed dark_total, got {bright_total} <= {dark_total}")
+    span = _boundary_span(bright_total, dark_total)
     return (bright_total + dark_total) / (2.0 * span * span)
 
 
-def sweep_gate(trace0: TimeTrace, trace1: TimeTrace, start_bin: int = 0) -> SweepResult:
-    """Evaluate every gate width on a pair of boundary traces.
+def sweep_gate(trace0: TimeTrace, trace1: TimeTrace) -> SweepResult:
+    """Evaluate every gate width, 1 to N, on a pair of boundary traces.
 
-    ``trace0`` must be the bright boundary.  Widths run from 1 to
-    N - start_bin.
+    ``trace0`` must be the bright boundary.
     """
     _check_pair(trace0, trace1)
     if trace0.repetitions != trace1.repetitions:
         raise ShapeError("boundary traces must share a repetition count; "
                          "rescale one of them first")
-    GateWindow(start_bin).check_fits(len(trace0))
-    cum0 = np.cumsum(trace0.counts[start_bin:], dtype=float)    # int64 could wrap
-    cum1 = np.cumsum(trace1.counts[start_bin:], dtype=float)
-    return SweepResult(start_bin, trace0.bin_width_ns, trace0.repetitions, cum0, cum1)
+    cum0 = np.cumsum(trace0.counts, dtype=float)    # int64 could wrap
+    cum1 = np.cumsum(trace1.counts, dtype=float)
+    return SweepResult(trace0.bin_width_ns, trace0.repetitions, cum0, cum1)

@@ -78,7 +78,7 @@ _LAYOUTS = {
     "trace-csv": (1, "bin_index,counts", "i8,i8"),
     "rabi-csv": (2, _scan_layout, None),
     "truth-csv": (1, "duration_ns,population", "f8,f8"),
-    "sweep-csv": (1, "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
+    "sweep-csv": (2, "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag",
                   "i8,f8,f8,f8,f8,f8,i8"),
     "readout-model": (2, "weight", "f8"),
     "eval-report": (1, "method,avg_formula_variance,empirical_mse,contrast_measured",
@@ -356,8 +356,7 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
               f"contrast={_fmt(m.contrast)} total_variance={_fmt(m.total_variance)}"
               for name, m in (("max_contrast", sweep.max_contrast),
                               ("min_variance", sweep.min_variance)))
-    _write_table(path, "sweep-csv", {"start_bin": sweep.start_bin,
-                                     "bin_width_ns": _fmt(sweep.bin_width_ns),
+    _write_table(path, "sweep-csv", {"bin_width_ns": _fmt(sweep.bin_width_ns),
                                      "repetitions": sweep.repetitions}, rows, footer)
 
 
@@ -366,11 +365,10 @@ def read_sweep_csv(path) -> SweepResult:
     ones its width and L0, L1 give, blank (nan) at a degenerate width (flag 1)."""
     blank_is_nan = dict.fromkeys(range(2, 6), lambda cell: _cell(cell) if cell else math.nan)
     header, rows, line_of = _read_table(path, "sweep-csv", blank_is_nan)
-    start_bin = _field(header, "start_bin", path, int)
     bin_width_ns = _field(header, "bin_width_ns", path)
     reps = _field(header, "repetitions", path, int)
     with _naming(path, line_of):
-        sweep = SweepResult(start_bin, bin_width_ns, reps, rows["L0"], rows["L1"])
+        sweep = SweepResult(bin_width_ns, reps, rows["L0"], rows["L1"])
     widths = np.arange(1, rows.size + 1)
     curves = (sweep.bright_total, sweep.dark_total, sweep.contrast, sweep.total_variance)
     cells = np.column_stack([rows[name] for name in rows.dtype.names]).astype(float)

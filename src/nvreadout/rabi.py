@@ -233,8 +233,9 @@ def fit_rabi(durations, values) -> SinusoidFit:
     FitFailureError
         On too few points, non-finite values, durations that are not
         strictly increasing, a span above 16 (points - 1) median steps or
-        below one fitted period, or no credible oscillation (fitted
-        amplitude below 3x the residual rms).
+        below one fitted period, values so large that a sum of the fit
+        overflows, or no credible oscillation (fitted amplitude below 3x
+        the residual rms).
     """
     t = np.asarray(durations, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -254,23 +255,28 @@ def fit_rabi(durations, values) -> SinusoidFit:
     if not ratio <= _MAX_SPAN_STEPS:
         raise FitFailureError(f"durations span {ratio:.4g} times (points - 1) median "
                               f"steps; need <= {_MAX_SPAN_STEPS}")
-    spectrum = np.abs(np.fft.rfft(y - y.mean(), 4 * t.size))   # padded periodogram
-    f_dom = float(np.fft.rfftfreq(4 * t.size, dt)[1 + int(np.argmax(spectrum[1:]))])
-    if f_dom <= 0:
-        raise FitFailureError("no dominant oscillation frequency found")
+    try:
+        with np.errstate(over="raise", invalid="raise"):    # a sum that overflows fails
+            spectrum = np.abs(np.fft.rfft(y - y.mean(), 4 * t.size))   # padded periodogram
+            f_dom = float(np.fft.rfftfreq(4 * t.size, dt)[1 + int(np.argmax(spectrum[1:]))])
+            if f_dom <= 0:
+                raise FitFailureError("no dominant oscillation frequency found")
 
-    f_lo = _FREQ_GRID_SPAN[0] * f_dom
-    f_hi = min(_FREQ_GRID_SPAN[1] * f_dom, 0.5 / dt)
-    n_grid = int(np.ceil((f_hi - f_lo) * _GRID_STEPS_PER_BASIN * span)) + 1
-    grid = np.linspace(f_lo, f_hi, n_grid)
-    blocks = np.array_split(grid, max(1, grid.size * t.size // _GRID_BLOCK))
-    k = int(np.argmin(np.concatenate([_profile_sse(t, y, b) for b in blocks])))
-    f = _refine(t, y, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
+            f_lo = _FREQ_GRID_SPAN[0] * f_dom
+            f_hi = min(_FREQ_GRID_SPAN[1] * f_dom, 0.5 / dt)
+            n_grid = int(np.ceil((f_hi - f_lo) * _GRID_STEPS_PER_BASIN * span)) + 1
+            grid = np.linspace(f_lo, f_hi, n_grid)
+            blocks = np.array_split(grid, max(1, grid.size * t.size // _GRID_BLOCK))
+            k = int(np.argmin(np.concatenate([_profile_sse(t, y, b) for b in blocks])))
+            f = _refine(t, y, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
 
-    (offset, a, b), r, _ = _solve_at(t, y, f)
-    amplitude = float(np.hypot(a, b))
-    phase = float(np.arctan2(-b, a) % (2.0 * np.pi) % (2.0 * np.pi))   # -tiny % 2pi == 2pi
-    rms = float(np.sqrt(r @ r / t.size))
+            (offset, a, b), r, _ = _solve_at(t, y, f)
+            amplitude = float(np.hypot(a, b))
+            # -tiny % 2pi == 2pi, which the second % maps to 0
+            phase = float(np.arctan2(-b, a) % (2.0 * np.pi) % (2.0 * np.pi))
+            rms = float(np.sqrt(r @ r / t.size))
+    except FloatingPointError as exc:
+        raise FitFailureError(f"values too large to fit: {exc}") from None
 
     span_periods = span * f
     if span_periods < 1.0:

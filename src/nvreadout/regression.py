@@ -41,9 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DegenerateBoundaryError, DegenerateTrainingError,
-                     DomainError, ParameterError, ShapeError)
-from .gating import GateWindow, gate_sum
+from .errors import DegenerateTrainingError, DomainError, ParameterError, ShapeError
+from .gating import GateWindow, _boundary_span, gate_sum
 from .rabi import RabiDataset, fit_count_sums
 from .traces import (TimeTrace, _check_header_text, _check_pair, _check_positive,
                      _checked_counts, _checked_floats, _repetition_count)
@@ -314,16 +313,13 @@ def gated_equivalent_model(trace0: TimeTrace, trace1: TimeTrace,
     """
     _check_pair(trace0, trace1)
     bright, dark = (gate_sum(trace, window) / trace.repetitions for trace in (trace0, trace1))
-    span = bright - dark
-    if not (span > 0):
-        raise DegenerateBoundaryError(
-            f"window sums degenerate: bright={bright}, dark={dark}")
+    span = _boundary_span(bright, dark)
     weights = np.zeros(len(trace0))
-    weights[window.start_bin:window.stop_bin] = 1.0 / span
+    weights[:window.width_bins] = 1.0 / span
     return ReadoutModel(
         weights=weights,
         intercept=-dark / span,
         reference_bin_width_ns=trace0.bin_width_ns,
         rate_scale=1.0,
-        trained_on=f"gated-equivalent, window=[{window.start_bin},{window.stop_bin})",
+        trained_on=f"gated-equivalent, width={window.width_bins} bins",
     )

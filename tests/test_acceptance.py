@@ -97,7 +97,7 @@ def test_c03_gated_equivalence_oracle():
     profile0, profile1 = make_profiles(params)
     trace0 = expected_trace(profile0, 10**7)
     trace1 = expected_trace(profile1, 10**7)
-    window = GateWindow(0, 230)
+    window = GateWindow(230)
     model = gated_equivalent_model(trace0, trace1, window)
     bright = gate_sum(trace0, window)
     dark = gate_sum(trace1, window)

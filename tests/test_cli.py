@@ -286,7 +286,6 @@ class TestExitCodes:
         ("evaluate-identical-pair", 2, "boundary sweep is fully degenerate"),
         ("trace-without-column-row", 2, "no-columns.csv: expected 'bin_index,counts' column row"),
         ("model-of-another-bin-width", 2, "data bin width 2.0 ns differs from model's 4.0 ns"),
-        ("sweep-start-bin-past-the-trace", 2, "window [500, 501) overruns trace of 500 bins"),
         # a weight or intercept whose estimates overflow: once an inf variance and a
         # nan contrast, exit 0, after numpy's RuntimeWarnings
         ("evaluate-model-weight-1e308", 2, "nvreadout: estimates overflow"),
@@ -571,6 +570,15 @@ class TestConfigErrors:
                    "--weight-factor", "1", "--out", str(tmp_path / "m.txt")) == 1
         assert "--weight-factor" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "evaluate", "repair"])
+    def test_start_bin_flag_is_a_usage_error(self, tmp_path, capsys, command):
+        # every gate starts at the first bin: its width is its one parameter
+        scan = [] if command == "sweep" else ["--rabi", "scan.csv", "--model", "m.txt"]
+        assert run(command, "--trace0", "b0.csv", "--trace1", "b1.csv", *scan,
+                   "--start-bin", "0", "--out", str(tmp_path / "out.csv")) == 1
+        assert "unrecognized arguments: --start-bin 0" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_train_config_flag_is_a_usage_error(self, tmp_path, capsys):
         # only simulate reads a config; the trainer has no setting

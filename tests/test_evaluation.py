@@ -149,7 +149,7 @@ class TestReadOnly:
             "EmissionProfile": [p0, EmissionProfile(np.ones(4))],
             "RabiDataset": [test, RabiDataset(np.arange(3.0), np.ones((3, 4), int), 3)],
             "ReadoutModel": [gate_models[1], trained, ReadoutModel(np.ones(4), 0.0, 2.0)],
-            "SweepResult": [sweep, SweepResult(0, 2.0, 3, np.arange(2.0, 6.0), np.ones(4))],
+            "SweepResult": [sweep, SweepResult(2.0, 3, np.arange(2.0, 6.0), np.ones(4))],
             "RepairResult": [repair(test, gate_models[1], trained)],
         }[kind]
         for obj in made:

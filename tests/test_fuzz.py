@@ -31,7 +31,7 @@ TEMPLATES = {
     nvio.read_rabi_csv: "# rabi-csv v2\n# repetitions=10\n# bin_width_ns=2.0\n"
                         "duration_ns,bin_0,bin_1\n0.0,5,3\n10.0,4,2\n",
     nvio.read_truth_csv: "# truth-csv v1\nduration_ns,population\n0.0,1.0\n10.0,0.5\n",
-    nvio.read_sweep_csv: "# sweep-csv v1\n# start_bin=0\n# bin_width_ns=2.0\n# repetitions=10\n"
+    nvio.read_sweep_csv: "# sweep-csv v2\n# bin_width_ns=2.0\n# repetitions=10\n"
                          "width_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
                          "1,2.0,5.0,1.0,0.8,0.1875,0\n2,4.0,,,,,1\n"
                          "# max_contrast: width_bins=1 width_ns=2.0 contrast=0.8 "

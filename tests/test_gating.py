@@ -7,8 +7,8 @@ import pytest
 
 from nvreadout import (DegenerateBoundaryError, GateWindow, ParameterError, ShapeError,
                        SweepResult, TimeTrace, contrast, expected_trace, gate_sum,
-                       gated_population, make_profiles, paper_like_params,
-                       simulate_trace, sweep_gate, total_variance)
+                       gated_equivalent_model, gated_population, make_profiles,
+                       paper_like_params, simulate_trace, sweep_gate, total_variance)
 
 
 def trace_of(counts, reps=1):
@@ -18,18 +18,18 @@ def trace_of(counts, reps=1):
 class TestGateSum:
     def test_full_window_is_total(self):
         tr = trace_of([1, 2, 3, 4])
-        assert gate_sum(tr, GateWindow(0, 4)) == 10
+        assert gate_sum(tr, GateWindow(4)) == 10
 
     def test_single_bin(self):
         tr = trace_of([1, 2, 3, 4])
-        assert gate_sum(tr, GateWindow(2, 1)) == 3
+        assert gate_sum(tr, GateWindow(1)) == 1
 
     def test_zero_trace(self):
-        assert gate_sum(trace_of([0, 0]), GateWindow(0, 2)) == 0
+        assert gate_sum(trace_of([0, 0]), GateWindow(2)) == 0
 
     def test_overrun_raises(self):
-        with pytest.raises(ShapeError):
-            gate_sum(trace_of([1, 2]), GateWindow(1, 2))
+        with pytest.raises(ShapeError, match="gate width 3 overruns trace of 2 bins"):
+            gate_sum(trace_of([1, 2]), GateWindow(3))
 
     def test_sums_past_int64_do_not_wrap(self):
         # four bins of 2^62 sum to 2^64, which an int64 sum wraps to exactly 0;
@@ -38,8 +38,7 @@ class TestGateSum:
         bright = trace_of([2**62] * 4 + [4096] * 16, reps=10**6)
         dark = trace_of([1000] * 20, reps=10**6)
         exact = [float(s) for s in itertools.accumulate(int(c) for c in bright.counts)]
-        assert [gate_sum(bright, GateWindow(0, w)) for w in range(1, 21)] == exact
-        assert gate_sum(bright, GateWindow(2, 3)) == float(2 * 2**62 + 4096)
+        assert [gate_sum(bright, GateWindow(w)) for w in range(1, 21)] == exact
         sweep = sweep_gate(bright, dark)
         assert sweep.bright_total.tolist() == exact     # no width degenerate
 
@@ -74,6 +73,18 @@ class TestGatedPopulation:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateBoundaryError):
             gated_population(10.0, 5.0, 5.0)
+
+
+@pytest.mark.parametrize("degenerate", [
+    lambda: gated_population(3.0, 2.0, 2.0),
+    lambda: total_variance(2.0, 2.0),
+    lambda: gated_equivalent_model(trace_of([1, 1, 1]), trace_of([1, 1, 1]), GateWindow(2)),
+], ids=["gated_population", "total_variance", "gated_equivalent_model"])
+def test_bright_must_exceed_dark_in_one_message(degenerate):
+    # the gate's one boundary rule; the model form's window sums are 2.0 and 2.0
+    with pytest.raises(DegenerateBoundaryError,
+                       match=r"^bright_total must exceed dark_total, got 2\.0 <= 2\.0$"):
+        degenerate()
 
 
 class TestContrast:
@@ -176,47 +187,32 @@ class TestSweep:
         with pytest.raises(DegenerateBoundaryError, match="gate width 2 is degenerate"):
             sweep.at(2)
 
-    def test_start_bin_shifts_windows(self, noiseless_sweep):
-        p0, p1 = make_profiles(paper_like_params())
-        t0 = expected_trace(p0, 10**9)
-        t1 = expected_trace(p1, 10**9)
-        sweep = sweep_gate(t0, t1, start_bin=10)
-        assert sweep.at(1).window == GateWindow(10, 1)
-        assert sweep.contrast.shape == (490,)
-
-    @pytest.mark.parametrize("start_bin", [0, 3, 499])
-    def test_hand_built_sweep_is_sweep_gates(self, start_bin):
+    def test_hand_built_sweep_is_sweep_gates(self):
         # 100 repetitions: the first widths of the noisy pair are degenerate
         p0, p1 = make_profiles(paper_like_params())
         t0, t1 = simulate_trace(p0, 100, 5), simulate_trace(p1, 100, 6)
-        swept = sweep_gate(t0, t1, start_bin)
-        hand = SweepResult(start_bin, 2.0, 100, np.cumsum(t0.counts[start_bin:]),
-                           np.cumsum(t1.counts[start_bin:]))
+        swept = sweep_gate(t0, t1)
+        hand = SweepResult(2.0, 100, np.cumsum(t0.counts), np.cumsum(t1.counts))
         names = ("bright_total", "dark_total", "contrast", "total_variance")
         for name in names:
             assert getattr(hand, name).tobytes() == getattr(swept, name).tobytes()
         assert hand.max_contrast == swept.max_contrast
         assert hand.min_variance == swept.min_variance
-        if start_bin == 0:
-            assert np.isnan(swept.contrast).any() and not np.isnan(swept.contrast).all()
+        assert np.isnan(swept.contrast).any() and not np.isnan(swept.contrast).all()
 
     @pytest.mark.parametrize("reps", [0, -3, 2.5, 10.0], ids=["zero", "negative",
                                                             "fraction", "float"])
     def test_hand_built_sweep_checks_repetitions(self, reps):
         # the traces' rule: an integer >= 1
         with pytest.raises(ParameterError, match="^repetitions must be an integer >= 1$"):
-            SweepResult(0, 2.0, reps, [5.0, 9.0], [1.0, 2.0])
-
-    def test_hand_built_sweep_checks_start_bin(self):
-        with pytest.raises(ShapeError, match="start_bin must be nonnegative"):
-            SweepResult(-1, 2.0, 10, [5.0, 9.0], [1.0, 2.0])
+            SweepResult(2.0, reps, [5.0, 9.0], [1.0, 2.0])
 
     @pytest.mark.parametrize("bright, dark", [([1.0, 2.0, 3.0], [1.0, 2.0]),
                                               ([[4.0, 5.0]], [1.0, 2.0])],
                              ids=["lengths-differ", "bright-is-2d"])
     def test_hand_built_sweep_checks_curve_shapes(self, bright, dark):
         with pytest.raises(ShapeError, match="1-d and of one length"):
-            SweepResult(0, 2.0, 1, bright, dark)
+            SweepResult(2.0, 1, bright, dark)
 
     def test_requires_equal_repetitions(self):
         a = trace_of([5, 5], reps=10)

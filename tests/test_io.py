@@ -201,13 +201,10 @@ class TestRabiReaderOracle:
     (nvio.read_trace_csv, "# trace-csv v1\n# repetitions=0\n# bin_width_ns=2.0\n"
      "bin_index,counts\n0,5\n",
      "repetitions must be an integer >= 1"),
-    (nvio.read_sweep_csv, "# sweep-csv v1\n# start_bin=-1\n# bin_width_ns=2.0\n"
-     "# repetitions=10\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
-     "1,2.0,5.0,1.0,0.8,0.1875,0\n", "start_bin must be nonnegative"),
-    (nvio.read_sweep_csv, "# sweep-csv v1\n# start_bin=0\n# bin_width_ns=-2.0\n"
+    (nvio.read_sweep_csv, "# sweep-csv v2\n# bin_width_ns=-2.0\n"
      "# repetitions=10\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
      "1,-2.0,5.0,1.0,0.8,0.1875,0\n", "bin_width_ns must be finite and positive, got -2.0"),
-    (nvio.read_sweep_csv, "# sweep-csv v1\n# start_bin=0\n# bin_width_ns=2.0\n"
+    (nvio.read_sweep_csv, "# sweep-csv v2\n# bin_width_ns=2.0\n"
      "# repetitions=-3\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
      "1,2.0,5.0,1.0,0.8,0.1875,0\n", "repetitions must be an integer >= 1"),
     (nvio.read_model, "# readout-model v2\n# dimension=2\n# bin_width_ns=2.0\n# intercept=0.0\n"
@@ -216,9 +213,8 @@ class TestRabiReaderOracle:
     (nvio.read_fit_csv, "# fit-report v1\n# offset=0.5\n# amplitude=-0.1\n"
      "# frequency_per_ns=0.005\n# phase_rad=0.0\n# residual_rms=0.01\n"
      "duration_ns,p_raw,p_fit,residual\n0.0,0.5,0.5,0.0\n", "amplitude must be >= 0"),
-], ids=["durations-swapped", "zero-repetitions", "negative-start-bin",
-        "negative-sweep-bin-width", "negative-sweep-repetitions", "negative-weight",
-        "negative-amplitude"])
+], ids=["durations-swapped", "zero-repetitions", "negative-sweep-bin-width",
+        "negative-sweep-repetitions", "negative-weight", "negative-amplitude"])
 def test_domain_error_names_the_file(tmp_path, reader, text, match):
     p = tmp_path / "input.csv"
     p.write_text(text)
@@ -558,6 +554,16 @@ class TestSweepCsv:
         assert again.max_contrast == sweep.max_contrast
         assert again.min_variance == sweep.min_variance
 
+    def test_v1_layout_is_parse_error_naming_line_1(self, world, tmp_path):
+        # v1 carried a start_bin header; every gate now starts at bin 0
+        p = tmp_path / "sweep.csv"
+        nvio.write_sweep_csv(p, world[2])
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(["# sweep-csv v1", "# start_bin=0", *lines[1:]]) + "\n")
+        with pytest.raises(ParseError,
+                           match="sweep.csv: line 1: expected '# sweep-csv v2' schema line"):
+            nvio.read_sweep_csv(p)
+
     @pytest.mark.parametrize("row", ["2,4.0,,,,,0", "2,4.0,5.0,1.0,0.5,0.375,2",
                                      "2,4.0,6_10.0,1.0,0.5,0.375,0",
                                      "2,4.0,٥10.0,1.0,0.5,0.375,0",
@@ -570,11 +576,11 @@ class TestSweepCsv:
         p = tmp_path / "sweep.csv"
         nvio.write_sweep_csv(p, world[2])
         lines = p.read_text().splitlines()
-        lines[6] = row          # the width-2 row
+        lines[5] = row          # the width-2 row
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=r"sweep\.csv: line 7: ") as err:
+        with pytest.raises(ParseError, match=r"sweep\.csv: line 6: ") as err:
             nvio.read_sweep_csv(p)
-        assert err.value.line == 7
+        assert err.value.line == 6
 
     @pytest.mark.parametrize("row, message", [
         ("300,600.0,{L0},{L1},0.9,{v},0", "contrast is 0.9, expected {c}"),
@@ -594,11 +600,11 @@ class TestSweepCsv:
         p = tmp_path / "sweep.csv"
         nvio.write_sweep_csv(p, sweep)
         lines = p.read_text().splitlines()
-        assert lines[304] == "300,600.0,{L0},{L1},{c},{v},0".format(**cells)
-        lines[304] = row.format(**cells)
+        assert lines[303] == "300,600.0,{L0},{L1},{c},{v},0".format(**cells)
+        lines[303] = row.format(**cells)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=re.escape(
-                "sweep.csv: line 305: " + message.format(**cells))):
+                "sweep.csv: line 304: " + message.format(**cells))):
             nvio.read_sweep_csv(p)
 
     def test_footer_is_a_comment(self, world, tmp_path):

@@ -102,6 +102,14 @@ class TestFitRabi:
         assert fit_rabi(t, sample(0.5, 0.5, 1 / 200.0, 0.0, t)).frequency == \
             pytest.approx(1 / 200.0, rel=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sums_fail_the_fit_without_warnings(self):
+        # 1e160 squared overflows: the profile and the solve stop at the first
+        # overflow instead of ranking inf and nan sums
+        t = np.linspace(0, 2400, 2400, endpoint=False)
+        with pytest.raises(FitFailureError, match="^values too large to fit: overflow"):
+            fit_rabi(t, 1e160 * np.cos(2 * np.pi * t / 200.0))
+
     def test_frequency_never_above_nyquist(self):
         # aliases above the sampling Nyquist frequency fit exactly as well;
         # the fit must return the one below it or fail

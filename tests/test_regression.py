@@ -89,7 +89,7 @@ class TestPredict:
 
     def test_gated_equivalent_reproduces_gated_estimator(self, preset_traces):
         p0, p1, t0, t1 = preset_traces
-        window = GateWindow(0, 230)
+        window = GateWindow(230)
         model = gated_equivalent_model(t0, t1, window)
         rng = np.random.default_rng(2)
         bright = gate_sum(t0, window)
@@ -119,7 +119,7 @@ class TestPredictionVariance:
 
     def test_scales_inversely_with_repetitions(self, preset_traces):
         p0, p1, t0, t1 = preset_traces
-        model = gated_equivalent_model(t0, t1, GateWindow(0, 230))
+        model = gated_equivalent_model(t0, t1, GateWindow(230))
         profile = mix_profile(0.5, p0, p1)
         v = {}
         for reps in (10**5, 10**6, 10**7):
@@ -139,7 +139,7 @@ class TestLoss:
 
     def test_gated_equivalent_has_zero_prediction_term(self, preset_traces):
         _, _, t0, t1 = preset_traces
-        model = gated_equivalent_model(t0, t1, GateWindow(0, 150))
+        model = gated_equivalent_model(t0, t1, GateWindow(150))
         examples = [TrainingExample(t0, 1.0), TrainingExample(t1, 0.0)]
         breakdown = loss(model, examples, 1e4)
         assert breakdown.prediction_term < 1e-24
@@ -412,16 +412,16 @@ class TestClosedForm:
 class TestGatedEquivalentModel:
     def test_exact_boundary_mapping(self, preset_traces):
         _, _, t0, t1 = preset_traces
-        model = gated_equivalent_model(t0, t1, GateWindow(0, 100))
+        model = gated_equivalent_model(t0, t1, GateWindow(100))
         assert predict(model, t0) == pytest.approx(1.0, abs=1e-12)
         assert predict(model, t1) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_window_rejected(self, preset_traces):
         _, _, t0, t1 = preset_traces
         with pytest.raises(Exception):
-            gated_equivalent_model(t1, t1, GateWindow(0, 100))
+            gated_equivalent_model(t1, t1, GateWindow(100))
 
     def test_overrunning_window_rejected(self, preset_traces):
         _, _, t0, t1 = preset_traces
         with pytest.raises(ShapeError, match="overruns"):
-            gated_equivalent_model(t0, t1, GateWindow(len(t0) - 10, 11))
+            gated_equivalent_model(t0, t1, GateWindow(len(t0) + 1))

@@ -125,7 +125,7 @@ class TestTypes:
         lambda w: RabiDataset([0.0, 1.0], np.array([[1, 2], [3, 4]]), 3, w),
         lambda w: EmissionProfile(np.array([0.5, 0.25]), w),
         lambda w: ReadoutModel(np.ones(2), 0.0, w),
-        lambda w: SweepResult(0, w, 3, [5.0, 9.0], [1.0, 2.0]),
+        lambda w: SweepResult(w, 3, [5.0, 9.0], [1.0, 2.0]),
     ], ids=["TimeTrace", "RabiDataset", "EmissionProfile", "ReadoutModel", "SweepResult"])
     def test_bin_width_must_be_finite_and_positive(self, make, width):
         # an inf width was once kept, and written to a file its reader rejects
