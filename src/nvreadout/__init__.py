@@ -22,9 +22,7 @@ serves as their ground-truth oracle:
   command-line pipeline.
 """
 
-from .errors import (DegenerateBoundaryError, DegenerateTrainingError,
-                     DomainError, FitFailureError, ParameterError, ParseError,
-                     ReadoutError, ShapeError)
+from .errors import FitFailureError, ParameterError, ParseError, ReadoutError
 from .evaluation import EvalReport, MethodEval, RepairResult, evaluate, repair
 from .gating import (GateMetrics, GateWindow, SweepResult, contrast, gate_sum,
                      gated_population, sweep_gate, total_variance)

@@ -2,9 +2,12 @@
 
 Every error raised on bad data or bad parameters derives from
 :class:`ReadoutError`, so callers (and the CLI) can distinguish usage
-problems from data/domain problems with a single except clause.  A type
-that checks a rule on each row of an array names the first offending row;
-a file reader turns that row into its line.
+problems from data/domain problems with a single except clause.  Below it
+sit three types, one for each distinction a caller draws: a value, shape,
+pair or training set that breaks a rule (:class:`ParameterError`), a
+malformed file (:class:`ParseError`) and a sinusoid fit that fails
+(:class:`FitFailureError`).  A rule checked on each row of an array names
+the first offending row; a file reader turns that row into its line.
 """
 
 
@@ -13,28 +16,12 @@ class ReadoutError(Exception):
 
 
 class ParameterError(ReadoutError, ValueError):
-    """A parameter is outside its allowed domain; names the offending field,
-    and in ``row`` the first offending row (0-based) of a rule on each row."""
+    """A value, shape, pair or training set breaks a rule; names the offending
+    field, and in ``row`` the first offending row (0-based) of a rule on each row."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
-
-
-class ShapeError(ReadoutError, ValueError):
-    """Inputs have mismatched lengths, bin widths or dimensions."""
-
-
-class DomainError(ReadoutError, ValueError):
-    """A value is outside its mathematical domain (e.g. population not in [0,1])."""
-
-
-class DegenerateBoundaryError(ReadoutError):
-    """Boundary sums do not satisfy bright > dark > 0."""
-
-
-class DegenerateTrainingError(ReadoutError):
-    """The training set cannot constrain a model (identical targets/traces)."""
 
 
 class FitFailureError(ReadoutError):

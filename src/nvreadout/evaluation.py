@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitFailureError, ShapeError
+from .errors import FitFailureError, ParameterError
 from .rabi import RabiDataset, SinusoidFit, fit_rabi
 from .regression import ReadoutModel, _apply
 
@@ -59,9 +59,12 @@ class EvalReport:
 
     @property
     def reductions(self) -> dict[tuple[str, str], float]:
-        """``reductions[(a, b)]`` is 1 - V_a / V_b for average formula variances."""
-        return {(a.method, b.method): 1.0 - a.avg_formula_variance / b.avg_formula_variance
-                for a in self.methods for b in self.methods if a.method != b.method}
+        """``reductions[(a, b)]`` is 1 - V_a / V_b for average formula variances,
+        divided in IEEE float64: a flat model's V_b = 0 gives -inf, or nan for 0/0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return {(a.method, b.method):
+                    float(1.0 - np.float64(a.avg_formula_variance) / b.avg_formula_variance)
+                    for a in self.methods for b in self.methods if a.method != b.method}
 
     def method(self, name: str) -> MethodEval:
         for m in self.methods:
@@ -124,7 +127,7 @@ def evaluate(test: RabiDataset, max_c_gate: ReadoutModel, min_v_gate: ReadoutMod
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
         if truth.shape != durations.shape:
-            raise ShapeError("truth length differs from test set")
+            raise ParameterError("truth length differs from test set")
 
     p, v = _apply([max_c_gate, min_v_gate, model], test.counts, test.repetitions,
                   test.bin_width_ns)

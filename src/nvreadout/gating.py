@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBoundaryError, ShapeError
+from .errors import ParameterError
 from .traces import TimeTrace, _check_pair, _check_positive, _repetition_count
 
 __all__ = [
@@ -45,11 +45,11 @@ class GateWindow:
 
     def __post_init__(self):
         if self.width_bins < 1:
-            raise ShapeError("width_bins must be >= 1")
+            raise ParameterError("width_bins must be >= 1")
 
     def check_fits(self, n_bins: int) -> None:
         if self.width_bins > n_bins:
-            raise ShapeError(
+            raise ParameterError(
                 f"gate width {self.width_bins} overruns trace of {n_bins} bins")
 
 
@@ -89,8 +89,8 @@ class SweepResult:
         _repetition_count(self.repetitions)
         bright, dark = np.asarray(self.bright_total, float), np.asarray(self.dark_total, float)
         if bright.ndim != 1 or bright.shape != dark.shape:
-            raise ShapeError("bright_total and dark_total must be 1-d and of one length, "
-                             f"got shapes {bright.shape} and {dark.shape}")
+            raise ParameterError("bright_total and dark_total must be 1-d and of one length, "
+                                 f"got shapes {bright.shape} and {dark.shape}")
         with np.errstate(all="ignore"):     # 0/0 at empty widths; a file's 1e200 overflows
             span = bright - dark
             c, v = span / bright, (bright + dark) / (2.0 * span * span)
@@ -113,12 +113,12 @@ class SweepResult:
         return None if np.isnan(curve).all() else self.at(int(arg(curve)) + 1)
 
     def at(self, width: int) -> GateMetrics:
-        """Metrics of one width; DegenerateBoundaryError if it is degenerate."""
+        """Metrics of one width; ParameterError if it is degenerate."""
         window = GateWindow(width)
         window.check_fits(self.contrast.size)
         k = width - 1
         if np.isnan(self.contrast[k]):
-            raise DegenerateBoundaryError(f"gate width {width} is degenerate")
+            raise ParameterError(f"gate width {width} is degenerate")
         return GateMetrics(window, float(self.bright_total[k]), float(self.dark_total[k]),
                            float(self.contrast[k]), float(self.total_variance[k]))
 
@@ -130,10 +130,10 @@ def gate_sum(trace: TimeTrace, window: GateWindow) -> float:
 
 
 def _boundary_span(bright_total: float, dark_total: float) -> float:
-    """bright - dark; DegenerateBoundaryError unless bright > dark."""
+    """bright - dark; ParameterError unless bright > dark."""
     span = bright_total - dark_total
     if not (span > 0):
-        raise DegenerateBoundaryError(
+        raise ParameterError(
             f"bright_total must exceed dark_total, got {bright_total} <= {dark_total}")
     return span
 
@@ -162,7 +162,7 @@ def gated_population(gate_counts: float, bright_total: float,
 def contrast(bright_total: float, dark_total: float) -> float:
     """Relative fluorescence difference (bright - dark) / bright."""
     if not (bright_total > 0):
-        raise DegenerateBoundaryError(f"bright_total must be positive, got {bright_total}")
+        raise ParameterError(f"bright_total must be positive, got {bright_total}")
     return (bright_total - dark_total) / bright_total
 
 
@@ -183,8 +183,8 @@ def sweep_gate(trace0: TimeTrace, trace1: TimeTrace) -> SweepResult:
     """
     _check_pair(trace0, trace1)
     if trace0.repetitions != trace1.repetitions:
-        raise ShapeError("boundary traces must share a repetition count; "
-                         "rescale one of them first")
+        raise ParameterError("boundary traces must share a repetition count; "
+                             "rescale one of them first")
     cum0 = np.cumsum(trace0.counts, dtype=float)    # int64 could wrap
     cum1 = np.cumsum(trace1.counts, dtype=float)
     return SweepResult(trace0.bin_width_ns, trace0.repetitions, cum0, cum1)

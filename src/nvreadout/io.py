@@ -47,8 +47,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import (DegenerateBoundaryError, DomainError, ParameterError,
-                     ParseError, ShapeError)
+from .errors import ParameterError, ParseError
 from .evaluation import EvalReport, MethodEval, RepairResult
 from .gating import SweepResult
 from .rabi import RabiDataset, SinusoidFit
@@ -249,13 +248,12 @@ def _field(fields: dict, key: str, path, kind=float):
 
 @contextmanager
 def _naming(path, line_of):
-    """Re-raise a domain error from the block as a ParseError naming the file
-    and, by ``line_of``, the line of the row a ParameterError names."""
+    """Re-raise a ParameterError from the block as a ParseError naming the file
+    and, by ``line_of``, the line of the row it names."""
     try:
         yield
-    except (ParameterError, ShapeError, DomainError, DegenerateBoundaryError) as exc:
-        row = getattr(exc, "row", None)
-        raise ParseError(str(exc), line_of(row) if row is not None else None, path) from None
+    except ParameterError as exc:
+        raise ParseError(str(exc), None if exc.row is None else line_of(exc.row), path) from None
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitFailureError, ParameterError, ShapeError
+from .errors import FitFailureError, ParameterError
 from .traces import (EmissionProfile, TimeTrace, _check_pair, _check_positive,
                      _check_repetitions, _checked_counts, _draw, _owned, _repetition_count)
 
@@ -101,7 +101,7 @@ class TrainingExample:
 
     def __post_init__(self):
         if not (0.0 <= self.target <= 1.0):
-            raise DomainError(f"target must be in [0, 1], got {self.target}")
+            raise ParameterError(f"target must be in [0, 1], got {self.target}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +131,7 @@ class RabiDataset:
         counts = _checked_counts(self.counts, 2, self.bin_width_ns)
         object.__setattr__(self, "repetitions", _repetition_count(self.repetitions))
         if len(counts) != durations.size:
-            raise ShapeError(f"{len(counts)} count rows for {durations.size} durations")
+            raise ParameterError(f"{len(counts)} count rows for {durations.size} durations")
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "counts", counts)
 
@@ -231,16 +231,16 @@ def fit_rabi(durations, values) -> SinusoidFit:
     Raises
     ------
     FitFailureError
-        On too few points, non-finite values, durations that are not
-        strictly increasing, a span above 16 (points - 1) median steps or
-        below one fitted period, values so large that a sum of the fit
-        overflows, or no credible oscillation (fitted amplitude below 3x
-        the residual rms).
+        On too few points, non-finite or constant values, durations that
+        are not strictly increasing, a span above 16 (points - 1) median
+        steps or below one fitted period, durations so large that a sum of
+        the fit overflows, or no credible oscillation (fitted amplitude
+        below 3x the residual rms).
     """
     t = np.asarray(durations, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != y.shape:
-        raise ShapeError("durations and values must be equal-length 1-d sequences")
+        raise ParameterError("durations and values must be equal-length 1-d sequences")
     if t.size < _MIN_POINTS:
         raise FitFailureError(f"need at least {_MIN_POINTS} points, got {t.size}")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
@@ -248,6 +248,8 @@ def fit_rabi(durations, values) -> SinusoidFit:
     if np.any(np.diff(t) <= 0):
         raise FitFailureError("durations must be strictly increasing "
                               "and span nonzero time")
+    if np.all(y == y[0]):
+        raise FitFailureError("values are constant: no oscillation to fit")
 
     dt = _median_step(t)
     span = t[-1] - t[0]
@@ -255,6 +257,11 @@ def fit_rabi(durations, values) -> SinusoidFit:
     if not ratio <= _MAX_SPAN_STEPS:
         raise FitFailureError(f"durations span {ratio:.4g} times (points - 1) median "
                               f"steps; need <= {_MAX_SPAN_STEPS}")
+    # fitted at the power-of-two scale that puts the largest magnitude in
+    # [0.5, 1): exact, so the fit is scale-equivariant, and no sum of the
+    # values underflows or overflows
+    e = int(np.frexp(np.abs(y).max())[1])
+    y = np.ldexp(y, -e)
     try:
         with np.errstate(over="raise", invalid="raise"):    # a sum that overflows fails
             spectrum = np.abs(np.fft.rfft(y - y.mean(), 4 * t.size))   # padded periodogram
@@ -275,18 +282,20 @@ def fit_rabi(durations, values) -> SinusoidFit:
             # -tiny % 2pi == 2pi, which the second % maps to 0
             phase = float(np.arctan2(-b, a) % (2.0 * np.pi) % (2.0 * np.pi))
             rms = float(np.sqrt(r @ r / t.size))
+            credible = amplitude >= _AMPLITUDE_SNR * rms
+            offset, amplitude, rms = (float(np.ldexp(x, e)) for x in (offset, amplitude, rms))
     except FloatingPointError as exc:
-        raise FitFailureError(f"values too large to fit: {exc}") from None
+        raise FitFailureError(f"durations or values too large to fit: {exc}") from None
 
     span_periods = span * f
     if span_periods < 1.0:
         raise FitFailureError(
             f"data span covers {span_periods:.3f} fitted periods; need >= 1")
-    if amplitude < _AMPLITUDE_SNR * rms:
+    if not credible:
         raise FitFailureError(
             f"no credible oscillation: amplitude {amplitude:.4g} < "
             f"{_AMPLITUDE_SNR} * residual rms {rms:.4g}")
-    return SinusoidFit(float(offset), amplitude, float(f), phase, rms)
+    return SinusoidFit(offset, amplitude, float(f), phase, rms)
 
 
 def fit_count_sums(dataset: RabiDataset) -> tuple[np.ndarray, SinusoidFit]:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateTrainingError, DomainError, ParameterError, ShapeError
+from .errors import ParameterError
 from .gating import GateWindow, _boundary_span, gate_sum
 from .rabi import RabiDataset, fit_count_sums
 from .traces import (TimeTrace, _check_header_text, _check_pair, _check_positive,
@@ -119,15 +119,15 @@ def _apply(models, counts: np.ndarray, repetitions: int,
     weights w and intercept b of model k, column k of the returned points x K
     arrays is P = (counts / R) w + b and V = counts (w / R)^2 = (counts / R) w^2 / R.
     One matrix-vector product per model: a product with the stacked weights
-    would sum in an order that follows the BLAS thread count.  DomainError if
+    would sum in an order that follows the BLAS thread count.  ParameterError if
     a variance or the estimates' sum of squares, which the MSE and fits take, overflows.
     """
     for model in models:
         if counts.shape[1] != model.dimension:
-            raise ShapeError(
+            raise ParameterError(
                 f"data have {counts.shape[1]} bins, model expects {model.dimension}")
         if bin_width_ns != model.reference_bin_width_ns:
-            raise ShapeError(
+            raise ParameterError(
                 f"data bin width {bin_width_ns} ns differs from model's "
                 f"{model.reference_bin_width_ns} ns")
     rates = counts / repetitions
@@ -135,7 +135,8 @@ def _apply(models, counts: np.ndarray, repetitions: int,
         p = np.stack([rates @ m.weights + m.intercept for m in models], axis=1)
         v = np.stack([rates @ (m.weights * m.weights) for m in models], axis=1) / repetitions
         if not (np.isfinite(v).all() and np.isfinite((p * p).sum())):
-            raise DomainError("estimates overflow: a model's weights or intercept are too large")
+            raise ParameterError(
+                "estimates overflow: a model's weights or intercept are too large")
     return p, v
 
 
@@ -158,20 +159,20 @@ def prediction_variance(model: ReadoutModel, trace: TimeTrace) -> float:
 def _design(examples, model: ReadoutModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack per-measurement rates, repetition counts and targets for ``model``."""
     if len(examples) == 0:
-        raise DomainError("need at least one training example")
+        raise ParameterError("need at least one training example")
     n = len(examples[0].trace)
     width = examples[0].trace.bin_width_ns
     rows, reps, targets = [], [], []
     for k, ex in enumerate(examples):
         if len(ex.trace) != n:
-            raise ShapeError(f"example {k} has {len(ex.trace)} bins, expected {n}")
+            raise ParameterError(f"example {k} has {len(ex.trace)} bins, expected {n}")
         if ex.trace.bin_width_ns != width:
-            raise ShapeError(f"example {k} bin width differs")
+            raise ParameterError(f"example {k} bin width differs")
         rows.append(ex.trace.rates)
         reps.append(float(ex.trace.repetitions))
         targets.append(float(ex.target))
     if width != model.reference_bin_width_ns or n != model.dimension:
-        raise ShapeError("examples incompatible with model")
+        raise ParameterError("examples incompatible with model")
     return np.stack(rows), np.asarray(reps), np.asarray(targets)
 
 
@@ -236,14 +237,14 @@ def train(counts, repetitions, targets, bin_width_ns: float,
     if reps.ndim == 0:
         reps = np.full(m, reps)
     if reps.shape != (m,) or targets.shape != (m,):
-        raise ShapeError(f"need one repetition count and one target for each of {m} traces")
+        raise ParameterError(f"need one repetition count and one target for each of {m} traces")
     reps = np.array([_repetition_count(r) for r in reps.tolist()], dtype=float)
     if not np.all((targets >= 0.0) & (targets <= 1.0)):
-        raise DomainError("targets must be in [0, 1]")
+        raise ParameterError("targets must be in [0, 1]")
     if np.all(targets == targets[0]):       # one trace included
-        raise DegenerateTrainingError("targets need at least two distinct values")
+        raise ParameterError("targets need at least two distinct values")
     if counts.max() == 0:
-        raise DegenerateTrainingError("all training traces are empty")
+        raise ParameterError("all training traces are empty")
 
     rates = counts / reps[:, None]
     # step 1: per-bin slope and rate at target 1/2 (sums, not BLAS products,
@@ -283,7 +284,7 @@ def train_boundary(trace0: TimeTrace, trace1: TimeTrace) -> ReadoutModel:
     _check_pair(trace0, trace1)
     if np.array_equal(trace0.counts, trace1.counts) and \
             trace0.repetitions == trace1.repetitions:
-        raise DegenerateTrainingError("boundary traces are identical")
+        raise ParameterError("boundary traces are identical")
     return train(np.stack([trace0.counts, trace1.counts]),
                  [trace0.repetitions, trace1.repetitions], [1.0, 0.0],
                  trace0.bin_width_ns,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import ParameterError
 
 __all__ = [
     "TimeTrace",
@@ -126,8 +126,8 @@ def _check_header_text(text, name: str) -> None:
 def _check_pair(a, b) -> None:
     """Reject two traces or profiles that differ in length or bin width."""
     if len(a) != len(b) or a.bin_width_ns != b.bin_width_ns:
-        raise ShapeError(f"pair differs in length ({len(a)} vs {len(b)} bins) or "
-                         f"bin width ({a.bin_width_ns} vs {b.bin_width_ns} ns)")
+        raise ParameterError(f"pair differs in length ({len(a)} vs {len(b)} bins) or "
+                             f"bin width ({a.bin_width_ns} vs {b.bin_width_ns} ns)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +272,7 @@ def mix_profile(population: float, profile0: EmissionProfile,
                 profile1: EmissionProfile) -> EmissionProfile:
     """Profile of a superposition: population * bright + (1 - population) * dark."""
     if not (0.0 <= population <= 1.0):
-        raise DomainError(f"population must be in [0, 1], got {population}")
+        raise ParameterError(f"population must be in [0, 1], got {population}")
     _check_pair(profile0, profile1)
     rates = population * profile0.rates + (1.0 - population) * profile1.rates
     return EmissionProfile(rates, profile0.bin_width_ns)

@@ -323,8 +323,6 @@ class TestExitCodes:
                                          "--out", out],
             "model-of-another-bin-width": ["evaluate", "--rabi", scan, "--model", str(wide),
                                            "--trace0", b0, "--trace1", b1, "--out", out],
-            "sweep-start-bin-past-the-trace": ["sweep", "--trace0", b0, "--trace1", b1,
-                                               "--start-bin", "500", "--out", out],
             "evaluate-model-weight-1e308": ["evaluate", "--rabi", scan, "--model", str(huge),
                                             "--trace0", b0, "--trace1", b1, "--truth",
                                             str(data / "rabi_truth.csv"), "--out", out],
@@ -611,6 +609,49 @@ class TestSwapWarning:
         from nvreadout import io as nvio
         model = nvio.read_model(tmp_path / "swapped.txt")
         assert np.all(model.weights == 0.0) and model.intercept == 0.5
+
+
+class TestFlatModel:
+    """A model whose formula variance is 0: once a ZeroDivisionError in evaluate."""
+
+    @pytest.mark.parametrize("case", ["trained-on-the-swapped-pair", "weights-times-1e-300",
+                                      "weights-0"])
+    def test_evaluate_writes_and_repair_names_the_constant_series(self, pipeline, tmp_path,
+                                                                  capsys, case):
+        data = pipeline / "data"
+        b0, b1, scan = (str(data / name) for name in ("boundary0.csv", "boundary1.csv",
+                                                      "rabi.csv"))
+        model = tmp_path / "model.txt"
+        if case == "trained-on-the-swapped-pair":
+            assert run("train", "--mode", "boundary", "--trace0", b1, "--trace1", b0,
+                       "--out", str(model)) == 0
+        else:
+            lines = (pipeline / "model.txt").read_text().splitlines()
+            k = lines.index("weight") + 1
+            lines[k:] = [repr(float(w) * 1e-300) if case == "weights-times-1e-300" else "0.0"
+                         for w in lines[k:]]
+            model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        pair = ["--rabi", scan, "--model", str(model), "--trace0", b0, "--trace1", b1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("evaluate", *pair, "--truth", str(data / "rabi_truth.csv"),
+                       "--out", str(tmp_path / "report.csv"),
+                       "--summary", str(tmp_path / "summary.txt")) == 0
+            assert run("repair", *pair, "--out", str(tmp_path / "repaired.csv")) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == \
+            "nvreadout: values are constant: no oscillation to fit\n"
+        assert not (tmp_path / "repaired.csv").exists()
+        # V_ML = 0: each reduction is an IEEE division, 1 - 0/V and 1 - V/0
+        report = (tmp_path / "report.csv").read_text()
+        assert "\n# reduction ML vs min-V gate=1.0\n" in report
+        assert "\n# reduction min-V gate vs ML=-inf\n" in report
+        assert "  min-V gate vs ML: -inf% variance reduction\n" in \
+            (tmp_path / "summary.txt").read_text()
+        from nvreadout import io as nvio
+        ml = nvio.read_report_csv(tmp_path / "report.csv").method("ML")
+        assert ml.avg_formula_variance == 0.0 and np.isnan(ml.contrast_measured)
 
 
 class TestCountSums:

@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from nvreadout import (DegenerateBoundaryError, GateWindow, ParameterError, ShapeError,
-                       SweepResult, TimeTrace, contrast, expected_trace, gate_sum,
-                       gated_equivalent_model, gated_population, make_profiles,
-                       paper_like_params, simulate_trace, sweep_gate, total_variance)
+from nvreadout import (GateWindow, ParameterError, SweepResult, TimeTrace, contrast,
+                       expected_trace, gate_sum, gated_equivalent_model, gated_population,
+                       make_profiles, paper_like_params, simulate_trace, sweep_gate,
+                       total_variance)
 
 
 def trace_of(counts, reps=1):
@@ -28,7 +28,7 @@ class TestGateSum:
         assert gate_sum(trace_of([0, 0]), GateWindow(2)) == 0
 
     def test_overrun_raises(self):
-        with pytest.raises(ShapeError, match="gate width 3 overruns trace of 2 bins"):
+        with pytest.raises(ParameterError, match="gate width 3 overruns trace of 2 bins"):
             gate_sum(trace_of([1, 2]), GateWindow(3))
 
     def test_sums_past_int64_do_not_wrap(self):
@@ -71,7 +71,7 @@ class TestGatedPopulation:
             assert p2 == pytest.approx(p1, rel=1e-12, abs=1e-12)
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateBoundaryError):
+        with pytest.raises(ParameterError, match="bright_total must exceed dark_total"):
             gated_population(10.0, 5.0, 5.0)
 
 
@@ -82,7 +82,7 @@ class TestGatedPopulation:
 ], ids=["gated_population", "total_variance", "gated_equivalent_model"])
 def test_bright_must_exceed_dark_in_one_message(degenerate):
     # the gate's one boundary rule; the model form's window sums are 2.0 and 2.0
-    with pytest.raises(DegenerateBoundaryError,
+    with pytest.raises(ParameterError,
                        match=r"^bright_total must exceed dark_total, got 2\.0 <= 2\.0$"):
         degenerate()
 
@@ -96,7 +96,7 @@ class TestContrast:
         assert contrast(130.0, 91.0) == pytest.approx(0.30, rel=1e-15)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateBoundaryError):
+        with pytest.raises(ParameterError, match="bright_total must be positive, got 0.0"):
             contrast(0.0, 1.0)
 
 
@@ -121,7 +121,7 @@ class TestTotalVariance:
         assert total_variance(1300.0, 1000.0) == pytest.approx(v / 10.0, rel=1e-12)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateBoundaryError):
+        with pytest.raises(ParameterError, match="bright_total must exceed dark_total"):
             total_variance(1.0, 1.0)
 
 
@@ -152,7 +152,7 @@ class TestSweep:
     def test_matches_direct_formulas(self, noiseless_sweep):
         m = noiseless_sweep.at(42)
         assert m.bright_total == noiseless_sweep.bright_total[41]
-        with pytest.raises(ShapeError, match="overruns"):
+        with pytest.raises(ParameterError, match="gate width 501 overruns trace of 500 bins"):
             noiseless_sweep.at(501)
         assert m.contrast == pytest.approx(
             contrast(m.bright_total, m.dark_total), rel=1e-14)
@@ -176,7 +176,7 @@ class TestSweep:
         assert np.isnan(sweep.contrast).tolist() == [True, False, False, False]
         assert np.isnan(sweep.bright_total[0]) and np.isnan(sweep.total_variance[0])
         assert sweep.max_contrast is not None
-        with pytest.raises(DegenerateBoundaryError):
+        with pytest.raises(ParameterError, match="gate width 1 is degenerate"):
             sweep.at(1)
 
     def test_at_names_a_degenerate_width(self):
@@ -184,7 +184,7 @@ class TestSweep:
         sweep = sweep_gate(trace_of([5, 0, 50]), trace_of([1, 10, 10]))
         assert np.isnan(sweep.contrast).tolist() == [False, True, False]
         assert sweep.at(3).window.width_bins == 3
-        with pytest.raises(DegenerateBoundaryError, match="gate width 2 is degenerate"):
+        with pytest.raises(ParameterError, match="gate width 2 is degenerate"):
             sweep.at(2)
 
     def test_hand_built_sweep_is_sweep_gates(self):
@@ -211,11 +211,11 @@ class TestSweep:
                                               ([[4.0, 5.0]], [1.0, 2.0])],
                              ids=["lengths-differ", "bright-is-2d"])
     def test_hand_built_sweep_checks_curve_shapes(self, bright, dark):
-        with pytest.raises(ShapeError, match="1-d and of one length"):
+        with pytest.raises(ParameterError, match="1-d and of one length"):
             SweepResult(2.0, 1, bright, dark)
 
     def test_requires_equal_repetitions(self):
         a = trace_of([5, 5], reps=10)
         b = trace_of([1, 1], reps=5)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="boundary traces must share a repetition count"):
             sweep_gate(a, b)

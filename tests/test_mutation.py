@@ -13,8 +13,12 @@ that file, and each command must return 0 or 2, raise nothing and emit no
 sign of a figure computed from values the types should have rejected).  A
 scan whose last duration reads ``1e308`` is one case: its fit once sized a
 frequency grid by that value; a model weight or intercept of ``1e308`` is
-another, whose estimates once overflowed.  The sweep runs about 3,700
-commands in about 10 s on a 2-core machine; its budget is 30 s.
+another, whose estimates once overflowed.  The sweep runs about 4,400
+commands in about 11 s on a 2-core machine; its budget is 30 s.
+
+Three whole-column edits, which no edit of a few cells makes, run the same
+way: every model weight times 1e-300, every weight 0, and every count of
+the bright boundary trace 0.
 """
 
 import contextlib
@@ -26,6 +30,8 @@ import pytest
 from nvreadout.cli import main
 
 SEED = 3301                         # not used by any other test or probe
+SOURCES = {"trace": "boundary0.csv", "model": "model.txt", "scan": "rabi.csv",
+           "truth": "rabi_truth.csv"}
 
 TOKENS = ["", "nan", "inf", "-inf", "-1", "-0", "1e400", "1.5", "0x10", " 3", str(2**63),
           "1e308", "1_000", "３", "3,3", "+5", "1e-320", "True", "#"]
@@ -44,8 +50,7 @@ def files(tmp_path_factory):
 
 def commands(role: str, root, mutated) -> list[list[str]]:
     """Every command that reads ``mutated`` in the place of the ``role`` file."""
-    f = {"trace": root / "boundary0.csv", "model": root / "model.txt",
-         "scan": root / "rabi.csv", "truth": root / "rabi_truth.csv"}
+    f = {r: root / name for r, name in SOURCES.items()}
     f[role] = mutated
     b0, b1, model, scan, truth = (str(p) for p in (f["trace"], root / "boundary1.csv",
                                                    f["model"], f["scan"], f["truth"]))
@@ -54,7 +59,10 @@ def commands(role: str, root, mutated) -> list[list[str]]:
     return {
         "trace": [["sweep", *pair, "--out", out],
                   ["train", "--mode", "boundary", *pair, "--out", out],
-                  ["predict", "--model", model, "--trace", b0]],
+                  ["predict", "--model", model, "--trace", b0],
+                  ["evaluate", "--rabi", scan, "--model", model, *pair, "--truth", truth,
+                   "--out", out],
+                  ["repair", "--rabi", scan, "--model", model, *pair, "--out", out]],
         "model": [["predict", "--model", model, "--trace", b0],
                   ["evaluate", "--rabi", scan, "--model", model, *pair, "--truth", truth,
                    "--out", out],
@@ -103,16 +111,17 @@ def mutations(text: str):
     yield "cut mid-file", text[:len(text) // 2]
 
 
-@pytest.mark.parametrize("role", ["trace", "model", "scan", "truth"])
-def test_every_mutation_exits_0_or_2(files, tmp_path, role):
-    source = {"trace": "boundary0.csv", "model": "model.txt", "scan": "rabi.csv",
-              "truth": "rabi_truth.csv"}[role]
+def run_cases(role, root, cases, tmp_path) -> tuple[int, list[str]]:
+    """Run every command that reads the ``role`` file on each ``(name, text)``
+    case; the count of runs, and a line for each that raised, exited other
+    than 0 or 2, or warned."""
+    source = SOURCES[role]
     mutated = tmp_path / f"mutated-{source}"
-    failures, cases = [], 0
-    for name, text in mutations((files / source).read_text()):
+    failures, runs = [], 0
+    for name, text in cases:
         mutated.write_bytes(text.encode("utf-8"))
-        for argv in commands(role, files, mutated):
-            cases += 1
+        for argv in commands(role, root, mutated):
+            runs += 1
             sink = io.StringIO()
             try:
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
@@ -126,7 +135,32 @@ def test_every_mutation_exits_0_or_2(files, tmp_path, role):
                 failures.append(f"{name}: {argv[0]} exited {status}: {sink.getvalue()!r}")
             failures += [f"{name}: {argv[0]} warned {w.message}" for w in caught
                          if issubclass(w.category, RuntimeWarning)]
-    assert cases >= 200
+    return runs, failures
+
+
+@pytest.mark.parametrize("role", ["trace", "model", "scan", "truth"])
+def test_every_mutation_exits_0_or_2(files, tmp_path, role):
+    runs, failures = run_cases(role, files, mutations((files / SOURCES[role]).read_text()),
+                               tmp_path)
+    assert runs >= 200
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("role, edit", [
+    ("model", lambda cell: repr(float(cell) * 1e-300)),
+    ("model", lambda cell: "0.0"),
+    ("trace", lambda cell: "0"),
+], ids=["every-weight-times-1e-300", "every-weight-0", "every-count-0"])
+def test_whole_column_edit_exits_0_or_2(files, tmp_path, role, edit):
+    # the two model edits once ended evaluate in a ZeroDivisionError: the
+    # model's formula variance is 0, as for the flat model train writes for a swapped pair
+    lines = (files / SOURCES[role]).read_text().splitlines()
+    data = [k for k, line in enumerate(lines) if not line.startswith("#")][1:]
+    for k in data:
+        cells = lines[k].split(",")
+        lines[k] = ",".join(cells[:-1] + [edit(cells[-1])])
+    runs, failures = run_cases(role, files, [("edited", "\n".join(lines) + "\n")], tmp_path)
+    assert runs == {"model": 3, "trace": 5}[role]
     assert not failures, "\n".join(failures)
 
 

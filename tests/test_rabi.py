@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nvreadout import (FitFailureError, ParameterError, RabiDataset,
-                       ShapeError, SinusoidFit, assign_targets, fit_rabi,
+                       SinusoidFit, assign_targets, fit_rabi,
                        make_profiles, mix_profile, paper_like_params,
                        simulate_rabi_dataset, simulate_trace, train_rabi)
 
@@ -104,11 +104,45 @@ class TestFitRabi:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_sums_fail_the_fit_without_warnings(self):
-        # 1e160 squared overflows: the profile and the solve stop at the first
-        # overflow instead of ranking inf and nan sums
+        # the values are fitted at a scale that cannot overflow, but durations
+        # up to 1e307 make the profile's slope sum overflow: the fit stops at the
+        # first overflow instead of ranking inf and nan sums
+        t = np.linspace(0, 1e307, 2400, endpoint=False)
+        with pytest.raises(FitFailureError,
+                           match="^durations or values too large to fit: overflow"):
+            fit_rabi(t, np.cos(2 * np.pi * np.arange(2400) / 20))
+
+    @pytest.mark.filterwarnings("error")
+    def test_fit_is_bit_exactly_scale_equivariant(self):
+        # a series scaled by 2^k fits as the series' fit scaled by 2^k: offset,
+        # amplitude and rms scaled, frequency and phase the same; once, squares
+        # that underflowed (or overflowed) gave a wrong fit (or a failure)
+        t = np.linspace(0, 600, 60)
+        y = sample(0.5, 0.4, 1 / 200.0, 0.3, t) + \
+            np.random.default_rng(3601).normal(0, 0.05, t.size)
+        base = fit_rabi(t, y)
+        for k in range(-1000, 1001):
+            scaled = np.ldexp(y, k)
+            assert np.array_equal(np.ldexp(scaled, -k), y)      # representable
+            fit = fit_rabi(t, scaled)
+            assert (fit.offset, fit.amplitude, fit.frequency, fit.phase, fit.residual_rms) == \
+                (np.ldexp(base.offset, k), np.ldexp(base.amplitude, k), base.frequency,
+                 base.phase, np.ldexp(base.residual_rms, k)), k
+
+    def test_tiny_noisy_cosine_fits_its_frequency(self):
+        # 2,400 points of a noisy cosine (period 200 ns) times 2^-600: its
+        # squares once flushed to 0, and the fit returned 0.00125/ns
         t = np.linspace(0, 2400, 2400, endpoint=False)
-        with pytest.raises(FitFailureError, match="^values too large to fit: overflow"):
-            fit_rabi(t, 1e160 * np.cos(2 * np.pi * t / 200.0))
+        y = np.cos(2 * np.pi * t / 200.0) + np.random.default_rng(3602).normal(0, 0.1, t.size)
+        base, tiny = fit_rabi(t, y), fit_rabi(t, np.ldexp(y, -600))
+        assert base.frequency == pytest.approx(0.005, rel=1e-3)
+        assert (tiny.frequency, tiny.amplitude) == (base.frequency, np.ldexp(base.amplitude, -600))
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, 0.5, -3e300])
+    def test_constant_series_is_named(self, value):
+        # the flat model's series: once a fitted period longer than the span
+        with pytest.raises(FitFailureError, match="^values are constant: no oscillation to fit$"):
+            fit_rabi(np.linspace(0, 600, 61), np.full(61, value))
 
     def test_frequency_never_above_nyquist(self):
         # aliases above the sampling Nyquist frequency fit exactly as well;
@@ -456,22 +490,22 @@ class TestTrainRabi:
         assert report.method(METHOD_ML).avg_formula_variance <= \
             1.05 * report.method(METHOD_MIN_V).avg_formula_variance
 
-    @pytest.mark.parametrize("durations, counts, error", [
-        ([10.0, 5.0], [[1, 2], [3, 4]], ParameterError),
-        ([0.0, 0.0], [[1, 2], [3, 4]], ParameterError),
-        ([0.0, np.nan], [[1, 2], [3, 4]], ParameterError),
-        ([0.0, np.inf], [[1, 2], [3, 4]], ParameterError),
-        ([0.0, 1.0], [[1, -2], [3, 4]], ParameterError),
-        ([0.0, 1.0], [[1, 2.5], [3, 4]], ParameterError),
-        ([0.0, 1.0], [[2**70, 2], [3, 4]], ParameterError),
-        ([0.0, 1.0], [1, 2], ParameterError),
-        ([0.0, 1.0, 2.0], [[1, 2], [3, 4]], ShapeError),
-        ([0.0], [[1, 2], [3, 4]], ShapeError),
+    @pytest.mark.parametrize("durations, counts, match", [
+        ([10.0, 5.0], [[1, 2], [3, 4]], "durations must be finite and strictly increasing"),
+        ([0.0, 0.0], [[1, 2], [3, 4]], "durations must be finite and strictly increasing"),
+        ([0.0, np.nan], [[1, 2], [3, 4]], "duration_ns nan is not finite"),
+        ([0.0, np.inf], [[1, 2], [3, 4]], "duration_ns inf is not finite"),
+        ([0.0, 1.0], [[1, -2], [3, 4]], "counts -2 is negative"),
+        ([0.0, 1.0], [[1, 2.5], [3, 4]], "counts must be integers"),
+        ([0.0, 1.0], [[2**70, 2], [3, 4]], "counts must be integers"),
+        ([0.0, 1.0], [1, 2], "counts must be a non-empty 2-d array"),
+        ([0.0, 1.0, 2.0], [[1, 2], [3, 4]], "2 count rows for 3 durations"),
+        ([0.0], [[1, 2], [3, 4]], "2 count rows for 1 durations"),
     ], ids=["decreasing", "repeated", "nan-duration", "inf-duration",
             "negative-count", "non-integer-count", "count-beyond-int64",
             "1-d-counts", "fewer-rows", "more-rows"])
-    def test_dataset_invariants(self, durations, counts, error):
-        with pytest.raises(error):
+    def test_dataset_invariants(self, durations, counts, match):
+        with pytest.raises(ParameterError, match=f"^{match}$"):
             RabiDataset(durations, np.array(counts), repetitions=10)
 
     @pytest.mark.parametrize("durations, counts, match", [
@@ -499,7 +533,7 @@ class TestTrainRabi:
             expected = simulate_trace(mix_profile(float(p), p0, p1), 10**5, 31 + k)
             assert np.array_equal(row, expected.counts)
         short = make_profiles(replace(paper_like_params(), trace_length_ns=500.0))[1]
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match=r"pair differs in length \(500 vs 250 bins\)"):
             simulate_rabi_dataset(p0, short, 10**5, 31)
         with pytest.raises(ParameterError, match="2\\^53"):
             simulate_rabi_dataset(p0, p1, 10**18, 31)

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from nvreadout import (DegenerateTrainingError, DomainError,
-                       GateWindow, ParameterError, ReadoutModel,
-                       ShapeError, TimeTrace, TrainingExample, expected_trace, gate_sum,
-                       gated_equivalent_model, gated_population, loss,
-                       loss_gradient, make_profiles, mix_profile,
-                       paper_like_params, predict, prediction_variance,
-                       simulate_trace, sweep_gate, train, train_boundary)
+from nvreadout import (GateWindow, ParameterError, ReadoutModel, TimeTrace, TrainingExample,
+                       expected_trace, gate_sum, gated_equivalent_model, gated_population,
+                       loss, loss_gradient, make_profiles, mix_profile, paper_like_params,
+                       predict, prediction_variance, simulate_trace, sweep_gate, train,
+                       train_boundary)
 from nvreadout.regression import GROUPS, WEIGHT_FACTOR
 
 from conftest import noise_per_contrast
@@ -107,7 +105,7 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         model = ReadoutModel(np.zeros(4), 0.0, 2.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="data have 2 bins, model expects 4"):
             predict(model, TimeTrace(np.array([1, 2]), repetitions=1))
 
 
@@ -161,7 +159,7 @@ class TestLoss:
 
     def test_empty_examples_rejected(self):
         model = random_model(np.random.default_rng(0))
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match="need at least one training example"):
             loss(model, [], 10.0)
 
 
@@ -218,32 +216,32 @@ class TestTrain:
 
     def test_identical_traces_rejected(self, preset_traces):
         _, _, t0, _ = preset_traces
-        with pytest.raises(DegenerateTrainingError):
+        with pytest.raises(ParameterError, match="boundary traces are identical"):
             train_boundary(t0, t0)
 
     def test_identical_targets_rejected(self, preset_traces):
         _, _, t0, t1 = preset_traces
-        with pytest.raises(DegenerateTrainingError):
+        with pytest.raises(ParameterError, match="targets need at least two distinct values"):
             train(np.stack([t0.counts, t1.counts]), [t0.repetitions, t1.repetitions],
                   [0.5, 0.5], t0.bin_width_ns)
 
-    @pytest.mark.parametrize("counts, reps, targets, error", [
-        ([[1, 2], [3, 4]], 10, [1.0, -0.1], DomainError),
-        ([[1, 2], [3, 4]], 10, [1.5, 0.0], DomainError),
-        ([[1, 2], [3, 4]], 10, [1.0, float("nan")], DomainError),
-        ([[1, 2], [3, 4]], 10, [1.0, 0.5, 0.0], ShapeError),
-        ([[1, 2], [3, 4]], [10, 10, 10], [1.0, 0.0], ShapeError),
-        ([[1, 2], [3, 4]], 0, [1.0, 0.0], ParameterError),
-        ([[1, 2], [3, 4]], 2.5, [1.0, 0.0], ParameterError),
-        ([[1, 2]], 10, [1.0], DegenerateTrainingError),
-        ([[1, 2], [3, 4]], 10, [0.5, 0.5], DegenerateTrainingError),
-        ([[1, -2], [3, 4]], 10, [1.0, 0.0], ParameterError),
-        ([[1, 2.5], [3, 4]], 10, [1.0, 0.0], ParameterError),
+    @pytest.mark.parametrize("counts, reps, targets, match", [
+        ([[1, 2], [3, 4]], 10, [1.0, -0.1], r"targets must be in \[0, 1\]"),
+        ([[1, 2], [3, 4]], 10, [1.5, 0.0], r"targets must be in \[0, 1\]"),
+        ([[1, 2], [3, 4]], 10, [1.0, float("nan")], r"targets must be in \[0, 1\]"),
+        ([[1, 2], [3, 4]], 10, [1.0, 0.5, 0.0], "need one repetition count and one target"),
+        ([[1, 2], [3, 4]], [10, 10, 10], [1.0, 0.0], "need one repetition count and one target"),
+        ([[1, 2], [3, 4]], 0, [1.0, 0.0], "repetitions must be an integer >= 1"),
+        ([[1, 2], [3, 4]], 2.5, [1.0, 0.0], "repetitions must be an integer >= 1"),
+        ([[1, 2]], 10, [1.0], "targets need at least two distinct values"),
+        ([[1, 2], [3, 4]], 10, [0.5, 0.5], "targets need at least two distinct values"),
+        ([[1, -2], [3, 4]], 10, [1.0, 0.0], "counts -2 is negative"),
+        ([[1, 2.5], [3, 4]], 10, [1.0, 0.0], "counts must be integers"),
     ], ids=["target-below-0", "target-above-1", "target-nan", "target-count",
             "repetition-count", "zero-repetitions", "non-integer-repetitions",
             "single-row", "identical-targets", "negative-count", "non-integer-count"])
-    def test_bad_training_arrays_rejected(self, counts, reps, targets, error):
-        with pytest.raises(error):
+    def test_bad_training_arrays_rejected(self, counts, reps, targets, match):
+        with pytest.raises(ParameterError, match=match):
             train(np.array(counts), reps, targets, 2.0)
 
     def test_scalar_and_per_row_repetitions_agree(self):
@@ -255,7 +253,7 @@ class TestTrain:
 
     def test_boundary_traces_of_unequal_bin_width_rejected(self, preset_traces):
         _, _, t0, t1 = preset_traces
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match=r"bin width \(2.0 vs 4.0 ns\)"):
             train_boundary(t0, TimeTrace(t1.counts, t1.repetitions, bin_width_ns=4.0))
 
     def test_swapped_labels_still_train(self, preset_traces):
@@ -423,5 +421,5 @@ class TestGatedEquivalentModel:
 
     def test_overrunning_window_rejected(self, preset_traces):
         _, _, t0, t1 = preset_traces
-        with pytest.raises(ShapeError, match="overruns"):
+        with pytest.raises(ParameterError, match="gate width 501 overruns trace of 500 bins"):
             gated_equivalent_model(t0, t1, GateWindow(len(t0) + 1))

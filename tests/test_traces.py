@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nvreadout import (EmissionProfile, ParameterError, PhotodynamicsParams,
-                       RabiDataset, ReadoutModel, ShapeError, SweepResult, TimeTrace,
+                       RabiDataset, ReadoutModel, SweepResult, TimeTrace,
                        differential, expected_trace, make_profiles, mix_profile,
                        paper_like_params, simulate_rabi_dataset, simulate_trace)
 from nvreadout import io as nvio
@@ -224,11 +224,10 @@ class TestMixProfile:
 
     def test_domain_and_shape_errors(self):
         p0, p1 = make_profiles(paper_like_params())
-        import nvreadout
-        with pytest.raises(nvreadout.DomainError):
+        with pytest.raises(ParameterError, match=r"population must be in \[0, 1\], got 1.5"):
             mix_profile(1.5, p0, p1)
         short = EmissionProfile(p0.rates[:10], p0.bin_width_ns)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match=r"pair differs in length \(10 vs 500 bins\)"):
             mix_profile(0.5, short, p1)
 
 
@@ -310,9 +309,9 @@ class TestDifferential:
         a = TimeTrace(np.array([1, 2]), repetitions=1)
         b = TimeTrace(np.array([1, 2, 3]), repetitions=1)
         c = TimeTrace(np.array([1, 2]), repetitions=1, bin_width_ns=4.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match=r"pair differs in length \(2 vs 3 bins\)"):
             differential(a, b)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match=r"bin width \(2.0 vs 4.0 ns\)"):
             differential(a, c)
 
     def test_unequal_repetitions_normalized(self):
