@@ -52,7 +52,7 @@ SHIPPED_WIDTH_V_NS = 460.0
 
 def sweep_geometry(params: PhotodynamicsParams):
     profile0, profile1 = make_profiles(params)
-    sweep = SweepResult(0, params.bin_width_ns, 1,
+    sweep = SweepResult(params.bin_width_ns, 1,
                         np.cumsum(profile0.rates), np.cumsum(profile1.rates))
     c, v = sweep.contrast, sweep.total_variance
     i_c, i_v = int(np.nanargmax(c)), int(np.nanargmin(v))

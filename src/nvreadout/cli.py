@@ -4,11 +4,8 @@ Subcommands: simulate, sweep, train, fit-rabi, predict, evaluate, repair.
 Exit status is 0 on success, 1 on usage errors, 2 on data/domain errors
 and when memory runs out.  All randomness is controlled by ``--seed``;
 rerunning any pipeline with the same inputs and seeds produces
-byte-identical output files.
-
-Run settings are flags.  ``simulate --config`` reads only the emission
-profile, the [profile] section of a key=value config file; any other
-section is an error (see docs/config-format.md).
+byte-identical output files.  ``simulate`` draws from the paper-like
+preset; a custom emission model is a library call (see README).
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import math
 import sys
 
 import numpy as np
-from dataclasses import MISSING, fields as dataclass_fields
 from pathlib import Path
 
 from . import __version__
@@ -30,10 +26,9 @@ from .gating import sweep_gate
 from .rabi import _check_scan, fit_count_sums, simulate_rabi_dataset
 from .regression import (gated_equivalent_model, predict, prediction_variance,
                          train_boundary, train_rabi)
-from .traces import (PhotodynamicsParams, _check_repetitions, make_profiles,
-                     paper_like_params, simulate_trace)
+from .traces import _check_repetitions, make_profiles, paper_like_params, simulate_trace
 
-__all__ = ["main", "load_config"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,48 +45,6 @@ def _count(value, name: str) -> int:
     if not (math.isfinite(value) and value >= 1 and value == int(value)):
         raise ParameterError(f"{name} must be a whole number >= 1, got {value!r}")
     return int(value)
-
-
-def load_config(path) -> PhotodynamicsParams:
-    """The emission parameters of a config file's [profile] section, or the
-    paper-like preset if it has none.  Any other section, and a [profile] key
-    that is not a PhotodynamicsParams field ([DEFAULT]'s included), is a ParseError."""
-    import configparser         # here: only simulate --config reads a config file
-
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
-    try:
-        read = parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {' '.join(str(exc).split())}") from None
-    if not read:
-        raise ReadoutError(f"config file not found: {path}")
-    for section in parser.sections():
-        if section != "profile":
-            raise ParseError(f"{path}: [{section}] is not a known section (only [profile] "
-                             "is; run settings are flags)")
-    if not parser.has_section("profile"):
-        parser.add_section("profile")       # empty, or holding [DEFAULT]'s keys
-
-    profile = {f.name: f for f in dataclass_fields(PhotodynamicsParams)}
-    values = {}
-    for key in parser.options("profile"):
-        if key not in profile:
-            where = " (from [DEFAULT])" if key in parser.defaults() else ""
-            raise ParseError(f"{path}: [profile] {key}{where} is not a known key")
-        raw = parser.get("profile", key)
-        try:
-            values[key] = float(raw)
-        except ValueError:
-            raise ParseError(f"{path}: [profile] {key}={raw!r} is not a number") from None
-    if not values:
-        return paper_like_params()
-    missing = [n for n, f in profile.items() if f.default is MISSING and n not in values]
-    if missing:
-        raise ParseError(f"{path}: [profile] sets some keys but not {', '.join(missing)}")
-    try:
-        return PhotodynamicsParams(**values)
-    except ParameterError as exc:
-        raise ParseError(f"{path}: [profile] {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="emit boundary and/or oscillation trace files")
     p.add_argument("--preset", default="paper-like", choices=["paper-like"],
                    help="simulator calibration preset")
-    p.add_argument("--config", help="config file with a [profile] section")
     p.add_argument("--reps", dest="repetitions", type=float, default=1e6,
                    help="measurement repetitions")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
@@ -178,8 +130,7 @@ def _check_distinct_output(out_path, *other_paths) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    params = load_config(args.config) if args.config else paper_like_params()
-    profile0, profile1 = make_profiles(params)
+    profile0, profile1 = make_profiles(paper_like_params())
     reps = args.repetitions
     rabi_reps = reps if args.rabi_repetitions is None else args.rabi_repetitions
     # the simulator's own checks, made here so that the messages name the flags
@@ -190,8 +141,6 @@ def _cmd_simulate(args) -> int:
                 names=("--rabi-points", "--rabi-period-ns", "--rabi-span-ns"))
 
     out = Path(args.out_dir)
-    for name in ("boundary0.csv", "boundary1.csv", "rabi.csv", "rabi_truth.csv"):
-        _check_distinct_output(out / name, args.config)
     boundary, rabi = args.what in ("boundary", "both"), args.what in ("rabi", "both")
     # every draw before the output directory, so a failing one writes nothing
     if boundary:

@@ -60,11 +60,12 @@ class EvalReport:
     @property
     def reductions(self) -> dict[tuple[str, str], float]:
         """``reductions[(a, b)]`` is 1 - V_a / V_b for average formula variances,
-        divided in IEEE float64: a flat model's V_b = 0 gives -inf, or nan for 0/0."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return {(a.method, b.method):
-                    float(1.0 - np.float64(a.avg_formula_variance) / b.avg_formula_variance)
-                    for a in self.methods for b in self.methods if a.method != b.method}
+        or nan where either is 0: a constant estimator (the flat model) has no
+        contrast, so its variance compares with nothing."""
+        return {(a.method, b.method):
+                1.0 - a.avg_formula_variance / b.avg_formula_variance
+                if a.avg_formula_variance and b.avg_formula_variance else float("nan")
+                for a in self.methods for b in self.methods if a.method != b.method}
 
     def method(self, name: str) -> MethodEval:
         for m in self.methods:

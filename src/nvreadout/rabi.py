@@ -233,9 +233,9 @@ def fit_rabi(durations, values) -> SinusoidFit:
     FitFailureError
         On too few points, non-finite or constant values, durations that
         are not strictly increasing, a span above 16 (points - 1) median
-        steps or below one fitted period, durations so large that a sum of
-        the fit overflows, or no credible oscillation (fitted amplitude
-        below 3x the residual rms).
+        steps or below one fitted period, durations so small that the
+        fitted frequency times 2 pi overflows, or no credible oscillation
+        (fitted amplitude below 3x the residual rms).
     """
     t = np.asarray(durations, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -251,19 +251,19 @@ def fit_rabi(durations, values) -> SinusoidFit:
     if np.all(y == y[0]):
         raise FitFailureError("values are constant: no oscillation to fit")
 
+    # fitted at the power-of-two scales that put the largest duration and the
+    # largest value magnitude in [0.5, 1): exact, so the fit is equivariant in
+    # either scale, and no difference or sum of the fit underflows or overflows
+    e_t, e_y = (int(np.frexp(np.abs(x).max())[1]) for x in (t, y))
+    t, y = np.ldexp(t, -e_t), np.ldexp(y, -e_y)
     dt = _median_step(t)
     span = t[-1] - t[0]
-    ratio = span / dt / (t.size - 1)        # nan or inf where a difference overflows
+    ratio = span / dt / (t.size - 1)
     if not ratio <= _MAX_SPAN_STEPS:
         raise FitFailureError(f"durations span {ratio:.4g} times (points - 1) median "
                               f"steps; need <= {_MAX_SPAN_STEPS}")
-    # fitted at the power-of-two scale that puts the largest magnitude in
-    # [0.5, 1): exact, so the fit is scale-equivariant, and no sum of the
-    # values underflows or overflows
-    e = int(np.frexp(np.abs(y).max())[1])
-    y = np.ldexp(y, -e)
     try:
-        with np.errstate(over="raise", invalid="raise"):    # a sum that overflows fails
+        with np.errstate(over="raise", invalid="raise"):    # an overflow fails the fit
             spectrum = np.abs(np.fft.rfft(y - y.mean(), 4 * t.size))   # padded periodogram
             f_dom = float(np.fft.rfftfreq(4 * t.size, dt)[1 + int(np.argmax(spectrum[1:]))])
             if f_dom <= 0:
@@ -283,10 +283,14 @@ def fit_rabi(durations, values) -> SinusoidFit:
             phase = float(np.arctan2(-b, a) % (2.0 * np.pi) % (2.0 * np.pi))
             rms = float(np.sqrt(r @ r / t.size))
             credible = amplitude >= _AMPLITUDE_SNR * rms
-            offset, amplitude, rms = (float(np.ldexp(x, e)) for x in (offset, amplitude, rms))
+            offset, amplitude, rms = (float(np.ldexp(x, e_y)) for x in (offset, amplitude, rms))
+            frequency = float(np.ldexp(f, -e_t))    # overflows if the durations are tiny
     except FloatingPointError as exc:
-        raise FitFailureError(f"durations or values too large to fit: {exc}") from None
+        raise FitFailureError(f"fit out of floating-point range: {exc}") from None
 
+    if 2.0 * np.pi * frequency == np.inf:      # the curve's phase would be nan
+        raise FitFailureError(f"fit out of floating-point range: frequency {frequency:.4g}"
+                              "/ns times 2 pi overflows")
     span_periods = span * f
     if span_periods < 1.0:
         raise FitFailureError(
@@ -295,7 +299,7 @@ def fit_rabi(durations, values) -> SinusoidFit:
         raise FitFailureError(
             f"no credible oscillation: amplitude {amplitude:.4g} < "
             f"{_AMPLITUDE_SNR} * residual rms {rms:.4g}")
-    return SinusoidFit(offset, amplitude, float(f), phase, rms)
+    return SinusoidFit(offset, amplitude, frequency, phase, rms)
 
 
 def fit_count_sums(dataset: RabiDataset) -> tuple[np.ndarray, SinusoidFit]:

@@ -62,12 +62,6 @@ EVERY_FLAG = ["--reps", "3e5", "--seed", "5", "--rabi-points", "8", "--rabi-peri
               "--rabi-span-ns", "240", "--rabi-reps", "7e4"]
 
 
-def documented_block():
-    """The ini block of docs/config-format.md."""
-    doc = (Path(__file__).parents[1] / "docs" / "config-format.md").read_text()
-    return doc.split("```ini\n")[1].split("```")[0]
-
-
 class TestPipeline:
     def test_all_outputs_exist(self, pipeline):
         for name in ("data/boundary0.csv", "data/boundary1.csv", "data/rabi.csv",
@@ -118,28 +112,8 @@ class TestPipeline:
                    "--out", str(tmp_path / "r.csv")) == 0
         assert (data / "boundary0.csv").read_bytes() == before
 
-    def test_config_file_defaults(self, tmp_path):
-        # the config sets the profile, the flags the run: the files are those the
-        # library writes for that profile
-        from nvreadout import PhotodynamicsParams, make_profiles, simulate_trace
-        from nvreadout import io as nvio
-        from nvreadout.cli import load_config
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("[profile]\nsteady_rate = 3e-5\nbright_boost = 0.5\n"
-                            "dark_dip = 0.8\ntau_bright_ns = 40\ntrace_length_ns = 200\n")
-        params = load_config(cfg_file)
-        assert params == PhotodynamicsParams(steady_rate=3e-5, bright_boost=0.5, dark_dip=0.8,
-                                             tau_bright_ns=40.0, trace_length_ns=200.0)
-        out = tmp_path / "sim"
-        assert run("simulate", "--config", str(cfg_file), "--reps", "1e5", "--seed", "3",
-                   "--out-dir", str(out)) == 0
-        written = nvio.read_trace_csv(out / "boundary0.csv")
-        bright = simulate_trace(make_profiles(params)[0], 100_000, 3)
-        assert (written.repetitions, written.seed, len(written)) == (100_000, 3, 100)
-        assert np.array_equal(written.counts, bright.counts)
-
     def test_flags_only_defaults_write_the_same_bytes(self, tmp_path):
-        # no flag and no config, against every default given as a flag
+        # no flag, against every default given as a flag
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("simulate", "--what", "both", "--out-dir", str(a)) == 0
         assert run("simulate", "--what", "both", "--out-dir", str(b), "--reps", "1e6",
@@ -158,6 +132,20 @@ class TestPipeline:
         written = nvio.read_model(tmp_path / "rabi_model.txt")
         assert np.array_equal(model.weights, written.weights)
         assert model.intercept == written.intercept
+
+    def test_readme_custom_profile_example_runs(self, tmp_path, monkeypatch):
+        # a custom emission model is a library call: the README's example, as written,
+        # writes the scan that the same calls give
+        from nvreadout import PhotodynamicsParams, make_profiles, simulate_rabi_dataset
+        from nvreadout import io as nvio
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```python\n")[1].split("```")[0]
+        monkeypatch.chdir(tmp_path)
+        exec("\n".join(line[2:] for line in block.splitlines()), {})
+        params = PhotodynamicsParams(steady_rate=3e-5, bright_boost=0.5, dark_dip=0.8,
+                                     tau_bright_ns=40)
+        scan, _ = simulate_rabi_dataset(*make_profiles(params), 100_000, seed=7)
+        assert nvio.read_rabi_csv(tmp_path / "rabi.csv").counts.tobytes() == scan.counts.tobytes()
 
     def test_fit_rabi_curve_is_the_train_rabi_target(self, pipeline, tmp_path):
         # fit-rabi's normalized curve (its p_fit column) is train --mode rabi's target
@@ -185,21 +173,16 @@ class TestPipeline:
         p = float(out.split("population=")[1].split()[0])
         assert abs(p - 1.0) < 0.05
 
-    @pytest.mark.parametrize("config, flags, expected", [
-        (False, [], (10**6, 0, 60, 200.0, 600.0, 10**6)),
-        (True, [], (10**6, 0, 60, 200.0, 600.0, 10**6)),
-        (True, EVERY_FLAG, (300_000, 5, 8, 150.0, 240.0, 70_000)),
-        (False, ["--reps", "3e5"], (300_000, 0, 60, 200.0, 600.0, 300_000)),
-    ], ids=["default", "config", "flag-over-config", "rabi-reps-follow-resolved-reps"])
-    def test_flag_over_config_over_default(self, tmp_path, config, flags, expected):
+    @pytest.mark.parametrize("flags, expected", [
+        ([], (10**6, 0, 60, 200.0, 600.0, 10**6)),
+        (EVERY_FLAG, (300_000, 5, 8, 150.0, 240.0, 70_000)),
+        (["--reps", "3e5"], (300_000, 0, 60, 200.0, 600.0, 300_000)),
+    ], ids=["default", "every-flag", "rabi-reps-follow-resolved-reps"])
+    def test_flag_over_default(self, tmp_path, flags, expected):
         # each run setting, read back from what simulate writes: a flag if it is
-        # given, else its default; the config (the documented profile) sets none
+        # given, else its default
         from nvreadout import io as nvio
-        argv = ["simulate", "--what", "both", "--out-dir", str(tmp_path / "sim"), *flags]
-        if config:
-            (tmp_path / "run.cfg").write_text(documented_block())
-            argv += ["--config", str(tmp_path / "run.cfg")]
-        assert run(*argv) == 0
+        assert run("simulate", "--what", "both", "--out-dir", str(tmp_path / "sim"), *flags) == 0
         reps, seed, points, period, span, rabi_reps = expected
         bright = nvio.read_trace_csv(tmp_path / "sim" / "boundary0.csv")
         assert (bright.repetitions, bright.seed) == (reps, seed)
@@ -281,7 +264,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("case, status, message", [
         ("train-boundary-without-trace1", 2, "boundary mode needs --trace0 and --trace1"),
         ("train-rabi-without-rabi", 2, "rabi mode needs --rabi"),
-        ("config-not-found", 2, "config file not found"),
         ("sweep-identical-pair", 0, "sweep: every width degenerate"),
         ("evaluate-identical-pair", 2, "boundary sweep is fully degenerate"),
         ("trace-without-column-row", 2, "no-columns.csv: expected 'bin_index,counts' column row"),
@@ -313,8 +295,6 @@ class TestExitCodes:
             "train-boundary-without-trace1": ["train", "--mode", "boundary", "--trace0", b0,
                                               "--out", out],
             "train-rabi-without-rabi": ["train", "--mode", "rabi", "--out", out],
-            "config-not-found": ["simulate", "--config", str(tmp_path / "nope.cfg"),
-                                 "--out-dir", str(tmp_path / "sim")],
             "sweep-identical-pair": ["sweep", "--trace0", b0, "--trace1", b0, "--out", out],
             "evaluate-identical-pair": ["evaluate", "--rabi", scan, "--model",
                                         str(pipeline / "model.txt"), "--trace0", b0,
@@ -339,7 +319,6 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         # a failing command writes nothing
         assert (tmp_path / "out.csv").exists() == (status == 0)
-        assert not (tmp_path / "sim").exists()
 
     def test_output_must_not_overwrite_input(self, pipeline, capsys):
         trace = pipeline / "data" / "boundary0.csv"
@@ -347,17 +326,14 @@ class TestExitCodes:
                    "--out", str(trace)) == 2
         assert "overwrite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["summary-is-scan", "summary-is-out", "out-is-config",
-                                      "out-is-model", "simulated-file-is-config"])
+    @pytest.mark.parametrize("case", ["summary-is-scan", "summary-is-out", "out-is-model"])
     def test_output_over_another_path_is_2(self, pipeline, tmp_path, capsys, case):
         # each command reads or writes the kept file twice; it must stay as it was
         data = pipeline / "data"
-        kept = tmp_path / {"simulated-file-is-config": "rabi.csv",
-                           "out-is-config": "rabi_truth.csv"}.get(case, "kept")
+        kept = tmp_path / "kept"
         kept.write_bytes({"summary-is-scan": (data / "rabi.csv").read_bytes(),
                           "summary-is-out": b"an earlier report\n",
-                          "out-is-model": (pipeline / "model.txt").read_bytes()}.get(
-            case, b"[profile]\n"))
+                          "out-is-model": (pipeline / "model.txt").read_bytes()}[case])
         before = kept.read_bytes()
         scan = ["--rabi", str(kept if case == "summary-is-scan" else data / "rabi.csv"),
                 "--trace0", str(data / "boundary0.csv"), "--trace1", str(data / "boundary1.csv")]
@@ -366,12 +342,7 @@ class TestExitCodes:
                                 "--out", str(tmp_path / "report.csv"), "--summary", str(kept)],
             "summary-is-out": ["evaluate", *scan, "--model", str(pipeline / "model.txt"),
                                "--out", str(kept), "--summary", str(kept)],
-            # simulate checks all four of its file names, whatever --what is
-            "out-is-config": ["simulate", "--config", str(kept), "--what", "boundary",
-                              "--out-dir", str(tmp_path), "--reps", "1e3"],
             "out-is-model": ["repair", *scan, "--model", str(kept), "--out", str(kept)],
-            "simulated-file-is-config": ["simulate", "--config", str(kept), "--what", "rabi",
-                                         "--out-dir", str(tmp_path), "--reps", "1e3"],
         }[case]
         assert run(*argv) == 2
         err = capsys.readouterr().err
@@ -452,116 +423,8 @@ class TestExitCodes:
 
 
 class TestConfigErrors:
-    @pytest.mark.parametrize("text, match", [
-        ("[profile]\nsteady_rate = abc\n", r"run\.cfg: \[profile\] steady_rate='abc'"),
-        ("[profile]\nsteady_rate = 2e-5\n[simulate\nrepetitions = 5\n", r"run\.cfg.*line 3"),
-        ("[simulate\nrepetitions = 5\n", r"run\.cfg.*line: 1"),
-    ], ids=["non-numeric", "broken-section", "no-section"])
-    def test_malformed_config_is_parse_error(self, tmp_path, capsys, text, match):
-        from nvreadout import ParseError
-        from nvreadout.cli import load_config
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(text)
-        with pytest.raises(ParseError, match=match):
-            load_config(cfg_file)
-        assert run("simulate", "--config", str(cfg_file),
-                   "--out-dir", str(tmp_path / "out")) == 2
-        assert "Traceback" not in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text, match", [
-        ("[profile]\nsteady_rat = 2e-5\n", r"run\.cfg: \[profile\] steady_rat "),
-        ("[DEFAULT]\nsteady_rat = 2e-5\n[profile]\nsteady_rate = 2e-5\n",
-         r"run\.cfg: \[profile\] steady_rat \(from \[DEFAULT\]\) "),
-        ("[DEFAULT]\nrepetitions = 1e7\n",
-         r"run\.cfg: \[profile\] repetitions \(from \[DEFAULT\]\) "),
-    ], ids=["profile", "default", "default-without-profile"])
-    def test_unknown_key_is_parse_error(self, tmp_path, capsys, text, match):
-        from nvreadout import ParseError
-        from nvreadout.cli import load_config
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(text)
-        with pytest.raises(ParseError, match=match + "is not a known key"):
-            load_config(cfg_file)
-        assert run("simulate", "--out-dir", str(tmp_path / "out"), "--config", str(cfg_file)) == 2
-        err = capsys.readouterr().err
-        assert "is not a known key" in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("section", ["simulate", "train", "sweep"])
-    def test_section_other_than_profile_is_2(self, tmp_path, capsys, section):
-        # a run setting in the config would be a second way to set it: the file fails
-        # rather than simulate the defaults
-        from nvreadout import ParseError
-        from nvreadout.cli import load_config
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(documented_block() + f"\n[{section}]\nrepetitions = 1e7\n")
-        message = (f"run.cfg: [{section}] is not a known section (only [profile] is; "
-                   "run settings are flags)")
-        with pytest.raises(ParseError, match=re.escape(message)):
-            load_config(cfg_file)
-        assert run("simulate", "--out-dir", str(tmp_path / "out"), "--config", str(cfg_file)) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and message in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("dark_dip", "1.5", "dark_dip must be in [0, 1)"),
-        ("tau_bright_ns", "-1", "tau_bright_ns must be positive"),
-        ("trace_length_ns", "1e300", "trace_length_ns / bin_width_ns exceeds numpy's index range"),
-    ], ids=["dark-dip", "negative-tau", "huge-length"])
-    def test_profile_domain_error_names_the_file(self, tmp_path, key, value, message):
-        # a fresh process, so a traceback would reach stderr (inf: see the test
-        # below); 1e300 is rejected before anything is allocated
-        block = documented_block()
-        assert re.search(rf"^{key} = ", block, re.M)
-        (tmp_path / "run.cfg").write_text(re.sub(rf"^{key} = \S+", f"{key} = {value}", block,
-                                                 flags=re.M))
-        env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nvreadout.cli", "simulate", "--config", "run.cfg",
-             "--reps", "1e3", "--out-dir", "out"],
-            capture_output=True, text=True, env=env, cwd=tmp_path)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == f"nvreadout: run.cfg: [profile] {message}\n"
-        assert not (tmp_path / "out").exists()
-
-    def test_non_finite_profile_value_is_2(self, tmp_path):
-        # a fresh process, so a traceback would reach stderr
-        block = documented_block()
-        assert "trace_length_ns = 1000\n" in block
-        (tmp_path / "run.cfg").write_text(block.replace("trace_length_ns = 1000\n",
-                                                        "trace_length_ns = inf\n"))
-        env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nvreadout.cli", "simulate", "--config", "run.cfg",
-             "--reps", "1e3", "--out-dir", "out"],
-            capture_output=True, text=True, env=env, cwd=tmp_path)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == "nvreadout: run.cfg: [profile] trace_length_ns must be finite\n"
-        assert not (tmp_path / "out").exists()
-
-    def test_documented_config_loads(self, tmp_path):
-        from dataclasses import fields
-        from nvreadout import PhotodynamicsParams
-        from nvreadout.cli import load_config
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(documented_block())
-        params = load_config(cfg_file)
-        assert isinstance(params, PhotodynamicsParams)
-        keys = set(re.findall(r"^(\w+) = ", documented_block(), re.M))
-        assert keys == {f.name for f in fields(PhotodynamicsParams)}   # every key is documented
-        assert (params.steady_rate, params.tau_onset_ns) == (2.1215e-05, 160.0)
-
-    def test_partial_profile_is_parse_error(self, tmp_path, capsys):
-        from nvreadout import ParseError
-        from nvreadout.cli import load_config
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("[profile]\nbright_boost = 0.3\n")
-        with pytest.raises(ParseError, match=r"run\.cfg: \[profile\] .*steady_rate"):
-            load_config(cfg_file)
-        assert run("simulate", "--config", str(cfg_file),
-                   "--out-dir", str(tmp_path / "out")) == 2
-        assert "Traceback" not in capsys.readouterr().err
+    """A flag that no command has (a config file, a trainer setting, a gate
+    start) is a usage error, and nothing is written."""
 
     def test_weight_factor_flag_is_a_usage_error(self, tmp_path, capsys):
         assert run("train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
@@ -579,12 +442,21 @@ class TestConfigErrors:
         assert not (tmp_path / "out.csv").exists()
 
     def test_train_config_flag_is_a_usage_error(self, tmp_path, capsys):
-        # only simulate reads a config; the trainer has no setting
+        # no command reads a config file; the trainer has no setting
         (tmp_path / "run.cfg").write_text("[profile]\n")
         assert run("train", "--mode", "boundary", "--trace0", "b0.csv", "--trace1", "b1.csv",
                    "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "m.txt")) == 1
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
+
+    def test_simulate_config_flag_is_a_usage_error(self, tmp_path, capsys):
+        # simulate draws from the paper-like preset; a custom emission model is a
+        # library call
+        (tmp_path / "run.cfg").write_text("[profile]\n")
+        assert run("simulate", "--config", str(tmp_path / "run.cfg"),
+                   "--out-dir", str(tmp_path / "sim")) == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
 
 
 class TestSwapWarning:
@@ -643,12 +515,15 @@ class TestFlatModel:
         assert capsys.readouterr().err == \
             "nvreadout: values are constant: no oscillation to fit\n"
         assert not (tmp_path / "repaired.csv").exists()
-        # V_ML = 0: each reduction is an IEEE division, 1 - 0/V and 1 - V/0
+        # V_ML = 0: a constant estimator compares with nothing, so each of its
+        # reductions is nan, not 1 - 0/V = +100% or 1 - V/0 = -inf
         report = (tmp_path / "report.csv").read_text()
-        assert "\n# reduction ML vs min-V gate=1.0\n" in report
-        assert "\n# reduction min-V gate vs ML=-inf\n" in report
-        assert "  min-V gate vs ML: -inf% variance reduction\n" in \
-            (tmp_path / "summary.txt").read_text()
+        assert "\n# reduction ML vs min-V gate=nan\n" in report
+        assert "\n# reduction min-V gate vs ML=nan\n" in report
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "  ML vs min-V gate: +nan% variance reduction\n" in summary
+        assert "  min-V gate vs ML: +nan% variance reduction\n" in summary
+        assert "  max-C gate vs min-V gate: +nan%" not in summary
         from nvreadout import io as nvio
         ml = nvio.read_report_csv(tmp_path / "report.csv").method("ML")
         assert ml.avg_formula_variance == 0.0 and np.isnan(ml.contrast_measured)
@@ -701,8 +576,8 @@ class TestConsoleScript:
 
     def test_scan_commands_leave_numpy_ma_unloaded(self, pipeline, tmp_path):
         # np.median's NaN check and np.unique import numpy.ma, 10-25 ms of every
-        # fitting or training process; configparser, about 2.6 ms, is for
-        # simulate --config alone, and numpy.random for simulate alone
+        # fitting or training process; no command imports configparser (about
+        # 2.6 ms), and numpy.random is for simulate alone
         env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))
         data = pipeline / "data"
         script = ("import sys\n"

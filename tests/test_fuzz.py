@@ -21,7 +21,7 @@ import numpy as np  # noqa: E402
 from nvreadout import (LossBreakdown, RabiDataset, ReadoutError,  # noqa: E402
                        ReadoutModel)
 from nvreadout import io as nvio  # noqa: E402
-from nvreadout.cli import load_config, main  # noqa: E402
+from nvreadout.cli import main  # noqa: E402
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -50,9 +50,6 @@ TEMPLATES = {
     nvio.read_fit_csv: "# fit-report v1\n# offset=0.5\n# amplitude=0.5\n# frequency_per_ns=0.005\n"
                        "# phase_rad=0.0\n# residual_rms=0.01\n# normalized=1\n"
                        "duration_ns,p_raw,p_fit,residual\n0.0,1.0,1.0,0.0\n",
-    # the four keys without a default, so no cell sets the trace length
-    load_config: "[profile]\nsteady_rate = 2e-05\nbright_boost = 0.37\ndark_dip = 0.9\n"
-                 "tau_bright_ns = 50\n",
 }
 
 JUNK = st.one_of(
@@ -185,7 +182,6 @@ def good_files(tmp_path_factory):
     assert main(["train", "--mode", "boundary", "--trace0", str(root / "boundary0.csv"),
                  "--trace1", str(root / "boundary1.csv"),
                  "--out", str(root / "model.txt")]) == 0
-    (root / "run.cfg").write_text(TEMPLATES[load_config])
     return root
 
 
@@ -199,8 +195,6 @@ def cli_argv(role: str, root, fuzzed) -> list[str]:
     out = str(root / "out.csv")
     return {
         "trace0": ["sweep", "--trace0", f["trace0"], "--trace1", f["trace1"], "--out", out],
-        "simulate-config": ["simulate", "--config", str(fuzzed), "--what", "both",
-                            "--reps", "1e5", "--seed", "3", "--out-dir", str(root / "simulated")],
         "model": ["predict", "--model", f["model"], "--trace", f["trace0"]],
         "rabi": ["repair", "--rabi", f["rabi"], "--model", f["model"],
                  "--trace0", f["trace0"], "--trace1", f["trace1"], "--out", out],
@@ -210,12 +204,12 @@ def cli_argv(role: str, root, fuzzed) -> list[str]:
     }[role]
 
 
-@pytest.mark.parametrize("role", ["trace0", "simulate-config", "model", "rabi", "truth"])
+@pytest.mark.parametrize("role", ["trace0", "model", "rabi", "truth"])
 @settings(max_examples=30, **SETTINGS)
 @given(data=st.data())
 def test_cli_exits_0_1_or_2(role, good_files, data):
-    template = {"trace0": "boundary0.csv", "simulate-config": "run.cfg",
-                "model": "model.txt", "rabi": "rabi.csv", "truth": "rabi_truth.csv"}[role]
+    template = {"trace0": "boundary0.csv", "model": "model.txt", "rabi": "rabi.csv",
+                "truth": "rabi_truth.csv"}[role]
     fuzzed = good_files / f"fuzzed-{role}"
     fuzzed.write_bytes(data.draw(file_bytes((good_files / template).read_bytes())))
     stdout, stderr = io.StringIO(), io.StringIO()

@@ -16,9 +16,10 @@ frequency grid by that value; a model weight or intercept of ``1e308`` is
 another, whose estimates once overflowed.  The sweep runs about 4,400
 commands in about 11 s on a 2-core machine; its budget is 30 s.
 
-Three whole-column edits, which no edit of a few cells makes, run the same
-way: every model weight times 1e-300, every weight 0, and every count of
-the bright boundary trace 0.
+Six whole-column edits, which no edit of a few cells makes, run the same
+way: every model weight times 1e-300, every weight 0, every count of the
+bright boundary trace 0, and every duration of the scan times 2^-1027,
+2^-1030 or 2^-1070.
 """
 
 import contextlib
@@ -146,21 +147,29 @@ def test_every_mutation_exits_0_or_2(files, tmp_path, role):
     assert not failures, "\n".join(failures)
 
 
-@pytest.mark.parametrize("role, edit", [
-    ("model", lambda cell: repr(float(cell) * 1e-300)),
-    ("model", lambda cell: "0.0"),
-    ("trace", lambda cell: "0"),
-], ids=["every-weight-times-1e-300", "every-weight-0", "every-count-0"])
-def test_whole_column_edit_exits_0_or_2(files, tmp_path, role, edit):
+@pytest.mark.parametrize("role, column, edit", [
+    ("model", -1, lambda cell: repr(float(cell) * 1e-300)),
+    ("model", -1, lambda cell: "0.0"),
+    ("trace", -1, lambda cell: "0"),
+    ("scan", 0, lambda cell: repr(float(cell) * 2.0**-1027)),
+    ("scan", 0, lambda cell: repr(float(cell) * 2.0**-1030)),
+    ("scan", 0, lambda cell: repr(float(cell) * 2.0**-1070)),
+], ids=["every-weight-times-1e-300", "every-weight-0", "every-count-0",
+        "every-duration-times-2^-1027", "every-duration-times-2^-1030",
+        "every-duration-times-2^-1070"])
+def test_whole_column_edit_exits_0_or_2(files, tmp_path, role, column, edit):
     # the two model edits once ended evaluate in a ZeroDivisionError: the
-    # model's formula variance is 0, as for the flat model train writes for a swapped pair
+    # model's formula variance is 0, as for the flat model train writes for a
+    # swapped pair; the duration edits once ended fit-rabi in an OverflowError,
+    # and at 2^-1030 its fitted frequency times 2 pi overflowed to a nan curve
     lines = (files / SOURCES[role]).read_text().splitlines()
     data = [k for k, line in enumerate(lines) if not line.startswith("#")][1:]
     for k in data:
         cells = lines[k].split(",")
-        lines[k] = ",".join(cells[:-1] + [edit(cells[-1])])
+        cells[column] = edit(cells[column])
+        lines[k] = ",".join(cells)
     runs, failures = run_cases(role, files, [("edited", "\n".join(lines) + "\n")], tmp_path)
-    assert runs == {"model": 3, "trace": 5}[role]
+    assert runs == {"model": 3, "trace": 5, "scan": 3}[role]
     assert not failures, "\n".join(failures)
 
 

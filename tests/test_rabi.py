@@ -104,13 +104,20 @@ class TestFitRabi:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_sums_fail_the_fit_without_warnings(self):
-        # the values are fitted at a scale that cannot overflow, but durations
-        # up to 1e307 make the profile's slope sum overflow: the fit stops at the
-        # first overflow instead of ranking inf and nan sums
-        t = np.linspace(0, 1e307, 2400, endpoint=False)
+        # durations and values are fitted at scales where no sum overflows (once,
+        # durations up to 1e307 overflowed the profile's slope sum), but durations
+        # of 2^-1070 steps give a frequency past float64's range: it fails as an
+        # overflow, not as inf
+        y = np.cos(2 * np.pi * np.arange(2400) / 20)
+        t = np.ldexp(np.arange(2400.0), -1070)
         with pytest.raises(FitFailureError,
-                           match="^durations or values too large to fit: overflow"):
-            fit_rabi(t, np.cos(2 * np.pi * np.arange(2400) / 20))
+                           match="^fit out of floating-point range: overflow encountered in ldexp$"):
+            fit_rabi(t, y)
+        # steps of 2^-1027 give a finite frequency whose 2 pi f overflows: its
+        # curve would be nan at every duration
+        with pytest.raises(FitFailureError, match=r"^fit out of floating-point range: "
+                                                  r"frequency 7\.191e\+307/ns times 2 pi overflows$"):
+            fit_rabi(np.ldexp(np.arange(2400.0), -1027), y)
 
     @pytest.mark.filterwarnings("error")
     def test_fit_is_bit_exactly_scale_equivariant(self):
@@ -128,6 +135,22 @@ class TestFitRabi:
             assert (fit.offset, fit.amplitude, fit.frequency, fit.phase, fit.residual_rms) == \
                 (np.ldexp(base.offset, k), np.ldexp(base.amplitude, k), base.frequency,
                  base.phase, np.ldexp(base.residual_rms, k)), k
+        # durations scaled by 2^k: the frequency scaled by 2^-k, the rest the same;
+        # once, spans from about 5e305 gave a wrong fit or a failure
+        (_, low), (_, high) = np.frexp(t[1]), np.frexp(t[-1])  # t[0] is 0
+        scales = range(-1021 - low, 1025 - high)        # each k where t * 2^k is normal
+        assert (scales[0], scales[-1]) == (-1025, 1014)
+        for k in scales:
+            fit = fit_rabi(np.ldexp(t, k), y)
+            assert (fit.offset, fit.amplitude, fit.frequency, fit.phase, fit.residual_rms) == \
+                (base.offset, base.amplitude, np.ldexp(base.frequency, -k), base.phase,
+                 base.residual_rms), k
+        # centred durations whose span, 600 * 2^1015, overflows: once rejected as
+        # spanning inf median steps, with numpy's RuntimeWarning
+        centred = fit_rabi(t - 300, y)
+        fit = fit_rabi(np.ldexp(t - 300, 1015), y)
+        assert (fit.amplitude, fit.frequency, fit.phase) == \
+            (centred.amplitude, np.ldexp(centred.frequency, -1015), centred.phase)
 
     def test_tiny_noisy_cosine_fits_its_frequency(self):
         # 2,400 points of a noisy cosine (period 200 ns) times 2^-600: its
