@@ -320,11 +320,16 @@ def assign_targets(dataset: RabiDataset, fit: SinusoidFit) -> list[TrainingExamp
 # ---------------------------------------------------------------------------
 
 def _check_scan(points, period_ns, span_ns, names=("points", "period_ns", "span_ns")) -> None:
-    """Reject fewer than 2 points, or a period or span not finite and positive."""
+    """Reject < 2 points, a period or span not finite and positive, a 0 step or an inf phase."""
     if points < 2:
         raise ParameterError(f"{names[0]} must be >= 2, got {points}")
     for name, value in zip(names[1:], (period_ns, span_ns)):
         _check_positive(value, name)
+    if not span_ns / (points - 1) > 0:
+        raise ParameterError(f"{names[2]} / ({names[0]} - 1) underflows to 0, got {span_ns!r}")
+    if not 2.0 * np.pi * float(span_ns) / float(period_ns) < np.inf:  # as the truth computes it
+        raise ParameterError(f"2 pi {names[2]} / {names[1]} overflows, got "
+                             f"{span_ns!r} / {period_ns!r}")
 
 
 def simulate_rabi_dataset(profile0: EmissionProfile, profile1: EmissionProfile,

@@ -272,6 +272,10 @@ class TestExitCodes:
         # nan contrast, exit 0, after numpy's RuntimeWarnings
         ("evaluate-model-weight-1e308", 2, "nvreadout: estimates overflow"),
         ("evaluate-model-intercept-1e308", 2, "nvreadout: estimates overflow"),
+        ("predict-model-weight-1e308", 2, "nvreadout: estimates overflow"),
+        ("predict-model-intercept-1e308", 2, "nvreadout: estimates overflow"),
+        ("repair-model-weight-1e308", 2, "nvreadout: estimates overflow"),
+        ("repair-model-intercept-1e308", 2, "nvreadout: estimates overflow"),
     ])
     def test_error_path_exit_and_message(self, pipeline, tmp_path, capsys, case, status,
                                          message):
@@ -286,7 +290,7 @@ class TestExitCodes:
         wide.write_text(model.replace("# bin_width_ns=2.0\n", "# bin_width_ns=4.0\n"))
         huge = tmp_path / "huge.txt"
         lines = model.splitlines()
-        if case == "evaluate-model-weight-1e308":
+        if case.endswith("model-weight-1e308"):
             lines[lines.index("weight") + 5] = "1e308"          # the fifth weight
         else:
             lines = [re.sub(r"^# intercept=.*", "# intercept=1e308", line) for line in lines]
@@ -309,6 +313,11 @@ class TestExitCodes:
             "evaluate-model-intercept-1e308": ["evaluate", "--rabi", scan, "--model",
                                                str(huge), "--trace0", b0, "--trace1", b1,
                                                "--out", out],
+            **{f"predict-model-{part}-1e308": ["predict", "--model", str(huge), "--trace", b0]
+               for part in ("weight", "intercept")},
+            **{f"repair-model-{part}-1e308": ["repair", "--rabi", scan, "--model", str(huge),
+                                              "--trace0", b0, "--trace1", b1, "--out", out]
+               for part in ("weight", "intercept")},
         }[case]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -403,10 +412,16 @@ class TestExitCodes:
         ["simulate", "--what", "rabi", "--rabi-span-ns", "0"],
         ["simulate", "--what", "rabi", "--rabi-points", "1"],
         ["simulate", "--what", "both", "--reps", "1e3", "--rabi-period-ns", "-5"],
+        # finite and positive, but 2 pi span / period overflows, or the step underflows
+        ["simulate", "--what", "rabi", "--reps", "1e3", "--rabi-span-ns", "1e308"],
+        ["simulate", "--what", "rabi", "--reps", "1e3", "--rabi-period-ns", "1e-320"],
+        ["simulate", "--what", "rabi", "--reps", "1e3", "--rabi-points", "3",
+         "--rabi-span-ns", "5e-324"],
     ], ids=["reps-nan", "reps-inf", "reps-1e30", "reps-2.7", "rabi-reps-nan",
             "rabi-reps-1e30", "max-iterations-nan", "max-iterations-2.5", "max-iterations-0",
             "rabi-period-negative", "rabi-period-inf",
-            "rabi-span-zero", "rabi-points-1", "both-rabi-period-negative"])
+            "rabi-span-zero", "rabi-points-1", "both-rabi-period-negative",
+            "rabi-span-1e308", "rabi-period-1e-320", "rabi-span-5e-324-points-3"])
     def test_bad_numeric_value_is_2(self, argv, tmp_path):
         # a fresh process, so a traceback would reach stderr
         env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))

@@ -574,8 +574,14 @@ class TestTrainRabi:
     @pytest.mark.parametrize("kwargs, match", [
         ({"points": 1}, "points must be >= 2, got 1"),
         ({"period_ns": float("nan")}, "period_ns must be finite and positive, got nan"),
-        ({"span_ns": -1.0}, "span_ns must be finite and positive, got -1.0")],
-        ids=["points-1", "period-nan", "span-negative"])
+        ({"span_ns": -1.0}, "span_ns must be finite and positive, got -1.0"),
+        # finite and positive, but the truth's phase 2 pi span / period would overflow
+        ({"span_ns": 1e308}, r"2 pi span_ns / period_ns overflows, got 1e\+308 / 200.0"),
+        ({"period_ns": np.float64(1e-320)}, "2 pi span_ns / period_ns overflows"),
+        ({"points": 3, "span_ns": 5e-324}, r"span_ns / \(points - 1\) underflows to 0")],
+        ids=["points-1", "period-nan", "span-negative", "span-1e308", "period-1e-320",
+             "span-5e-324-points-3"])
+    @pytest.mark.filterwarnings("error")
     def test_bad_scan_shape_names_the_value(self, kwargs, match):
         p0, p1 = make_profiles(paper_like_params())
         with pytest.raises(ParameterError, match=match):
