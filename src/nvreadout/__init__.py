@@ -24,8 +24,8 @@ serves as their ground-truth oracle:
 
 from .errors import FitFailureError, ParameterError, ParseError, ReadoutError
 from .evaluation import EvalReport, MethodEval, RepairResult, evaluate, repair
-from .gating import (GateMetrics, GateWindow, SweepResult, contrast, gate_sum,
-                     gated_population, sweep_gate, total_variance)
+from .gating import (GateMetrics, SweepResult, contrast, gate_sum, gated_population,
+                     sweep_gate, total_variance)
 from .rabi import (RabiDataset, SinusoidFit, TrainingExample, assign_targets,
                    fit_rabi, simulate_rabi_dataset)
 from .regression import (LossBreakdown, ReadoutModel, gated_equivalent_model,

@@ -137,7 +137,7 @@ def _cmd_simulate(args) -> int:
     for flag, value in (("--reps", reps), ("--rabi-reps", rabi_reps)):
         for profile in (profile0, profile1):
             _check_repetitions(value, profile, flag)
-    _check_scan(args.rabi_points, args.rabi_period_ns, args.rabi_span_ns,
+    _check_scan(args.rabi_points, len(profile0), args.rabi_period_ns, args.rabi_span_ns,
                 names=("--rabi-points", "--rabi-period-ns", "--rabi-span-ns"))
 
     out = Path(args.out_dir)
@@ -178,9 +178,9 @@ def _cmd_sweep(args) -> int:
     else:
         mc, mv = result.max_contrast, result.min_variance
         print(f"max contrast {mc.contrast:.4f} at "
-              f"{mc.window.width_bins * result.bin_width_ns:g} ns; "
+              f"{mc.window * result.bin_width_ns:g} ns; "
               f"min total variance {mv.total_variance:.6g} at "
-              f"{mv.window.width_bins * result.bin_width_ns:g} ns")
+              f"{mv.window * result.bin_width_ns:g} ns")
     return EXIT_OK
 
 

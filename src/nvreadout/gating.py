@@ -26,7 +26,6 @@ from .errors import ParameterError
 from .traces import TimeTrace, _check_pair, _check_positive, _repetition_count
 
 __all__ = [
-    "GateWindow",
     "GateMetrics",
     "SweepResult",
     "gate_sum",
@@ -37,27 +36,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GateWindow:
-    """The first ``width_bins`` bins of a trace."""
-
-    width_bins: int
-
-    def __post_init__(self):
-        if self.width_bins < 1:
-            raise ParameterError("width_bins must be >= 1")
-
-    def check_fits(self, n_bins: int) -> None:
-        if self.width_bins > n_bins:
-            raise ParameterError(
-                f"gate width {self.width_bins} overruns trace of {n_bins} bins")
+def _gate_width(width, n_bins: int) -> int:
+    """``width`` as an int, if it is an integer (Python or numpy) from 1 to ``n_bins``."""
+    width = _repetition_count(width, "width")
+    if width > n_bins:
+        raise ParameterError(f"gate width {width} overruns trace of {n_bins} bins")
+    return width
 
 
 @dataclass(frozen=True)
 class GateMetrics:
-    """Boundary gated sums and figures of merit for one window of a sweep."""
+    """Boundary gated sums and figures of merit for one width of a sweep."""
 
-    window: GateWindow
+    window: int                 # the gate width in bins
     bright_total: float         # gated sum of the bright boundary trace
     dark_total: float           # gated sum of the dark boundary trace
     contrast: float
@@ -114,19 +105,17 @@ class SweepResult:
 
     def at(self, width: int) -> GateMetrics:
         """Metrics of one width; ParameterError if it is degenerate."""
-        window = GateWindow(width)
-        window.check_fits(self.contrast.size)
+        width = _gate_width(width, self.contrast.size)
         k = width - 1
         if np.isnan(self.contrast[k]):
             raise ParameterError(f"gate width {width} is degenerate")
-        return GateMetrics(window, float(self.bright_total[k]), float(self.dark_total[k]),
+        return GateMetrics(width, float(self.bright_total[k]), float(self.dark_total[k]),
                            float(self.contrast[k]), float(self.total_variance[k]))
 
 
-def gate_sum(trace: TimeTrace, window: GateWindow) -> float:
-    """Sum of counts inside the window, in float64 (an int64 sum can wrap)."""
-    window.check_fits(len(trace))
-    return float(trace.counts[:window.width_bins].sum(dtype=float))
+def gate_sum(trace: TimeTrace, width: int) -> float:
+    """Sum of the first ``width`` counts, in float64 (an int64 sum can wrap)."""
+    return float(trace.counts[:_gate_width(width, len(trace))].sum(dtype=float))
 
 
 def _boundary_span(bright_total: float, dark_total: float) -> float:

@@ -349,8 +349,8 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
             + (",,,,1" if math.isnan(values[2]) else f"{','.join(map(_fmt, values))},0")
             for width, values in enumerate(zip(*(c.tolist() for c in curves)), start=1))
     footer = (f"{name}: none" if m is None else
-              f"{name}: width_bins={m.window.width_bins} "
-              f"width_ns={_fmt(m.window.width_bins * sweep.bin_width_ns)} "
+              f"{name}: width_bins={m.window} "
+              f"width_ns={_fmt(m.window * sweep.bin_width_ns)} "
               f"contrast={_fmt(m.contrast)} total_variance={_fmt(m.total_variance)}"
               for name, m in (("max_contrast", sweep.max_contrast),
                               ("min_variance", sweep.min_variance)))

@@ -319,14 +319,23 @@ def assign_targets(dataset: RabiDataset, fit: SinusoidFit) -> list[TrainingExamp
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _check_scan(points, period_ns, span_ns, names=("points", "period_ns", "span_ns")) -> None:
-    """Reject < 2 points, a period or span not finite and positive, a 0 step or an inf phase."""
+def _check_scan(points, n_bins, period_ns, span_ns,
+                names=("points", "period_ns", "span_ns")) -> None:
+    """Reject < 2 points, a points x bins matrix numpy cannot index, a period or
+    span not finite and positive, a step that repeats a duration or an inf phase."""
     if points < 2:
         raise ParameterError(f"{names[0]} must be >= 2, got {points}")
+    if points * n_bins > np.iinfo(np.intp).max:
+        raise ParameterError(f"{names[0]} times {n_bins} bins exceeds numpy's index range, "
+                             f"got {points}")
     for name, value in zip(names[1:], (period_ns, span_ns)):
         _check_positive(value, name)
-    if not span_ns / (points - 1) > 0:
+    step = span_ns / (points - 1)
+    if not step > 0:
         raise ParameterError(f"{names[2]} / ({names[0]} - 1) underflows to 0, got {span_ns!r}")
+    if not (points - 2) * step < span_ns:   # linspace's last two durations
+        raise ParameterError(f"{names[2]} / ({names[0]} - 1) rounds to a step that repeats "
+                             f"a duration, got {span_ns!r} / {points - 1}")
     if not 2.0 * np.pi * float(span_ns) / float(period_ns) < np.inf:  # as the truth computes it
         raise ParameterError(f"2 pi {names[2]} / {names[1]} overflows, got "
                              f"{span_ns!r} / {period_ns!r}")
@@ -347,7 +356,7 @@ def simulate_rabi_dataset(profile0: EmissionProfile, profile1: EmissionProfile,
     (dataset, truth)
         The dataset and the true population of every point.
     """
-    _check_scan(points, period_ns, span_ns)
+    _check_scan(points, len(profile0), period_ns, span_ns)
     durations = np.linspace(0.0, span_ns, points)
     truth = 0.5 + 0.5 * np.cos(2.0 * np.pi * durations / period_ns)
     _check_pair(profile0, profile1)

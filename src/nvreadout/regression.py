@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .gating import GateWindow, _boundary_span, gate_sum
+from .gating import _boundary_span, _gate_width, gate_sum
 from .rabi import RabiDataset, fit_count_sums
 from .traces import (TimeTrace, _check_header_text, _check_pair, _check_positive,
                      _checked_counts, _checked_floats, _repetition_count)
@@ -304,23 +304,24 @@ def train_rabi(dataset: RabiDataset) -> ReadoutModel:
 
 
 def gated_equivalent_model(trace0: TimeTrace, trace1: TimeTrace,
-                           window: GateWindow) -> ReadoutModel:
-    """Exact model form of the gated estimator for a given window.
+                           width: int) -> ReadoutModel:
+    """Exact model form of the gated estimator for a given gate width.
 
-    Equal weights 1 / (bright - dark per-measurement window sums) inside
-    the window, zero outside, intercept -dark / (bright - dark): applied
-    to any trace this reproduces the gated population estimate and its
-    variance identically.
+    Equal weights 1 / (bright - dark per-measurement gated sums) on the
+    first ``width`` bins, zero after them, intercept -dark / (bright - dark):
+    applied to any trace this reproduces the gated population estimate and
+    its variance identically.
     """
     _check_pair(trace0, trace1)
-    bright, dark = (gate_sum(trace, window) / trace.repetitions for trace in (trace0, trace1))
+    width = _gate_width(width, len(trace0))
+    bright, dark = (gate_sum(trace, width) / trace.repetitions for trace in (trace0, trace1))
     span = _boundary_span(bright, dark)
     weights = np.zeros(len(trace0))
-    weights[:window.width_bins] = 1.0 / span
+    weights[:width] = 1.0 / span
     return ReadoutModel(
         weights=weights,
         intercept=-dark / span,
         reference_bin_width_ns=trace0.bin_width_ns,
         rate_scale=1.0,
-        trained_on=f"gated-equivalent, width={window.width_bins} bins",
+        trained_on=f"gated-equivalent, width={width} bins",
     )

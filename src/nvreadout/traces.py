@@ -74,10 +74,10 @@ def _check_positive(value, name: str) -> None:
         raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _repetition_count(repetitions) -> int:
+def _repetition_count(repetitions, name: str = "repetitions") -> int:
     """``repetitions`` as an int, if it is an integer (Python or numpy) >= 1."""
     if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 1):
-        raise ParameterError("repetitions must be an integer >= 1")
+        raise ParameterError(f"{name} must be an integer >= 1")
     return int(repetitions)
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import SEED_BOUNDARY_NOISY, SEED_RABI_TRAINING, gates, noise_per_contrast
-from nvreadout import (GateWindow, ReadoutModel, TimeTrace,
+from nvreadout import (ReadoutModel, TimeTrace,
                        TrainingExample, assign_targets, differential,
                        evaluate, fit_rabi, gated_equivalent_model,
                        gated_population, gate_sum, loss, loss_gradient,
@@ -97,7 +97,7 @@ def test_c03_gated_equivalence_oracle():
     profile0, profile1 = make_profiles(params)
     trace0 = expected_trace(profile0, 10**7)
     trace1 = expected_trace(profile1, 10**7)
-    window = GateWindow(230)
+    window = 230
     model = gated_equivalent_model(trace0, trace1, window)
     bright = gate_sum(trace0, window)
     dark = gate_sum(trace1, window)
@@ -133,13 +133,12 @@ def test_c04_sweep_shape():
         interior = 0 < i_c < len(c) - 1 and 0 < i_v < len(v) - 1
         unimodal = (np.all(np.diff(c[:i_c + 1]) > 0) and np.all(np.diff(c[i_c:]) < 0)
                     and np.all(np.diff(v[:i_v + 1]) < 0) and np.all(np.diff(v[i_v:]) > 0))
-        ordered = sweep.max_contrast.window.width_bins < \
-            sweep.min_variance.window.width_bins
+        ordered = sweep.max_contrast.window < sweep.min_variance.window
     ok = interior and unimodal and ordered and t.elapsed < 5.0
     report("criterion 4 (sweep shape)", ok,
-           f"max-C at {sweep.max_contrast.window.width_bins * 2} ns "
+           f"max-C at {sweep.max_contrast.window * 2} ns "
            f"(C={sweep.max_contrast.contrast:.4f}), min-V at "
-           f"{sweep.min_variance.window.width_bins * 2} ns; interior={interior} "
+           f"{sweep.min_variance.window * 2} ns; interior={interior} "
            f"unimodal={unimodal} ordered={ordered}, runtime {t.elapsed:.2f}s")
 
 

@@ -99,8 +99,7 @@ class TestPipeline:
     def test_sweep_csv_optima_ordered(self, pipeline):
         from nvreadout import io as nvio
         sweep = nvio.read_sweep_csv(pipeline / "sweep.csv")
-        assert sweep.max_contrast.window.width_bins < \
-            sweep.min_variance.window.width_bins
+        assert sweep.max_contrast.window < sweep.min_variance.window
 
     def test_inputs_never_mutated(self, pipeline, tmp_path):
         data = pipeline / "data"
@@ -417,11 +416,18 @@ class TestExitCodes:
         ["simulate", "--what", "rabi", "--reps", "1e3", "--rabi-period-ns", "1e-320"],
         ["simulate", "--what", "rabi", "--reps", "1e3", "--rabi-points", "3",
          "--rabi-span-ns", "5e-324"],
+        # the step rounds to one that repeats the last duration
+        ["simulate", "--what", "rabi", "--reps", "1e3", "--rabi-points", "4",
+         "--rabi-span-ns", "1e-323"],
+        # points x 500 bins past numpy's index range
+        ["simulate", "--what", "rabi", "--reps", "1e3", "--rabi-points",
+         "100000000000000000000"],
     ], ids=["reps-nan", "reps-inf", "reps-1e30", "reps-2.7", "rabi-reps-nan",
             "rabi-reps-1e30", "max-iterations-nan", "max-iterations-2.5", "max-iterations-0",
             "rabi-period-negative", "rabi-period-inf",
             "rabi-span-zero", "rabi-points-1", "both-rabi-period-negative",
-            "rabi-span-1e308", "rabi-period-1e-320", "rabi-span-5e-324-points-3"])
+            "rabi-span-1e308", "rabi-period-1e-320", "rabi-span-5e-324-points-3",
+            "rabi-span-1e-323-points-4", "rabi-points-1e20"])
     def test_bad_numeric_value_is_2(self, argv, tmp_path):
         # a fresh process, so a traceback would reach stderr
         env = dict(os.environ, PYTHONPATH=str(Path(nvreadout.__file__).parents[1]))

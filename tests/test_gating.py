@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nvreadout import (GateWindow, ParameterError, SweepResult, TimeTrace, contrast,
+from nvreadout import (ParameterError, SweepResult, TimeTrace, contrast,
                        expected_trace, gate_sum, gated_equivalent_model, gated_population,
                        make_profiles, paper_like_params, simulate_trace, sweep_gate,
                        total_variance)
@@ -18,18 +18,19 @@ def trace_of(counts, reps=1):
 class TestGateSum:
     def test_full_window_is_total(self):
         tr = trace_of([1, 2, 3, 4])
-        assert gate_sum(tr, GateWindow(4)) == 10
+        assert gate_sum(tr, 4) == 10
+        assert gate_sum(tr, np.int64(4)) == 10
 
     def test_single_bin(self):
         tr = trace_of([1, 2, 3, 4])
-        assert gate_sum(tr, GateWindow(1)) == 1
+        assert gate_sum(tr, 1) == 1
 
     def test_zero_trace(self):
-        assert gate_sum(trace_of([0, 0]), GateWindow(2)) == 0
+        assert gate_sum(trace_of([0, 0]), 2) == 0
 
     def test_overrun_raises(self):
         with pytest.raises(ParameterError, match="gate width 3 overruns trace of 2 bins"):
-            gate_sum(trace_of([1, 2]), GateWindow(3))
+            gate_sum(trace_of([1, 2]), 3)
 
     def test_sums_past_int64_do_not_wrap(self):
         # four bins of 2^62 sum to 2^64, which an int64 sum wraps to exactly 0;
@@ -38,7 +39,7 @@ class TestGateSum:
         bright = trace_of([2**62] * 4 + [4096] * 16, reps=10**6)
         dark = trace_of([1000] * 20, reps=10**6)
         exact = [float(s) for s in itertools.accumulate(int(c) for c in bright.counts)]
-        assert [gate_sum(bright, GateWindow(w)) for w in range(1, 21)] == exact
+        assert [gate_sum(bright, w) for w in range(1, 21)] == exact
         sweep = sweep_gate(bright, dark)
         assert sweep.bright_total.tolist() == exact     # no width degenerate
 
@@ -78,7 +79,7 @@ class TestGatedPopulation:
 @pytest.mark.parametrize("degenerate", [
     lambda: gated_population(3.0, 2.0, 2.0),
     lambda: total_variance(2.0, 2.0),
-    lambda: gated_equivalent_model(trace_of([1, 1, 1]), trace_of([1, 1, 1]), GateWindow(2)),
+    lambda: gated_equivalent_model(trace_of([1, 1, 1]), trace_of([1, 1, 1]), 2),
 ], ids=["gated_population", "total_variance", "gated_equivalent_model"])
 def test_bright_must_exceed_dark_in_one_message(degenerate):
     # the gate's one boundary rule; the model form's window sums are 2.0 and 2.0
@@ -146,8 +147,7 @@ class TestSweep:
         assert 0 < i_c < len(c) - 1 and 0 < i_v < len(v) - 1
         assert np.all(np.diff(c[:i_c + 1]) > 0) and np.all(np.diff(c[i_c:]) < 0)
         assert np.all(np.diff(v[:i_v + 1]) < 0) and np.all(np.diff(v[i_v:]) > 0)
-        assert noiseless_sweep.max_contrast.window.width_bins < \
-            noiseless_sweep.min_variance.window.width_bins
+        assert noiseless_sweep.max_contrast.window < noiseless_sweep.min_variance.window
 
     def test_matches_direct_formulas(self, noiseless_sweep):
         m = noiseless_sweep.at(42)
@@ -183,7 +183,8 @@ class TestSweep:
         # dark outcounts bright over the first two bins only
         sweep = sweep_gate(trace_of([5, 0, 50]), trace_of([1, 10, 10]))
         assert np.isnan(sweep.contrast).tolist() == [False, True, False]
-        assert sweep.at(3).window.width_bins == 3
+        assert sweep.at(3).window == 3
+        assert type(sweep.at(np.int64(3)).window) is int
         with pytest.raises(ParameterError, match="gate width 2 is degenerate"):
             sweep.at(2)
 
@@ -200,12 +201,23 @@ class TestSweep:
         assert hand.min_variance == swept.min_variance
         assert np.isnan(swept.contrast).any() and not np.isnan(swept.contrast).all()
 
-    @pytest.mark.parametrize("reps", [0, -3, 2.5, 10.0], ids=["zero", "negative",
-                                                            "fraction", "float"])
-    def test_hand_built_sweep_checks_repetitions(self, reps):
-        # the traces' rule: an integer >= 1
-        with pytest.raises(ParameterError, match="^repetitions must be an integer >= 1$"):
-            SweepResult(2.0, reps, [5.0, 9.0], [1.0, 2.0])
+    WIDTH_CALLS = ("gate_sum", "at", "gated_equivalent_model")
+
+    @pytest.mark.parametrize("call, value", [
+        *(("SweepResult", reps) for reps in (0, -3, 2.5, 10.0)),
+        *((call, width) for call in WIDTH_CALLS for width in (0, 2.5, "3"))],
+        ids=["zero", "negative", "fraction", "float",
+             *(f"{call}-width-{w}" for call in WIDTH_CALLS for w in ("0", "2.5", "str-3"))])
+    def test_hand_built_sweep_checks_repetitions(self, call, value):
+        # the traces' rule, an integer >= 1, checks repetitions and every gate width
+        pair = trace_of([5, 4]), trace_of([1, 2])
+        calls = {"SweepResult": lambda reps: SweepResult(2.0, reps, [5.0, 9.0], [1.0, 2.0]),
+                 "gate_sum": lambda width: gate_sum(pair[0], width),
+                 "at": lambda width: sweep_gate(*pair).at(width),
+                 "gated_equivalent_model": lambda width: gated_equivalent_model(*pair, width)}
+        name = "repetitions" if call == "SweepResult" else "width"
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer >= 1$"):
+            calls[call](value)
 
     @pytest.mark.parametrize("bright, dark", [([1.0, 2.0, 3.0], [1.0, 2.0]),
                                               ([[4.0, 5.0]], [1.0, 2.0])],

@@ -578,9 +578,12 @@ class TestTrainRabi:
         # finite and positive, but the truth's phase 2 pi span / period would overflow
         ({"span_ns": 1e308}, r"2 pi span_ns / period_ns overflows, got 1e\+308 / 200.0"),
         ({"period_ns": np.float64(1e-320)}, "2 pi span_ns / period_ns overflows"),
-        ({"points": 3, "span_ns": 5e-324}, r"span_ns / \(points - 1\) underflows to 0")],
+        ({"points": 3, "span_ns": 5e-324}, r"span_ns / \(points - 1\) underflows to 0"),
+        ({"points": 4, "span_ns": 1e-323},
+         r"span_ns / \(points - 1\) rounds to a step that repeats a duration, got 1e-323 / 3"),
+        ({"points": 10**400}, "points times 500 bins exceeds numpy's index range")],
         ids=["points-1", "period-nan", "span-negative", "span-1e308", "period-1e-320",
-             "span-5e-324-points-3"])
+             "span-5e-324-points-3", "span-1e-323-points-4", "points-10^400"])
     @pytest.mark.filterwarnings("error")
     def test_bad_scan_shape_names_the_value(self, kwargs, match):
         p0, p1 = make_profiles(paper_like_params())

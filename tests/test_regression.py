@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nvreadout import (GateWindow, ParameterError, ReadoutModel, TimeTrace, TrainingExample,
+from nvreadout import (ParameterError, ReadoutModel, TimeTrace, TrainingExample,
                        expected_trace, gate_sum, gated_equivalent_model, gated_population,
                        loss, loss_gradient, make_profiles, mix_profile, paper_like_params,
                        predict, prediction_variance, simulate_trace, sweep_gate, train,
@@ -87,7 +87,7 @@ class TestPredict:
 
     def test_gated_equivalent_reproduces_gated_estimator(self, preset_traces):
         p0, p1, t0, t1 = preset_traces
-        window = GateWindow(230)
+        window = 230
         model = gated_equivalent_model(t0, t1, window)
         rng = np.random.default_rng(2)
         bright = gate_sum(t0, window)
@@ -117,7 +117,7 @@ class TestPredictionVariance:
 
     def test_scales_inversely_with_repetitions(self, preset_traces):
         p0, p1, t0, t1 = preset_traces
-        model = gated_equivalent_model(t0, t1, GateWindow(230))
+        model = gated_equivalent_model(t0, t1, 230)
         profile = mix_profile(0.5, p0, p1)
         v = {}
         for reps in (10**5, 10**6, 10**7):
@@ -137,7 +137,7 @@ class TestLoss:
 
     def test_gated_equivalent_has_zero_prediction_term(self, preset_traces):
         _, _, t0, t1 = preset_traces
-        model = gated_equivalent_model(t0, t1, GateWindow(150))
+        model = gated_equivalent_model(t0, t1, 150)
         examples = [TrainingExample(t0, 1.0), TrainingExample(t1, 0.0)]
         breakdown = loss(model, examples, 1e4)
         assert breakdown.prediction_term < 1e-24
@@ -410,16 +410,16 @@ class TestClosedForm:
 class TestGatedEquivalentModel:
     def test_exact_boundary_mapping(self, preset_traces):
         _, _, t0, t1 = preset_traces
-        model = gated_equivalent_model(t0, t1, GateWindow(100))
+        model = gated_equivalent_model(t0, t1, 100)
         assert predict(model, t0) == pytest.approx(1.0, abs=1e-12)
         assert predict(model, t1) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_window_rejected(self, preset_traces):
         _, _, t0, t1 = preset_traces
         with pytest.raises(Exception):
-            gated_equivalent_model(t1, t1, GateWindow(100))
+            gated_equivalent_model(t1, t1, 100)
 
     def test_overrunning_window_rejected(self, preset_traces):
         _, _, t0, t1 = preset_traces
         with pytest.raises(ParameterError, match="gate width 501 overruns trace of 500 bins"):
-            gated_equivalent_model(t0, t1, GateWindow(len(t0) + 1))
+            gated_equivalent_model(t0, t1, len(t0) + 1)
