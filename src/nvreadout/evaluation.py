@@ -28,6 +28,7 @@ import numpy as np
 from .errors import FitFailureError, ParameterError
 from .rabi import RabiDataset, SinusoidFit, fit_rabi
 from .regression import ReadoutModel, _apply
+from .traces import _check_populations
 
 __all__ = [
     "MethodEval",
@@ -121,14 +122,15 @@ def evaluate(test: RabiDataset, max_c_gate: ReadoutModel, min_v_gate: ReadoutMod
     model : ReadoutModel
         Trained weighted estimator.
     truth : sequence of float, optional
-        Ground-truth populations; when given, empirical errors are
-        computed against it instead of each method's own fit.
+        Ground-truth populations, each in [0, 1]; when given, empirical
+        errors are computed against it instead of each method's own fit.
     """
     durations = test.durations
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
         if truth.shape != durations.shape:
             raise ParameterError("truth length differs from test set")
+        _check_populations(truth, "truth")
 
     p, v = _apply([max_c_gate, min_v_gate, model], test.counts, test.repetitions,
                   test.bin_width_ns)

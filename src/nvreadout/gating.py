@@ -65,7 +65,8 @@ class SweepResult:
     bright > dark > 0, contrast < 1 and total variance > 0; it holds nan in
     all four arrays, which are read-only, and is never an optimum.  The
     optima ``max_contrast`` and ``min_variance`` take ties to the smaller
-    width; they are None only when every width is degenerate.
+    width; they are None only when every width is degenerate.  Every width
+    is finite in ns: N times ``bin_width_ns`` must not overflow.
     """
 
     bin_width_ns: float
@@ -82,6 +83,9 @@ class SweepResult:
         if bright.ndim != 1 or bright.shape != dark.shape:
             raise ParameterError("bright_total and dark_total must be 1-d and of one length, "
                                  f"got shapes {bright.shape} and {dark.shape}")
+        if not bright.size * float(self.bin_width_ns) < np.inf:    # the widest gate, in ns
+            raise ParameterError(f"bin_width_ns times {bright.size} widths overflows, "
+                                 f"got {self.bin_width_ns!r}")
         with np.errstate(all="ignore"):     # 0/0 at empty widths; a file's 1e200 overflows
             span = bright - dark
             c, v = span / bright, (bright + dark) / (2.0 * span * span)

@@ -52,7 +52,7 @@ from .evaluation import EvalReport, MethodEval, RepairResult
 from .gating import SweepResult
 from .rabi import RabiDataset, SinusoidFit
 from .regression import LossBreakdown, ReadoutModel
-from .traces import TimeTrace
+from .traces import TimeTrace, _check_populations
 
 __all__ = [
     "FORMAT_VERSIONS",
@@ -325,16 +325,16 @@ def write_truth_csv(path, durations, populations) -> None:
 
 
 def read_truth_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Durations and populations; rejects a non-finite duration or a population
-    outside [0, 1]."""
+    """Durations and populations; the first row with a non-finite duration or a
+    population outside [0, 1] is an error naming its line."""
     _, rows, line_of = _read_table(path, "truth-csv")
     durations, populations = rows["duration_ns"].copy(), rows["population"].copy()
     finite = np.isfinite(durations)
-    bad = ~finite | ~((populations >= 0) & (populations <= 1))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ParseError(f"population {populations[k]} is outside [0, 1]" if finite[k]
-                         else f"duration_ns {durations[k]} is not finite", line_of(k), path)
+    k = int(np.argmin(finite)) if not finite.all() else durations.size
+    with _naming(path, line_of):
+        _check_populations(populations[:k], "population")
+    if k < durations.size:
+        raise ParseError(f"duration_ns {durations[k]} is not finite", line_of(k), path)
     return durations, populations
 
 
@@ -468,21 +468,30 @@ def read_repair_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 
 
 def write_fit_csv(path, durations, raw, fit: SinusoidFit) -> None:
-    """Fit report: per-point raw/fitted/residual values plus fit parameters.
+    """Fit report: the fit's parameters, in the units of ``raw``, as header
+    values, then per point its duration and its value, fitted value and
+    residual on the fit's rescaled scale.
 
-    The point series is rescaled by the fitted extrema, so the columns are
-    population-like regardless of the input units; ``p_fit`` is
-    ``fit.normalized``, the scan's training targets.
+    The scale puts the fitted trough at 0 and the peak at 1, so the columns are
+    population-like whatever the input units: ``p_raw`` is ``fit.rescaled(raw)``
+    and ``p_fit`` is ``fit.normalized``, the scan's training targets.
     """
     y_out, f_out = fit.rescaled(raw), fit.normalized(durations)
     header = {"offset": _fmt(fit.offset), "amplitude": _fmt(fit.amplitude),
               "frequency_per_ns": _fmt(fit.frequency), "phase_rad": _fmt(fit.phase),
-              "residual_rms": _fmt(fit.residual_rms), "normalized": 1}
+              "residual_rms": _fmt(fit.residual_rms)}
     _write_table(path, "fit-report", header, _float_rows(durations, y_out, f_out, y_out - f_out))
 
 
 def read_fit_csv(path) -> tuple[SinusoidFit, np.ndarray, np.ndarray]:
-    """Fit parameters plus (durations, raw values) from a fit report."""
+    """The fit and the ``duration_ns`` and ``p_raw`` columns of a fit report.
+
+    The fit's parameters are in the units of the fitted series: counts per
+    measurement for the scan sums ``fit-rabi`` fits.  ``p_raw`` is each point's
+    value on the fit's rescaled scale (0 at the fitted trough, 1 at the peak),
+    not in those units.  A header key other than the fit's is skipped, such as
+    the ``normalized=1`` line of older files.
+    """
     header, rows, line_of = _read_table(path, "fit-report")
     with _naming(path, line_of):
         fit = SinusoidFit(*(_field(header, key, path) for key in (

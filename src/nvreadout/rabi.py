@@ -35,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailureError, ParameterError
-from .traces import (EmissionProfile, TimeTrace, _check_pair, _check_positive,
-                     _check_repetitions, _checked_counts, _draw, _owned, _repetition_count)
+from .traces import (EmissionProfile, TimeTrace, _check_pair, _check_populations,
+                     _check_positive, _check_repetitions, _checked_counts, _draw, _owned,
+                     _repetition_count)
 
 __all__ = [
     "RabiDataset",
@@ -100,8 +101,7 @@ class TrainingExample:
     target: float
 
     def __post_init__(self):
-        if not (0.0 <= self.target <= 1.0):
-            raise ParameterError(f"target must be in [0, 1], got {self.target}")
+        _check_populations(self.target, "target")
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,8 +321,11 @@ def assign_targets(dataset: RabiDataset, fit: SinusoidFit) -> list[TrainingExamp
 
 def _check_scan(points, n_bins, period_ns, span_ns,
                 names=("points", "period_ns", "span_ns")) -> None:
-    """Reject < 2 points, a points x bins matrix numpy cannot index, a period or
-    span not finite and positive, a step that repeats a duration or an inf phase."""
+    """Reject a points count that is not an integer >= 2 (by the rule of
+    :func:`_repetition_count`) or whose points x bins matrix numpy cannot index,
+    a period or span not finite and positive, a step that repeats a duration or
+    an inf phase."""
+    points = _repetition_count(points, names[0])
     if points < 2:
         raise ParameterError(f"{names[0]} must be >= 2, got {points}")
     if points * n_bins > np.iinfo(np.intp).max:

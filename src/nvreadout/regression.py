@@ -44,8 +44,8 @@ import numpy as np
 from .errors import ParameterError
 from .gating import _boundary_span, _gate_width, gate_sum
 from .rabi import RabiDataset, fit_count_sums
-from .traces import (TimeTrace, _check_header_text, _check_pair, _check_positive,
-                     _checked_counts, _checked_floats, _repetition_count)
+from .traces import (TimeTrace, _check_header_text, _check_pair, _check_populations,
+                     _check_positive, _checked_counts, _checked_floats, _repetition_count)
 
 __all__ = [
     "ReadoutModel",
@@ -239,8 +239,7 @@ def train(counts, repetitions, targets, bin_width_ns: float,
     if reps.shape != (m,) or targets.shape != (m,):
         raise ParameterError(f"need one repetition count and one target for each of {m} traces")
     reps = np.array([_repetition_count(r) for r in reps.tolist()], dtype=float)
-    if not np.all((targets >= 0.0) & (targets <= 1.0)):
-        raise ParameterError("targets must be in [0, 1]")
+    _check_populations(targets, "targets")
     if np.all(targets == targets[0]):       # one trace included
         raise ParameterError("targets need at least two distinct values")
     if counts.max() == 0:

@@ -75,10 +75,23 @@ def _check_positive(value, name: str) -> None:
 
 
 def _repetition_count(repetitions, name: str = "repetitions") -> int:
-    """``repetitions`` as an int, if it is an integer (Python or numpy) >= 1."""
-    if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 1):
+    """``repetitions`` as an int, if it is an integer (Python or numpy, not a
+    bool) >= 1."""
+    if not (isinstance(repetitions, (int, np.integer)) and not isinstance(repetitions, bool)
+            and repetitions >= 1):
         raise ParameterError(f"{name} must be an integer >= 1")
     return int(repetitions)
+
+
+def _check_populations(values, name: str) -> None:
+    """Reject ``values`` (a number or an array of them) unless each lies in
+    [0, 1]; the error names the first entry that does not, nan included, in
+    its ``row``."""
+    a = np.asarray(values, dtype=float).ravel()
+    bad = ~((a >= 0.0) & (a <= 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParameterError(f"{name} must be in [0, 1], got {a[k]}", row=k)
 
 
 def _checked_floats(values, name: str) -> np.ndarray:
@@ -271,8 +284,7 @@ def make_profiles(params: PhotodynamicsParams) -> tuple[EmissionProfile, Emissio
 def mix_profile(population: float, profile0: EmissionProfile,
                 profile1: EmissionProfile) -> EmissionProfile:
     """Profile of a superposition: population * bright + (1 - population) * dark."""
-    if not (0.0 <= population <= 1.0):
-        raise ParameterError(f"population must be in [0, 1], got {population}")
+    _check_populations(population, "population")
     _check_pair(profile0, profile1)
     rates = population * profile0.rates + (1.0 - population) * profile1.rates
     return EmissionProfile(rates, profile0.bin_width_ns)

@@ -384,7 +384,8 @@ class TestExitCodes:
                    "--trace0", str(data / "boundary0.csv"),
                    "--trace1", str(data / "boundary1.csv"),
                    "--truth", str(bad), "--out", str(tmp_path / "r.csv")) == 2
-        assert "nan_truth.csv: line 8: population nan" in capsys.readouterr().err
+        assert ("nan_truth.csv: line 8: population must be in [0, 1], got nan"
+                in capsys.readouterr().err)
         assert not (tmp_path / "r.csv").exists()
 
     def test_version_runs(self, capsys):

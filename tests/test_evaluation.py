@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import gates
-from nvreadout import (EmissionProfile, ReadoutModel, SweepResult, TimeTrace, evaluate,
-                       expected_trace, fit_rabi, gate_sum, gated_equivalent_model,
+from nvreadout import (EmissionProfile, ParameterError, ReadoutModel, SweepResult, TimeTrace,
+                       evaluate, expected_trace, fit_rabi, gate_sum, gated_equivalent_model,
                        gated_population, make_profiles, mix_profile, paper_like_params,
                        repair, simulate_rabi_dataset, simulate_trace, sweep_gate,
                        train_boundary)
@@ -92,6 +92,19 @@ class TestEvaluate:
         report = evaluate(test, *gate_models, model, truth)
         assert report.method(METHOD_ML).empirical_mse <= \
             report.method(METHOD_MAX_C).empirical_mse
+
+    @pytest.mark.parametrize("edit, match, row", [
+        (lambda t: t[:-1], "truth length differs from test set", None),
+        (lambda t: np.full_like(t, np.nan), r"truth must be in \[0, 1\], got nan", 0),
+        (lambda t: 5 * t, r"truth must be in \[0, 1\], got 5.0", 0)],
+        ids=["short", "all-nan", "times-5"])
+    def test_truth_is_one_population_per_point(self, setup, gate_models, edit, match, row):
+        # an all-nan truth once gave a nan MSE for every method, 5 x truth MSEs of ~6
+        _, _, t0, t1, sweep, test, truth = setup
+        model = gated_equivalent_model(t0, t1, sweep.min_variance.window)
+        with pytest.raises(ParameterError, match=match) as err:
+            evaluate(test, *gate_models, model, edit(truth))
+        assert err.value.row == row
 
     def test_deterministic(self, setup, gate_models):
         _, _, t0, t1, sweep, test, truth = setup

@@ -204,12 +204,14 @@ class TestSweep:
     WIDTH_CALLS = ("gate_sum", "at", "gated_equivalent_model")
 
     @pytest.mark.parametrize("call, value", [
-        *(("SweepResult", reps) for reps in (0, -3, 2.5, 10.0)),
-        *((call, width) for call in WIDTH_CALLS for width in (0, 2.5, "3"))],
-        ids=["zero", "negative", "fraction", "float",
-             *(f"{call}-width-{w}" for call in WIDTH_CALLS for w in ("0", "2.5", "str-3"))])
+        *(("SweepResult", reps) for reps in (0, -3, 2.5, 10.0, True)),
+        *((call, width) for call in WIDTH_CALLS for width in (0, 2.5, "3", True))],
+        ids=["zero", "negative", "fraction", "float", "bool",
+             *(f"{call}-width-{w}" for call in WIDTH_CALLS
+               for w in ("0", "2.5", "str-3", "bool"))])
     def test_hand_built_sweep_checks_repetitions(self, call, value):
-        # the traces' rule, an integer >= 1, checks repetitions and every gate width
+        # the traces' rule, an integer >= 1 and not a bool, checks repetitions and
+        # every gate width
         pair = trace_of([5, 4]), trace_of([1, 2])
         calls = {"SweepResult": lambda reps: SweepResult(2.0, reps, [5.0, 9.0], [1.0, 2.0]),
                  "gate_sum": lambda width: gate_sum(pair[0], width),
@@ -225,6 +227,12 @@ class TestSweep:
     def test_hand_built_sweep_checks_curve_shapes(self, bright, dark):
         with pytest.raises(ParameterError, match="1-d and of one length"):
             SweepResult(2.0, 1, bright, dark)
+
+    def test_hand_built_sweep_checks_the_widest_gate_in_ns(self):
+        # N x bin_width_ns is the last row's width_ns cell of a sweep file
+        with pytest.raises(ParameterError, match="bin_width_ns times 2 widths overflows"):
+            SweepResult(1e308, 10, [5.0, 9.0], [1.0, 2.0])
+        assert SweepResult(1e308, 10, [5.0], [1.0]).at(1).window == 1
 
     def test_requires_equal_repetitions(self):
         a = trace_of([5, 5], reps=10)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import gates
-from nvreadout import (ParameterError, ParseError, RabiDataset, ReadoutError, ReadoutModel,
-                       RepairResult, SinusoidFit, TimeTrace, evaluate, expected_trace,
-                       make_profiles, paper_like_params, repair, simulate_rabi_dataset,
-                       simulate_trace, sweep_gate, train_boundary)
+from nvreadout import (LossBreakdown, ParameterError, ParseError, RabiDataset, ReadoutError,
+                       ReadoutModel, RepairResult, SinusoidFit, TimeTrace, evaluate,
+                       expected_trace, make_profiles, paper_like_params, repair,
+                       simulate_rabi_dataset, simulate_trace, sweep_gate, train_boundary)
 from nvreadout import io as nvio
 
 CURVES = ("bright_total", "dark_total", "contrast", "total_variance")
@@ -207,6 +207,9 @@ class TestRabiReaderOracle:
     (nvio.read_sweep_csv, "# sweep-csv v2\n# bin_width_ns=2.0\n"
      "# repetitions=-3\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
      "1,2.0,5.0,1.0,0.8,0.1875,0\n", "repetitions must be an integer >= 1"),
+    (nvio.read_sweep_csv, "# sweep-csv v2\n# bin_width_ns=1e308\n"
+     "# repetitions=10\nwidth_bins,width_ns,L0,L1,contrast,total_variance,degenerate_flag\n"
+     "1,1e+308,5.0,1.0,0.8,0.1875,0\n2,inf,,,,,1\n", "bin_width_ns times 2 widths overflows"),
     (nvio.read_model, "# readout-model v2\n# dimension=2\n# bin_width_ns=2.0\n# intercept=0.0\n"
      "# rate_scale=1.0\n# trained_on=by hand\nweight\n1.0\n-1.0\n",
      "line 9: weights must be nonnegative"),
@@ -214,7 +217,8 @@ class TestRabiReaderOracle:
      "# frequency_per_ns=0.005\n# phase_rad=0.0\n# residual_rms=0.01\n"
      "duration_ns,p_raw,p_fit,residual\n0.0,0.5,0.5,0.0\n", "amplitude must be >= 0"),
 ], ids=["durations-swapped", "zero-repetitions", "negative-sweep-bin-width",
-        "negative-sweep-repetitions", "negative-weight", "negative-amplitude"])
+        "negative-sweep-repetitions", "overflowing-sweep-width", "negative-weight",
+        "negative-amplitude"])
 def test_domain_error_names_the_file(tmp_path, reader, text, match):
     p = tmp_path / "input.csv"
     p.write_text(text)
@@ -417,7 +421,7 @@ FIT = SinusoidFit(0.5, 0.5, 0.01, 0.0, 0.0)
     (lambda p: nvio.write_fit_csv(p, EDGE, np.array([0.1 + 0.2, 1e22, 5e-324, -0.0]),
                                   SinusoidFit(0.5, 0.5, 5e-324, 0.0, 0.1 + 0.2)),
      b"# fit-report v1\n# offset=0.5\n# amplitude=0.5\n# frequency_per_ns=5e-324\n"
-     b"# phase_rad=0.0\n# residual_rms=0.30000000000000004\n# normalized=1\n"
+     b"# phase_rad=0.0\n# residual_rms=0.30000000000000004\n"
      b"duration_ns,p_raw,p_fit,residual\n-0.0,0.30000000000000004,1.0,-0.7\n"
      b"5e-324,1e+22,1.0,1e+22\n0.30000000000000004,5e-324,1.0,-1.0\n1e+22,-0.0,1.0,-1.0\n"),
 ], ids=["trace", "scan", "truth", "model", "repair", "fit"])
@@ -428,6 +432,64 @@ def test_numeric_writer_bytes(tmp_path, write, expected):
     p = tmp_path / "out.csv"
     write(p)
     assert p.read_bytes() == expected
+
+
+SPECIAL = [0.0, -0.0, 5e-324, 0.1, 1.0, 1.7976931348623157e308]
+
+
+def random_floats(rng, size: int, kind: str = "finite") -> np.ndarray:
+    """``size`` float64 values from random bit patterns (every exponent, subnormals
+    included), a quarter of them from SPECIAL: finite, ``"nonnegative"`` (their
+    magnitudes) or ``"positive"`` (nonzero magnitudes)."""
+    out = np.empty(0)
+    while out.size < size:
+        x = np.frombuffer(rng.bytes(8 * size), np.float64)
+        x = np.where(rng.random(size) < 0.25, rng.choice(SPECIAL, size), x)
+        x = x[np.isfinite(x)] if kind == "finite" else np.abs(x[np.isfinite(x)])
+        out = np.concatenate([out, x[x > 0] if kind == "positive" else x])
+    return out[:size]
+
+
+def random_scan(rng, table: bool) -> RabiDataset:
+    """1-20 points of 1-64 bins at distinct durations; every count below N when
+    ``table`` (the writer's table path), else counts up to 2^62 (its template)."""
+    points, bins = int(rng.integers(1, 21)), int(rng.integers(1, 65))
+    durations = np.unique(random_floats(rng, points))
+    while durations.size < points:
+        durations = np.unique(np.concatenate([durations, random_floats(rng, 1)]))
+    counts = (rng.integers(0, bins, (points, bins)) if table else
+              rng.integers(0, 2**62, (points, bins), endpoint=True)
+              >> rng.integers(0, 63, (points, bins)))
+    return RabiDataset(durations, counts, int(rng.integers(1, 2**62, endpoint=True)),
+                       10.0 ** rng.uniform(-6, 6))
+
+
+def random_header_text(rng) -> str:
+    """Up to 12 characters, each one of ``=#, `` or any code point but a surrogate
+    (half of those ASCII), kept once the text is one line without surrounding
+    whitespace."""
+    while True:
+        chars = []
+        for _ in range(rng.integers(0, 13)):
+            code = int(rng.integers(0, 0x80 if rng.random() < 0.5 else 0x10F800))
+            chars.append(rng.choice(list("=#, ")) if rng.random() < 0.5 else
+                         chr(code + 0x800 * (code >= 0xD800)))
+        text = "".join(chars)
+        if text == text.strip() and len(text.splitlines()) <= 1:
+            return text
+
+
+def random_model(rng, with_loss: bool) -> ReadoutModel:
+    """1-64 nonnegative weights, a finite intercept, a positive bin width and rate
+    scale, a random ``trained_on``, and a random training loss or none."""
+    loss = None
+    if with_loss:
+        loss = LossBreakdown(*random_floats(rng, 2, "nonnegative").tolist(),
+                             random_floats(rng, 1, "positive").item())
+    width, scale = random_floats(rng, 2, "positive").tolist()
+    return ReadoutModel(random_floats(rng, int(rng.integers(1, 65)), "nonnegative"),
+                        random_floats(rng, 1).item(), width, scale,
+                        random_header_text(rng), loss)
 
 
 class TestRabiCsv:
@@ -460,6 +522,21 @@ class TestRabiCsv:
         assert roundtrip_bytes(a, b)
         assert np.array_equal(again.durations, dataset.durations)
         assert np.array_equal(again.counts, dataset.counts)
+
+    def test_random_scans_round_trip(self, tmp_path):
+        # 100 scans, half through each writer path
+        rng = np.random.default_rng(4101)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for k in range(100):
+            dataset = random_scan(rng, table=k % 2 == 0)
+            nvio.write_rabi_csv(a, dataset)
+            again = nvio.read_rabi_csv(a)
+            nvio.write_rabi_csv(b, again)
+            assert roundtrip_bytes(a, b)
+            assert np.array_equal(again.durations, dataset.durations)
+            assert np.array_equal(again.counts, dataset.counts)
+            assert (again.repetitions, again.bin_width_ns) == (dataset.repetitions,
+                                                               dataset.bin_width_ns)
 
     @pytest.mark.parametrize("body, line, match", [
         ("0.0,5,6\n20.0,7,8\n10.0,1,2\n", 7,
@@ -498,9 +575,10 @@ class TestRabiCsv:
             nvio.read_rabi_csv(p)
 
     @pytest.mark.parametrize("row, match", [
-        ("10.0,nan", "population nan is outside"), ("10.0,7.5", "population 7.5 is outside"),
-        ("10.0,-0.5", "population -0.5 is outside"), ("inf,0.5", "duration_ns inf is not"),
-        ("nan,0.5", "duration_ns nan is not"),
+        ("10.0,nan", r"population must be in \[0, 1\], got nan"),
+        ("10.0,7.5", r"population must be in \[0, 1\], got 7.5"),
+        ("10.0,-0.5", r"population must be in \[0, 1\], got -0.5"),
+        ("inf,0.5", "duration_ns inf is not"), ("nan,0.5", "duration_ns nan is not"),
     ], ids=["nan-population", "population-above-1", "negative-population",
             "infinite-duration", "nan-duration"])
     def test_truth_out_of_range_rejected(self, tmp_path, row, match):
@@ -637,6 +715,24 @@ class TestModelFile:
         assert again.rate_scale == model.rate_scale
         assert again.training_loss == model.training_loss
 
+    def test_random_models_round_trip(self, tmp_path):
+        # 100 models, half with a training loss
+        rng = np.random.default_rng(4102)
+        a, b = tmp_path / "a.model", tmp_path / "b.model"
+        for k in range(100):
+            model = random_model(rng, with_loss=k % 2 == 0)
+            nvio.write_model(a, model)
+            again = nvio.read_model(a)
+            nvio.write_model(b, again)
+            assert roundtrip_bytes(a, b)
+            assert np.array_equal(again.weights, model.weights)
+            assert (again.intercept, again.reference_bin_width_ns, again.rate_scale,
+                    again.trained_on, again.training_loss) == (
+                model.intercept, model.reference_bin_width_ns, model.rate_scale,
+                model.trained_on, model.training_loss)
+            if model.training_loss is not None:
+                assert again.training_loss.total.hex() == model.training_loss.total.hex()
+
     @pytest.mark.parametrize("trained_on", ["a\nb", "a\rb", "a\r\nb", "end\n", " x", "x "])
     def test_trained_on_must_be_one_line(self, trained_on):
         # trained_on is one header line of a model file, read back stripped, as a
@@ -744,6 +840,9 @@ class TestReportAndRepair:
         fit2, d, raw = nvio.read_fit_csv(a)
         assert fit2 == fit
         assert np.array_equal(d, dataset.durations)
+        # older files restate a constant normalized=1 header, which is skipped
+        a.write_text(a.read_text().replace("\nduration_ns,", "\n# normalized=1\nduration_ns,"))
+        assert nvio.read_fit_csv(a)[0] == fit
 
     def test_fit_report_missing_header_rejected(self, world, tmp_path):
         dataset = world[3]

@@ -1,20 +1,23 @@
-"""A fixed mutation sweep of the CLI's input files: every case exits 0 or 2.
+"""A fixed robustness sweep of every file format: no case ends in a fault.
 
-One seeded pipeline writes a boundary trace, a model, a scan and its truth
-file.  Each case changes one of them in one way: a cell replaced by one of
-a fixed list of tokens, a line deleted, duplicated, blanked or given one
-cell more or fewer, or the whole file given a byte-order mark, CRLF line
-ends or a cut.  The cases are fixed (no random draw): the header lines,
-the column row and the first, second, middle and last data rows of every
-file, and the first, second, middle and last cells of each of those lines.
-Each case runs, in-process through ``cli.main``, every command that reads
-that file, and each command must return 0 or 2, raise nothing and emit no
-``RuntimeWarning`` (numpy's note of an overflow or an invalid value, the
-sign of a figure computed from values the types should have rejected).  A
-scan whose last duration reads ``1e308`` is one case: its fit once sized a
-frequency grid by that value; a model weight or intercept of ``1e308`` is
-another, whose estimates once overflowed.  The sweep runs about 4,400
-commands in about 11 s on a 2-core machine; its budget is 30 s.
+One seeded pipeline, run in-process through ``cli.main``, writes a file of
+each of the eight formats: a boundary trace, a model, a scan and its truth,
+a sweep, a fit report, an evaluation report and a repair report.  Each case
+changes one file in one way: a cell replaced by one of a fixed list of
+tokens, a line deleted, duplicated, blanked or given one cell more or
+fewer, or the whole file given a byte-order mark, CRLF line ends or a cut.
+The cases are fixed: the header lines, the column row and the first,
+second, middle and last data rows of every file, and the first, second,
+middle and last cells of each of those lines (``tests/test_fuzz.py`` adds
+the readers and random-byte files).
+
+Each command that reads one of the CLI's input files (trace, model, scan,
+truth), run on every case of that file, returns 0 or 2, raises nothing
+and emits no ``RuntimeWarning`` (numpy's note of an overflow or an invalid
+value).  A scan whose last duration reads ``1e308`` is one case: its fit
+once sized a frequency grid by that value; a model weight or intercept of
+``1e308`` is another, whose estimates once overflowed.  The commands run
+4,389 cases in about 10.6 s on a 2-core machine; the budget is 30 s.
 
 Six whole-column edits, which no edit of a few cells makes, run the same
 way: every model weight times 1e-300, every weight 0, every count of the
@@ -28,11 +31,16 @@ import warnings
 
 import pytest
 
+from nvreadout import io as nvio
 from nvreadout.cli import main
 
 SEED = 3301                         # not used by any other test or probe
 SOURCES = {"trace": "boundary0.csv", "model": "model.txt", "scan": "rabi.csv",
            "truth": "rabi_truth.csv"}
+READERS = {nvio.read_trace_csv: "boundary0.csv", nvio.read_model: "model.txt",
+           nvio.read_rabi_csv: "rabi.csv", nvio.read_truth_csv: "rabi_truth.csv",
+           nvio.read_sweep_csv: "sweep.csv", nvio.read_fit_csv: "fit.csv",
+           nvio.read_report_csv: "report.csv", nvio.read_repair_csv: "repaired.csv"}
 
 TOKENS = ["", "nan", "inf", "-inf", "-1", "-0", "1e400", "1.5", "0x10", " 3", str(2**63),
           "1e308", "1_000", "３", "3,3", "+5", "1e-320", "True", "#"]
@@ -41,11 +49,20 @@ TOKENS = ["", "nan", "inf", "-inf", "-1", "-0", "1e400", "1.5", "0x10", " 3", st
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("mutation")
-    assert main(["simulate", "--reps", "1e5", "--seed", str(SEED), "--out-dir", str(root),
-                 "--what", "both", "--rabi-points", "16", "--rabi-span-ns", "400"]) == 0
-    assert main(["train", "--mode", "boundary", "--trace0", str(root / "boundary0.csv"),
-                 "--trace1", str(root / "boundary1.csv"),
-                 "--out", str(root / "model.txt")]) == 0
+    f = {name: str(root / name) for name in READERS.values()}
+    f["boundary1.csv"] = str(root / "boundary1.csv")
+    pair = ["--trace0", f["boundary0.csv"], "--trace1", f["boundary1.csv"]]
+    for argv in (["simulate", "--reps", "1e5", "--seed", str(SEED), "--out-dir", str(root),
+                  "--what", "both", "--rabi-points", "16", "--rabi-span-ns", "400"],
+                 ["train", "--mode", "boundary", *pair, "--out", f["model.txt"]],
+                 ["sweep", *pair, "--out", f["sweep.csv"]],
+                 ["fit-rabi", "--rabi", f["rabi.csv"], "--out", f["fit.csv"]],
+                 ["evaluate", "--rabi", f["rabi.csv"], "--model", f["model.txt"], *pair,
+                  "--truth", f["rabi_truth.csv"], "--out", f["report.csv"]],
+                 ["repair", "--rabi", f["rabi.csv"], "--model", f["model.txt"], *pair,
+                  "--out", f["repaired.csv"]]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
     return root
 
 
@@ -112,37 +129,48 @@ def mutations(text: str):
     yield "cut mid-file", text[:len(text) // 2]
 
 
-def run_cases(role, root, cases, tmp_path) -> tuple[int, list[str]]:
-    """Run every command that reads the ``role`` file on each ``(name, text)``
-    case; the count of runs, and a line for each that raised, exited other
-    than 0 or 2, or warned."""
-    source = SOURCES[role]
-    mutated = tmp_path / f"mutated-{source}"
+def faults(call) -> list[str]:
+    """Run ``call``, its output captured: a line for an exception it raises, for a
+    message it returns, and for each RuntimeWarning it emits."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fault = call()
+        except Exception as exc:                    # the fault this test exists to find
+            fault = f"raised {exc!r}"
+    found = [f"{fault}: {sink.getvalue()!r}"] if fault else []
+    return found + [f"warned {w.message}" for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
+
+def run_cases(path, cases, calls) -> tuple[int, list[str]]:
+    """Write each ``(name, bytes)`` case to ``path`` and run each ``(label, call)``
+    on it; the count of runs, and a line for each fault."""
     failures, runs = [], 0
-    for name, text in cases:
-        mutated.write_bytes(text.encode("utf-8"))
-        for argv in commands(role, root, mutated):
+    for name, data in cases:
+        path.write_bytes(data)
+        for label, call in calls:
             runs += 1
-            sink = io.StringIO()
-            try:
-                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
-                        warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    status = main(argv)
-            except Exception as exc:                    # the fault this test exists to find
-                failures.append(f"{name}: {argv[0]} raised {exc!r}")
-                continue
-            if status not in (0, 2):
-                failures.append(f"{name}: {argv[0]} exited {status}: {sink.getvalue()!r}")
-            failures += [f"{name}: {argv[0]} warned {w.message}" for w in caught
-                         if issubclass(w.category, RuntimeWarning)]
+            failures += [f"{name}: {label} {fault}" for fault in faults(call)]
     return runs, failures
+
+
+def cli_calls(role, root, mutated):
+    """``(label, call)`` of every command that reads the ``role`` file: the call
+    returns a message unless the command exits 0 or 2."""
+    def call(argv):
+        status = main(argv)
+        return None if status in (0, 2) else f"exited {status}"
+    return [(argv[0], lambda argv=argv: call(argv)) for argv in commands(role, root, mutated)]
 
 
 @pytest.mark.parametrize("role", ["trace", "model", "scan", "truth"])
 def test_every_mutation_exits_0_or_2(files, tmp_path, role):
-    runs, failures = run_cases(role, files, mutations((files / SOURCES[role]).read_text()),
-                               tmp_path)
+    mutated = tmp_path / f"mutated-{SOURCES[role]}"
+    cases = ((name, m.encode()) for name, m in mutations((files / SOURCES[role]).read_text()))
+    runs, failures = run_cases(mutated, cases, cli_calls(role, files, mutated))
     assert runs >= 200
     assert not failures, "\n".join(failures)
 
@@ -168,7 +196,9 @@ def test_whole_column_edit_exits_0_or_2(files, tmp_path, role, column, edit):
         cells = lines[k].split(",")
         cells[column] = edit(cells[column])
         lines[k] = ",".join(cells)
-    runs, failures = run_cases(role, files, [("edited", "\n".join(lines) + "\n")], tmp_path)
+    mutated = tmp_path / f"mutated-{SOURCES[role]}"
+    runs, failures = run_cases(mutated, [("edited", ("\n".join(lines) + "\n").encode())],
+                               cli_calls(role, files, mutated))
     assert runs == {"model": 3, "trace": 5, "scan": 3}[role]
     assert not failures, "\n".join(failures)
 

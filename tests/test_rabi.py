@@ -365,24 +365,21 @@ def test_one_ulp_input_change_moves_fit_at_rounding_level():
 
 @pytest.mark.parametrize("parity", [0, 1], ids=["even-steps", "odd-steps"])
 def test_median_step_is_np_median_bit_for_bit(parity):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
     from nvreadout.rabi import _median_step
 
-    # strictly increasing durations, as fit_rabi takes them; repeated steps
-    # make ties in the middle
-    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(start=st.floats(-1e6, 1e6),
-                      steps=st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.5]),
-                                               st.floats(1e-6, 1e6)),
-                                     min_size=2, max_size=41))
-    def check(start, steps):
-        steps = steps[:len(steps) - (len(steps) - parity) % 2]
+    # 200 strictly increasing duration series, as fit_rabi takes them: 2-41
+    # steps (most series short) cut to the parity, each 0.5, 1 or 2.5 (ties in
+    # the middle) or from 1e-6 to 1e6, after a start of 0 or of 1e-6 to 1e6 in
+    # size, either sign
+    rng = np.random.default_rng(367 + parity)
+    for _ in range(200):
+        size = min(41, 1 + int(rng.geometric(0.2)))
+        steps = np.where(rng.random(size) < 0.5, rng.choice([0.5, 1.0, 2.5], size),
+                         10.0 ** rng.uniform(-6, 6, size))[:size - (size - parity) % 2]
+        start = rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-6, 6)
         t = start + np.concatenate([[0.0], np.cumsum(steps)])
         assert np.all(np.diff(t) > 0) and (t.size - 1) % 2 == parity
         assert _median_step(t).hex() == float(np.median(np.diff(t))).hex()
-
-    check()
 
 
 @pytest.fixture(scope="module")
@@ -581,9 +578,12 @@ class TestTrainRabi:
         ({"points": 3, "span_ns": 5e-324}, r"span_ns / \(points - 1\) underflows to 0"),
         ({"points": 4, "span_ns": 1e-323},
          r"span_ns / \(points - 1\) rounds to a step that repeats a duration, got 1e-323 / 3"),
-        ({"points": 10**400}, "points times 500 bins exceeds numpy's index range")],
+        ({"points": 10**400}, "points times 500 bins exceeds numpy's index range"),
+        *(({"points": points}, "^points must be an integer >= 1$")
+          for points in (2.5, np.float64(60.0), True))],
         ids=["points-1", "period-nan", "span-negative", "span-1e308", "period-1e-320",
-             "span-5e-324-points-3", "span-1e-323-points-4", "points-10^400"])
+             "span-5e-324-points-3", "span-1e-323-points-4", "points-10^400",
+             "points-2.5", "points-float64-60", "points-bool"])
     @pytest.mark.filterwarnings("error")
     def test_bad_scan_shape_names_the_value(self, kwargs, match):
         p0, p1 = make_profiles(paper_like_params())

@@ -31,6 +31,8 @@ class TestTypes:
             TimeTrace(np.array([1.5]), repetitions=1)
         with pytest.raises(ParameterError):
             TimeTrace(np.array([1]), repetitions=0)
+        with pytest.raises(ParameterError, match="repetitions must be an integer >= 1"):
+            TimeTrace(np.array([1]), repetitions=True)
         with pytest.raises(ParameterError):
             TimeTrace(np.array([1]), repetitions=1, bin_width_ns=0)
 
