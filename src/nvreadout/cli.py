@@ -190,10 +190,15 @@ def _cmd_train(args) -> int:
     if args.mode == "boundary":
         if not args.trace0 or not args.trace1:
             raise ReadoutError("boundary mode needs --trace0 and --trace1")
+        if args.rabi is not None:
+            raise ReadoutError("boundary mode takes no --rabi")
         model = train_boundary(*_pair(args))
     else:
         if not args.rabi:
             raise ReadoutError("rabi mode needs --rabi")
+        for flag in ("trace0", "trace1"):
+            if getattr(args, flag) is not None:
+                raise ReadoutError(f"rabi mode takes no --{flag}")
         model = train_rabi(nvio.read_rabi_csv(args.rabi))
     if not model.weights.any():         # the trainer's branch for swapped labels
         hint = "; check for swapped boundary traces" if args.mode == "boundary" else ""

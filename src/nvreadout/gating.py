@@ -1,9 +1,10 @@
-"""Time-gated readout: gated sums, population estimator, gate-width sweep.
+"""Time-gated readout: gated sums and the gate-width sweep.
 
 The traditional estimator sums counts in a gate window and maps the sum
 linearly so that the bright-state boundary reads 1 and the dark-state
-boundary reads 0.  Window quality is judged by two competing figures of
-merit computed from the boundary gated sums (bright B, dark D):
+boundary reads 0; :func:`nvreadout.regression.gated_equivalent_model`
+states it, as a model.  Window quality is judged by two competing
+figures of merit of the boundary gated sums (bright B, dark D):
 
     contrast        C = (B - D) / B
     total variance  V = (B + D) / (2 (B - D)^2)
@@ -11,9 +12,8 @@ merit computed from the boundary gated sums (bright B, dark D):
 V is the population-estimate variance integrated over all populations in
 [0, 1].  Every window starts at the trace's first bin, so a gate is its
 width, the one free parameter: sweeping it trades one figure against the
-other, and a :class:`SweepResult` derives both curves from the gated sums
-over widths.  A boundary pair is usable only when bright > dark, the one
-rule :func:`_boundary_span` states.
+other.  C and V are :class:`SweepResult`'s: it derives both curves from
+the gated sums over widths.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ __all__ = [
     "GateMetrics",
     "SweepResult",
     "gate_sum",
-    "gated_population",
-    "contrast",
-    "total_variance",
     "sweep_gate",
 ]
 
@@ -120,53 +117,6 @@ class SweepResult:
 def gate_sum(trace: TimeTrace, width: int) -> float:
     """Sum of the first ``width`` counts, in float64 (an int64 sum can wrap)."""
     return float(trace.counts[:_gate_width(width, len(trace))].sum(dtype=float))
-
-
-def _boundary_span(bright_total: float, dark_total: float) -> float:
-    """bright - dark; ParameterError unless bright > dark."""
-    span = bright_total - dark_total
-    if not (span > 0):
-        raise ParameterError(
-            f"bright_total must exceed dark_total, got {bright_total} <= {dark_total}")
-    return span
-
-
-def gated_population(gate_counts: float, bright_total: float,
-                     dark_total: float) -> tuple[float, float]:
-    """Population estimate and its variance from a gated sum.
-
-    All three arguments must be expressed at the same repetition count
-    (scale a boundary sum by test repetitions / boundary repetitions).
-    This is the reference form of the estimator; the pipeline applies its
-    exact model form, :func:`nvreadout.regression.gated_equivalent_model`.
-
-    Returns
-    -------
-    (population, variance)
-        population = (gate_counts - dark_total) / (bright_total - dark_total),
-        deliberately not clipped to [0, 1] so residual statistics stay
-        unbiased; variance = gate_counts / (bright_total - dark_total)^2
-        assuming Poisson counts.
-    """
-    span = _boundary_span(bright_total, dark_total)
-    return (gate_counts - dark_total) / span, gate_counts / (span * span)
-
-
-def contrast(bright_total: float, dark_total: float) -> float:
-    """Relative fluorescence difference (bright - dark) / bright."""
-    if not (bright_total > 0):
-        raise ParameterError(f"bright_total must be positive, got {bright_total}")
-    return (bright_total - dark_total) / bright_total
-
-
-def total_variance(bright_total: float, dark_total: float) -> float:
-    """Population variance integrated over populations in [0, 1].
-
-    Closed form (bright + dark) / (2 (bright - dark)^2), the integral of
-    the per-population variance (p*bright + (1-p)*dark) / (bright-dark)^2.
-    """
-    span = _boundary_span(bright_total, dark_total)
-    return (bright_total + dark_total) / (2.0 * span * span)
 
 
 def sweep_gate(trace0: TimeTrace, trace1: TimeTrace) -> SweepResult:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .gating import _boundary_span, _gate_width, gate_sum
+from .gating import _gate_width, gate_sum
 from .rabi import RabiDataset, fit_count_sums
 from .traces import (TimeTrace, _check_header_text, _check_pair, _check_populations,
                      _check_positive, _checked_counts, _checked_floats, _repetition_count)
@@ -304,17 +304,21 @@ def train_rabi(dataset: RabiDataset) -> ReadoutModel:
 
 def gated_equivalent_model(trace0: TimeTrace, trace1: TimeTrace,
                            width: int) -> ReadoutModel:
-    """Exact model form of the gated estimator for a given gate width.
+    """The gated estimator for a given gate width, as a model.
 
     Equal weights 1 / (bright - dark per-measurement gated sums) on the
-    first ``width`` bins, zero after them, intercept -dark / (bright - dark):
-    applied to any trace this reproduces the gated population estimate and
-    its variance identically.
+    first ``width`` bins, zero after them, intercept -dark / (bright - dark).
+    Applied to a trace of gated sum g, with B and D the boundary sums at
+    its repetition count, it gives p = (g - D) / (B - D), not clipped to
+    [0, 1], and the Poisson variance g / (B - D)^2.  ParameterError
+    unless bright > dark.
     """
     _check_pair(trace0, trace1)
     width = _gate_width(width, len(trace0))
     bright, dark = (gate_sum(trace, width) / trace.repetitions for trace in (trace0, trace1))
-    span = _boundary_span(bright, dark)
+    span = bright - dark
+    if not (span > 0):
+        raise ParameterError(f"bright_total must exceed dark_total, got {bright} <= {dark}")
     weights = np.zeros(len(trace0))
     weights[:width] = 1.0 / span
     return ReadoutModel(

@@ -44,7 +44,6 @@ __all__ = [
     "mix_profile",
     "simulate_trace",
     "expected_trace",
-    "differential",
 ]
 
 
@@ -346,13 +345,3 @@ def expected_trace(profile: EmissionProfile, repetitions: int,
     counts.setflags(write=False)
     return TimeTrace(counts, repetitions=int(repetitions),
                      bin_width_ns=profile.bin_width_ns, label=label)
-
-
-def differential(trace0: TimeTrace, trace1: TimeTrace) -> np.ndarray:
-    """Per-measurement differential signal (trace0 - trace1) / repetitions.
-
-    Both traces must share length and bin width.  Traces taken with
-    different repetition counts are compared per measurement.
-    """
-    _check_pair(trace0, trace1)
-    return trace0.counts / trace0.repetitions - trace1.counts / trace1.repetitions

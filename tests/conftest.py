@@ -20,6 +20,17 @@ SEED_TEST_SET = 900             # shared 60-point test set at 1e5 repetitions
 SEED_RABI_TRAINING = 10         # criterion 7 pipeline (test set at +10000)
 
 
+def gated_estimate(gate_counts, bright_total, dark_total):
+    """The traditional gated estimator, the oracle of ``gated_equivalent_model``.
+
+    Population p = (g - D) / (B - D), not clipped, and its Poisson variance
+    g / (B - D)^2, from a trace's gated sum g and the boundary sums B and D,
+    all three at one repetition count.
+    """
+    span = bright_total - dark_total
+    return (gate_counts - dark_total) / span, gate_counts / (span * span)
+
+
 def gates(trace0, trace1):
     """The max-C and min-V gates of a boundary pair's sweep, in model form."""
     sweep = sweep_gate(trace0, trace1)

@@ -10,14 +10,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import SEED_BOUNDARY_NOISY, SEED_RABI_TRAINING, gates, noise_per_contrast
-from nvreadout import (ReadoutModel, TimeTrace,
-                       TrainingExample, assign_targets, differential,
+from conftest import (SEED_BOUNDARY_NOISY, SEED_RABI_TRAINING, gated_estimate, gates,
+                      noise_per_contrast)
+from nvreadout import (ReadoutModel, SweepResult, TimeTrace,
+                       TrainingExample, assign_targets,
                        evaluate, fit_rabi, gated_equivalent_model,
-                       gated_population, gate_sum, loss, loss_gradient,
+                       gate_sum, loss, loss_gradient,
                        make_profiles, mix_profile, paper_like_params, predict,
                        prediction_variance, repair, simulate_rabi_dataset,
-                       simulate_trace, sweep_gate, total_variance,
+                       simulate_trace, sweep_gate,
                        train_boundary, train_rabi, expected_trace)
 from nvreadout.evaluation import METHOD_MAX_C, METHOD_MIN_V, METHOD_ML
 from nvreadout.cli import main as cli_main
@@ -48,7 +49,7 @@ def test_c01_total_variance_closed_form():
             bright = dark + rng.uniform(1e-3, 1e6)
             integrand = (grid * bright + (1.0 - grid) * dark) / (bright - dark) ** 2
             oracle = float(np.trapezoid(integrand, grid))
-            err = abs(total_variance(bright, dark) - oracle) / oracle
+            err = abs(SweepResult(2.0, 1, [bright], [dark]).total_variance[0] - oracle) / oracle
             worst = max(worst, err)
     ok = worst < 1e-9 and t.elapsed < 1.0
     report("criterion 1 (closed-form total variance)", ok,
@@ -109,8 +110,8 @@ def test_c03_gated_equivalence_oracle():
             trace = simulate_trace(mix_profile(pop, profile0, profile1),
                                    10**5, seed=int(rng.integers(1 << 62)))
             scale = trace.repetitions / trace0.repetitions
-            p_ref, v_ref = gated_population(gate_sum(trace, window),
-                                            bright * scale, dark * scale)
+            p_ref, v_ref = gated_estimate(gate_sum(trace, window),
+                                          bright * scale, dark * scale)
             worst_p = max(worst_p, abs(predict(model, trace) - p_ref) /
                           max(abs(p_ref), 1.0))
             worst_v = max(worst_v, abs(prediction_variance(model, trace) - v_ref) /
@@ -239,7 +240,7 @@ def test_c09_weight_shape_correlation(clean_boundary_setup):
     """Boundary-trained weights track the measured differential signal."""
     s = clean_boundary_setup
     with Timer() as t:
-        d = differential(s.trace0, s.trace1)
+        d = s.trace0.rates - s.trace1.rates
         r = float(np.corrcoef(s.model.weights, d)[0, 1])
     ok = r > 0.5 and t.elapsed < 1.0
     report("criterion 9 (weight-shape correlation)", ok,

@@ -263,6 +263,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("case, status, message", [
         ("train-boundary-without-trace1", 2, "boundary mode needs --trace0 and --trace1"),
         ("train-rabi-without-rabi", 2, "rabi mode needs --rabi"),
+        # the other mode's input is an error, not ignored
+        ("train-boundary-with-rabi", 2, "boundary mode takes no --rabi"),
+        ("train-rabi-with-trace0", 2, "rabi mode takes no --trace0"),
+        ("train-rabi-with-trace1", 2, "rabi mode takes no --trace1"),
         ("sweep-identical-pair", 0, "sweep: every width degenerate"),
         ("evaluate-identical-pair", 2, "boundary sweep is fully degenerate"),
         ("trace-without-column-row", 2, "no-columns.csv: expected 'bin_index,counts' column row"),
@@ -298,6 +302,11 @@ class TestExitCodes:
             "train-boundary-without-trace1": ["train", "--mode", "boundary", "--trace0", b0,
                                               "--out", out],
             "train-rabi-without-rabi": ["train", "--mode", "rabi", "--out", out],
+            "train-boundary-with-rabi": ["train", "--mode", "boundary", "--trace0", b0,
+                                         "--trace1", b1, "--rabi", scan, "--out", out],
+            **{f"train-rabi-with-{flag}": ["train", "--mode", "rabi", "--rabi", scan,
+                                            f"--{flag}", b0, "--out", out]
+               for flag in ("trace0", "trace1")},
             "sweep-identical-pair": ["sweep", "--trace0", b0, "--trace1", b0, "--out", out],
             "evaluate-identical-pair": ["evaluate", "--rabi", scan, "--model",
                                         str(pipeline / "model.txt"), "--trace0", b0,

@@ -5,12 +5,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import gates
+from conftest import gated_estimate, gates
 from nvreadout import (EmissionProfile, ParameterError, ReadoutModel, SweepResult, TimeTrace,
                        evaluate, expected_trace, fit_rabi, gate_sum, gated_equivalent_model,
-                       gated_population, make_profiles, mix_profile, paper_like_params,
-                       repair, simulate_rabi_dataset, simulate_trace, sweep_gate,
-                       train_boundary)
+                       make_profiles, mix_profile, paper_like_params, repair,
+                       simulate_rabi_dataset, simulate_trace, sweep_gate, train_boundary)
 from nvreadout.evaluation import METHOD_MAX_C, METHOD_MIN_V, METHOD_ML
 from nvreadout.rabi import RabiDataset
 
@@ -43,7 +42,7 @@ class TestEvaluate:
         assert abs(report.reductions[(METHOD_ML, METHOD_MIN_V)]) < 1e-12
 
     def test_gate_rows_match_gate_sum_oracle(self, setup, gate_models):
-        # the gated rows are the gate_sum/gated_population estimator with
+        # the gated rows are the gate_sum/gated_estimate estimator with
         # the 1e7-repetition boundary sums rescaled to the 1e5-repetition
         # test set, applied trace by trace
         _, _, t0, t1, sweep, test, truth = setup
@@ -55,7 +54,7 @@ class TestEvaluate:
         for name, window in ((METHOD_MAX_C, w_c), (METHOD_MIN_V, w_v)):
             bright = gate_sum(t0, window) * reps / t0.repetitions
             dark = gate_sum(t1, window) * reps / t1.repetitions
-            p, v = np.array([gated_population(gate_sum(trace, window), bright, dark)
+            p, v = np.array([gated_estimate(gate_sum(trace, window), bright, dark)
                              for _, trace in test.points]).T
             row = report.method(name)
             assert row.avg_formula_variance == pytest.approx(v.mean(), rel=1e-12)

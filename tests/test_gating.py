@@ -5,14 +5,27 @@ import itertools
 import numpy as np
 import pytest
 
-from nvreadout import (ParameterError, SweepResult, TimeTrace, contrast,
-                       expected_trace, gate_sum, gated_equivalent_model, gated_population,
-                       make_profiles, paper_like_params, simulate_trace, sweep_gate,
-                       total_variance)
+from nvreadout import (ParameterError, SweepResult, TimeTrace, expected_trace, gate_sum,
+                       gated_equivalent_model, make_profiles, paper_like_params, predict,
+                       prediction_variance, simulate_trace, sweep_gate)
 
 
 def trace_of(counts, reps=1):
     return TimeTrace(np.asarray(counts), repetitions=reps)
+
+
+def gated(gate_counts, bright_total, dark_total):
+    """Estimate and variance of the one-bin gate of boundaries ``bright_total`` and
+    ``dark_total`` on a one-bin trace of ``gate_counts``, all at one repetition."""
+    model = gated_equivalent_model(trace_of([bright_total]), trace_of([dark_total]), 1)
+    trace = trace_of([gate_counts])
+    return predict(model, trace), prediction_variance(model, trace)
+
+
+def figures(bright_total, dark_total):
+    """Contrast and total variance of one width with these gated sums."""
+    sweep = SweepResult(2.0, 1, [bright_total], [dark_total])
+    return sweep.contrast[0], sweep.total_variance[0]
 
 
 class TestGateSum:
@@ -45,65 +58,48 @@ class TestGateSum:
 
 
 class TestGatedPopulation:
+    """The gated estimator p = (g - D) / (B - D), v = g / (B - D)^2 in model form."""
+
     def test_boundary_conditions_exact(self):
-        p, _ = gated_population(130.0, 130.0, 100.0)
-        assert p == 1.0
-        p, _ = gated_population(100.0, 130.0, 100.0)
-        assert p == 0.0
+        # a span of 32 keeps the weight, the intercept and every product exact
+        assert gated(132, 132, 100)[0] == 1.0
+        assert gated(100, 132, 100)[0] == 0.0
 
     def test_hand_arithmetic(self):
-        p, sigma2 = gated_population(115.0, 130.0, 100.0)
+        p, sigma2 = gated(115, 130, 100)
         assert p == pytest.approx(0.5, rel=1e-15)
         assert sigma2 == pytest.approx(115.0 / 900.0, rel=1e-15)
 
     def test_not_clipped(self):
-        p, _ = gated_population(150.0, 130.0, 100.0)
+        p, _ = gated(150, 130, 100)
         assert p > 1.0
 
     def test_joint_rescaling_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            dark = rng.uniform(1, 100)
-            bright = dark + rng.uniform(0.5, 100)
-            x = rng.uniform(0, 1.5 * bright)
-            s = rng.uniform(0.01, 100)
-            p1, _ = gated_population(x, bright, dark)
-            p2, _ = gated_population(x * s, bright * s, dark * s)
+            dark = int(rng.integers(1, 100))
+            bright = dark + int(rng.integers(1, 100))
+            x = int(rng.integers(0, 1.5 * bright))
+            s = int(rng.integers(2, 100))
+            p1, _ = gated(x, bright, dark)
+            p2, _ = gated(x * s, bright * s, dark * s)
             assert p2 == pytest.approx(p1, rel=1e-12, abs=1e-12)
 
     def test_degenerate_raises(self):
-        with pytest.raises(ParameterError, match="bright_total must exceed dark_total"):
-            gated_population(10.0, 5.0, 5.0)
-
-
-@pytest.mark.parametrize("degenerate", [
-    lambda: gated_population(3.0, 2.0, 2.0),
-    lambda: total_variance(2.0, 2.0),
-    lambda: gated_equivalent_model(trace_of([1, 1, 1]), trace_of([1, 1, 1]), 2),
-], ids=["gated_population", "total_variance", "gated_equivalent_model"])
-def test_bright_must_exceed_dark_in_one_message(degenerate):
-    # the gate's one boundary rule; the model form's window sums are 2.0 and 2.0
-    with pytest.raises(ParameterError,
-                       match=r"^bright_total must exceed dark_total, got 2\.0 <= 2\.0$"):
-        degenerate()
+        # the model form's window sums are 2.0 and 2.0
+        with pytest.raises(ParameterError,
+                           match=r"^bright_total must exceed dark_total, got 2\.0 <= 2\.0$"):
+            gated_equivalent_model(trace_of([1, 1, 1]), trace_of([1, 1, 1]), 2)
 
 
 class TestContrast:
-    def test_trivials(self):
-        assert contrast(10.0, 0.0) == 1.0
-        assert contrast(10.0, 10.0) == 0.0
-
     def test_hand_arithmetic(self):
-        assert contrast(130.0, 91.0) == pytest.approx(0.30, rel=1e-15)
-
-    def test_degenerate(self):
-        with pytest.raises(ParameterError, match="bright_total must be positive, got 0.0"):
-            contrast(0.0, 1.0)
+        assert figures(130.0, 91.0)[0] == pytest.approx(0.30, rel=1e-15)
 
 
 class TestTotalVariance:
     def test_hand_arithmetic(self):
-        assert total_variance(3.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+        assert figures(3.0, 1.0)[1] == pytest.approx(0.5, rel=1e-15)
 
     def test_against_numeric_integral(self):
         # independent oracle: integrate the per-population variance
@@ -115,15 +111,11 @@ class TestTotalVariance:
             bright = dark + rng.uniform(1e-3, 1e6)
             integrand = (grid * bright + (1 - grid) * dark) / (bright - dark) ** 2
             oracle = np.trapezoid(integrand, grid)
-            assert total_variance(bright, dark) == pytest.approx(oracle, rel=1e-9)
+            assert figures(bright, dark)[1] == pytest.approx(oracle, rel=1e-9)
 
     def test_inverse_scaling(self):
-        v = total_variance(130.0, 100.0)
-        assert total_variance(1300.0, 1000.0) == pytest.approx(v / 10.0, rel=1e-12)
-
-    def test_degenerate(self):
-        with pytest.raises(ParameterError, match="bright_total must exceed dark_total"):
-            total_variance(1.0, 1.0)
+        v = figures(130.0, 100.0)[1]
+        assert figures(1300.0, 1000.0)[1] == pytest.approx(v / 10.0, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -154,10 +146,9 @@ class TestSweep:
         assert m.bright_total == noiseless_sweep.bright_total[41]
         with pytest.raises(ParameterError, match="gate width 501 overruns trace of 500 bins"):
             noiseless_sweep.at(501)
-        assert m.contrast == pytest.approx(
-            contrast(m.bright_total, m.dark_total), rel=1e-14)
-        assert m.total_variance == pytest.approx(
-            total_variance(m.bright_total, m.dark_total), rel=1e-14)
+        b, d = m.bright_total, m.dark_total
+        assert m.contrast == pytest.approx((b - d) / b, rel=1e-14)
+        assert m.total_variance == pytest.approx((b + d) / (2 * (b - d) ** 2), rel=1e-14)
 
     def test_flat_identical_profiles_all_degenerate(self):
         tr = expected_trace(

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from nvreadout import (ParameterError, ReadoutModel, TimeTrace, TrainingExample,
-                       expected_trace, gate_sum, gated_equivalent_model, gated_population,
-                       loss, loss_gradient, make_profiles, mix_profile, paper_like_params,
-                       predict, prediction_variance, simulate_trace, sweep_gate, train,
+                       expected_trace, gate_sum, gated_equivalent_model, loss, loss_gradient,
+                       make_profiles, mix_profile, paper_like_params, predict,
+                       prediction_variance, simulate_trace, sweep_gate, train,
                        train_boundary)
 from nvreadout.regression import GROUPS, WEIGHT_FACTOR
 
-from conftest import noise_per_contrast
+from conftest import gated_estimate, noise_per_contrast
 
 
 def as_arrays(examples):
@@ -98,8 +98,8 @@ class TestPredict:
                                 seed=int(rng.integers(1 << 30)))
             # rescale boundary sums into the trace's repetition frame
             scale = tr.repetitions / t0.repetitions
-            p_ref, v_ref = gated_population(gate_sum(tr, window),
-                                            bright * scale, dark * scale)
+            p_ref, v_ref = gated_estimate(gate_sum(tr, window),
+                                          bright * scale, dark * scale)
             assert predict(model, tr) == pytest.approx(p_ref, rel=1e-12, abs=1e-12)
             assert prediction_variance(model, tr) == pytest.approx(v_ref, rel=1e-12)
 

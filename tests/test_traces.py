@@ -7,8 +7,8 @@ import pytest
 
 from nvreadout import (EmissionProfile, ParameterError, PhotodynamicsParams,
                        RabiDataset, ReadoutModel, SweepResult, TimeTrace,
-                       differential, expected_trace, make_profiles, mix_profile,
-                       paper_like_params, simulate_rabi_dataset, simulate_trace)
+                       expected_trace, make_profiles, mix_profile, paper_like_params,
+                       simulate_rabi_dataset, simulate_trace)
 from nvreadout import io as nvio
 from nvreadout.traces import _draw
 
@@ -291,32 +291,3 @@ class TestSimulateTrace:
         for reps in (2.5, 1e7 + 0.5):
             with pytest.raises(ParameterError, match="whole number"):
                 draw(profile, reps)
-
-
-class TestDifferential:
-    def test_self_difference_is_zero(self):
-        tr = TimeTrace(np.array([3, 1, 4]), repetitions=10)
-        assert np.array_equal(differential(tr, tr), np.zeros(3))
-
-    def test_boundary_differential_positive_early(self):
-        p0, p1 = make_profiles(paper_like_params())
-        t0 = expected_trace(p0, 10**8)
-        t1 = expected_trace(p1, 10**8)
-        d = differential(t0, t1)
-        expected = p0.rates - p1.rates
-        assert np.allclose(d, expected, atol=1e-8)
-        assert np.all(d[5:200] > 0)
-
-    def test_shape_errors(self):
-        a = TimeTrace(np.array([1, 2]), repetitions=1)
-        b = TimeTrace(np.array([1, 2, 3]), repetitions=1)
-        c = TimeTrace(np.array([1, 2]), repetitions=1, bin_width_ns=4.0)
-        with pytest.raises(ParameterError, match=r"pair differs in length \(2 vs 3 bins\)"):
-            differential(a, b)
-        with pytest.raises(ParameterError, match=r"bin width \(2.0 vs 4.0 ns\)"):
-            differential(a, c)
-
-    def test_unequal_repetitions_normalized(self):
-        a = TimeTrace(np.array([10, 20]), repetitions=10)
-        b = TimeTrace(np.array([1, 2]), repetitions=1)
-        assert np.array_equal(differential(a, b), np.zeros(2))
