@@ -86,10 +86,20 @@ class TestGatedPopulation:
             assert p2 == pytest.approx(p1, rel=1e-12, abs=1e-12)
 
     def test_degenerate_raises(self):
-        # the model form's window sums are 2.0 and 2.0
+        # a dark window brighter than the bright one: sums 2.0 and 4.0
         with pytest.raises(ParameterError,
-                           match=r"^bright_total must exceed dark_total, got 2\.0 <= 2\.0$"):
-            gated_equivalent_model(trace_of([1, 1, 1]), trace_of([1, 1, 1]), 2)
+                           match=r"^bright_total must exceed dark_total, got 2\.0 <= 4\.0$"):
+            gated_equivalent_model(trace_of([1, 1, 1]), trace_of([2, 2, 2]), 2)
+
+
+@pytest.mark.parametrize("degenerate", [
+    lambda: gated_equivalent_model(trace_of([1, 1, 1]), trace_of([1, 1, 1]), 2),
+], ids=["gated_equivalent_model"])
+def test_bright_must_exceed_dark_in_one_message(degenerate):
+    # the gate's one boundary rule; the model form's window sums are 2.0 and 2.0
+    with pytest.raises(ParameterError,
+                       match=r"^bright_total must exceed dark_total, got 2\.0 <= 2\.0$"):
+        degenerate()
 
 
 class TestContrast:
