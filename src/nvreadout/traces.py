@@ -231,14 +231,22 @@ class PhotodynamicsParams:
 def paper_like_params() -> PhotodynamicsParams:
     """Default calibration of the simulator.
 
-    Constants were tuned by ``scripts/calibrate_preset.py`` so that on the
-    noiseless profiles
-      * mean photons per measurement (average of both states) is 0.020,
-      * the gated contrast at its best window is 0.30 (window ~184 ns),
-      * the swept contrast and total variance have interior optima with the
-        contrast optimum at a shorter window than the variance optimum
-        (184 ns vs 460 ns),
-      * total variance at the max-contrast window is ~1.62x its minimum.
+    Constants were tuned so that on the noiseless profiles, with contrast C
+    and total variance V those of :class:`~nvreadout.gating.SweepResult` on
+    the cumulative rates,
+      * T1: mean photons per measurement (average of both states) is 0.020,
+      * T2: C at its best window is 0.30,
+      * T3: C and V have interior optima, the max-C window (184 ns) shorter
+        than the min-V window (460 ns),
+      * T4: V at the max-C window is ~1.62x its minimum.
+    ``tests/test_traces.py`` pins T1-T4 (``test_default_calibration_anchors``).
+
+    The tuning: with ``tau_isc_ns`` fixed at 250 ns, Nelder-Mead from a
+    72-point start grid fitted the other shape constants to soft targets for
+    T2-T4 (C 0.30, max-C at 234 ns, min-V at 476 ns, V ratio 1.65: the targets
+    that reproduce this preset), the constants were rounded to two significant
+    figures, and ``steady_rate`` was then set exactly from T1.  The tuner's
+    last version is ``scripts/calibrate_preset.py`` at commit 0150d49.
     """
     return PhotodynamicsParams(
         steady_rate=2.1215e-05,

@@ -5,13 +5,19 @@ Every scenario is fully seeded and deterministic; stated runtime budgets
 are asserted alongside the numeric tolerances.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from conftest import (SEED_BOUNDARY_NOISY, SEED_RABI_TRAINING, gated_estimate, gates,
                       noise_per_contrast)
+import nvreadout
 from nvreadout import (ReadoutModel, SweepResult, TimeTrace,
                        TrainingExample, assign_targets,
                        evaluate, fit_rabi, gated_equivalent_model,
@@ -20,8 +26,8 @@ from nvreadout import (ReadoutModel, SweepResult, TimeTrace,
                        prediction_variance, repair, simulate_rabi_dataset,
                        simulate_trace, sweep_gate,
                        train_boundary, train_rabi, expected_trace)
+from nvreadout import io as nvio
 from nvreadout.evaluation import METHOD_MAX_C, METHOD_MIN_V, METHOD_ML
-from nvreadout.cli import main as cli_main
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -247,41 +253,110 @@ def test_c09_weight_shape_correlation(clean_boundary_setup):
            f"Pearson r = {r:.3f} vs measured differential, runtime {t.elapsed:.2f}s")
 
 
-def test_c10_cli_determinism(tmp_path):
-    """Identical seeds make every pipeline rerun byte-identical."""
-    def pipeline(root):
-        data = root / "data"
-        args = [
-            ["simulate", "--preset", "paper-like", "--reps", "1e7", "--seed", "7",
-             "--out-dir", str(data), "--what", "both", "--rabi-reps", "1e5",
-             "--rabi-points", "24", "--rabi-span-ns", "460"],
-            ["sweep", "--trace0", str(data / "boundary0.csv"),
-             "--trace1", str(data / "boundary1.csv"), "--out", str(root / "sweep.csv")],
-            ["train", "--mode", "boundary", "--trace0", str(data / "boundary0.csv"),
-             "--trace1", str(data / "boundary1.csv"), "--max-iterations", "500",
-             "--out", str(root / "model.txt")],
-            ["train", "--mode", "rabi", "--rabi", str(data / "rabi.csv"),
-             "--max-iterations", "300", "--out", str(root / "rabi_model.txt")],
-            ["fit-rabi", "--rabi", str(data / "rabi.csv"), "--out", str(root / "fit.csv")],
-            ["evaluate", "--rabi", str(data / "rabi.csv"), "--model",
-             str(root / "model.txt"), "--trace0", str(data / "boundary0.csv"),
-             "--trace1", str(data / "boundary1.csv"),
-             "--truth", str(data / "rabi_truth.csv"), "--out", str(root / "report.csv"),
-             "--summary", str(root / "summary.txt")],
-            ["repair", "--rabi", str(data / "rabi.csv"), "--model",
-             str(root / "model.txt"), "--trace0", str(data / "boundary0.csv"),
-             "--trace1", str(data / "boundary1.csv"), "--out", str(root / "repaired.csv")],
-        ]
-        for argv in args:
-            assert cli_main(argv) == 0, argv
-        return {p.relative_to(root): p.read_bytes()
-                for p in sorted(root.rglob("*")) if p.is_file()}
+def _readme_pipeline(root):
+    """The README pipeline at 1e6 boundary repetitions, then three scans.
 
-    a = pipeline(tmp_path / "run_a")
-    b = pipeline(tmp_path / "run_b")
-    same = set(a) == set(b) and all(a[k] == b[k] for k in a)
-    report("criterion 10 (CLI determinism)", same,
-           f"{len(a)} output files byte-identical across reruns")
+    ``scan240`` is a benchmark-size scan (240 points x 500 bins), fitted,
+    evaluated and repaired.  ``scan240-1e7`` is that scan at 1e7 repetitions:
+    its counts pass the 500-bin row width, so the scan writer takes its
+    template path, not its table path.  ``scan2400`` is large enough that a
+    product of the scan with stacked models would sum in an order that
+    follows the BLAS thread count.
+    """
+    data, scan, big = root / "data", root / "scan240", root / "scan2400"
+    pair = ["--trace0", str(data / "boundary0.csv"), "--trace1", str(data / "boundary1.csv")]
+
+    def simulate_scan(out, points, span_ns, reps):
+        return ["simulate", "--preset", "paper-like", "--seed", "7", "--out-dir", str(out),
+                "--what", "rabi", "--rabi-points", points, "--rabi-span-ns", span_ns,
+                "--rabi-reps", reps]
+
+    def evaluate_and_repair(scan_dir, model, out_dir, suffix, summary=True):
+        rabi, model = str(scan_dir / "rabi.csv"), str(root / f"{model}.txt")
+        return [["evaluate", "--rabi", rabi, "--model", model, *pair,
+                 "--truth", str(scan_dir / "rabi_truth.csv"),
+                 "--out", str(out_dir / f"report{suffix}.csv"),
+                 *(["--summary", str(out_dir / f"summary{suffix}.txt")] if summary else [])],
+                ["repair", "--rabi", rabi, "--model", model, *pair,
+                 "--out", str(out_dir / f"repaired{suffix}.csv")]]
+
+    return [
+        ["simulate", "--preset", "paper-like", "--reps", "1e6", "--seed", "7",
+         "--out-dir", str(data), "--what", "both", "--rabi-reps", "1e5"],
+        ["sweep", *pair, "--out", str(root / "sweep.csv")],
+        ["train", "--mode", "boundary", *pair, "--out", str(root / "model.txt")],
+        ["train", "--mode", "rabi", "--rabi", str(data / "rabi.csv"),
+         "--out", str(root / "rabi_model.txt")],
+        ["fit-rabi", "--rabi", str(data / "rabi.csv"), "--out", str(root / "fit.csv")],
+        *evaluate_and_repair(data, "model", root, ""),
+        *evaluate_and_repair(data, "rabi_model", root, "_rabi"),
+        simulate_scan(scan, "240", "2400", "1e5"),
+        ["fit-rabi", "--rabi", str(scan / "rabi.csv"), "--out", str(scan / "fit.csv")],
+        *evaluate_and_repair(scan, "model", scan, "", summary=False),
+        simulate_scan(root / "scan240-1e7", "240", "2400", "1e7"),
+        simulate_scan(big, "2400", "24000", "1e5"),
+        *evaluate_and_repair(big, "model", big, "_model"),
+        *evaluate_and_repair(big, "rabi_model", big, "_rabi_model"),
+    ]
+
+
+# one interpreter per run: the BLAS thread count is read when numpy loads
+_RUN_PIPELINE = ("import json, sys\n"
+                 "from nvreadout.cli import main\n"
+                 "for argv in json.loads(sys.argv[1]):\n"
+                 "    if main(argv) != 0:\n"
+                 "        sys.exit(f'exit status != 0: {argv}')\n")
+
+# reader and writer of each schema that round-trips, named by a file's first line
+_ROUND_TRIPS = {
+    "trace-csv": (nvio.read_trace_csv, nvio.write_trace_csv),
+    "rabi-csv": (nvio.read_rabi_csv, nvio.write_rabi_csv),
+    "truth-csv": (nvio.read_truth_csv, lambda path, truth: nvio.write_truth_csv(path, *truth)),
+    "sweep-csv": (nvio.read_sweep_csv, nvio.write_sweep_csv),
+    "readout-model": (nvio.read_model, nvio.write_model),
+    "eval-report": (nvio.read_report_csv, nvio.write_report_csv),
+}
+
+
+def test_c10_cli_determinism(tmp_path):
+    """The README pipeline and its scans write the same bytes under one and
+    under two BLAS threads, and every file of a schema that round-trips reads
+    back and re-writes byte-identically."""
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file()}
+
+    src = str(Path(nvreadout.__file__).parents[1])
+    with Timer() as t:
+        procs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            argv = json.dumps(_readme_pipeline(tmp_path / threads))
+            procs[threads] = subprocess.Popen([sys.executable, "-c", _RUN_PIPELINE, argv],
+                                              env=env, stdout=subprocess.DEVNULL,
+                                              stderr=subprocess.PIPE, text=True)
+        errors = {threads: proc.communicate()[1] for threads, proc in procs.items()}
+        assert all(proc.returncode == 0 for proc in procs.values()), errors
+        a, b = files(tmp_path / "1"), files(tmp_path / "2")
+        differ = sorted(str(k) for k in set(a) | set(b) if a.get(k) != b.get(k))
+
+        rewritten, changed = {}, []
+        for name, content in a.items():
+            schema = content.split(maxsplit=2)[1].decode()
+            if schema in _ROUND_TRIPS:
+                read, write = _ROUND_TRIPS[schema]
+                again = tmp_path / "rewritten" / name
+                again.parent.mkdir(parents=True, exist_ok=True)
+                write(again, read(tmp_path / "1" / name))
+                rewritten[name] = schema
+                if again.read_bytes() != content:
+                    changed.append(str(name))
+    ok = not differ and not changed and set(rewritten.values()) == set(_ROUND_TRIPS)
+    report("criterion 10 (CLI determinism)", ok,
+           f"{len(a)} output files under 1 and 2 BLAS threads, differing: {differ}; "
+           f"{len(rewritten)} re-written through their reader and writer, changed: "
+           f"{changed}; runtime {t.elapsed:.2f}s")
 
 
 # criterion 11: fixed before its first run, disjoint from earlier probe seeds

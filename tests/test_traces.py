@@ -184,14 +184,22 @@ class TestMakeProfiles:
         assert np.all(np.abs(ratio - 1) < 1e-6)
 
     def test_default_calibration_anchors(self):
-        # mean photons per measurement ~0.02 and ~30% gated contrast over
-        # the first ~200 ns
-        p0, p1 = make_profiles(paper_like_params())
+        # the targets the preset was tuned to, on the noiseless cumulative
+        # rates: T1 0.020 photons per measurement; T2 C = 0.30 at the max-C
+        # gate; T3 interior optima, max-C at 184 ns before min-V at 460 ns;
+        # T4 V(max-C) / V(min-V) = 1.62
+        params = paper_like_params()
+        p0, p1 = make_profiles(params)
         mean = 0.5 * (p0.photons_per_measurement + p1.photons_per_measurement)
-        assert mean == pytest.approx(0.02, abs=2e-4)
-        k = int(200 / 2.0)
-        c = (p0.rates[:k].sum() - p1.rates[:k].sum()) / p0.rates[:k].sum()
-        assert c == pytest.approx(0.30, abs=0.02)
+        assert mean == pytest.approx(0.020, abs=2e-4)
+        sweep = SweepResult(params.bin_width_ns, 1, np.cumsum(p0.rates), np.cumsum(p1.rates))
+        max_c, min_v = sweep.max_contrast, sweep.min_variance
+        assert max_c.contrast == pytest.approx(0.30, abs=0.02)
+        assert 1 < max_c.window < min_v.window < p0.rates.size
+        two_bins = 2 * params.bin_width_ns
+        assert max_c.window * params.bin_width_ns == pytest.approx(184.0, abs=two_bins)
+        assert min_v.window * params.bin_width_ns == pytest.approx(460.0, abs=two_bins)
+        assert 1.4 < max_c.total_variance / min_v.total_variance < 2.0
 
     def test_differential_positive_and_decaying(self):
         p0, p1 = make_profiles(paper_like_params())
